@@ -22,7 +22,7 @@ Validators return report objects that serialize to JSON documents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,13 +31,14 @@ from .network import (
     Architecture,
     NetworkParams,
     TrainConfig,
-    empirical_loss,
-    forward_batch,
+    TrainResult,
+    dataset_margins,
+    error_rate,
     margins_batch,
+    mean_ramp_loss,
     population_estimate,
     ramp_loss,
     train_sgd,
-    zero_one_loss,
 )
 from .norms import LayerNorms
 from .process import (
@@ -53,7 +54,7 @@ from .process import (
     stationary_expectation,
     step_expectations,
 )
-from .rademacher import FunctionClass, covering_bound_terms
+from .rademacher import FunctionClass, _sign_chunk, covering_bound_terms
 from .seeding import combine_seeds, substream
 
 SOURCE_COVERING = "covering_bound"
@@ -61,6 +62,9 @@ SOURCE_MC = "mc"
 SOURCE_EXACT = "exact"
 
 _CONSISTENCY_RTOL = 1e-12
+_DELTA_EST = 0.01  # confidence of the plug-in population estimate
+_EXACT_SIGN_LIMIT = 12  # symmetrization enumerates all signs up to this n
+_MC_SIGNS = 256  # sign draws per path beyond it
 
 
 def _check_delta(delta: float) -> None:
@@ -106,8 +110,16 @@ def mcdiarmid_tail_bound(epsilon: float, n: int, c: float, delta_inf: float) -> 
     return 2.0 * math.exp(-2.0 * epsilon ** 2 / (n * c ** 2 * delta_inf ** 2))
 
 
+class _Report:
+    """Reports serialize field by field; write_json sorts the keys and
+    dumps tuples as lists."""
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
-class BoundReport:
+class BoundReport(_Report):
     """Every term of one certificate, plus the plug-in ground truth.
 
     total_bound is the literal sum of empirical_ramp_loss, mu_mean,
@@ -136,29 +148,6 @@ class BoundReport:
     bound_holds: bool | None = None
     seed: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "empirical_ramp_loss": self.empirical_ramp_loss,
-            "empirical_zero_one": self.empirical_zero_one,
-            "rademacher_term": self.rademacher_term,
-            "rademacher_source": self.rademacher_source,
-            "mu_mean": self.mu_mean,
-            "concentration_term": self.concentration_term,
-            "small_term": self.small_term,
-            "complexity_term": self.complexity_term,
-            "total_bound": self.total_bound,
-            "phi_exact": self.phi_exact,
-            "mu_exact": self.mu_exact,
-            "population_ramp_estimate": self.population_ramp_estimate,
-            "population_zero_one_estimate": self.population_zero_one_estimate,
-            "population_halfwidth": self.population_halfwidth,
-            "bound_holds": self.bound_holds,
-            "seed": self.seed,
-        }
-
 
 def recompose_total(report: BoundReport) -> float:
     """Recompute total_bound from the stored terms (for consistency checks)."""
@@ -170,9 +159,7 @@ def recompose_total(report: BoundReport) -> float:
 def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: float,
                         profile: MixingProfile, delta: float,
                         target: LabeledDataset | None = None,
-                        delta_est: float = 0.01,
                         norms: LayerNorms | None = None,
-                        norm_tol: float = 1e-10,
                         seed: int | None = None) -> BoundReport:
     """Assemble the network risk certificate for one trained predictor.
 
@@ -194,7 +181,7 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
         raise ValueError("certificates need n >= 2")
     _check_delta(delta)
     if norms is None:
-        norms = LayerNorms.from_params(params, tol=norm_tol)
+        norms = LayerNorms.from_params(params)
     B = float(np.sqrt((data.inputs ** 2).sum()))
     if any(s == 0.0 for s in norms.spectral):
         first, second = 4.0 / n ** 1.5, 0.0
@@ -207,13 +194,14 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
             1.0, 2.0 * rademacher_term):
         raise AssertionError("certificate terms disagree with the covering bound")
     conc = concentration_term(n, delta, profile.delta_inf)
-    empirical = empirical_loss(params, data, gamma)
+    margins = dataset_margins(params, data)
+    empirical = mean_ramp_loss(margins, gamma)
     mu_mean = float(profile.mu.mean())
     total = empirical + mu_mean + conc + small + complexity
     report = BoundReport(
         n=n, gamma=float(gamma), delta=float(delta),
         empirical_ramp_loss=empirical,
-        empirical_zero_one=zero_one_loss(params, data),
+        empirical_zero_one=error_rate(margins),
         rademacher_term=rademacher_term,
         rademacher_source=SOURCE_COVERING,
         mu_mean=mu_mean,
@@ -226,7 +214,7 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
         seed=seed,
     )
     if target is not None:
-        pop = population_estimate(params, target, gamma, delta_est=delta_est)
+        pop = population_estimate(params, target, gamma, delta_est=_DELTA_EST)
         report.population_ramp_estimate = pop.ramp_loss
         report.population_zero_one_estimate = pop.zero_one_loss
         report.population_halfwidth = pop.halfwidth
@@ -235,7 +223,7 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
 
 
 @dataclass
-class TailReport:
+class TailReport(_Report):
     """Empirical tail of the path mean against the analytic bound."""
 
     n: int
@@ -250,18 +238,6 @@ class TailReport:
     @property
     def any_violation(self) -> bool:
         return any(self.violations)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "delta_inf": self.delta_inf,
-            "epsilons": list(self.epsilons),
-            "frequencies": list(self.frequencies),
-            "stderrs": list(self.stderrs),
-            "bounds": list(self.bounds),
-            "violations": list(self.violations),
-        }
 
 
 def validate_mcdiarmid(spec: ProcessSpec, f, n: int, trials: int, seed: int,
@@ -299,7 +275,7 @@ def validate_mcdiarmid(spec: ProcessSpec, f, n: int, trials: int, seed: int,
 
 
 @dataclass
-class Lemma3Report:
+class Lemma3Report(_Report):
     """Exact per-step expectation gaps against the drift sequence."""
 
     n: int
@@ -310,18 +286,6 @@ class Lemma3Report:
     mu_mean: float
     tol: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "gaps": list(self.gaps),
-            "mu": list(self.mu),
-            "max_slack": self.max_slack,
-            "avg_gap": self.avg_gap,
-            "mu_mean": self.mu_mean,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def validate_lemma3(spec: ProcessSpec, f_table, n: int,
@@ -344,7 +308,7 @@ def validate_lemma3(spec: ProcessSpec, f_table, n: int,
 
 
 @dataclass
-class SymmetrizationReport:
+class SymmetrizationReport(_Report):
     """Monte Carlo check of the symmetrization inequality."""
 
     n: int
@@ -356,19 +320,6 @@ class SymmetrizationReport:
     rhs_stderr: float
     signs_method: str
     violation: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "class_size": self.class_size,
-            "lhs_mean": self.lhs_mean,
-            "lhs_stderr": self.lhs_stderr,
-            "rhs_mean": self.rhs_mean,
-            "rhs_stderr": self.rhs_stderr,
-            "signs_method": self.signs_method,
-            "violation": self.violation,
-        }
 
 
 def _class_step_means(fclass: FunctionClass, spec: ProcessSpec, n: int,
@@ -395,16 +346,14 @@ def _class_step_means(fclass: FunctionClass, spec: ProcessSpec, n: int,
 
 
 def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
-                            trials: int, seed: int,
-                            exact_sign_limit: int = 12,
-                            mc_signs: int = 256) -> SymmetrizationReport:
+                            trials: int, seed: int) -> SymmetrizationReport:
     """Estimate both sides of the symmetrization step over `trials` paths.
 
     lhs: E sup_f [(1/n) sum_i f(Z_i) - (1/n) sum_i E f(Z_i)];
     rhs: 2 E R_hat, the conditional complexity averaged over paths, with
-    signs enumerated exactly when n <= exact_sign_limit and sampled
-    independently per path otherwise. Flags a violation when the lhs
-    exceeds the rhs beyond combined 3-stderr bands.
+    signs enumerated exactly when n <= _EXACT_SIGN_LIMIT and _MC_SIGNS sign
+    vectors sampled independently per path otherwise. Flags a violation
+    when the lhs exceeds the rhs beyond combined 3-stderr bands.
     """
     if trials < 2:
         raise ValueError("need trials >= 2")
@@ -414,9 +363,9 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
     centers = _class_step_means(fclass, spec, n, seed, trials)
     lhs_vals = (F.mean(axis=2) - centers[:, None]).max(axis=0)
 
-    if n <= exact_sign_limit:
+    if n <= _EXACT_SIGN_LIMIT:
         method = "exact"
-        signs = _all_signs(n)
+        signs = _sign_chunk(0, 1 << n, n)
         rhat = np.empty(trials)
         for start in range(0, trials, 128):
             chunk = F[:, start:start + 128, :]
@@ -427,7 +376,7 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
         rng = substream(seed, 3)
         rhat = np.empty(trials)
         for t in range(trials):
-            signs = rng.integers(0, 2, size=(mc_signs, n)).astype(np.float64) * 2.0 - 1.0
+            signs = rng.integers(0, 2, size=(_MC_SIGNS, n)).astype(np.float64) * 2.0 - 1.0
             rhat[t] = float((signs @ F[:, t, :].T).max(axis=1).mean()) / n
     rhs_vals = 2.0 * rhat
 
@@ -442,19 +391,10 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
                                 signs_method=method, violation=violation)
 
 
-def _all_signs(n: int) -> np.ndarray:
-    codes = np.arange(1 << n, dtype=np.uint64)[:, None]
-    bits = (codes >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
-    return bits.astype(np.float64) * 2.0 - 1.0
-
-
 @dataclass
-class RampDominanceReport:
+class RampDominanceReport(_Report):
     trials: int
     failures: int
-
-    def to_json_dict(self) -> dict:
-        return {"trials": self.trials, "failures": self.failures}
 
 
 def validate_ramp_dominance(trials: int, seed: int,
@@ -485,27 +425,33 @@ def validate_ramp_dominance(trials: int, seed: int,
     return RampDominanceReport(trials=done, failures=failures)
 
 
+def train_seed(spec: ProcessSpec, arch: Architecture, train_config: TrainConfig,
+               n_train: int, seed: int) -> tuple[LabeledDataset, TrainResult]:
+    """Sample the seed's training path and train on it, with the config's
+    training seed folded with `seed`."""
+    data = sample_sequence(spec, n_train, seed)
+    cfg = replace(train_config, seed=combine_seeds(train_config.seed, seed))
+    return data, train_sgd(data, arch, cfg)
+
+
 def certification_run(spec: ProcessSpec, arch: Architecture, train_config: TrainConfig,
                       profile: MixingProfile, n_train: int, m_target: int,
-                      gamma_list, delta: float, seed: int,
-                      delta_est: float = 0.01) -> list:
+                      gamma_list, delta: float, seed: int) -> list:
     """Sample, train, and certify one seed across every gamma."""
-    data = sample_sequence(spec, n_train, seed)
+    data, result = train_seed(spec, arch, train_config, n_train, seed)
     target = sample_target(spec, m_target, seed)
-    cfg = replace(train_config, seed=combine_seeds(train_config.seed, seed))
-    result = train_sgd(data, arch, cfg)
     norms = LayerNorms.from_params(result.params)
     reports = []
     for gamma in gamma_list:
         reports.append(network_certificate(
             data, result.params, float(gamma), profile, delta,
-            target=target, delta_est=delta_est, norms=norms, seed=seed))
+            target=target, norms=norms, seed=seed))
     return reports
 
 
 def run_certification(spec: ProcessSpec, arch: Architecture, train_config: TrainConfig,
                       n_train: int, m_target: int, gamma_list, delta: float,
-                      seeds, delta_est: float = 0.01) -> list:
+                      seeds) -> list:
     """Full pipeline over a seed list; one BoundReport per seed x gamma."""
     if not gamma_list:
         raise ValueError("gamma_list must be nonempty")
@@ -514,5 +460,5 @@ def run_certification(spec: ProcessSpec, arch: Architecture, train_config: Train
     for seed in seeds:
         reports.extend(certification_run(spec, arch, train_config, profile,
                                          n_train, m_target, gamma_list, delta,
-                                         int(seed), delta_est=delta_est))
+                                         int(seed)))
     return reports

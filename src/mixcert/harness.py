@@ -14,19 +14,20 @@ import concurrent.futures
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
     certification_run,
+    train_seed,
     validate_lemma3,
     validate_mcdiarmid,
     validate_ramp_dominance,
     validate_symmetrization,
 )
 from .errors import NotDiscrete
-from .network import Architecture, TrainConfig, train_sgd
+from .network import Architecture, TrainConfig
 from .process import ProcessSpec, mixing_profile, sample_sequence, sample_target
 from .rademacher import (
     FunctionClass,
@@ -34,7 +35,6 @@ from .rademacher import (
     empirical_rademacher_exact,
     empirical_rademacher_mc,
 )
-from .seeding import combine_seeds
 
 _VALIDATOR_DEFAULTS = {
     "mcdiarmid": {"n": 50, "trials": 20000, "seed": 7,
@@ -216,9 +216,8 @@ def cmd_train(config: ExperimentConfig, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for seed in config.seeds:
-        data = sample_sequence(config.process, config.n_train, seed)
-        cfg = replace(config.train, seed=combine_seeds(config.train.seed, seed))
-        result = train_sgd(data, config.arch, cfg)
+        _, result = train_seed(config.process, config.arch, config.train,
+                               config.n_train, seed)
         path = os.path.join(out_dir, f"params_seed{seed}.txt")
         result.params.save(path)
         paths.append(path)

@@ -21,7 +21,7 @@ from .errors import (
     NonpositiveGamma,
     WrongKind,
 )
-from .process import KIND_TARGET, LabeledDataset
+from .process import KIND_TARGET, LabeledDataset, _reject_trailing
 from .seeding import substream
 
 _ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "identity")
@@ -159,6 +159,7 @@ class NetworkParams:
                 pos += 1
             layers.append(W)
         acts = tuple(Activation.parse(name) for name in raw[pos].split())
+        _reject_trailing(raw, pos + 1)
         return cls(layers=tuple(layers), activations=acts)
 
 
@@ -278,21 +279,34 @@ def ramp_loss(r, gamma: float):
     return out
 
 
+def dataset_margins(params: NetworkParams, data: LabeledDataset) -> np.ndarray:
+    """Margin of every sample of the dataset under the network."""
+    return margins_batch(forward_batch(params, data.inputs), data.labels)
+
+
+def mean_ramp_loss(margins: np.ndarray, gamma: float) -> float:
+    """Mean ramp loss of the negated margins."""
+    return float(np.mean(ramp_loss(-margins, gamma)))
+
+
+def error_rate(margins: np.ndarray) -> float:
+    """Fraction of margins that are not strictly positive; argmax ties
+    therefore count as errors."""
+    return float(np.mean(margins <= 0.0))
+
+
 def empirical_loss(params: NetworkParams, data: LabeledDataset, gamma: float) -> float:
     """Mean ramp loss of negated margins over the dataset."""
     if data.n == 0:
         raise EmptyDataset("empirical loss needs at least one sample")
-    margins = margins_batch(forward_batch(params, data.inputs), data.labels)
-    return float(np.mean(ramp_loss(-margins, gamma)))
+    return mean_ramp_loss(dataset_margins(params, data), gamma)
 
 
 def zero_one_loss(params: NetworkParams, data: LabeledDataset) -> float:
-    """Fraction of samples whose margin is not strictly positive; argmax
-    ties therefore count as errors."""
+    """Fraction of samples whose margin is not strictly positive."""
     if data.n == 0:
         raise EmptyDataset("zero-one loss needs at least one sample")
-    margins = margins_batch(forward_batch(params, data.inputs), data.labels)
-    return float(np.mean(margins <= 0.0))
+    return error_rate(dataset_margins(params, data))
 
 
 def population_estimate(params: NetworkParams, target: LabeledDataset,
@@ -304,18 +318,20 @@ def population_estimate(params: NetworkParams, target: LabeledDataset,
         raise EmptyDataset("population estimate needs at least one sample")
     if not 0.0 < delta_est < 1.0:
         raise ValueError("delta_est must lie in (0, 1)")
-    margins = margins_batch(forward_batch(params, target.inputs), target.labels)
+    margins = dataset_margins(params, target)
     halfwidth = math.sqrt(math.log(2.0 / delta_est) / (2.0 * target.n))
     return PopulationEstimate(
-        ramp_loss=float(np.mean(ramp_loss(-margins, gamma))),
-        zero_one_loss=float(np.mean(margins <= 0.0)),
+        ramp_loss=mean_ramp_loss(margins, gamma),
+        zero_one_loss=error_rate(margins),
         halfwidth=halfwidth,
         sample_size=target.n,
         delta_est=delta_est,
     )
 
 
-def _ce_forward(layers, acts, X):
+def _ce_forward(layers, acts, X, y):
+    """Pre-activations, layer outputs, max-shifted logits, and the mean
+    softmax cross-entropy of labels y."""
     pre = []
     post = [X]
     for W, act in zip(layers, acts):
@@ -325,7 +341,26 @@ def _ce_forward(layers, acts, X):
     logits = post[-1]
     shift = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shift).sum(axis=1))
-    return pre, post, shift, lse
+    loss = float(np.mean(lse - shift[np.arange(X.shape[0]), y - 1]))
+    return pre, post, shift, loss
+
+
+def _loss_and_grads(layers, acts, X, y):
+    """Mean softmax cross-entropy and its exact gradient, one array per
+    layer. Takes raw layer lists so the trainer never rebuilds params."""
+    n = X.shape[0]
+    pre, post, shift, loss = _ce_forward(layers, acts, X, y)
+    expv = np.exp(shift)
+    probs = expv / expv.sum(axis=1, keepdims=True)
+    probs[np.arange(n), y - 1] -= 1.0
+    d_post = probs / n
+    grads: list = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        d_pre = d_post * acts[i].derivative(pre[i])
+        grads[i] = d_pre.T @ post[i]
+        if i:
+            d_post = d_pre @ layers[i]
+    return loss, grads
 
 
 def surrogate_loss(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray,
@@ -337,9 +372,7 @@ def surrogate_loss(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray
     y = np.asarray(labels, dtype=np.int64)
     if X.shape[0] == 0:
         raise EmptyDataset("surrogate loss needs at least one sample")
-    _, _, shift, lse = _ce_forward(params.layers, params.activations, X)
-    true = shift[np.arange(X.shape[0]), y - 1]
-    return float(np.mean(lse - true))
+    return _ce_forward(params.layers, params.activations, X, y)[3]
 
 
 def gradient(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray,
@@ -349,23 +382,9 @@ def gradient(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray,
         raise ValueError(f"unknown surrogate {surrogate!r}")
     X = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         raise EmptyDataset("gradient needs at least one sample")
-    layers, acts = params.layers, params.activations
-    pre, post, shift, _ = _ce_forward(layers, acts, X)
-    expv = np.exp(shift)
-    probs = expv / expv.sum(axis=1, keepdims=True)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), y - 1] = 1.0
-    d_post = (probs - onehot) / n
-    grads: list = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        d_pre = d_post * acts[i].derivative(pre[i])
-        grads[i] = d_pre.T @ post[i]
-        if i:
-            d_post = d_pre @ layers[i]
-    return grads
+    return _loss_and_grads(params.layers, params.activations, X, y)[1]
 
 
 def train_sgd(train_data: LabeledDataset, arch: Architecture,
@@ -401,22 +420,11 @@ def train_sgd(train_data: LabeledDataset, arch: Architecture,
         total = 0.0
         for start in range(0, n, config.batch_size):
             take = order[start:start + config.batch_size]
-            Xb, yb = X[take], y[take]
-            pre, post, shift, lse = _ce_forward(layers, acts, Xb)
-            true = shift[np.arange(take.size), yb - 1]
-            batch_loss = float(np.mean(lse - true))
+            batch_loss, grads = _loss_and_grads(layers, acts, X[take], y[take])
             if not math.isfinite(batch_loss):
                 raise DivergedLoss(f"surrogate loss became {batch_loss}")
             total += batch_loss * take.size
-            expv = np.exp(shift)
-            probs = expv / expv.sum(axis=1, keepdims=True)
-            probs[np.arange(take.size), yb - 1] -= 1.0
-            d_post = probs / take.size
-            for i in range(len(layers) - 1, -1, -1):
-                d_pre = d_post * acts[i].derivative(pre[i])
-                if i:
-                    d_post = d_pre @ layers[i]
-                layers[i] = layers[i] - config.learning_rate * (d_pre.T @ post[i])
+            layers = [W - config.learning_rate * g for W, g in zip(layers, grads)]
         epoch_losses.append(total / n)
     params = NetworkParams(layers=tuple(layers), activations=acts)
     return TrainResult(params=params, epoch_losses=tuple(epoch_losses))

@@ -99,15 +99,22 @@ class LayerNorms:
         )
 
 
+def norm_factors(norms: LayerNorms) -> tuple[float, float]:
+    """The two factors of T: (ratio, prod) with ratio = (sum_i (b_i /
+    s_i)**(2/3))**(3/2) and prod = prod_i (p_i * s_i). Needs every s_i > 0.
+    Callers multiply them in their own order; the orders can differ in the
+    last bit."""
+    s = np.asarray(norms.spectral)
+    ratio = float(((np.asarray(norms.two_one) / s) ** (2.0 / 3.0)).sum() ** 1.5)
+    return ratio, float(np.prod(np.asarray(norms.lipschitz) * s))
+
+
 def complexity_from_norms(norms: LayerNorms) -> float:
     """The aggregate T from precomputed layer norms; 0 if any s_i is 0."""
-    s = np.asarray(norms.spectral)
-    if np.any(s == 0.0):
+    if any(s == 0.0 for s in norms.spectral):
         return 0.0
-    b = np.asarray(norms.two_one)
-    p = np.asarray(norms.lipschitz)
-    ratio = float(((b / s) ** (2.0 / 3.0)).sum() ** 1.5)
-    return float(np.prod(p * s) * ratio)
+    ratio, prod = norm_factors(norms)
+    return prod * ratio
 
 
 def spectral_complexity(params: NetworkParams, norms: LayerNorms | None = None,

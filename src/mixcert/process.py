@@ -425,7 +425,16 @@ class LabeledDataset:
                 raise ValueError(f"dataset row {i} has {len(parts)} fields, wanted {d + 1}")
             X[i] = [float(v) for v in parts[:d]]
             y[i] = int(parts[d])
+        _reject_trailing(raw, 1 + n)
         return cls(inputs=X, labels=y, num_classes=K, kind=kind, seed=seed)
+
+
+def _reject_trailing(raw: list, start: int) -> None:
+    """Raise ValueError at the first non-blank line of raw[start:], the
+    lines after a text file's declared content."""
+    for i in range(start, len(raw)):
+        if raw[i].strip():
+            raise ValueError(f"unexpected content at line {i + 1}: {raw[i][:40]!r}")
 
 
 def tv_distance(p, q) -> float:
@@ -680,8 +689,10 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     markov = spec.markov
     S = markov.num_states
     P = markov.transition
-    M = _marginals(markov, 2 * n)
     pistar = _stationary_or_none(markov)
+    if pistar is None:
+        raise NonUniqueStationary("mu requires a certified unique stationary law")
+    M = _marginals(markov, 2 * n)
     reach_mask = (M[: n + 1] > 0.0).T
 
     phi = np.empty(n)
@@ -690,14 +701,11 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
         rows = rows @ P
         block = M[k: n + k + 1]
         tv = 0.5 * np.abs(rows[:, None, :] - block[None, :, :]).sum(axis=-1)
-        best = float(tv[reach_mask].max())
-        if pistar is not None:
-            best = max(best, float(0.5 * np.abs(rows - pistar).sum(axis=1).max()))
+        best = max(float(tv[reach_mask].max()),
+                   float(0.5 * np.abs(rows - pistar).sum(axis=1).max()))
         phi[k - 1] = min(best, 1.0)
 
     mu = np.empty(n)
-    if pistar is None:
-        raise NonUniqueStationary("mu requires a certified unique stationary law")
     em = spec.emission
     if em.mode == "discrete":
         groups, G = _alphabet_groups(em.alphabet)
@@ -723,6 +731,18 @@ def _inverse_cdf(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_rows.shape[1] - 1)
 
 
+def _walk(markov: MarkovSpec, trials: int, rng: np.random.Generator):
+    """Hidden states of `trials` independent chains, lazily: the start state
+    H_0 from the initial law, then H_1, H_2, ... one kernel step per next().
+    Each state costs one uniform per chain, drawn when it is produced, so a
+    caller can interleave its own draws between steps."""
+    cum_P = np.cumsum(markov.transition, axis=1)
+    cur = _inverse_cdf(np.tile(np.cumsum(markov.initial), (trials, 1)), rng.random(trials))
+    while True:
+        yield cur
+        cur = _inverse_cdf(cum_P[cur], rng.random(trials))
+
+
 def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
     """Draw one length-n observed path (X_1..X_n, Y_1..Y_n).
 
@@ -732,30 +752,24 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
     if n < 1:
         raise EmptyDataset("sequence length must be >= 1")
     rng = substream(seed, _STREAM_SEQUENCE)
-    markov, em = spec.markov, spec.emission
-    cum_p0 = np.cumsum(markov.initial)
-    cum_P = np.cumsum(markov.transition, axis=1)
-    u = rng.random(n + 1)
-    states = np.empty(n + 1, dtype=np.int64)
-    states[0] = min(int((cum_p0 < u[0]).sum()), markov.num_states - 1)
-    for t in range(1, n + 1):
-        row = cum_P[states[t - 1]]
-        states[t] = min(int((row < u[t]).sum()), markov.num_states - 1)
-    emitted = states[1:]
-    labels = np.array([spec.label_map[s] for s in emitted], dtype=np.int64)
-    if em.mode == "discrete":
-        ue = rng.random(n)
-        X = np.empty((n, spec.input_dim))
-        for i in range(n):
-            table = em.table_at(i + 1)
-            row = np.cumsum(table[emitted[i]])
-            m = min(int((row < ue[i]).sum()), row.size - 1)
-            X[i] = em.alphabet[m]
+    em = spec.emission
+    walk = _walk(spec.markov, 1, rng)
+    emitted = np.concatenate([next(walk) for _ in range(n + 1)])[1:]
+    labels = np.asarray(spec.label_map, dtype=np.int64)[emitted]
+    discrete = em.mode == "discrete"
+    rows = (em.table if discrete else em.means)[emitted]
+    if em.has_drift():
+        # The same mixture table_at / means_at form, one weight per step;
+        # a weight that underflows to 0 leaves its row untouched, as there.
+        w = np.array([em.drift_weight(t) for t in range(1, n + 1)])
+        mix = w != 0.0
+        w = w[mix, None]
+        drift = em.drift_table if discrete else em.drift_means
+        rows[mix] = (1.0 - w) * rows[mix] + w * drift[emitted[mix]]
+    if discrete:
+        X = em.alphabet[_inverse_cdf(np.cumsum(rows, axis=1), rng.random(n))]
     else:
-        noise = rng.standard_normal((n, spec.input_dim))
-        X = np.empty((n, spec.input_dim))
-        for i in range(n):
-            X[i] = em.means_at(i + 1)[emitted[i]] + em.sigma * noise[i]
+        X = rows + em.sigma * rng.standard_normal((n, spec.input_dim))
     return LabeledDataset(inputs=X, labels=labels, num_classes=spec.num_classes,
                           kind=KIND_SEQUENCE, seed=seed, spec_digest=spec.digest())
 
@@ -794,23 +808,19 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
     rng = substream(seed, _STREAM_BATCH)
-    markov, em = spec.markov, spec.emission
-    cum_P = np.cumsum(markov.transition, axis=1)
-    cur = _inverse_cdf(np.tile(np.cumsum(markov.initial), (trials, 1)), rng.random(trials))
-    states = np.empty((trials, n), dtype=np.int64)
-    for t in range(n):
-        cur = _inverse_cdf(cum_P[cur], rng.random(trials))
-        states[:, t] = cur
+    em = spec.emission
+    walk = _walk(spec.markov, trials, rng)
+    next(walk)
+    states = np.stack([next(walk) for _ in range(n)], axis=1)
     label_arr = np.asarray(spec.label_map, dtype=np.int64)
     labels = label_arr[states]
+    X = np.empty((trials, n, spec.input_dim))
     if em.mode == "discrete":
-        X = np.empty((trials, n, spec.input_dim))
         for t in range(n):
             cum = np.cumsum(em.table_at(t + 1), axis=1)
             points = _inverse_cdf(cum[states[:, t]], rng.random(trials))
             X[:, t] = em.alphabet[points]
     else:
-        X = np.empty((trials, n, spec.input_dim))
         for t in range(n):
             means = em.means_at(t + 1)
             X[:, t] = means[states[:, t]] + em.sigma * rng.standard_normal(
@@ -875,13 +885,12 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
         return flat.reshape(trials, n).mean(axis=1)
     ftab = _check_f_table(spec, f)
     rng = substream(seed, _STREAM_BATCH)
-    markov = spec.markov
-    cum_P = np.cumsum(markov.transition, axis=1)
-    cur = _inverse_cdf(np.tile(np.cumsum(markov.initial), (trials, 1)), rng.random(trials))
+    walk = _walk(spec.markov, trials, rng)
+    next(walk)
     label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
     total = np.zeros(trials)
     for t in range(n):
-        cur = _inverse_cdf(cum_P[cur], rng.random(trials))
+        cur = next(walk)
         cum = np.cumsum(em.table_at(t + 1), axis=1)
         points = _inverse_cdf(cum[cur], rng.random(trials))
         total += ftab[points, label_idx[cur]]

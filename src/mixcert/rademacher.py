@@ -20,11 +20,12 @@ import numpy as np
 
 from .errors import EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
-from .norms import LayerNorms, require_positive_spectral
+from .norms import LayerNorms, norm_factors, require_positive_spectral
 from .process import LabeledDataset
 from .seeding import substream
 
 _EXACT_MAX_N = 20
+_SIGN_CHUNK = 65536  # sign vectors per block of the exact enumeration
 _RANGE_ATOL = 1e-12
 
 
@@ -125,8 +126,8 @@ def _sign_chunk(start: int, stop: int, n: int) -> np.ndarray:
     return bits.astype(np.float64) * 2.0 - 1.0
 
 
-def empirical_rademacher_exact(fclass: FunctionClass, data: LabeledDataset,
-                               chunk: int = 65536) -> RademacherEstimate:
+def empirical_rademacher_exact(fclass: FunctionClass,
+                               data: LabeledDataset) -> RademacherEstimate:
     """Exact complexity by full sign enumeration; needs n <= 20."""
     n = data.n
     if n == 0:
@@ -136,8 +137,8 @@ def empirical_rademacher_exact(fclass: FunctionClass, data: LabeledDataset,
     F = fclass.evaluate(data.inputs, data.labels)
     total = 0.0
     count = 1 << n
-    for start in range(0, count, chunk):
-        signs = _sign_chunk(start, min(start + chunk, count), n)
+    for start in range(0, count, _SIGN_CHUNK):
+        signs = _sign_chunk(start, min(start + _SIGN_CHUNK, count), n)
         total += float((signs @ F.T).max(axis=1).sum())
     return RademacherEstimate(value=total / count / n, stderr=0.0,
                               trials=count, method="exact")
@@ -177,12 +178,9 @@ def covering_bound_terms(B: float, gamma: float, W: int, n: int,
     if W < 1:
         raise ValueError("W must be >= 1")
     require_positive_spectral(norms)
-    s = np.asarray(norms.spectral)
-    b = np.asarray(norms.two_one)
-    p = np.asarray(norms.lipschitz)
-    ratio = float(((b / s) ** (2.0 / 3.0)).sum() ** 1.5)
+    ratio, prod = norm_factors(norms)
     lead = 36.0 * B * math.log(2.0 * W) * math.log(n) / (gamma * n)
-    return 4.0 / n ** 1.5, lead * ratio * float(np.prod(s * p))
+    return 4.0 / n ** 1.5, lead * ratio * prod
 
 
 def covering_rademacher_bound(B: float, gamma: float, W: int, n: int,

@@ -24,6 +24,7 @@ from mixcert import (
     margins_batch,
     population_estimate,
     ramp_loss,
+    substream,
     surrogate_loss,
     train_sgd,
     zero_one_loss,
@@ -78,6 +79,15 @@ class TestNetworkParams:
             np.testing.assert_array_equal(a, b)
         assert tuple(a.name() for a in q.activations) == \
             tuple(a.name() for a in p.activations)
+
+    def test_load_rejects_trailing_garbage(self, tmp_path):
+        path = tmp_path / "w.txt"
+        tiny_params().save(path)
+        lines = path.read_text(encoding="ascii").count("\n")
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("\ngarbage\n")
+        with pytest.raises(ValueError, match=f"line {lines + 2}"):
+            NetworkParams.load(path)
 
 
 class TestMargin:
@@ -256,6 +266,34 @@ class TestTrainSGD:
         assert res.epoch_losses[-1] < res.epoch_losses[0]
         assert res.epoch_losses[-1] < 0.05
         assert zero_one_loss(res.params, data) <= 0.02
+
+    def test_matches_hand_loop_over_gradient(self):
+        """Training is plain W - lr * g steps over gradient(), on the same
+        initialization and batch order: one backprop, not two."""
+        data = self.spec_data(n=70)
+        arch = Architecture(dims=(2, 6, 3, 2), activations=("tanh", "relu", "identity"))
+        cfg = TrainConfig(learning_rate=0.2, epochs=3, batch_size=16, seed=4)
+        res = train_sgd(data, arch, cfg)
+
+        acts = tuple(Activation.parse(a) for a in arch.activations)
+        rng = substream(cfg.seed, 0)
+        layers = [rng.uniform(-1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in), size=(d_out, d_in))
+                  for d_in, d_out in zip(arch.dims, arch.dims[1:])]
+        losses = []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(data.n)
+            total = 0.0
+            for start in range(0, data.n, cfg.batch_size):
+                take = order[start:start + cfg.batch_size]
+                params = NetworkParams(layers=tuple(layers), activations=acts)
+                Xb, yb = data.inputs[take], data.labels[take]
+                total += surrogate_loss(params, Xb, yb) * take.size
+                grads = gradient(params, Xb, yb)
+                layers = [W - cfg.learning_rate * g for W, g in zip(layers, grads)]
+            losses.append(total / data.n)
+        for got, want in zip(res.params.layers, layers):
+            assert np.array_equal(got, want)
+        assert res.epoch_losses == tuple(losses)
 
     def test_epoch_losses_length(self):
         data = self.spec_data(n=40)

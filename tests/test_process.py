@@ -307,6 +307,13 @@ class TestMixingProfile:
         assert prof.horizon == 17
         assert len(prof.phi) == 17 and len(prof.mu) == 17
 
+    def test_periodic_chain_rejected(self):
+        """Period-2 flipper: no certified stationary law, so no drift mu and
+        no profile."""
+        spec = discrete_spec([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], 2)
+        with pytest.raises(NonUniqueStationary):
+            mixing_profile(spec, 8)
+
 
 class TestEmissionDrift:
     def test_weight_schedule(self):
@@ -466,6 +473,15 @@ class TestLabeledDatasetIO:
         np.testing.assert_array_equal(back.inputs, data.inputs)
         np.testing.assert_array_equal(back.labels, data.labels)
         assert back.num_classes == 3 and back.kind == "sequence" and back.seed == 77
+
+    def test_load_rejects_rows_past_the_header_count(self, tmp_path):
+        data = sample_sequence(discrete_spec(SYM09, [1.0, 0.0], 2), 3, seed=1)
+        path = tmp_path / "data.txt"
+        data.save(path)
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("1.0 2\n")
+        with pytest.raises(ValueError, match="line 5"):
+            LabeledDataset.load(path)
 
     def test_save_is_byte_stable(self, tmp_path):
         data = sample_sequence(discrete_spec(SYM09, [1.0, 0.0], 2), 20, seed=1)
