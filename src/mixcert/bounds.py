@@ -62,7 +62,6 @@ SOURCE_MC = "mc"
 SOURCE_EXACT = "exact"
 
 _CONSISTENCY_RTOL = 1e-12
-_DELTA_EST = 0.01  # confidence of the plug-in population estimate
 _EXACT_SIGN_LIMIT = 12  # symmetrization enumerates all signs up to this n
 _MC_SIGNS = 256  # sign draws per path beyond it
 
@@ -214,7 +213,7 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
         seed=seed,
     )
     if target is not None:
-        pop = population_estimate(params, target, gamma, delta_est=_DELTA_EST)
+        pop = population_estimate(params, target, gamma)
         report.population_ramp_estimate = pop.ramp_loss
         report.population_zero_one_estimate = pop.zero_one_loss
         report.population_halfwidth = pop.halfwidth

@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .errors import NotDiscrete
 from .network import Architecture, TrainConfig
-from .process import ProcessSpec, mixing_profile, sample_sequence, sample_target
+from .process import ProcessSpec, _check_keys, mixing_profile, sample_sequence, sample_target
 from .rademacher import (
     FunctionClass,
     constant_class,
@@ -112,8 +112,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        arch = doc["arch"]
-        train = doc["train"]
+        _check_keys(doc, cls, "top level")
+        arch = _check_keys(doc["arch"], Architecture, "arch")
+        train = _check_keys(doc["train"], TrainConfig, "train")
         return cls(
             process=ProcessSpec.from_json_dict(doc["process"]),
             arch=Architecture(dims=tuple(arch["dims"]),

@@ -21,11 +21,11 @@ from .errors import (
     NonpositiveGamma,
     WrongKind,
 )
-from .process import KIND_TARGET, LabeledDataset, _reject_trailing
+from .process import KIND_TARGET, LabeledDataset, _line, _reject_trailing
 from .seeding import substream
 
 _ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "identity")
-SURROGATE_CE = "softmax_cross_entropy"
+_DELTA_EST = 0.01  # confidence of the plug-in population estimate
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,17 @@ class NetworkParams:
         layers = []
         pos = 1
         for _ in range(L):
-            rows, cols = (int(v) for v in raw[pos].split())
+            rows, cols = (int(v) for v in _line(raw, pos).split())
             pos += 1
             W = np.zeros((rows, cols))
             for r in range(rows):
-                entries = raw[pos].split()
+                entries = _line(raw, pos).split()
                 if len(entries) != cols:
                     raise ValueError(f"layer row at line {pos + 1} has wrong arity")
                 W[r] = [float(v) for v in entries]
                 pos += 1
             layers.append(W)
-        acts = tuple(Activation.parse(name) for name in raw[pos].split())
+        acts = tuple(Activation.parse(name) for name in _line(raw, pos).split())
         _reject_trailing(raw, pos + 1)
         return cls(layers=tuple(layers), activations=acts)
 
@@ -310,22 +310,20 @@ def zero_one_loss(params: NetworkParams, data: LabeledDataset) -> float:
 
 
 def population_estimate(params: NetworkParams, target: LabeledDataset,
-                        gamma: float, delta_est: float = 0.01) -> PopulationEstimate:
+                        gamma: float) -> PopulationEstimate:
     """Plug-in stationary losses from an iid target sample."""
     if target.kind != KIND_TARGET:
         raise WrongKind(f"population estimates need a {KIND_TARGET!r} dataset")
     if target.n == 0:
         raise EmptyDataset("population estimate needs at least one sample")
-    if not 0.0 < delta_est < 1.0:
-        raise ValueError("delta_est must lie in (0, 1)")
     margins = dataset_margins(params, target)
-    halfwidth = math.sqrt(math.log(2.0 / delta_est) / (2.0 * target.n))
+    halfwidth = math.sqrt(math.log(2.0 / _DELTA_EST) / (2.0 * target.n))
     return PopulationEstimate(
         ramp_loss=mean_ramp_loss(margins, gamma),
         zero_one_loss=error_rate(margins),
         halfwidth=halfwidth,
         sample_size=target.n,
-        delta_est=delta_est,
+        delta_est=_DELTA_EST,
     )
 
 
@@ -363,11 +361,8 @@ def _loss_and_grads(layers, acts, X, y):
     return loss, grads
 
 
-def surrogate_loss(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray,
-                   surrogate: str = SURROGATE_CE) -> float:
+def surrogate_loss(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy of the batch (the training objective)."""
-    if surrogate != SURROGATE_CE:
-        raise ValueError(f"unknown surrogate {surrogate!r}")
     X = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.shape[0] == 0:
@@ -375,11 +370,8 @@ def surrogate_loss(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray
     return _ce_forward(params.layers, params.activations, X, y)[3]
 
 
-def gradient(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray,
-             surrogate: str = SURROGATE_CE) -> list:
+def gradient(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray) -> list:
     """Exact gradient of the mean surrogate loss, one array per layer."""
-    if surrogate != SURROGATE_CE:
-        raise ValueError(f"unknown surrogate {surrogate!r}")
     X = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.shape[0] == 0:

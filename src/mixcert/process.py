@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -287,11 +287,12 @@ class ProcessSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ProcessSpec":
-        mk = doc["markov"]
+        _check_keys(doc, cls, "process")
+        mk = _check_keys(doc["markov"], MarkovSpec, "process.markov")
         markov = MarkovSpec(num_states=mk["num_states"],
                             transition=np.asarray(mk["transition"], dtype=np.float64),
                             initial=np.asarray(mk["initial"], dtype=np.float64))
-        em = doc["emission"]
+        em = _check_keys(doc["emission"], EmissionSpec, "process.emission")
         if em["mode"] == "discrete":
             emission = EmissionSpec.discrete(
                 alphabet=np.asarray(em["alphabet"], dtype=np.float64),
@@ -420,13 +421,30 @@ class LabeledDataset:
         X = np.zeros((n, d), dtype=np.float64)
         y = np.zeros(n, dtype=np.int64)
         for i in range(n):
-            parts = raw[1 + i].split()
+            parts = _line(raw, 1 + i).split()
             if len(parts) != d + 1:
                 raise ValueError(f"dataset row {i} has {len(parts)} fields, wanted {d + 1}")
             X[i] = [float(v) for v in parts[:d]]
             y[i] = int(parts[d])
         _reject_trailing(raw, 1 + n)
         return cls(inputs=X, labels=y, num_classes=K, kind=kind, seed=seed)
+
+
+def _line(raw: list, i: int) -> str:
+    """raw[i], line i + 1 of a text file; ValueError if the file ends before."""
+    if i >= len(raw):
+        raise ValueError(f"missing line {i + 1}: the file ends at line {len(raw)}")
+    return raw[i]
+
+
+def _check_keys(section: dict, cls, name: str) -> dict:
+    """Return a config section; ValueError for a key that names no field of
+    the dataclass it builds, so a misspelt key cannot pass as a default."""
+    allowed = {f.name for f in fields(cls)}
+    for key in section:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in config section {name}")
+    return section
 
 
 def _reject_trailing(raw: list, start: int) -> None:
@@ -448,26 +466,27 @@ def tv_distance(p, q) -> float:
             raise ValueError(f"{name} has negative mass")
         if abs(v.sum() - 1.0) > _SUM_ATOL:
             raise ValueError(f"{name} must sum to 1 within {_SUM_ATOL}")
-    return float(0.5 * np.abs(p - q).sum())
+    return float(_tv(p, q))
+
+
+def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total variation along the last axis, broadcasting p against q."""
+    return 0.5 * np.abs(p - q).sum(axis=-1)
 
 
 def stationary_distribution(markov: MarkovSpec) -> np.ndarray:
     """Unique stationary law of a primitive chain.
 
-    Uniqueness is certified by positivity of some power P**m with m <= S*S;
-    chains failing that test (reducible, periodic, absorbing) raise
-    NonUniqueStationary even when a stationary law happens to exist.
+    Uniqueness is certified by positivity of P**m, m = 2**j >= (S-1)**2 + 1,
+    after j Boolean squarings of the support; by Wielandt's bound that holds
+    exactly for primitive chains. Others (reducible, periodic, absorbing)
+    raise NonUniqueStationary even when a stationary law happens to exist.
     """
     S = markov.num_states
-    support = markov.transition > 0.0
-    power = support.astype(np.int64)
-    hit = bool(power.min() > 0)
-    for _ in range(S * S - 1):
-        if hit:
-            break
-        power = np.minimum(power @ support.astype(np.int64), 1)
-        hit = bool(power.min() > 0)
-    if not hit:
+    power = (markov.transition > 0.0).astype(np.int64)
+    for _ in range(((S - 1) ** 2).bit_length()):
+        power = np.minimum(power @ power, 1)
+    if power.min() == 0:
         raise NonUniqueStationary(
             "no power of the transition matrix is entrywise positive")
     A = np.vstack([markov.transition.T - np.eye(S), np.ones((1, S))])
@@ -552,19 +571,24 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
         raise ValueError("k must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    P = spec.markov.transition
-    M = _marginals(spec.markov, horizon + k)
-    rows = np.linalg.matrix_power(P, k)
-    best = 0.0
-    for n in range(horizon + 1):
-        reach = M[n] > 0.0
-        if not reach.any():
-            continue
-        tv = 0.5 * np.abs(rows[reach] - M[n + k]).sum(axis=1)
-        best = max(best, float(tv.max()))
-    pistar = _stationary_or_none(spec.markov)
+    markov = spec.markov
+    M = _marginals(markov, horizon + k)
+    # the running product of mixing_profile, so both give the same bits
+    rows = np.eye(markov.num_states)
+    for _ in range(k):
+        rows = rows @ markov.transition
+    return _phi_lag(rows, M[k:], (M[: horizon + 1] > 0.0).T,
+                    _stationary_or_none(markov))
+
+
+def _phi_lag(rows: np.ndarray, future: np.ndarray, reach: np.ndarray,
+             pistar: np.ndarray | None) -> float:
+    """Gap-k coefficient from the k-step rows delta_b @ P**k: the largest TV
+    of rows[b] to future[t], the marginal k steps after t, over reach[b, t],
+    and to pistar over every b when pistar is given; capped at 1."""
+    best = float(_tv(rows[:, None, :], future[None, :, :])[reach].max())
     if pistar is not None:
-        best = max(best, float(0.5 * np.abs(rows - pistar).sum(axis=1).max()))
+        best = max(best, float(_tv(rows, pistar).max()))
     return min(best, 1.0)
 
 
@@ -640,11 +664,11 @@ def _alphabet_groups(alphabet: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _joint_table(h: np.ndarray, table: np.ndarray, groups: np.ndarray,
                  num_groups: int, label_map: tuple, K: int) -> np.ndarray:
-    """Law of (point, label) given hidden law h and emission table."""
+    """Law of (point, label) given hidden law h and emission table, flattened."""
     J = np.zeros((num_groups, K))
     for s in range(table.shape[0]):
         np.add.at(J[:, label_map[s] - 1], groups, h[s] * table[s])
-    return J
+    return J.ravel()
 
 
 def _gaussian_emission_tv(spec: ProcessSpec, t: int) -> float:
@@ -666,15 +690,20 @@ def mu_at(spec: ProcessSpec, i: int) -> float:
     if i < 1:
         raise ValueError("i must be >= 1")
     pistar = stationary_distribution(spec.markov)
-    h = marginal_at(spec, i)
+    return float(_mu(spec, pistar, _marginals(spec.markov, i), (i,))[0])
+
+
+def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, times) -> np.ndarray:
+    """Drift mu_i for each i in times, from the hidden marginals M[i]: the
+    joint (point, label) TV for discrete emissions, the hidden TV plus the
+    max-state emission TV, capped at 1, for Gaussian ones."""
     em = spec.emission
     if em.mode == "discrete":
-        groups, G = _alphabet_groups(em.alphabet)
-        J_i = _joint_table(h, em.table_at(i), groups, G, spec.label_map, spec.num_classes)
-        J_inf = _joint_table(pistar, em.table, groups, G, spec.label_map, spec.num_classes)
-        return float(0.5 * np.abs(J_i - J_inf).sum())
-    hidden = float(0.5 * np.abs(h - pistar).sum())
-    return min(1.0, hidden + _gaussian_emission_tv(spec, i))
+        law = (*_alphabet_groups(em.alphabet), spec.label_map, spec.num_classes)
+        J_inf = _joint_table(pistar, em.table, *law)
+        return np.array([_tv(_joint_table(M[i], em.table_at(i), *law), J_inf) for i in times])
+    return np.array([min(1.0, _tv(M[i], pistar) + _gaussian_emission_tv(spec, i))
+                     for i in times])
 
 
 def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
@@ -687,42 +716,20 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     if n < 1:
         raise ValueError("n must be >= 1")
     markov = spec.markov
-    S = markov.num_states
-    P = markov.transition
-    pistar = _stationary_or_none(markov)
-    if pistar is None:
-        raise NonUniqueStationary("mu requires a certified unique stationary law")
+    pistar = stationary_distribution(markov)
     M = _marginals(markov, 2 * n)
-    reach_mask = (M[: n + 1] > 0.0).T
+    reach = (M[: n + 1] > 0.0).T
 
     phi = np.empty(n)
-    rows = np.eye(S)
+    rows = np.eye(markov.num_states)
     for k in range(1, n + 1):
-        rows = rows @ P
-        block = M[k: n + k + 1]
-        tv = 0.5 * np.abs(rows[:, None, :] - block[None, :, :]).sum(axis=-1)
-        best = max(float(tv[reach_mask].max()),
-                   float(0.5 * np.abs(rows - pistar).sum(axis=1).max()))
-        phi[k - 1] = min(best, 1.0)
-
-    mu = np.empty(n)
-    em = spec.emission
-    if em.mode == "discrete":
-        groups, G = _alphabet_groups(em.alphabet)
-        J_inf = _joint_table(pistar, em.table, groups, G, spec.label_map, spec.num_classes)
-        for i in range(1, n + 1):
-            J_i = _joint_table(M[i], em.table_at(i), groups, G, spec.label_map,
-                               spec.num_classes)
-            mu[i - 1] = 0.5 * np.abs(J_i - J_inf).sum()
-        mu_exact = True
-    else:
-        for i in range(1, n + 1):
-            hidden = 0.5 * np.abs(M[i] - pistar).sum()
-            mu[i - 1] = min(1.0, hidden + _gaussian_emission_tv(spec, i))
-        mu_exact = False
+        rows = rows @ markov.transition
+        phi[k - 1] = _phi_lag(rows, M[k: n + k + 1], reach, pistar)
+    mu = _mu(spec, pistar, M, range(1, n + 1))
     delta_inf = 1.0 + 2.0 * float(phi.sum())
     return MixingProfile(horizon=n, phi=phi, mu=mu, delta_inf=delta_inf,
-                         phi_exact=deterministic_injective(spec), mu_exact=mu_exact)
+                         phi_exact=deterministic_injective(spec),
+                         mu_exact=spec.emission.mode == "discrete")
 
 
 def _inverse_cdf(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -118,6 +118,22 @@ class TestExperimentConfig:
             with pytest.raises(ValueError):
                 ExperimentConfig.from_json_dict(doc)
 
+    def test_unknown_top_level_key_rejected(self):
+        doc = small_config("o").to_json_dict()
+        doc["seedz"] = [5]
+        with pytest.raises(ValueError, match="'seedz' in config section top level"):
+            ExperimentConfig.from_json_dict(doc)
+
+    def test_unknown_nested_key_rejected(self):
+        for section, key in (("train", "epoch"), ("arch", "dim"),
+                             ("process", "labels"), ("markov", "init"),
+                             ("emission", "drift_amplitud")):
+            doc = small_config("o").to_json_dict()
+            target = doc["process"] if section in ("markov", "emission") else doc
+            target[section][key] = 1
+            with pytest.raises(ValueError, match=f"'{key}' in config section"):
+                ExperimentConfig.from_json_dict(doc)
+
 
 class TestSmallHelpers:
     def test_write_json_sorted_and_digest_stable(self, tmp_path):
@@ -264,6 +280,16 @@ class TestMainEntry:
         rc = main(["certify", "--config", str(path)])
         assert rc == 2
         assert "config error:" in capsys.readouterr().out
+
+    def test_unknown_config_key_rc2(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["train"]["epoch"] = 99
+        path.write_text(json.dumps(doc))
+        rc = main(["train", "--config", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith(
+            "config error: unknown key 'epoch' in config section train")
 
     def test_pipeline_error_rc1(self, tmp_path, capsys):
         """lemma3 on Gaussian emissions cannot run; the CLI reports, not raises."""

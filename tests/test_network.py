@@ -89,6 +89,13 @@ class TestNetworkParams:
         with pytest.raises(ValueError, match=f"line {lines + 2}"):
             NetworkParams.load(path)
 
+    def test_load_rejects_a_file_cut_short(self, tmp_path):
+        """A 2x1 layer with one row present and no activation line."""
+        path = tmp_path / "w.txt"
+        path.write_text("1\n2 1\n0.5", encoding="ascii")
+        with pytest.raises(ValueError, match="missing line 4"):
+            NetworkParams.load(path)
+
 
 class TestMargin:
     def test_frozen_value(self):

@@ -5,6 +5,8 @@ hand-derived closed forms for small chains, and against the literal
 event-enumeration oracle where it is tractable.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,60 @@ class TestStationaryDistribution:
         mk = MarkovSpec(num_states=3, transition=P, initial=np.array([0.0, 1.0, 0.0]))
         with pytest.raises(NonUniqueStationary):
             stationary_distribution(mk)
+
+    @staticmethod
+    def accepts(support) -> bool:
+        S = support.shape[0]
+        mk = MarkovSpec(num_states=S, transition=support / support.sum(axis=1, keepdims=True),
+                        initial=np.eye(S)[0])
+        try:
+            stationary_distribution(mk)
+        except NonUniqueStationary:
+            return False
+        return True
+
+    @staticmethod
+    def product_loop_steps(supports) -> np.ndarray:
+        """Reference primitivity test: the least m <= S*S with P**m > 0, by
+        one Boolean product per step, or 0 when there is none; one entry per
+        support of the (N, S, S) stack."""
+        S = supports.shape[1]
+        power = supports.copy()
+        steps = np.zeros(len(supports), dtype=np.int64)
+        for m in range(1, S * S + 1):
+            if m > 1:
+                power = np.minimum(power @ supports, 1)
+            steps[(steps == 0) & (power.min(axis=(1, 2)) > 0)] = m
+        return steps
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 4])
+    def test_agrees_with_the_product_loop_on_every_support(self, S):
+        """Every 0/1 support without an empty row. Both tests are invariant
+        under relabelling states, so stationary_distribution runs on one
+        support per relabelling class (2340 of the 50625 at S = 4) and the
+        reference runs on all of them."""
+        rows = [r for r in itertools.product((0, 1), repeat=S) if any(r)]
+        supports = np.array(list(itertools.product(rows, repeat=S)), dtype=np.int64)
+        primitive = self.product_loop_steps(supports) > 0
+        weights = 1 << np.arange(S * S)
+        codes = np.stack([(supports[:, p][:, :, p].reshape(len(supports), -1) * weights).sum(1)
+                          for p in map(list, itertools.permutations(range(S)))])
+        canon = codes.min(axis=0)
+        _, first, inverse = np.unique(canon, return_index=True, return_inverse=True)
+        assert np.array_equal(primitive, primitive[first][inverse])
+        for i in first:
+            assert self.accepts(supports[i]) == primitive[i]
+
+    @pytest.mark.parametrize("S", range(2, 13))
+    def test_wielandt_extremal_chain_accepted(self, S):
+        """The S-cycle plus one chord S -> 2 is primitive with the largest
+        possible exponent, (S-1)**2 + 1; the bare cycle is periodic."""
+        cycle = np.roll(np.eye(S, dtype=np.int64), 1, axis=1)
+        wielandt = cycle.copy()
+        wielandt[S - 1, 1] = 1
+        assert self.product_loop_steps(wielandt[None])[0] == (S - 1) ** 2 + 1
+        assert self.accepts(wielandt)
+        assert not self.accepts(cycle)
 
 
 class TestMarginals:
@@ -315,6 +371,48 @@ class TestMixingProfile:
             mixing_profile(spec, 8)
 
 
+class TestOneKernel:
+    """phi_coefficient and mu_at are views of the mixing_profile kernel: at
+    every lag and time they return the profile's own floats."""
+
+    @staticmethod
+    def random_spec(rng, S, mode, drift):
+        # self-loops plus a cycle through every state keep the chain primitive
+        support = np.eye(S, dtype=bool) | np.roll(np.eye(S, dtype=bool), 1, axis=1)
+        P = rng.random((S, S)) * (support | (rng.random((S, S)) < 0.5))
+        p0 = rng.random(S) * (rng.random(S) < 0.6)
+        p0[0] += 0.1
+        amplitude = float(rng.uniform(0.2, 1.0)) if drift else 0.0
+        exponent = float(rng.uniform(0.3, 1.5))
+        if mode == "discrete":
+            def law():
+                t = rng.random((S, 3))
+                return t / t.sum(axis=1, keepdims=True)
+            alphabet = rng.integers(-1, 2, size=(3, 2)).astype(float)
+            emission = EmissionSpec.discrete(alphabet, law(), law() if drift else None,
+                                             amplitude, exponent)
+        else:
+            emission = EmissionSpec.gaussian(
+                rng.normal(size=(S, 2)), float(rng.uniform(0.3, 1.5)),
+                rng.normal(size=(S, 2)) if drift else None, amplitude, exponent)
+        return ProcessSpec(
+            markov=MarkovSpec(num_states=S, transition=P / P.sum(axis=1, keepdims=True),
+                              initial=p0 / p0.sum()),
+            emission=emission, label_map=tuple(int(v) for v in rng.integers(1, 4, size=S)),
+            num_classes=3, input_dim=2)
+
+    def test_views_equal_the_profile(self):
+        rng = np.random.default_rng(2024)
+        for S, mode, drift in itertools.product(range(1, 6), ("discrete", "gaussian"),
+                                                (False, True)):
+            spec = self.random_spec(rng, S, mode, drift)
+            n = int(rng.integers(2, 30))
+            prof = mixing_profile(spec, n)
+            for k in (1, n // 2, n):
+                assert phi_coefficient(spec, k, n) == prof.phi[k - 1], (S, mode, drift, k)
+                assert mu_at(spec, k) == prof.mu[k - 1], (S, mode, drift, k)
+
+
 class TestEmissionDrift:
     def test_weight_schedule(self):
         em = EmissionSpec.gaussian(means=np.array([[1.0], [-1.0]]), sigma=0.5,
@@ -481,6 +579,13 @@ class TestLabeledDatasetIO:
         with open(path, "a", encoding="ascii") as fh:
             fh.write("1.0 2\n")
         with pytest.raises(ValueError, match="line 5"):
+            LabeledDataset.load(path)
+
+    def test_load_rejects_a_file_cut_short(self, tmp_path):
+        """Three rows declared, two present, no final newline."""
+        path = tmp_path / "data.txt"
+        path.write_text("3 1 2 sequence 0\n0.5 1\n0.25 2", encoding="ascii")
+        with pytest.raises(ValueError, match="missing line 4"):
             LabeledDataset.load(path)
 
     def test_save_is_byte_stable(self, tmp_path):
