@@ -64,6 +64,7 @@ SOURCE_EXACT = "exact"
 _CONSISTENCY_RTOL = 1e-12
 _EXACT_SIGN_LIMIT = 12  # symmetrization enumerates all signs up to this n
 _MC_SIGNS = 256  # sign draws per path beyond it
+_MAX_CLASSES = 5  # the ramp-dominance sweep draws K from 2.._MAX_CLASSES
 
 
 def _check_delta(delta: float) -> None:
@@ -396,8 +397,7 @@ class RampDominanceReport(_Report):
     failures: int
 
 
-def validate_ramp_dominance(trials: int, seed: int,
-                            max_classes: int = 5) -> RampDominanceReport:
+def validate_ramp_dominance(trials: int, seed: int) -> RampDominanceReport:
     """Random sweep of the pointwise domination: the zero-one indicator
     (argmax error, ties counted as errors) never exceeds the ramp loss of
     the negated margin, for any score vector, label, and gamma."""
@@ -406,7 +406,7 @@ def validate_ramp_dominance(trials: int, seed: int,
     done = 0
     while done < trials:
         batch = min(trials - done, 20000)
-        K = int(rng.integers(2, max_classes + 1))
+        K = int(rng.integers(2, _MAX_CLASSES + 1))
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
         logits = rng.standard_normal((batch, K)) * scale
         ties = rng.random(batch) < 0.1

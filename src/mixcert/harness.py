@@ -14,7 +14,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,14 @@ from .bounds import (
 )
 from .errors import NotDiscrete
 from .network import Architecture, TrainConfig
-from .process import ProcessSpec, _check_keys, mixing_profile, sample_sequence, sample_target
+from .process import (
+    ProcessSpec,
+    _check_keys,
+    _field_names,
+    mixing_profile,
+    sample_sequence,
+    sample_target,
+)
 from .rademacher import (
     FunctionClass,
     constant_class,
@@ -94,13 +101,7 @@ class ExperimentConfig:
             "process": self.process.to_json_dict(),
             "arch": {"dims": list(self.arch.dims),
                      "activations": list(self.arch.activations)},
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "seed": self.train.seed,
-                "init_scale": self.train.init_scale,
-            },
+            "train": asdict(self.train),
             "n_train": self.n_train,
             "m_target": self.m_target,
             "gamma_list": list(self.gamma_list),
@@ -112,26 +113,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        _check_keys(doc, cls, "top level")
-        arch = _check_keys(doc["arch"], Architecture, "arch")
-        train = _check_keys(doc["train"], TrainConfig, "train")
-        return cls(
-            process=ProcessSpec.from_json_dict(doc["process"]),
-            arch=Architecture(dims=tuple(arch["dims"]),
-                              activations=tuple(arch["activations"])),
-            train=TrainConfig(learning_rate=train["learning_rate"],
-                              epochs=train["epochs"],
-                              batch_size=train["batch_size"],
-                              seed=train["seed"],
-                              init_scale=train.get("init_scale")),
-            n_train=doc["n_train"],
-            m_target=doc["m_target"],
-            gamma_list=tuple(doc["gamma_list"]),
-            delta=doc["delta"],
-            seeds=tuple(doc["seeds"]),
-            out_dir=doc.get("out_dir", "out"),
-            validators=tuple(doc.get("validators", ())),
-        )
+        doc = {"out_dir": "out", **_check_keys(doc, _field_names(cls), "top level")}
+        for name, builder in (("arch", Architecture), ("train", TrainConfig)):
+            doc[name] = builder(**_check_keys(doc[name], _field_names(builder), name))
+        doc["process"] = ProcessSpec.from_json_dict(doc["process"])
+        return cls(**doc)
 
     def save(self, path) -> None:
         write_json(self.to_json_dict(), path)
@@ -191,7 +177,7 @@ def builtin_class(spec: ProcessSpec) -> FunctionClass:
         return lambda X, y, k=k: (y == k).astype(np.float64)
     members = list(constant_class((0.0, 0.5, 1.0)).evaluators)
     members.extend(make(k) for k in range(1, spec.num_classes + 1))
-    return FunctionClass(evaluators=tuple(members), label="builtin")
+    return FunctionClass(evaluators=tuple(members))
 
 
 def cmd_generate(config: ExperimentConfig, out_dir) -> list:
@@ -230,12 +216,6 @@ def cmd_train(config: ExperimentConfig, out_dir) -> list:
     return paths
 
 
-def _certify_worker(args) -> list:
-    (spec, arch, train, profile, n_train, m_target, gamma_list, delta, seed) = args
-    return certification_run(spec, arch, train, profile, n_train, m_target,
-                             gamma_list, delta, seed)
-
-
 def cmd_certify(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
     """Certificates for every seed x gamma; JSON per pair plus summary.csv."""
     os.makedirs(out_dir, exist_ok=True)
@@ -245,9 +225,9 @@ def cmd_certify(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
             for seed in config.seeds]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_seed = list(pool.map(_certify_worker, work))
+            per_seed = list(pool.map(certification_run, *zip(*work)))
     else:
-        per_seed = [_certify_worker(w) for w in work]
+        per_seed = list(map(certification_run, *zip(*work)))
     reports = [r for batch in per_seed for r in batch]
     paths = []
     for rep in reports:

@@ -24,9 +24,10 @@ from .network import NetworkParams
 from .seeding import substream
 
 _RESTART_TAGS = (101, 211)
+_MAX_ITER = 10000  # power-iteration steps per start before NoConvergenceWarning
 
 
-def spectral_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
+def spectral_norm(A: np.ndarray, tol: float = 1e-10) -> float:
     """Largest singular value by seeded power iteration.
 
     Stops when successive Rayleigh estimates differ by less than tol
@@ -48,7 +49,7 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> f
         v /= np.linalg.norm(v)
         prev = -np.inf
         stalled = False
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             w = A @ v
             s = float(np.linalg.norm(w))
             if s == 0.0:

@@ -43,6 +43,8 @@ from .seeding import substream
 _ATOL = 1e-12
 _SUM_ATOL = 1e-9
 
+_MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
+
 _STREAM_SEQUENCE = 0
 _STREAM_TARGET = 1
 _STREAM_BATCH = 2
@@ -97,6 +99,24 @@ class MarkovSpec:
         object.__setattr__(self, "initial", p0)
 
 
+# The EmissionSpec fields each mode owns, in one layout: the law's fixed
+# parameter, the per-state rows, and the rows they drift toward. A spec
+# carries its own mode's fields and the shared ones, never another mode's.
+_MODE_FIELDS = {
+    "discrete": ("alphabet", "table", "drift_table"),
+    "gaussian": ("sigma", "means", "drift_means"),
+}
+
+
+def _emission_keys(mode) -> tuple:
+    """Names of the EmissionSpec fields a spec of `mode` carries."""
+    if mode not in _MODE_FIELDS:
+        raise ValueError(f"unknown emission mode {mode!r}")
+    foreign = {name for other, owned in _MODE_FIELDS.items() if other != mode
+               for name in owned}
+    return tuple(name for name in _field_names(EmissionSpec) if name not in foreign)
+
+
 @dataclass(frozen=True, eq=False)
 class EmissionSpec:
     """Per-state emission law, optionally drifting toward a perturbation.
@@ -120,8 +140,7 @@ class EmissionSpec:
     drift_exponent: float = 0.5
 
     def __post_init__(self):
-        if self.mode not in ("discrete", "gaussian"):
-            raise ValueError(f"unknown emission mode {self.mode!r}")
+        keys = _emission_keys(self.mode)
         c = float(self.drift_amplitude)
         if not 0.0 <= c <= 1.0:
             raise ValueError("drift_amplitude must lie in [0, 1] so mixtures stay laws")
@@ -129,49 +148,36 @@ class EmissionSpec:
             raise ValueError("drift_exponent must be > 0")
         object.__setattr__(self, "drift_amplitude", c)
         object.__setattr__(self, "drift_exponent", float(self.drift_exponent))
+        owned = _MODE_FIELDS[self.mode]
+        param_name, rows_name, drift_name = owned
+        if getattr(self, param_name) is None or getattr(self, rows_name) is None:
+            raise ValueError(f"{self.mode} mode needs {param_name} and {rows_name}")
+        rows = _as_float_matrix(getattr(self, rows_name), rows_name)
+        drift = getattr(self, drift_name)
+        if drift is not None:
+            drift = _as_float_matrix(drift, drift_name)
+            if drift.shape != rows.shape:
+                raise DimensionMismatch(f"{drift_name} must match {rows_name} shape")
         if self.mode == "discrete":
-            if self.alphabet is None or self.table is None:
-                raise ValueError("discrete mode needs alphabet and table")
-            alphabet = _as_float_matrix(self.alphabet, "alphabet")
-            table = _as_float_matrix(self.table, "table")
-            if table.shape[1] != alphabet.shape[0]:
+            param = _as_float_matrix(self.alphabet, "alphabet")
+            if rows.shape[1] != param.shape[0]:
                 raise DimensionMismatch("table columns must match alphabet size")
-            _check_stochastic(table, "table")
-            drift = None
-            if self.drift_table is not None:
-                drift = _as_float_matrix(self.drift_table, "drift_table")
-                if drift.shape != table.shape:
-                    raise DimensionMismatch("drift_table must match table shape")
-                _check_stochastic(drift, "drift_table")
-                drift.setflags(write=False)
-            for arr in (alphabet, table):
-                arr.setflags(write=False)
-            object.__setattr__(self, "alphabet", alphabet)
-            object.__setattr__(self, "table", table)
-            object.__setattr__(self, "drift_table", drift)
-            object.__setattr__(self, "means", None)
-            object.__setattr__(self, "drift_means", None)
-            object.__setattr__(self, "sigma", None)
+            for name, arr in ((rows_name, rows), (drift_name, drift)):
+                if arr is not None:
+                    _check_stochastic(arr, name)
+            param.setflags(write=False)
         else:
-            if self.means is None or self.sigma is None:
-                raise ValueError("gaussian mode needs means and sigma")
-            means = _as_float_matrix(self.means, "means")
-            sigma = float(self.sigma)
-            if sigma <= 0.0:
+            param = float(self.sigma)
+            if param <= 0.0:
                 raise ValueError("sigma must be > 0")
-            drift = None
-            if self.drift_means is not None:
-                drift = _as_float_matrix(self.drift_means, "drift_means")
-                if drift.shape != means.shape:
-                    raise DimensionMismatch("drift_means must match means shape")
-                drift.setflags(write=False)
-            means.setflags(write=False)
-            object.__setattr__(self, "means", means)
-            object.__setattr__(self, "sigma", sigma)
-            object.__setattr__(self, "drift_means", drift)
-            object.__setattr__(self, "alphabet", None)
-            object.__setattr__(self, "table", None)
-            object.__setattr__(self, "drift_table", None)
+        for arr in (rows, drift):
+            if arr is not None:
+                arr.setflags(write=False)
+        for name in _field_names(EmissionSpec):
+            if name not in keys:
+                object.__setattr__(self, name, None)
+        for name, value in zip(owned, (param, rows, drift)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def discrete(cls, alphabet, table, drift_table=None, drift_amplitude=0.0,
@@ -188,9 +194,18 @@ class EmissionSpec:
                    drift_exponent=drift_exponent)
 
     @property
+    def rows(self) -> np.ndarray:
+        """Per-state rows of the law: `table` or `means`."""
+        return getattr(self, _MODE_FIELDS[self.mode][1])
+
+    @property
+    def drift_rows(self) -> np.ndarray | None:
+        """The rows the law drifts toward: `drift_table` or `drift_means`."""
+        return getattr(self, _MODE_FIELDS[self.mode][2])
+
+    @property
     def num_states(self) -> int:
-        src = self.table if self.mode == "discrete" else self.means
-        return src.shape[0]
+        return self.rows.shape[0]
 
     @property
     def input_dim(self) -> int:
@@ -198,9 +213,7 @@ class EmissionSpec:
         return src.shape[1]
 
     def has_drift(self) -> bool:
-        if self.drift_amplitude == 0.0:
-            return False
-        return (self.drift_table if self.mode == "discrete" else self.drift_means) is not None
+        return self.drift_amplitude != 0.0 and self.drift_rows is not None
 
     def drift_weight(self, t: int) -> float:
         """Mixture weight w_t = amplitude * t**(-exponent); 0 without drift."""
@@ -208,21 +221,32 @@ class EmissionSpec:
             return 0.0
         return self.drift_amplitude * float(t) ** (-self.drift_exponent)
 
+    def rows_at(self, t: int) -> np.ndarray:
+        """Per-state rows of the time-t law, (1 - w_t) * rows + w_t * drift_rows."""
+        w = self.drift_weight(t)
+        if w == 0.0:
+            return self.rows
+        return (1.0 - w) * self.rows + w * self.drift_rows
+
     def table_at(self, t: int) -> np.ndarray:
         if self.mode != "discrete":
             raise NotDiscrete("table_at needs discrete emissions")
-        w = self.drift_weight(t)
-        if w == 0.0:
-            return self.table
-        return (1.0 - w) * self.table + w * self.drift_table
+        return self.rows_at(t)
 
     def means_at(self, t: int) -> np.ndarray:
         if self.mode != "gaussian":
             raise ValueError("means_at needs gaussian emissions")
-        w = self.drift_weight(t)
-        if w == 0.0:
-            return self.means
-        return (1.0 - w) * self.means + w * self.drift_means
+        return self.rows_at(t)
+
+    def emit(self, rows: np.ndarray, states: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
+        """One point per entry of `states`, drawn from that state's row of
+        `rows` (per-state rows of this law, such as rows_at(t)): an alphabet
+        point by inverse CDF on one uniform each, or the row's mean plus
+        `sigma` times d standard normals each."""
+        if self.mode == "discrete":
+            return self.alphabet[_draw_points(rows, states, rng)]
+        return rows[states] + self.sigma * rng.standard_normal((len(states), rows.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,31 +279,9 @@ class ProcessSpec:
 
     def to_json_dict(self) -> dict:
         em = self.emission
-        if em.mode == "discrete":
-            emission = {
-                "mode": "discrete",
-                "alphabet": em.alphabet.tolist(),
-                "table": em.table.tolist(),
-                "drift_table": None if em.drift_table is None else em.drift_table.tolist(),
-                "drift_amplitude": em.drift_amplitude,
-                "drift_exponent": em.drift_exponent,
-            }
-        else:
-            emission = {
-                "mode": "gaussian",
-                "means": em.means.tolist(),
-                "sigma": em.sigma,
-                "drift_means": None if em.drift_means is None else em.drift_means.tolist(),
-                "drift_amplitude": em.drift_amplitude,
-                "drift_exponent": em.drift_exponent,
-            }
         return {
-            "markov": {
-                "num_states": self.markov.num_states,
-                "transition": self.markov.transition.tolist(),
-                "initial": self.markov.initial.tolist(),
-            },
-            "emission": emission,
+            "markov": _json_fields(self.markov, _field_names(MarkovSpec)),
+            "emission": _json_fields(em, _emission_keys(em.mode)),
             "label_map": list(self.label_map),
             "num_classes": self.num_classes,
             "input_dim": self.input_dim,
@@ -287,33 +289,14 @@ class ProcessSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ProcessSpec":
-        _check_keys(doc, cls, "process")
-        mk = _check_keys(doc["markov"], MarkovSpec, "process.markov")
-        markov = MarkovSpec(num_states=mk["num_states"],
-                            transition=np.asarray(mk["transition"], dtype=np.float64),
-                            initial=np.asarray(mk["initial"], dtype=np.float64))
-        em = _check_keys(doc["emission"], EmissionSpec, "process.emission")
-        if em["mode"] == "discrete":
-            emission = EmissionSpec.discrete(
-                alphabet=np.asarray(em["alphabet"], dtype=np.float64),
-                table=np.asarray(em["table"], dtype=np.float64),
-                drift_table=None if em.get("drift_table") is None
-                else np.asarray(em["drift_table"], dtype=np.float64),
-                drift_amplitude=em.get("drift_amplitude", 0.0),
-                drift_exponent=em.get("drift_exponent", 0.5),
-            )
-        else:
-            emission = EmissionSpec.gaussian(
-                means=np.asarray(em["means"], dtype=np.float64),
-                sigma=em["sigma"],
-                drift_means=None if em.get("drift_means") is None
-                else np.asarray(em["drift_means"], dtype=np.float64),
-                drift_amplitude=em.get("drift_amplitude", 0.0),
-                drift_exponent=em.get("drift_exponent", 0.5),
-            )
-        return cls(markov=markov, emission=emission,
-                   label_map=tuple(doc["label_map"]),
-                   num_classes=doc["num_classes"], input_dim=doc["input_dim"])
+        doc = dict(_check_keys(doc, _field_names(cls), "process"))
+        markov = _check_keys(doc["markov"], _field_names(MarkovSpec), "process.markov")
+        doc["markov"] = MarkovSpec(**markov)
+        em = doc["emission"]
+        # the mode first: it decides which keys the section may carry
+        doc["emission"] = EmissionSpec(
+            **_check_keys(em, _emission_keys(em["mode"]), "process.emission"))
+        return cls(**doc)
 
     def digest(self) -> str:
         """sha256 of the canonical JSON form; identifies the spec in datasets."""
@@ -437,14 +420,25 @@ def _line(raw: list, i: int) -> str:
     return raw[i]
 
 
-def _check_keys(section: dict, cls, name: str) -> dict:
-    """Return a config section; ValueError for a key that names no field of
-    the dataclass it builds, so a misspelt key cannot pass as a default."""
-    allowed = {f.name for f in fields(cls)}
+def _check_keys(section: dict, allowed, name: str) -> dict:
+    """Return a config section; ValueError for a key not in `allowed`, the
+    names of the fields it may set on the dataclass it builds, so that no
+    key (a misspelt one, another emission mode's) is silently dropped."""
     for key in section:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in config section {name}")
     return section
+
+
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+def _json_fields(spec, names) -> dict:
+    """The named fields of a spec as a JSON document, arrays as nested lists."""
+    values = {name: getattr(spec, name) for name in names}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v
+            for name, v in values.items()}
 
 
 def _reject_trailing(raw: list, start: int) -> None:
@@ -592,8 +586,7 @@ def _phi_lag(rows: np.ndarray, future: np.ndarray, reach: np.ndarray,
     return min(best, 1.0)
 
 
-def brute_force_phi(spec: ProcessSpec, k: int, n_max: int, future_len: int,
-                    max_subsets: int = 1 << 20) -> float:
+def brute_force_phi(spec: ProcessSpec, k: int, n_max: int, future_len: int) -> float:
     """Literal-definition mixing coefficient by cylinder enumeration.
 
     Enumerates every positive-probability past trajectory B of length
@@ -613,8 +606,8 @@ def brute_force_phi(spec: ProcessSpec, k: int, n_max: int, future_len: int,
     if not deterministic_injective(spec):
         raise ValueError("brute force oracle needs deterministic injective discrete emissions")
     num_future = S ** future_len
-    if 2 ** num_future > max_subsets:
-        raise TooLarge(f"2**{num_future} future subsets exceed budget {max_subsets}")
+    if 2 ** num_future > _MAX_SUBSETS:
+        raise TooLarge(f"2**{num_future} future subsets exceed budget {_MAX_SUBSETS}")
     P = spec.markov.transition
     p0 = spec.markov.initial
 
@@ -701,7 +694,7 @@ def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, times) -> np.ndarr
     if em.mode == "discrete":
         law = (*_alphabet_groups(em.alphabet), spec.label_map, spec.num_classes)
         J_inf = _joint_table(pistar, em.table, *law)
-        return np.array([_tv(_joint_table(M[i], em.table_at(i), *law), J_inf) for i in times])
+        return np.array([_tv(_joint_table(M[i], em.rows_at(i), *law), J_inf) for i in times])
     return np.array([min(1.0, _tv(M[i], pistar) + _gaussian_emission_tv(spec, i))
                      for i in times])
 
@@ -738,6 +731,14 @@ def _inverse_cdf(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_rows.shape[1] - 1)
 
 
+def _draw_points(table: np.ndarray, states: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Alphabet indices drawn from the table rows of `states`, one uniform
+    each. The S rows are accumulated before they are gathered by state, which
+    gives the same bits as gathering first at a fraction of the cost."""
+    return _inverse_cdf(np.cumsum(table, axis=1)[states], rng.random(len(states)))
+
+
 def _walk(markov: MarkovSpec, trials: int, rng: np.random.Generator):
     """Hidden states of `trials` independent chains, lazily: the start state
     H_0 from the initial law, then H_1, H_2, ... one kernel step per next().
@@ -763,20 +764,15 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
     walk = _walk(spec.markov, 1, rng)
     emitted = np.concatenate([next(walk) for _ in range(n + 1)])[1:]
     labels = np.asarray(spec.label_map, dtype=np.int64)[emitted]
-    discrete = em.mode == "discrete"
-    rows = (em.table if discrete else em.means)[emitted]
+    rows = em.rows[emitted]
     if em.has_drift():
-        # The same mixture table_at / means_at form, one weight per step;
+        # The rows_at mixture for all n steps at once, one weight per step;
         # a weight that underflows to 0 leaves its row untouched, as there.
         w = np.array([em.drift_weight(t) for t in range(1, n + 1)])
         mix = w != 0.0
         w = w[mix, None]
-        drift = em.drift_table if discrete else em.drift_means
-        rows[mix] = (1.0 - w) * rows[mix] + w * drift[emitted[mix]]
-    if discrete:
-        X = em.alphabet[_inverse_cdf(np.cumsum(rows, axis=1), rng.random(n))]
-    else:
-        X = rows + em.sigma * rng.standard_normal((n, spec.input_dim))
+        rows[mix] = (1.0 - w) * rows[mix] + w * em.drift_rows[emitted[mix]]
+    X = em.emit(rows, np.arange(n), rng)
     return LabeledDataset(inputs=X, labels=labels, num_classes=spec.num_classes,
                           kind=KIND_SEQUENCE, seed=seed, spec_digest=spec.digest())
 
@@ -788,19 +784,9 @@ def sample_target(spec: ProcessSpec, m: int, seed: int) -> LabeledDataset:
     pistar = stationary_distribution(spec.markov)
     rng = substream(seed, _STREAM_TARGET)
     em = spec.emission
-    d = spec.input_dim
-    if m == 0:
-        return LabeledDataset(inputs=np.zeros((0, d)), labels=np.zeros(0, dtype=np.int64),
-                              num_classes=spec.num_classes, kind=KIND_TARGET, seed=seed,
-                              spec_digest=spec.digest())
-    states = _inverse_cdf(np.tile(np.cumsum(pistar), (m, 1)), rng.random(m))
-    labels = np.array([spec.label_map[s] for s in states], dtype=np.int64)
-    if em.mode == "discrete":
-        cum = np.cumsum(em.table, axis=1)
-        points = _inverse_cdf(cum[states], rng.random(m))
-        X = em.alphabet[points]
-    else:
-        X = em.means[states] + em.sigma * rng.standard_normal((m, d))
+    states = _draw_points(pistar[None, :], np.zeros(m, dtype=np.int64), rng)
+    labels = np.asarray(spec.label_map, dtype=np.int64)[states]
+    X = em.emit(em.rows, states, rng)
     return LabeledDataset(inputs=X, labels=labels, num_classes=spec.num_classes,
                           kind=KIND_TARGET, seed=seed, spec_digest=spec.digest())
 
@@ -822,16 +808,8 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     label_arr = np.asarray(spec.label_map, dtype=np.int64)
     labels = label_arr[states]
     X = np.empty((trials, n, spec.input_dim))
-    if em.mode == "discrete":
-        for t in range(n):
-            cum = np.cumsum(em.table_at(t + 1), axis=1)
-            points = _inverse_cdf(cum[states[:, t]], rng.random(trials))
-            X[:, t] = em.alphabet[points]
-    else:
-        for t in range(n):
-            means = em.means_at(t + 1)
-            X[:, t] = means[states[:, t]] + em.sigma * rng.standard_normal(
-                (trials, spec.input_dim))
+    for t in range(n):
+        X[:, t] = em.emit(em.rows_at(t + 1), states[:, t], rng)
     return X, labels
 
 
@@ -898,7 +876,6 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
     total = np.zeros(trials)
     for t in range(n):
         cur = next(walk)
-        cum = np.cumsum(em.table_at(t + 1), axis=1)
-        points = _inverse_cdf(cum[cur], rng.random(trials))
+        points = _draw_points(em.rows_at(t + 1), cur, rng)
         total += ftab[points, label_idx[cur]]
     return total / n

@@ -34,7 +34,6 @@ class FunctionClass:
     """Finite family of vectorized evaluators (inputs, labels) -> [0, 1]."""
 
     evaluators: tuple
-    label: str = "class"
 
     def __post_init__(self):
         if not self.evaluators:
@@ -61,14 +60,14 @@ class FunctionClass:
         return out
 
 
-def constant_class(values, label: str = "constants") -> FunctionClass:
+def constant_class(values) -> FunctionClass:
     """One constant function per value."""
     def make(c: float) -> Callable:
         return lambda X, y, c=float(c): np.full(X.shape[0], c)
-    return FunctionClass(evaluators=tuple(make(c) for c in values), label=label)
+    return FunctionClass(evaluators=tuple(make(c) for c in values))
 
 
-def table_class(alphabet: np.ndarray, tables, label: str = "tables") -> FunctionClass:
+def table_class(alphabet: np.ndarray, tables) -> FunctionClass:
     """Functions given by value tables over (alphabet point, label).
 
     Inputs are matched to alphabet rows bitwise, which is how discrete
@@ -96,10 +95,10 @@ def table_class(alphabet: np.ndarray, tables, label: str = "tables") -> Function
         if tab.min() < 0.0 or tab.max() > 1.0:
             raise ValueError("table values must lie in [0, 1]")
         checked.append(tab)
-    return FunctionClass(evaluators=tuple(make(t) for t in checked), label=label)
+    return FunctionClass(evaluators=tuple(make(t) for t in checked))
 
 
-def loss_class(params_list, gamma: float, label: str = "ramp losses") -> FunctionClass:
+def loss_class(params_list, gamma: float) -> FunctionClass:
     """Ramp losses of negated margins of fixed networks."""
     if gamma <= 0.0:
         raise NonpositiveGamma("gamma must be > 0")
@@ -109,7 +108,7 @@ def loss_class(params_list, gamma: float, label: str = "ramp losses") -> Functio
             return ramp_loss(-margins_batch(forward_batch(params, X), y), gamma)
         return f
 
-    return FunctionClass(evaluators=tuple(make(p) for p in params_list), label=label)
+    return FunctionClass(evaluators=tuple(make(p) for p in params_list))
 
 
 @dataclass(frozen=True)

@@ -125,14 +125,22 @@ class TestExperimentConfig:
             ExperimentConfig.from_json_dict(doc)
 
     def test_unknown_nested_key_rejected(self):
-        for section, key in (("train", "epoch"), ("arch", "dim"),
-                             ("process", "labels"), ("markov", "init"),
-                             ("emission", "drift_amplitud")):
-            doc = small_config("o").to_json_dict()
+        # an emission section may carry only its own mode's fields
+        for process, section, key in ((None, "train", "epoch"), (None, "arch", "dim"),
+                                      (None, "process", "labels"), (None, "markov", "init"),
+                                      (None, "emission", "drift_amplitud"),
+                                      (None, "emission", "sigma"),
+                                      (gaussian_process(), "emission", "table")):
+            doc = small_config("o", process=process).to_json_dict()
             target = doc["process"] if section in ("markov", "emission") else doc
             target[section][key] = 1
             with pytest.raises(ValueError, match=f"'{key}' in config section"):
                 ExperimentConfig.from_json_dict(doc)
+        # the mode is checked before the keys it decides
+        doc = small_config("o").to_json_dict()
+        doc["process"]["emission"].update(mode="poisson", sigma=1.0)
+        with pytest.raises(ValueError, match="unknown emission mode 'poisson'"):
+            ExperimentConfig.from_json_dict(doc)
 
 
 class TestSmallHelpers:

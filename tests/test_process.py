@@ -34,6 +34,14 @@ from mixcert import (
     stationary_expectation,
     tv_distance,
 )
+from mixcert.process import (
+    _STREAM_BATCH,
+    _STREAM_SEQUENCE,
+    _STREAM_TARGET,
+    _inverse_cdf,
+    _walk,
+)
+from mixcert.seeding import substream
 
 
 def discrete_spec(P, pi0, S, input_dim=1, alphabet=None):
@@ -532,6 +540,141 @@ class TestSampling:
         t = sample_target(self.spec(), 20000, seed=5)
         freq = float(np.mean(t.inputs[:, 0] == 0.0))
         assert abs(freq - 0.5) < 5 * np.sqrt(0.25 / 20000)
+
+
+class TestOneDraw:
+    """The four samplers draw through EmissionSpec.emit. The per-mode loops
+    below are the samplers written out one mode at a time, with the drift
+    mixture inline; the samplers must match them bit for bit, which pins the
+    order in which each consumes its random stream."""
+
+    @staticmethod
+    def random_spec(rng, S, mode, drift):
+        def law(rows, cols):
+            t = rng.random((rows, cols)) + 0.05
+            return t / t.sum(axis=1, keepdims=True)
+        d = int(rng.integers(1, 4))
+        # "underflow": w_t = amplitude * t**-400 is subnormal by t = 6 and 0 from t = 7
+        amplitude = 0.0 if drift == "none" else float(rng.uniform(0.1, 1.0))
+        exponent = 400.0 if drift == "underflow" else float(rng.uniform(0.2, 1.5))
+        with_drift = drift != "none" or rng.random() < 0.5
+        if mode == "discrete":
+            M = int(rng.integers(1, 5))
+            emission = EmissionSpec.discrete(
+                rng.normal(size=(M, d)), law(S, M), law(S, M) if with_drift else None,
+                amplitude, exponent)
+        else:
+            emission = EmissionSpec.gaussian(
+                rng.normal(size=(S, d)), float(rng.uniform(0.1, 2.0)),
+                rng.normal(size=(S, d)) if with_drift else None, amplitude, exponent)
+        K = int(rng.integers(2, 4))
+        return ProcessSpec(
+            markov=MarkovSpec(num_states=S, transition=law(S, S), initial=law(1, S)[0]),
+            emission=emission, label_map=tuple(int(v) for v in rng.integers(1, K + 1, size=S)),
+            num_classes=K, input_dim=d)
+
+    @staticmethod
+    def law_at(em, t):
+        """Per-state rows of the time-t law: (1 - w_t) * rows + w_t * drift."""
+        if em.mode == "discrete":
+            rows, drift = em.table, em.drift_table
+        else:
+            rows, drift = em.means, em.drift_means
+        w = em.drift_weight(t)
+        return rows if w == 0.0 else (1.0 - w) * rows + w * drift
+
+    def reference_sequence(self, spec, n, seed):
+        em = spec.emission
+        rng = substream(seed, _STREAM_SEQUENCE)
+        walk = _walk(spec.markov, 1, rng)
+        states = np.concatenate([next(walk) for _ in range(n + 1)])[1:]
+        rows = np.array([self.law_at(em, t + 1)[s] for t, s in enumerate(states)])
+        if em.mode == "discrete":
+            X = em.alphabet[_inverse_cdf(np.cumsum(rows, axis=1), rng.random(n))]
+        else:
+            X = rows + em.sigma * rng.standard_normal((n, spec.input_dim))
+        return X, np.asarray(spec.label_map, dtype=np.int64)[states]
+
+    def reference_target(self, spec, m, seed):
+        em = spec.emission
+        pistar = stationary_distribution(spec.markov)
+        rng = substream(seed, _STREAM_TARGET)
+        if m == 0:
+            return np.zeros((0, spec.input_dim)), np.zeros(0, dtype=np.int64)
+        states = _inverse_cdf(np.tile(np.cumsum(pistar), (m, 1)), rng.random(m))
+        labels = np.array([spec.label_map[s] for s in states], dtype=np.int64)
+        if em.mode == "discrete":
+            X = em.alphabet[_inverse_cdf(np.cumsum(em.table, axis=1)[states], rng.random(m))]
+        else:
+            X = em.means[states] + em.sigma * rng.standard_normal((m, spec.input_dim))
+        return X, labels
+
+    def reference_batch(self, spec, n, trials, seed):
+        em = spec.emission
+        rng = substream(seed, _STREAM_BATCH)
+        walk = _walk(spec.markov, trials, rng)
+        next(walk)
+        states = np.stack([next(walk) for _ in range(n)], axis=1)
+        X = np.empty((trials, n, spec.input_dim))
+        for t in range(n):
+            rows = self.law_at(em, t + 1)
+            if em.mode == "discrete":
+                cum = np.cumsum(rows, axis=1)
+                X[:, t] = em.alphabet[_inverse_cdf(cum[states[:, t]], rng.random(trials))]
+            else:
+                X[:, t] = rows[states[:, t]] + em.sigma * rng.standard_normal(
+                    (trials, spec.input_dim))
+        return X, np.asarray(spec.label_map, dtype=np.int64)[states]
+
+    def reference_table_means(self, spec, f_table, n, trials, seed):
+        rng = substream(seed, _STREAM_BATCH)
+        walk = _walk(spec.markov, trials, rng)
+        next(walk)
+        label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
+        total = np.zeros(trials)
+        for t in range(n):
+            cur = next(walk)
+            cum = np.cumsum(self.law_at(spec.emission, t + 1), axis=1)
+            total += f_table[_inverse_cdf(cum[cur], rng.random(trials)), label_idx[cur]]
+        return total / n
+
+    @staticmethod
+    def assert_same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["discrete", "gaussian"])
+    @pytest.mark.parametrize("drift", ["none", "normal", "underflow"])
+    def test_samplers_match_the_per_mode_loops(self, mode, drift):
+        rng = np.random.default_rng(["none", "normal", "underflow"].index(drift)
+                                    + (10 if mode == "gaussian" else 0))
+        for S in (1, 2, 3, 4, 5, 2, 3):
+            spec = self.random_spec(rng, S, mode, drift)
+            n, trials = int(rng.integers(1, 40)), int(rng.integers(1, 25))
+            seed = int(rng.integers(0, 2 ** 31))
+            data = sample_sequence(spec, n, seed)
+            for got, want in zip((data.inputs, data.labels),
+                                 self.reference_sequence(spec, n, seed)):
+                self.assert_same(got, want)
+            for m in (0, 37):
+                data = sample_target(spec, m, seed)
+                for got, want in zip((data.inputs, data.labels),
+                                     self.reference_target(spec, m, seed)):
+                    self.assert_same(got, want)
+            X, Y = self.reference_batch(spec, n, trials, seed)
+            for got, want in zip(sample_sequences_batch(spec, n, trials, seed), (X, Y)):
+                self.assert_same(got, want)
+
+            def f(inputs, labels):
+                return (np.abs(inputs).sum(axis=1) * labels) % 1.0
+            self.assert_same(sequence_value_means(spec, f, n, trials, seed),
+                             f(X.reshape(-1, spec.input_dim), Y.reshape(-1))
+                             .reshape(trials, n).mean(axis=1))
+            if mode == "discrete":
+                f_table = rng.random((spec.emission.alphabet.shape[0], spec.num_classes))
+                self.assert_same(sequence_value_means(spec, f_table, n, trials, seed),
+                                 self.reference_table_means(spec, f_table, n, trials, seed))
 
 
 class TestStepExpectations:
