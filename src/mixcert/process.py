@@ -44,6 +44,9 @@ _ATOL = 1e-12
 _SUM_ATOL = 1e-9
 
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
+# Entries of one (S, t, S) difference chunk in _phi_lag: 8 MiB of float64, so
+# a profile's memory stays bounded as n and S grow.
+_PHI_CHUNK_ELEMENTS = 1 << 20
 
 _STREAM_SEQUENCE = 0
 _STREAM_TARGET = 1
@@ -141,6 +144,9 @@ class EmissionSpec:
 
     def __post_init__(self):
         keys = _emission_keys(self.mode)
+        for name in _field_names(EmissionSpec):
+            if name not in keys and getattr(self, name) is not None:
+                raise ValueError(f"{name} is not a field of {self.mode} emissions")
         c = float(self.drift_amplitude)
         if not 0.0 <= c <= 1.0:
             raise ValueError("drift_amplitude must lie in [0, 1] so mixtures stay laws")
@@ -173,9 +179,6 @@ class EmissionSpec:
         for arr in (rows, drift):
             if arr is not None:
                 arr.setflags(write=False)
-        for name in _field_names(EmissionSpec):
-            if name not in keys:
-                object.__setattr__(self, name, None)
         for name, value in zip(owned, (param, rows, drift)):
             object.__setattr__(self, name, value)
 
@@ -500,20 +503,28 @@ def stationary_distribution(markov: MarkovSpec) -> np.ndarray:
     return pi
 
 
-def _marginals(markov: MarkovSpec, tmax: int) -> np.ndarray:
-    """Rows t = 0..tmax of the hidden marginal initial @ P**t."""
+def _marginals(markov: MarkovSpec, tmax: int) -> tuple[np.ndarray, int]:
+    """Rows t = 0..tmax of the hidden marginal initial @ P**t, and the first
+    T with every row t >= T equal to row T (tmax + 1 when none is).
+
+    Once a step returns its input bit for bit, every later step does too, so
+    the rows after that first exact float fixed point are filled, not stepped.
+    """
     out = np.empty((tmax + 1, markov.num_states))
     out[0] = markov.initial
     for t in range(1, tmax + 1):
         out[t] = out[t - 1] @ markov.transition
-    return out
+        if np.array_equal(out[t], out[t - 1]):
+            out[t + 1:] = out[t]
+            return out, t - 1
+    return out, tmax + 1
 
 
 def marginal_at(spec: ProcessSpec, t: int) -> np.ndarray:
     """Hidden-state law at time t >= 1."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return _marginals(spec.markov, t)[t]
+    return _marginals(spec.markov, t)[0][t]
 
 
 def _stationary_or_none(markov: MarkovSpec) -> np.ndarray | None:
@@ -566,7 +577,7 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     markov = spec.markov
-    M = _marginals(markov, horizon + k)
+    M, _ = _marginals(markov, horizon + k)
     # the running product of mixing_profile, so both give the same bits
     rows = np.eye(markov.num_states)
     for _ in range(k):
@@ -579,8 +590,19 @@ def _phi_lag(rows: np.ndarray, future: np.ndarray, reach: np.ndarray,
              pistar: np.ndarray | None) -> float:
     """Gap-k coefficient from the k-step rows delta_b @ P**k: the largest TV
     of rows[b] to future[t], the marginal k steps after t, over reach[b, t],
-    and to pistar over every b when pistar is given; capped at 1."""
-    best = float(_tv(rows[:, None, :], future[None, :, :])[reach].max())
+    and to pistar over every b when pistar is given; capped at 1.
+
+    The (S, t, S) differences are formed a chunk of t at a time, at most
+    _PHI_CHUNK_ELEMENTS entries each; a max does not depend on how its
+    inputs are grouped, so the chunking leaves the bits unchanged."""
+    S = rows.shape[0]
+    step = max(1, _PHI_CHUNK_ELEMENTS // (S * S))
+    best = 0.0
+    for lo in range(0, reach.shape[1], step):
+        mask = reach[:, lo: lo + step]
+        if mask.any():  # the max of an empty selection raises
+            tv = _tv(rows[:, None, :], future[None, lo: lo + step, :])
+            best = max(best, float(tv[mask].max()))
     if pistar is not None:
         best = max(best, float(_tv(rows, pistar).max()))
     return min(best, 1.0)
@@ -664,16 +686,16 @@ def _joint_table(h: np.ndarray, table: np.ndarray, groups: np.ndarray,
     return J.ravel()
 
 
-def _gaussian_emission_tv(spec: ProcessSpec, t: int) -> float:
-    """max over states of TV between the time-t and limit Gaussian of that
-    state; erf(||mean gap|| / (2 sqrt(2) sigma)) exactly for isotropic equal
-    covariances."""
-    em = spec.emission
-    w = em.drift_weight(t)
-    if w == 0.0:
-        return 0.0
-    gaps = np.linalg.norm(w * (em.drift_means - em.means), axis=1)
-    return max(math.erf(g / (2.0 * math.sqrt(2.0) * em.sigma)) for g in gaps)
+def _gaussian_emission_tv(em: EmissionSpec, w: np.ndarray) -> np.ndarray:
+    """For each drift weight w_t, the max over states of TV between the
+    time-t and limit Gaussian of that state; erf(||mean gap|| / (2 sqrt(2)
+    sigma)) exactly for isotropic equal covariances, 0 where w_t is 0."""
+    if not em.has_drift():
+        return np.zeros(len(w))
+    gaps = np.linalg.norm(w[:, None, None] * (em.drift_means - em.means), axis=2)
+    scale = 2.0 * math.sqrt(2.0) * em.sigma
+    return np.array([max(math.erf(g / scale) for g in row) if wt != 0.0 else 0.0
+                     for wt, row in zip(w, gaps)])
 
 
 def mu_at(spec: ProcessSpec, i: int) -> float:
@@ -683,7 +705,7 @@ def mu_at(spec: ProcessSpec, i: int) -> float:
     if i < 1:
         raise ValueError("i must be >= 1")
     pistar = stationary_distribution(spec.markov)
-    return float(_mu(spec, pistar, _marginals(spec.markov, i), (i,))[0])
+    return float(_mu(spec, pistar, _marginals(spec.markov, i)[0], (i,))[0])
 
 
 def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, times) -> np.ndarray:
@@ -695,8 +717,9 @@ def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, times) -> np.ndarr
         law = (*_alphabet_groups(em.alphabet), spec.label_map, spec.num_classes)
         J_inf = _joint_table(pistar, em.table, *law)
         return np.array([_tv(_joint_table(M[i], em.rows_at(i), *law), J_inf) for i in times])
-    return np.array([min(1.0, _tv(M[i], pistar) + _gaussian_emission_tv(spec, i))
-                     for i in times])
+    times = np.asarray(times)
+    w = np.array([em.drift_weight(i) for i in times])
+    return np.minimum(1.0, _tv(M[times], pistar) + _gaussian_emission_tv(em, w))
 
 
 def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
@@ -705,19 +728,37 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     Exactness flags: phi is exact when the emission is a deterministic
     injective driftless map of the state (otherwise a sound upper bound via
     data processing), mu is exact for any discrete emission.
+
+    Cost: O(T**2 S**2 + n S**2) time for S states, plus S**3 per lag for
+    the k-step rows until they repeat, and memory bounded by
+    _PHI_CHUNK_ELEMENTS. T is the first time from which the marginals
+    initial @ P**t repeat exactly, 2n + 1 when they do not within 2n. The
+    shortcut is exact because equal inputs give equal bits. Marginal rows
+    t >= T equal row T, so at lag k the times t >= T - k share one future,
+    M[T]: their TV is one column over the union of their reach masks. Once
+    that is the only column and the k-step rows delta_b @ P**k also repeat
+    exactly, every later phi(k) is the same float. Without a fixed point in
+    the window every lag takes all n + 1 columns, as the plain loop does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     markov = spec.markov
     pistar = stationary_distribution(markov)
-    M = _marginals(markov, 2 * n)
+    M, T = _marginals(markov, 2 * n)
     reach = (M[: n + 1] > 0.0).T
+    # tail[:, c] = reach[:, c:].any(axis=1): the states reachable at any t >= c
+    tail = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
 
     phi = np.empty(n)
     rows = np.eye(markov.num_states)
     for k in range(1, n + 1):
-        rows = rows @ markov.transition
-        phi[k - 1] = _phi_lag(rows, M[k: n + k + 1], reach, pistar)
+        prev, rows = rows, rows @ markov.transition
+        c = min(n + 1, max(0, T - k))  # times t < c have distinct futures
+        mask = reach if c > n else np.concatenate([reach[:, :c], tail[:, c, None]], axis=1)
+        phi[k - 1] = _phi_lag(rows, M[k: k + mask.shape[1]], mask, pistar)
+        if c == 0 and np.array_equal(rows, prev):
+            phi[k:] = phi[k - 1]
+            break
     mu = _mu(spec, pistar, M, range(1, n + 1))
     delta_inf = 1.0 + 2.0 * float(phi.sum())
     return MixingProfile(horizon=n, phi=phi, mu=mu, delta_inf=delta_inf,
@@ -836,7 +877,7 @@ def step_expectations(spec: ProcessSpec, f_table, n: int) -> np.ndarray:
     """Exact E[f(X_i, Y_i)] for i = 1..n on a discrete-emission process."""
     f = _check_f_table(spec, f_table)
     em = spec.emission
-    M = _marginals(spec.markov, n)
+    M, _ = _marginals(spec.markov, n)
     label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
     fv = f[:, label_idx]  # (alphabet, state): value when state s emits point m
     out = np.empty(n)

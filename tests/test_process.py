@@ -6,9 +6,13 @@ event-enumeration oracle where it is tractable.
 """
 
 import itertools
+import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixcert import (
     EmissionSpec,
@@ -34,14 +38,19 @@ from mixcert import (
     stationary_expectation,
     tv_distance,
 )
+from mixcert import process
 from mixcert.process import (
     _STREAM_BATCH,
     _STREAM_SEQUENCE,
     _STREAM_TARGET,
     _inverse_cdf,
+    _marginals,
+    _mu,
     _walk,
 )
 from mixcert.seeding import substream
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def discrete_spec(P, pi0, S, input_dim=1, alphabet=None):
@@ -57,6 +66,63 @@ def discrete_spec(P, pi0, S, input_dim=1, alphabet=None):
         num_classes=2,
         input_dim=input_dim,
     )
+
+
+def lazy_ring(stay, S=16):
+    """Directed ring that stays put with probability `stay`, started at state
+    0, with state-revealing emissions; slow to mix for stay near 1."""
+    P = np.zeros((S, S))
+    P[np.arange(S), np.arange(S)] = stay
+    P[np.arange(S), (np.arange(S) + 1) % S] = 1.0 - stay
+    return discrete_spec(P, np.eye(S)[0], S)
+
+
+def default_chain():
+    """The 2-state drifting Gaussian process of configs/default.json."""
+    with open(os.path.join(CONFIG_DIR, "default.json"), encoding="ascii") as fh:
+        return ProcessSpec.from_json_dict(json.load(fh)["process"])
+
+
+def reference_profile(spec, n):
+    """(phi, mu, delta_inf) by the O(n**2 S**2) loop with no fixed-point
+    shortcut: every marginal stepped, every lag taken over all n + 1
+    conditioning times, the Gaussian drift one time at a time. mixing_profile
+    must return these bits."""
+    markov, em = spec.markov, spec.emission
+    pistar = stationary_distribution(markov)
+    M = np.empty((2 * n + 1, markov.num_states))
+    M[0] = markov.initial
+    for t in range(1, 2 * n + 1):
+        M[t] = M[t - 1] @ markov.transition
+    reach = (M[: n + 1] > 0.0).T
+    phi = np.empty(n)
+    rows = np.eye(markov.num_states)
+    for k in range(1, n + 1):
+        rows = rows @ markov.transition
+        tv = 0.5 * np.abs(rows[:, None, :] - M[None, k: n + k + 1, :]).sum(axis=-1)
+        limit = 0.5 * np.abs(rows - pistar).sum(axis=-1)
+        phi[k - 1] = min(max(float(tv[reach].max()), float(limit.max())), 1.0)
+    if em.mode == "discrete":
+        mu = _mu(spec, pistar, M, range(1, n + 1))
+    else:
+        mu = np.empty(n)
+        for i in range(1, n + 1):
+            w = em.drift_weight(i)
+            emission = 0.0
+            if w != 0.0:
+                gaps = np.linalg.norm(w * (em.drift_means - em.means), axis=1)
+                emission = max(math.erf(g / (2.0 * math.sqrt(2.0) * em.sigma)) for g in gaps)
+            mu[i - 1] = min(1.0, 0.5 * np.abs(M[i] - pistar).sum() + emission)
+    return phi, mu, 1.0 + 2.0 * float(phi.sum())
+
+
+def assert_matches_reference(spec, n):
+    prof = mixing_profile(spec, n)
+    phi, mu, delta_inf = reference_profile(spec, n)
+    assert np.array_equal(prof.phi, phi)
+    assert np.array_equal(prof.mu, mu)
+    assert repr(prof.delta_inf) == repr(delta_inf)
+    return prof
 
 
 # Two-state chain with a 0.8 spectral gap complement; started at state 1 it
@@ -277,6 +343,30 @@ class TestBruteForcePhi:
         assert b <= a + 1e-15
         assert a - b > 1e-6
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), S=st.integers(2, 3), stationary_start=st.booleans())
+    def test_profile_bounds_the_literal_definition(self, data, S, stationary_start):
+        """On positive (so primitive) 2- and 3-state chains with injective
+        emissions, the profile's phi(k) is at least the enumerated
+        coefficient over the same conditioning times, and equals it when
+        the chain starts at its stationary law."""
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=S * S, max_size=S * S))
+        P = np.array(weights, dtype=float).reshape(S, S)
+        P /= P.sum(axis=1, keepdims=True)
+        start = data.draw(st.lists(st.integers(0, 9), min_size=S, max_size=S).filter(any))
+        p0 = np.array(start, dtype=float) / sum(start)
+        if stationary_start:
+            p0 = stationary_distribution(discrete_spec(P, p0, S).markov)
+        spec = discrete_spec(P, p0, S)
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, n))
+        future_len = data.draw(st.integers(1, 3 if S == 2 else 2))
+        phi = mixing_profile(spec, n).phi[k - 1]
+        brute = brute_force_phi(spec, k, n_max=n, future_len=future_len)
+        assert brute <= phi + 1e-12
+        if stationary_start:
+            assert abs(brute - phi) <= 1e-12
+
     def test_size_guards(self):
         spec = discrete_spec(SYM09, [0.5, 0.5], 2)
         with pytest.raises(TooLarge):
@@ -371,6 +461,32 @@ class TestMixingProfile:
         assert prof.horizon == 17
         assert len(prof.phi) == 17 and len(prof.mu) == 17
 
+    @pytest.mark.parametrize("chain, n, t_lo, t_hi", [
+        ("default", 4000, 1, 3999),  # marginals and k-step rows repeat before n
+        ("ring", 1000, 1001, 2000),  # marginals repeat between n and 2n
+        ("ring", 800, 1601, 1601),   # no fixed point up to 2n: T = 2n + 1
+    ])
+    def test_fixed_point_shortcut_is_exact(self, chain, n, t_lo, t_hi):
+        """The shortcut's three regimes, each equal bit for bit to the loop
+        over every lag and time."""
+        spec = default_chain() if chain == "default" else lazy_ring(0.65)
+        assert t_lo <= _marginals(spec.markov, 2 * n)[1] <= t_hi
+        assert_matches_reference(spec, n)
+
+    @pytest.mark.parametrize("budget", [1, 3 * 16 * 16])
+    def test_chunked_reduction_is_exact(self, monkeypatch, budget):
+        """A tiny chunk budget (one time, or three times of the 16-state
+        ring, per chunk) leaves the profile and the single-lag view
+        unchanged."""
+        specs = [(lazy_ring(0.65), 120), (default_chain(), 300)]
+        expect = [mixing_profile(spec, n) for spec, n in specs]
+        monkeypatch.setattr(process, "_PHI_CHUNK_ELEMENTS", budget)
+        for (spec, n), prof in zip(specs, expect):
+            chunked = mixing_profile(spec, n)
+            assert np.array_equal(chunked.phi, prof.phi)
+            assert np.array_equal(chunked.mu, prof.mu)
+            assert phi_coefficient(spec, n // 2, n) == prof.phi[n // 2 - 1]
+
     def test_periodic_chain_rejected(self):
         """Period-2 flipper: no certified stationary law, so no drift mu and
         no profile."""
@@ -414,11 +530,13 @@ class TestOneKernel:
         for S, mode, drift in itertools.product(range(1, 6), ("discrete", "gaussian"),
                                                 (False, True)):
             spec = self.random_spec(rng, S, mode, drift)
-            n = int(rng.integers(2, 30))
-            prof = mixing_profile(spec, n)
-            for k in (1, n // 2, n):
-                assert phi_coefficient(spec, k, n) == prof.phi[k - 1], (S, mode, drift, k)
-                assert mu_at(spec, k) == prof.mu[k - 1], (S, mode, drift, k)
+            # at n = 200 and 600 every chain here repeats its marginals
+            # exactly before 2n, so the fixed-point shortcut is taken
+            for n in (int(rng.integers(2, 30)), 200, 600):
+                prof = assert_matches_reference(spec, n)
+                for k in (1, n // 2, n):
+                    assert phi_coefficient(spec, k, n) == prof.phi[k - 1], (S, mode, drift, k)
+                    assert mu_at(spec, k) == prof.mu[k - 1], (S, mode, drift, k)
 
 
 class TestEmissionDrift:
@@ -449,6 +567,21 @@ class TestEmissionDrift:
                                    drift_table=drift, drift_amplitude=1.0,
                                    drift_exponent=1.0)
         np.testing.assert_allclose(em.table_at(2), 0.5 * base + 0.5 * drift)
+
+    @pytest.mark.parametrize("mode, foreign", [
+        ("discrete", {"sigma": 0.5}),
+        ("discrete", {"means": [[9.0], [9.0]]}),
+        ("gaussian", {"alphabet": [[0.0], [1.0]]}),
+        ("gaussian", {"drift_table": np.eye(2)}),
+    ])
+    def test_rejects_the_other_modes_fields(self, mode, foreign):
+        """A field of the other emission mode is an error naming the field
+        and the mode, not silently dropped."""
+        own = ({"alphabet": [[0.0], [1.0]], "table": np.eye(2)} if mode == "discrete"
+               else {"means": [[1.0], [-1.0]], "sigma": 0.5})
+        name = next(iter(foreign))
+        with pytest.raises(ValueError, match=f"{name} .*{mode}"):
+            EmissionSpec(mode=mode, **own, **foreign)
 
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ValueError):
