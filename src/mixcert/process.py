@@ -44,9 +44,6 @@ _ATOL = 1e-12
 _SUM_ATOL = 1e-9
 
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
-# Entries of one (S, t, S) difference chunk in _phi_lag: 8 MiB of float64, so
-# a profile's memory stays bounded as n and S grow.
-_PHI_CHUNK_ELEMENTS = 1 << 20
 
 _STREAM_SEQUENCE = 0
 _STREAM_TARGET = 1
@@ -503,9 +500,8 @@ def stationary_distribution(markov: MarkovSpec) -> np.ndarray:
     return pi
 
 
-def _marginals(markov: MarkovSpec, tmax: int) -> tuple[np.ndarray, int]:
-    """Rows t = 0..tmax of the hidden marginal initial @ P**t, and the first
-    T with every row t >= T equal to row T (tmax + 1 when none is).
+def _marginals(markov: MarkovSpec, tmax: int) -> np.ndarray:
+    """Rows t = 0..tmax of the hidden marginal initial @ P**t.
 
     Once a step returns its input bit for bit, every later step does too, so
     the rows after that first exact float fixed point are filled, not stepped.
@@ -516,15 +512,22 @@ def _marginals(markov: MarkovSpec, tmax: int) -> tuple[np.ndarray, int]:
         out[t] = out[t - 1] @ markov.transition
         if np.array_equal(out[t], out[t - 1]):
             out[t + 1:] = out[t]
-            return out, t - 1
-    return out, tmax + 1
+            break
+    return out
+
+
+def _fixed_point(M: np.ndarray) -> int:
+    """The first T with every row t >= T of the marginals M equal to row T,
+    len(M) when none is; _marginals fills from the first repeated row on."""
+    repeats = np.flatnonzero((M[1:] == M[:-1]).all(axis=1))
+    return int(repeats[0]) if repeats.size else len(M)
 
 
 def marginal_at(spec: ProcessSpec, t: int) -> np.ndarray:
     """Hidden-state law at time t >= 1."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return _marginals(spec.markov, t)[0][t]
+    return _marginals(spec.markov, t)[t]
 
 
 def _stationary_or_none(markov: MarkovSpec) -> np.ndarray | None:
@@ -577,7 +580,7 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     markov = spec.markov
-    M, _ = _marginals(markov, horizon + k)
+    M = _marginals(markov, horizon + k)
     # the running product of mixing_profile, so both give the same bits
     rows = np.eye(markov.num_states)
     for _ in range(k):
@@ -590,19 +593,8 @@ def _phi_lag(rows: np.ndarray, future: np.ndarray, reach: np.ndarray,
              pistar: np.ndarray | None) -> float:
     """Gap-k coefficient from the k-step rows delta_b @ P**k: the largest TV
     of rows[b] to future[t], the marginal k steps after t, over reach[b, t],
-    and to pistar over every b when pistar is given; capped at 1.
-
-    The (S, t, S) differences are formed a chunk of t at a time, at most
-    _PHI_CHUNK_ELEMENTS entries each; a max does not depend on how its
-    inputs are grouped, so the chunking leaves the bits unchanged."""
-    S = rows.shape[0]
-    step = max(1, _PHI_CHUNK_ELEMENTS // (S * S))
-    best = 0.0
-    for lo in range(0, reach.shape[1], step):
-        mask = reach[:, lo: lo + step]
-        if mask.any():  # the max of an empty selection raises
-            tv = _tv(rows[:, None, :], future[None, lo: lo + step, :])
-            best = max(best, float(tv[mask].max()))
+    and to pistar over every b when pistar is given; capped at 1."""
+    best = float(_tv(rows[:, None, :], future[None, :, :])[reach].max())
     if pistar is not None:
         best = max(best, float(_tv(rows, pistar).max()))
     return min(best, 1.0)
@@ -705,7 +697,7 @@ def mu_at(spec: ProcessSpec, i: int) -> float:
     if i < 1:
         raise ValueError("i must be >= 1")
     pistar = stationary_distribution(spec.markov)
-    return float(_mu(spec, pistar, _marginals(spec.markov, i)[0], (i,))[0])
+    return float(_mu(spec, pistar, _marginals(spec.markov, i), (i,))[0])
 
 
 def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, times) -> np.ndarray:
@@ -730,21 +722,25 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     data processing), mu is exact for any discrete emission.
 
     Cost: O(T**2 S**2 + n S**2) time for S states, plus S**3 per lag for
-    the k-step rows until they repeat, and memory bounded by
-    _PHI_CHUNK_ELEMENTS. T is the first time from which the marginals
-    initial @ P**t repeat exactly, 2n + 1 when they do not within 2n. The
-    shortcut is exact because equal inputs give equal bits. Marginal rows
-    t >= T equal row T, so at lag k the times t >= T - k share one future,
-    M[T]: their TV is one column over the union of their reach masks. Once
-    that is the only column and the k-step rows delta_b @ P**k also repeat
-    exactly, every later phi(k) is the same float. Without a fixed point in
-    the window every lag takes all n + 1 columns, as the plain loop does.
+    the k-step rows until they repeat. Memory: O(min(n, T) S**2) for the
+    (S, times, S) differences one lag reduces in one shot, plus O(n S) for
+    the marginals and, for Gaussian emissions in d dimensions, O(n S d) for
+    mu's mean gaps at every time. T is the first time from which the
+    marginals initial @ P**t repeat exactly, 2n + 1 when they do not within
+    2n. The shortcut is exact because equal inputs give equal bits.
+    Marginal rows t >= T equal row T, so at lag k the times t >= T - k
+    share one future, M[T]: their TV is one column over the union of their
+    reach masks. Once that is the only column and the k-step rows
+    delta_b @ P**k also repeat exactly, every later phi(k) is the same
+    float. Without a fixed point in the window every lag takes all n + 1
+    columns, as the plain loop does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     markov = spec.markov
     pistar = stationary_distribution(markov)
-    M, T = _marginals(markov, 2 * n)
+    M = _marginals(markov, 2 * n)
+    T = _fixed_point(M)
     reach = (M[: n + 1] > 0.0).T
     # tail[:, c] = reach[:, c:].any(axis=1): the states reachable at any t >= c
     tail = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
@@ -877,7 +873,7 @@ def step_expectations(spec: ProcessSpec, f_table, n: int) -> np.ndarray:
     """Exact E[f(X_i, Y_i)] for i = 1..n on a discrete-emission process."""
     f = _check_f_table(spec, f_table)
     em = spec.emission
-    M, _ = _marginals(spec.markov, n)
+    M = _marginals(spec.markov, n)
     label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
     fv = f[:, label_idx]  # (alphabet, state): value when state s emits point m
     out = np.empty(n)
