@@ -4,9 +4,10 @@ The master inequality bounds the stationary risk of a predictor trained on
 one path of a mixing process by four observable pieces: empirical loss,
 a complexity term (twice a Rademacher bound), the average marginal drift
 mu_bar, and a concentration term scaled by the dependence factor
-delta_inf = 1 + 2 * sum_k phi(k). `network_certificate` assembles the
-network instantiation of that inequality from layer norms;
-`theorem1_bound` is the generic form for a caller-supplied complexity.
+delta_inf = 1 + 2 * sum_k phi(k). `_theorem1_sum` is the one sum of those
+pieces: `network_certificate` assembles the network instantiation of the
+inequality from layer norms, `theorem1_bound` is the generic form for a
+caller-supplied complexity, and `recompose_total` re-adds a stored report.
 
 Every supporting step has a validator that checks it empirically on
 processes whose mixing structure is exactly computable:
@@ -54,12 +55,16 @@ from .process import (
     stationary_expectation,
     step_expectations,
 )
-from .rademacher import FunctionClass, _sign_chunk, covering_bound_terms
+from .rademacher import (
+    FunctionClass,
+    _draw_signs,
+    _exact_rademacher,
+    _sign_sups,
+    covering_bound_terms,
+)
 from .seeding import combine_seeds, substream
 
 SOURCE_COVERING = "covering_bound"
-SOURCE_MC = "mc"
-SOURCE_EXACT = "exact"
 
 _CONSISTENCY_RTOL = 1e-12
 _EXACT_SIGN_LIMIT = 12  # symmetrization enumerates all signs up to this n
@@ -82,9 +87,19 @@ def concentration_term(n: int, delta: float, delta_inf: float) -> float:
     return 3.0 * delta_inf * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
+def _theorem1_sum(empirical: float, mu_mean: float, concentration: float,
+                  *capacity: float) -> float:
+    """The bound's one sum: empirical + mu_mean + concentration, then the
+    capacity terms from left to right."""
+    total = empirical + mu_mean + concentration
+    for term in capacity:
+        total += term
+    return total
+
+
 def theorem1_bound(empirical: float, rademacher: float, profile: MixingProfile,
                    delta: float, n: int) -> float:
-    """Generic risk bound: empirical + 2 * rademacher + mean(mu) + concentration."""
+    """Generic risk bound: empirical + mean(mu) + concentration + 2 * rademacher."""
     _check_delta(delta)
     if n != profile.horizon:
         raise DimensionMismatch(f"profile horizon {profile.horizon} != n {n}")
@@ -92,8 +107,9 @@ def theorem1_bound(empirical: float, rademacher: float, profile: MixingProfile,
         raise ValueError("empirical loss must lie in [0, 1]")
     if rademacher < 0.0:
         raise ValueError("rademacher term must be >= 0")
-    return (empirical + 2.0 * rademacher + float(profile.mu.mean())
-            + concentration_term(n, delta, profile.delta_inf))
+    return _theorem1_sum(empirical, float(profile.mu.mean()),
+                         concentration_term(n, delta, profile.delta_inf),
+                         2.0 * rademacher)
 
 
 def mcdiarmid_tail_bound(epsilon: float, n: int, c: float, delta_inf: float) -> float:
@@ -122,10 +138,10 @@ class _Report:
 class BoundReport(_Report):
     """Every term of one certificate, plus the plug-in ground truth.
 
-    total_bound is the literal sum of empirical_ramp_loss, mu_mean,
-    concentration_term, small_term, and complexity_term, with
-    2 * rademacher_term added instead of the last two when the rademacher
-    source is a direct estimate rather than the covering bound.
+    total_bound is `_theorem1_sum` of empirical_ramp_loss, mu_mean,
+    concentration_term, small_term and complexity_term, in that order; the
+    last two are twice the two covering-bound addends, whose sum is
+    rademacher_term. rademacher_source names that bound.
     """
 
     n: int
@@ -150,10 +166,11 @@ class BoundReport(_Report):
 
 
 def recompose_total(report: BoundReport) -> float:
-    """Recompute total_bound from the stored terms (for consistency checks)."""
-    extra = 2.0 * report.rademacher_term if report.rademacher_source != SOURCE_COVERING else 0.0
-    return (report.empirical_ramp_loss + report.mu_mean + report.concentration_term
-            + report.small_term + report.complexity_term + extra)
+    """Recompute total_bound from the stored terms through the same
+    `_theorem1_sum` that produced it, so the two agree exactly."""
+    return _theorem1_sum(report.empirical_ramp_loss, report.mu_mean,
+                         report.concentration_term, report.small_term,
+                         report.complexity_term)
 
 
 def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: float,
@@ -197,7 +214,7 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
     margins = dataset_margins(params, data)
     empirical = mean_ramp_loss(margins, gamma)
     mu_mean = float(profile.mu.mean())
-    total = empirical + mu_mean + conc + small + complexity
+    total = _theorem1_sum(empirical, mu_mean, conc, small, complexity)
     report = BoundReport(
         n=n, gamma=float(gamma), delta=float(delta),
         empirical_ramp_loss=empirical,
@@ -365,19 +382,13 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
 
     if n <= _EXACT_SIGN_LIMIT:
         method = "exact"
-        signs = _sign_chunk(0, 1 << n, n)
-        rhat = np.empty(trials)
-        for start in range(0, trials, 128):
-            chunk = F[:, start:start + 128, :]
-            sums = np.tensordot(chunk, signs, axes=([2], [1]))
-            rhat[start:start + chunk.shape[1]] = sums.max(axis=0).mean(axis=1) / n
+        rhat = _exact_rademacher(F)
     else:
         method = "monte_carlo"
         rng = substream(seed, 3)
-        rhat = np.empty(trials)
-        for t in range(trials):
-            signs = rng.integers(0, 2, size=(_MC_SIGNS, n)).astype(np.float64) * 2.0 - 1.0
-            rhat[t] = float((signs @ F[:, t, :].T).max(axis=1).mean()) / n
+        rhat = np.array([
+            float(_sign_sups(F[:, t:t + 1], _draw_signs(rng, _MC_SIGNS, n))[0].mean()) / n
+            for t in range(trials)])
     rhs_vals = 2.0 * rhat
 
     lhs_mean = float(lhs_vals.mean())

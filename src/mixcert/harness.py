@@ -26,7 +26,6 @@ from .bounds import (
     validate_ramp_dominance,
     validate_symmetrization,
 )
-from .errors import NotDiscrete
 from .network import Architecture, TrainConfig
 from .process import (
     ProcessSpec,
@@ -157,10 +156,6 @@ def file_digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _print_digest(path) -> None:
-    print(f"{file_digest(path)}  {path}")
-
-
 def _label_indicator_f(spec: ProcessSpec):
     """Default statistic: indicator of label 1, as a table when possible."""
     em = spec.emission
@@ -193,8 +188,6 @@ def cmd_generate(config: ExperimentConfig, out_dir) -> list:
     tpath = os.path.join(out_dir, "target.txt")
     target.save(tpath)
     paths.append(tpath)
-    for p in paths:
-        _print_digest(p)
     return paths
 
 
@@ -211,8 +204,6 @@ def cmd_train(config: ExperimentConfig, out_dir) -> list:
         lpath = os.path.join(out_dir, f"losses_seed{seed}.json")
         write_json({"seed": seed, "epoch_losses": list(result.epoch_losses)}, lpath)
         paths.append(lpath)
-    for p in paths:
-        _print_digest(p)
     return paths
 
 
@@ -242,8 +233,6 @@ def cmd_certify(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
     with open(cpath, "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")
     paths.append(cpath)
-    for p in paths:
-        _print_digest(p)
     return paths
 
 
@@ -271,10 +260,8 @@ def cmd_validate(config: ExperimentConfig, out_dir) -> list:
                 epsilons=tuple(params["epsilons"]),
                 delta_inf=params["delta_override"])
         elif name == "lemma3":
-            f = _label_indicator_f(config.process)
-            if callable(f):
-                raise NotDiscrete("lemma3 validation needs discrete emissions")
-            report = validate_lemma3(config.process, f, n=params["n"])
+            report = validate_lemma3(config.process, _label_indicator_f(config.process),
+                                     n=params["n"])
         elif name == "symmetrization":
             report = validate_symmetrization(
                 builtin_class(config.process), config.process,
@@ -285,8 +272,6 @@ def cmd_validate(config: ExperimentConfig, out_dir) -> list:
         path = os.path.join(out_dir, f"validate_{name}.json")
         write_json(report.to_json_dict(), path)
         paths.append(path)
-    for p in paths:
-        _print_digest(p)
     return paths
 
 
@@ -311,7 +296,6 @@ def cmd_rademacher(config: ExperimentConfig, out_dir) -> list:
     }
     path = os.path.join(out_dir, "rademacher.json")
     write_json(doc, path)
-    _print_digest(path)
     return [path]
 
 
@@ -341,18 +325,20 @@ def main(argv=None) -> int:
     out_dir = args.out if args.out is not None else config.out_dir
     try:
         if args.command == "generate":
-            cmd_generate(config, out_dir)
+            paths = cmd_generate(config, out_dir)
         elif args.command == "train":
-            cmd_train(config, out_dir)
+            paths = cmd_train(config, out_dir)
         elif args.command == "certify":
-            cmd_certify(config, out_dir, jobs=args.jobs)
+            paths = cmd_certify(config, out_dir, jobs=args.jobs)
         elif args.command == "validate":
-            cmd_validate(config, out_dir)
+            paths = cmd_validate(config, out_dir)
         else:
-            cmd_rademacher(config, out_dir)
+            paths = cmd_rademacher(config, out_dir)
     except Exception as exc:  # pipeline errors are reported, not raised, at the CLI
         print(f"error: {type(exc).__name__}: {exc}", flush=True)
         return 1
+    for path in paths:
+        print(f"{file_digest(path)}  {path}")
     return 0
 
 

@@ -221,14 +221,8 @@ class PopulationEstimate:
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Network output for a single input vector."""
-    v = np.asarray(x, dtype=np.float64).reshape(-1)
-    if v.shape[0] != params.input_dim:
-        raise DimensionMismatch(
-            f"input has dim {v.shape[0]}, network expects {params.input_dim}")
-    for W, act in zip(params.layers, params.activations):
-        v = act.apply(W @ v)
-    return v
+    """Network output for a single input vector: one row of forward_batch."""
+    return forward_batch(params, np.reshape(x, (1, -1)))[0]
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
@@ -241,15 +235,9 @@ def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
 
 
 def margin(v: np.ndarray, j: int) -> float:
-    """Score gap v_j - max_{i != j} v_i for 1-indexed class j."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    K = v.shape[0]
-    if K < 2:
-        raise BadLabel("margins need at least two classes")
-    if not 1 <= j <= K:
-        raise BadLabel(f"label {j} outside 1..{K}")
-    others = np.delete(v, j - 1)
-    return float(v[j - 1] - others.max())
+    """Score gap v_j - max_{i != j} v_i for 1-indexed class j: one row of
+    margins_batch."""
+    return float(margins_batch(np.reshape(v, (1, -1)), [j])[0])
 
 
 def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

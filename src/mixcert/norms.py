@@ -42,30 +42,26 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10) -> float:
         raise ValueError("tol must be > 0")
     if A.size == 0 or not np.any(A):
         return 0.0
-    estimate = 0.0
     for tag in _RESTART_TAGS:
         rng = substream(tag, A.shape[0], A.shape[1])
         v = rng.standard_normal(A.shape[1])
         v /= np.linalg.norm(v)
         prev = -np.inf
-        stalled = False
         for _ in range(_MAX_ITER):
             w = A @ v
             s = float(np.linalg.norm(w))
             if s == 0.0:
-                stalled = True
-                break
+                break  # the iterate is in the null space: restart
             if abs(s - prev) <= tol * s:
                 return s
             prev = s
             z = A.T @ w
             v = z / np.linalg.norm(z)
-        if not stalled:
+        else:
             warnings.warn("power iteration hit its iteration cap",
                           NoConvergenceWarning)
             return s
-        estimate = 0.0
-    return estimate
+    return 0.0
 
 
 def norm_2_1_of_transpose(A: np.ndarray) -> float:
@@ -118,12 +114,9 @@ def complexity_from_norms(norms: LayerNorms) -> float:
     return prod * ratio
 
 
-def spectral_complexity(params: NetworkParams, norms: LayerNorms | None = None,
-                        tol: float = 1e-10) -> float:
+def spectral_complexity(params: NetworkParams, tol: float = 1e-10) -> float:
     """Scale-sensitive capacity aggregate of a network's weights."""
-    if norms is None:
-        norms = LayerNorms.from_params(params, tol=tol)
-    return complexity_from_norms(norms)
+    return complexity_from_norms(LayerNorms.from_params(params, tol=tol))
 
 
 def require_positive_spectral(norms: LayerNorms) -> None:

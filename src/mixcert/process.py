@@ -299,7 +299,7 @@ class ProcessSpec:
         return cls(**doc)
 
     def digest(self) -> str:
-        """sha256 of the canonical JSON form; identifies the spec in datasets."""
+        """sha256 of the canonical JSON form; identifies the spec."""
         payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -337,7 +337,6 @@ class LabeledDataset:
 
     `kind` records how the rows were produced: "sequence" for a dependent
     draw of the process, "target_iid" for iid draws of its stationary limit.
-    `spec_digest` is in-memory provenance; the text format does not carry it.
     """
 
     inputs: np.ndarray
@@ -345,7 +344,6 @@ class LabeledDataset:
     num_classes: int
     kind: str
     seed: int
-    spec_digest: str = ""
 
     def __post_init__(self):
         X = np.asarray(self.inputs, dtype=np.float64)
@@ -811,7 +809,7 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
         rows[mix] = (1.0 - w) * rows[mix] + w * em.drift_rows[emitted[mix]]
     X = em.emit(rows, np.arange(n), rng)
     return LabeledDataset(inputs=X, labels=labels, num_classes=spec.num_classes,
-                          kind=KIND_SEQUENCE, seed=seed, spec_digest=spec.digest())
+                          kind=KIND_SEQUENCE, seed=seed)
 
 
 def sample_target(spec: ProcessSpec, m: int, seed: int) -> LabeledDataset:
@@ -825,7 +823,7 @@ def sample_target(spec: ProcessSpec, m: int, seed: int) -> LabeledDataset:
     labels = np.asarray(spec.label_map, dtype=np.int64)[states]
     X = em.emit(em.rows, states, rng)
     return LabeledDataset(inputs=X, labels=labels, num_classes=spec.num_classes,
-                          kind=KIND_TARGET, seed=seed, spec_digest=spec.digest())
+                          kind=KIND_TARGET, seed=seed)
 
 
 def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,

@@ -4,11 +4,14 @@ The conditional complexity of a class F on points z_1..z_n is
 
     R_hat = E_signs [ sup_{f in F} (1/n) sum_i theta_i f(z_i) ]
 
-with iid uniform signs theta_i in {-1, +1}. `empirical_rademacher_exact`
-enumerates all 2**n sign vectors; `empirical_rademacher_mc` samples them and
-reports a standard error. `covering_rademacher_bound` is the closed-form
-covering-number bound for margin losses of norm-bounded networks; the
-certificate module consumes its two terms scaled by 2.
+with iid uniform signs theta_i in {-1, +1}. One kernel computes it for every
+caller: `_sign_sups` reduces a (members, paths, n) value array against sign
+rows, `_exact_rademacher` enumerates all 2**n sign vectors through it, and
+`_draw_signs` is the one sign draw. `empirical_rademacher_exact` and
+`empirical_rademacher_mc` run the kernel on one path; the symmetrization
+validator in `bounds` runs it on many. `covering_rademacher_bound` is the
+closed-form covering-number bound for margin losses of norm-bounded
+networks; the certificate module consumes its two terms scaled by 2.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .seeding import substream
 
 _EXACT_MAX_N = 20
 _SIGN_CHUNK = 65536  # sign vectors per block of the exact enumeration
+_PATH_BLOCK = 128  # paths per block of the exact enumeration
 _RANGE_ATOL = 1e-12
 
 
@@ -119,10 +123,32 @@ class RademacherEstimate:
     method: str
 
 
-def _sign_chunk(start: int, stop: int, n: int) -> np.ndarray:
-    codes = np.arange(start, stop, dtype=np.uint64)[:, None]
-    bits = (codes >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
-    return bits.astype(np.float64) * 2.0 - 1.0
+def _draw_signs(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """k iid uniform sign vectors in {-1, +1}**n, one per row."""
+    return rng.integers(0, 2, size=(k, n)).astype(np.float64) * 2.0 - 1.0
+
+
+def _sign_sups(F: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """sup_f sum_i theta_i f(z_i) of every path under every sign row:
+    values F (members, paths, n) against signs (k, n) give (paths, k)."""
+    return np.tensordot(F, signs, axes=([2], [1])).max(axis=0)
+
+
+def _exact_rademacher(F: np.ndarray) -> np.ndarray:
+    """Exact conditional complexity of every path of F (members, paths, n):
+    the mean sup over all 2**n sign vectors, divided by n. Sign vector c
+    has theta_i = +1 where bit i of c is set; the loops take blocks of
+    _SIGN_CHUNK sign vectors and _PATH_BLOCK paths."""
+    paths, n = F.shape[1], F.shape[2]
+    count = 1 << n
+    total = np.zeros(paths)
+    for start in range(0, count, _SIGN_CHUNK):
+        codes = np.arange(start, min(start + _SIGN_CHUNK, count), dtype=np.uint64)[:, None]
+        bits = (codes >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+        signs = bits.astype(np.float64) * 2.0 - 1.0
+        for p in range(0, paths, _PATH_BLOCK):
+            total[p:p + _PATH_BLOCK] += _sign_sups(F[:, p:p + _PATH_BLOCK], signs).sum(axis=1)
+    return total / count / n
 
 
 def empirical_rademacher_exact(fclass: FunctionClass,
@@ -134,13 +160,8 @@ def empirical_rademacher_exact(fclass: FunctionClass,
     if n > _EXACT_MAX_N:
         raise TooLarge(f"2**{n} sign vectors exceed the exact budget (n <= {_EXACT_MAX_N})")
     F = fclass.evaluate(data.inputs, data.labels)
-    total = 0.0
-    count = 1 << n
-    for start in range(0, count, _SIGN_CHUNK):
-        signs = _sign_chunk(start, min(start + _SIGN_CHUNK, count), n)
-        total += float((signs @ F.T).max(axis=1).sum())
-    return RademacherEstimate(value=total / count / n, stderr=0.0,
-                              trials=count, method="exact")
+    value = float(_exact_rademacher(F[:, None, :])[0])
+    return RademacherEstimate(value=value, stderr=0.0, trials=1 << n, method="exact")
 
 
 def empirical_rademacher_mc(fclass: FunctionClass, data: LabeledDataset,
@@ -152,9 +173,8 @@ def empirical_rademacher_mc(fclass: FunctionClass, data: LabeledDataset,
     if n == 0:
         raise EmptyDataset("need at least one point")
     F = fclass.evaluate(data.inputs, data.labels)
-    rng = substream(seed, 0)
-    signs = rng.integers(0, 2, size=(trials, n)).astype(np.float64) * 2.0 - 1.0
-    sups = (signs @ F.T).max(axis=1) / n
+    signs = _draw_signs(substream(seed, 0), trials, n)
+    sups = _sign_sups(F[:, None, :], signs)[0] / n
     return RademacherEstimate(value=float(sups.mean()),
                               stderr=float(sups.std(ddof=1) / math.sqrt(trials)),
                               trials=trials, method="monte_carlo")

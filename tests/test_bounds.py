@@ -23,12 +23,14 @@ from mixcert import (
     WrongKind,
     certification_run,
     concentration_term,
+    empirical_rademacher_exact,
     mcdiarmid_tail_bound,
     mixing_profile,
     network_certificate,
     recompose_total,
     run_certification,
     sample_sequence,
+    sample_sequences_batch,
     theorem1_bound,
     train_sgd,
     validate_lemma3,
@@ -169,7 +171,7 @@ class TestNetworkCertificate:
     def test_total_recomposes(self):
         rep = network_certificate(self.crafted(), self.one_layer(), gamma=1.0,
                                   profile=flat_profile(100), delta=0.05)
-        assert recompose_total(rep) == pytest.approx(rep.total_bound, rel=1e-12)
+        assert recompose_total(rep) == rep.total_bound
         parts = (rep.empirical_ramp_loss + rep.mu_mean + rep.concentration_term
                  + rep.small_term + rep.complexity_term)
         assert rep.total_bound == pytest.approx(parts, rel=1e-12)
@@ -376,6 +378,24 @@ class TestValidateSymmetrization:
         r1 = validate_symmetrization(cls, spec, n=6, trials=1000, seed=2)
         r2 = validate_symmetrization(cls, spec, n=6, trials=1000, seed=2)
         assert r1.lhs_mean == r2.lhs_mean and r1.rhs_mean == r2.rhs_mean
+
+    def test_monte_carlo_signs_past_the_exact_limit(self):
+        """Past n = 12 the rhs samples signs per path. The run passes, reruns
+        are bit-identical, and the rhs agrees with twice the mean exact
+        complexity of the very same paths."""
+        spec = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], 2)
+        cls = builtin_class(spec)
+        n, trials, seed = 13, 200, 3
+        rep = validate_symmetrization(cls, spec, n=n, trials=trials, seed=seed)
+        assert rep.signs_method == "monte_carlo"
+        assert not rep.violation
+        again = validate_symmetrization(cls, spec, n=n, trials=trials, seed=seed)
+        assert again.to_json_dict() == rep.to_json_dict()
+        X, Y = sample_sequences_batch(spec, n, trials, seed)
+        exact = [empirical_rademacher_exact(cls, LabeledDataset(
+            inputs=X[t], labels=Y[t], num_classes=2, kind="sequence", seed=seed)).value
+            for t in range(trials)]
+        assert abs(rep.rhs_mean - 2.0 * float(np.mean(exact))) <= 3.0 * rep.rhs_stderr
 
 
 class TestValidateRampDominance:

@@ -1,7 +1,11 @@
 """Feed-forward network tests: margins, losses, gradients, training."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixcert import (
     Activation,
@@ -29,6 +33,31 @@ from mixcert import (
     train_sgd,
     zero_one_loss,
 )
+
+
+def reference_forward(params, x):
+    """Per-vector oracle: one matrix-vector product per layer."""
+    v = np.asarray(x, dtype=np.float64)
+    for W, act in zip(params.layers, params.activations):
+        v = act.apply(W @ v)
+    return v
+
+
+def reference_margin(v, j):
+    """Per-vector oracle: the true score minus the largest other score."""
+    v = np.asarray(v, dtype=np.float64)
+    return float(v[j - 1] - np.delete(v, j - 1).max())
+
+
+def random_params(rng, max_layers=3, max_dim=6):
+    """A random 1..max_layers network with mixed activations and scales."""
+    L = int(rng.integers(1, max_layers + 1))
+    dims = [int(d) for d in rng.integers(1, max_dim + 1, size=L + 1)]
+    names = ("relu", "leaky_relu:0.1", "tanh", "identity")
+    return NetworkParams(
+        layers=tuple(rng.normal(size=(dims[i + 1], dims[i])) * rng.uniform(0.1, 3.0)
+                     for i in range(L)),
+        activations=tuple(Activation.parse(names[int(rng.integers(4))]) for _ in range(L)))
 
 
 def tiny_params(seed=77, dims=(3, 5, 4, 3), acts=("tanh", "leaky_relu:0.1", "identity")):
@@ -80,6 +109,30 @@ class TestNetworkParams:
         assert tuple(a.name() for a in q.activations) == \
             tuple(a.name() for a in p.activations)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), dims=st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    def test_save_load_is_bit_exact(self, data, dims):
+        """Any finite weights, signed zeros and subnormals included, and any
+        activation survive save -> load bit for bit."""
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        layers = tuple(
+            np.array(data.draw(st.lists(floats, min_size=r * c, max_size=r * c)),
+                     dtype=np.float64).reshape(r, c)
+            for c, r in zip(dims, dims[1:]))
+        kinds = st.sampled_from(("relu", "tanh", "identity")).map(Activation)
+        leaky = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+            lambda s: Activation("leaky_relu", s))
+        acts = tuple(data.draw(kinds | leaky) for _ in layers)
+        p = NetworkParams(layers=layers, activations=acts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.txt"
+            p.save(path)
+            q = NetworkParams.load(path)
+        assert len(q.layers) == len(p.layers)
+        for a, b in zip(p.layers, q.layers):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert q.activations == p.activations
+
     def test_load_rejects_trailing_garbage(self, tmp_path):
         path = tmp_path / "w.txt"
         tiny_params().save(path)
@@ -113,12 +166,16 @@ class TestMargin:
             margin(np.array([1.0, 2.0]), 3)
 
     def test_batch_matches_scalar(self):
+        """Both margin forms equal the per-vector oracle bit for bit, ties
+        included."""
         rng = np.random.default_rng(5)
-        V = rng.normal(size=(20, 4))
-        y = rng.integers(1, 5, size=20)
-        batch = margins_batch(V, y)
-        each = np.array([margin(V[i], int(y[i])) for i in range(20)])
-        np.testing.assert_allclose(batch, each, rtol=0, atol=1e-15)
+        for K in range(2, 7):
+            V = rng.normal(size=(200, K)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+            y = rng.integers(1, K + 1, size=200)
+            V[::4, 0] = V[::4].max(axis=1)
+            oracle = np.array([reference_margin(V[i], int(y[i])) for i in range(200)])
+            assert np.array_equal(margins_batch(V, y), oracle)
+            assert np.array_equal([margin(V[i], int(y[i])) for i in range(200)], oracle)
 
 
 class TestRampLoss:
@@ -190,12 +247,18 @@ class TestLosses:
 
 class TestForward:
     def test_batch_matches_single(self):
-        p = tiny_params()
+        """forward equals the per-vector oracle bit for bit on random
+        networks, and forward_batch agrees with it row by row."""
         rng = np.random.default_rng(8)
-        X = rng.normal(size=(10, 3))
-        batch = forward_batch(p, X)
-        each = np.array([forward(p, x) for x in X])
-        np.testing.assert_allclose(batch, each, rtol=0, atol=1e-14)
+        for _ in range(200):
+            p = random_params(rng)
+            X = rng.normal(size=(5, p.input_dim)) * 10.0 ** rng.uniform(-3, 3)
+            oracle = np.array([reference_forward(p, x) for x in X])
+            assert all(np.array_equal(forward(p, x), o) for x, o in zip(X, oracle))
+            # rounding is relative to the largest partial sum, bounded by
+            # |x|_inf times the product of the layers' inf-norms
+            scale = np.abs(X).max() * np.prod([np.abs(W).sum(axis=1).max() for W in p.layers])
+            np.testing.assert_allclose(forward_batch(p, X), oracle, rtol=0, atol=1e-13 * scale)
 
     def test_lipschitz_bound(self):
         """Output displacement never exceeds the product of layer spectral

@@ -9,6 +9,8 @@ import itertools
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -833,6 +835,26 @@ class TestLabeledDatasetIO:
         np.testing.assert_array_equal(back.inputs, data.inputs)
         np.testing.assert_array_equal(back.labels, data.labels)
         assert back.num_classes == 3 and back.kind == "sequence" and back.seed == 77
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(0, 6), d=st.integers(1, 4), K=st.integers(2, 5),
+           kind=st.sampled_from(("sequence", "target_iid")), seed=st.integers(0, 2 ** 64))
+    def test_save_load_is_bit_exact(self, data, n, d, K, kind, seed):
+        """Any finite inputs, signed zeros and subnormals included, and every
+        header field survive save -> load bit for bit."""
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        X = np.array(data.draw(st.lists(floats, min_size=n * d, max_size=n * d)),
+                     dtype=np.float64).reshape(n, d)
+        y = np.array(data.draw(st.lists(st.integers(1, K), min_size=n, max_size=n)),
+                     dtype=np.int64)
+        ds = LabeledDataset(inputs=X, labels=y, num_classes=K, kind=kind, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.txt"
+            ds.save(path)
+            back = LabeledDataset.load(path)
+        assert back.inputs.shape == X.shape and back.inputs.tobytes() == X.tobytes()
+        assert back.labels.dtype == y.dtype and np.array_equal(back.labels, y)
+        assert (back.num_classes, back.kind, back.seed) == (K, kind, seed)
 
     def test_load_rejects_rows_past_the_header_count(self, tmp_path):
         data = sample_sequence(discrete_spec(SYM09, [1.0, 0.0], 2), 3, seed=1)
