@@ -242,7 +242,10 @@ def margin(v: np.ndarray, j: int) -> float:
 
 def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    raw = np.asarray(labels)
+    if raw.dtype.kind not in "biu" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+        raise BadLabel("labels must be integers")
+    labels = raw.astype(np.int64)
     K = logits.shape[1]
     if K < 2:
         raise BadLabel("margins need at least two classes")

@@ -165,6 +165,17 @@ class TestMargin:
         with pytest.raises(BadLabel):
             margin(np.array([1.0, 2.0]), 3)
 
+    def test_labels_must_be_integers(self):
+        v = np.array([1.0, 2.0, 0.5])
+        for j in (1.5, 2.9, np.nan, np.inf):
+            with pytest.raises(BadLabel):
+                margin(v, j)
+        with pytest.raises(BadLabel):
+            margins_batch(np.vstack([v, v]), np.array([1.0, 2.5]))
+        # integral floats are accepted as their integer values
+        assert np.array_equal(margins_batch(np.vstack([v, v]), np.array([1.0, 3.0])),
+                              margins_batch(np.vstack([v, v]), [1, 3]))
+
     def test_batch_matches_scalar(self):
         """Both margin forms equal the per-vector oracle bit for bit, ties
         included."""
@@ -255,10 +266,20 @@ class TestForward:
             X = rng.normal(size=(5, p.input_dim)) * 10.0 ** rng.uniform(-3, 3)
             oracle = np.array([reference_forward(p, x) for x in X])
             assert all(np.array_equal(forward(p, x), o) for x, o in zip(X, oracle))
-            # rounding is relative to the largest partial sum, bounded by
-            # |x|_inf times the product of the layers' inf-norms
+            # A multi-row product may round differently from a matrix-vector
+            # one. Each pass errs by at most (sum of the layers' input dims +
+            # one activation rounding per layer) * eps/2 * scale, where scale
+            # = |X|_inf * prod ||W||_inf bounds every partial sum (the
+            # activations are 1-Lipschitz and fix 0); the two passes differ by
+            # at most twice that, plus one eps for the gamma_d slack.
             scale = np.abs(X).max() * np.prod([np.abs(W).sum(axis=1).max() for W in p.layers])
-            np.testing.assert_allclose(forward_batch(p, X), oracle, rtol=0, atol=1e-13 * scale)
+            terms = sum(W.shape[1] for W in p.layers) + len(p.layers) + 1
+            np.testing.assert_allclose(forward_batch(p, X), oracle, rtol=0,
+                                       atol=terms * np.finfo(np.float64).eps * scale)
+        p = tiny_params()
+        X = np.random.default_rng(8).normal(size=(10, 3))
+        oracle = np.array([reference_forward(p, x) for x in X])
+        np.testing.assert_allclose(forward_batch(p, X), oracle, rtol=0, atol=1e-14)
 
     def test_lipschitz_bound(self):
         """Output displacement never exceeds the product of layer spectral
