@@ -30,7 +30,6 @@ from .network import Architecture, TrainConfig
 from .process import (
     ProcessSpec,
     _check_keys,
-    _field_names,
     mixing_profile,
     sample_sequence,
     sample_target,
@@ -112,9 +111,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = {"out_dir": "out", **_check_keys(doc, _field_names(cls), "top level")}
+        doc = _check_keys({"out_dir": "out", **doc}, cls, "top level")
         for name, builder in (("arch", Architecture), ("train", TrainConfig)):
-            doc[name] = builder(**_check_keys(doc[name], _field_names(builder), name))
+            doc[name] = builder(**_check_keys(doc[name], builder, name))
         doc["process"] = ProcessSpec.from_json_dict(doc["process"])
         return cls(**doc)
 

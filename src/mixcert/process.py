@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -221,11 +221,26 @@ class EmissionSpec:
             return 0.0
         return self.drift_amplitude * float(t) ** (-self.drift_exponent)
 
-    def rows_at(self, t: int) -> np.ndarray:
-        """Per-state rows of the time-t law, (1 - w_t) * rows + w_t * drift_rows."""
-        w = self.drift_weight(t)
-        if w == 0.0:
-            return self.rows
+    def rows_at(self, t) -> np.ndarray:
+        """Per-state rows of the time-t law, (1 - w_t) * rows + w_t * drift_rows,
+        and `rows` itself where w_t is 0. For a sequence of integer times
+        rather than one, the (times, S, C) stack of those rows: a read-only
+        view of `rows` when every weight is 0."""
+        if isinstance(t, (int, np.integer)):
+            w = self.drift_weight(t)
+            return self.rows if w == 0.0 else self._mixture(w)
+        w = np.array([self.drift_weight(i) for i in t])
+        stack = np.broadcast_to(self.rows, (len(w), *self.rows.shape))
+        mix = w != 0.0
+        if not mix.any():
+            return stack
+        stack = stack.copy()
+        stack[mix] = self._mixture(w[mix, None, None])
+        return stack
+
+    def _mixture(self, w) -> np.ndarray:
+        """(1 - w) * rows + w * drift_rows, for one weight or for an array of
+        weights that broadcasts against the rows."""
         return (1.0 - w) * self.rows + w * self.drift_rows
 
     def table_at(self, t: int) -> np.ndarray:
@@ -289,13 +304,12 @@ class ProcessSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ProcessSpec":
-        doc = dict(_check_keys(doc, _field_names(cls), "process"))
-        markov = _check_keys(doc["markov"], _field_names(MarkovSpec), "process.markov")
-        doc["markov"] = MarkovSpec(**markov)
-        em = doc["emission"]
+        doc = dict(_check_keys(doc, cls, "process"))
+        doc["markov"] = MarkovSpec(**_check_keys(doc["markov"], MarkovSpec, "process.markov"))
         # the mode first: it decides which keys the section may carry
-        doc["emission"] = EmissionSpec(
-            **_check_keys(em, _emission_keys(em["mode"]), "process.emission"))
+        em = _check_keys(doc["emission"], EmissionSpec, "process.emission")
+        doc["emission"] = EmissionSpec(**_check_keys(
+            em, EmissionSpec, "process.emission", _emission_keys(em["mode"])))
         return cls(**doc)
 
     def digest(self) -> str:
@@ -418,10 +432,15 @@ def _line(raw: list, i: int) -> str:
     return raw[i]
 
 
-def _check_keys(section: dict, allowed, name: str) -> dict:
-    """Return a config section; ValueError for a key not in `allowed`, the
-    names of the fields it may set on the dataclass it builds, so that no
-    key (a misspelt one, another emission mode's) is silently dropped."""
+def _check_keys(section: dict, cls, name: str, allowed=None) -> dict:
+    """Return a config section for the dataclass `cls`. ValueError for a
+    field of cls with no default that the section lacks, and for a key not
+    in `allowed` (default: every field of cls), so that no key (a misspelt
+    one, another emission mode's) is silently dropped."""
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in section:
+            raise ValueError(f"missing key {f.name!r} in config section {name}")
+    allowed = _field_names(cls) if allowed is None else allowed
     for key in section:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in config section {name}")
@@ -462,8 +481,11 @@ def tv_distance(p, q) -> float:
 
 
 def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Total variation along the last axis, broadcasting p against q."""
-    return 0.5 * np.abs(p - q).sum(axis=-1)
+    """Total variation along the last axis, broadcasting p against q. The
+    absolute value runs in place, so the broadcast difference is the only
+    temporary of its size."""
+    gap = p - q
+    return 0.5 * np.abs(gap, out=gap).sum(axis=-1)
 
 
 def stationary_distribution(markov: MarkovSpec) -> np.ndarray:
@@ -667,13 +689,16 @@ def _alphabet_groups(alphabet: np.ndarray) -> tuple[np.ndarray, int]:
     return groups, len(seen)
 
 
-def _joint_table(h: np.ndarray, table: np.ndarray, groups: np.ndarray,
+def _joint_table(h: np.ndarray, tables: np.ndarray, groups: np.ndarray,
                  num_groups: int, label_map: tuple, K: int) -> np.ndarray:
-    """Law of (point, label) given hidden law h and emission table, flattened."""
-    J = np.zeros((num_groups, K))
-    for s in range(table.shape[0]):
-        np.add.at(J[:, label_map[s] - 1], groups, h[s] * table[s])
-    return J.ravel()
+    """Laws of (point, label), one flattened (group, label) row per hidden
+    law h[t] and (S, M) emission table tables[t]. Each entry adds its terms
+    state by state, then alphabet point by point."""
+    J = np.zeros((h.shape[0], num_groups * K))
+    for s in range(tables.shape[1]):
+        np.add.at(J, (slice(None), groups * K + label_map[s] - 1),
+                  h[:, s, None] * tables[:, s])
+    return J
 
 
 def _gaussian_emission_tv(em: EmissionSpec, w: np.ndarray) -> np.ndarray:
@@ -703,11 +728,11 @@ def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, times) -> np.ndarr
     joint (point, label) TV for discrete emissions, the hidden TV plus the
     max-state emission TV, capped at 1, for Gaussian ones."""
     em = spec.emission
+    times = np.asarray(times)
     if em.mode == "discrete":
         law = (*_alphabet_groups(em.alphabet), spec.label_map, spec.num_classes)
-        J_inf = _joint_table(pistar, em.table, *law)
-        return np.array([_tv(_joint_table(M[i], em.rows_at(i), *law), J_inf) for i in times])
-    times = np.asarray(times)
+        J_inf = _joint_table(pistar[None], em.table[None], *law)[0]
+        return _tv(_joint_table(M[times], em.rows_at(times), *law), J_inf)
     w = np.array([em.drift_weight(i) for i in times])
     return np.minimum(1.0, _tv(M[times], pistar) + _gaussian_emission_tv(em, w))
 
@@ -721,17 +746,21 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
 
     Cost: O(T**2 S**2 + n S**2) time for S states, plus S**3 per lag for
     the k-step rows until they repeat. Memory: O(min(n, T) S**2) for the
-    (S, times, S) differences one lag reduces in one shot, plus O(n S) for
-    the marginals and, for Gaussian emissions in d dimensions, O(n S d) for
-    mu's mean gaps at every time. T is the first time from which the
-    marginals initial @ P**t repeat exactly, 2n + 1 when they do not within
-    2n. The shortcut is exact because equal inputs give equal bits.
-    Marginal rows t >= T equal row T, so at lag k the times t >= T - k
-    share one future, M[T]: their TV is one column over the union of their
-    reach masks. Once that is the only column and the k-step rows
-    delta_b @ P**k also repeat exactly, every later phi(k) is the same
-    float. Without a fixed point in the window every lag takes all n + 1
-    columns, as the plain loop does.
+    one (S, times, S) difference a lag takes its absolute value of in place
+    and reduces in one shot, plus O(n S) for the marginals. Discrete mu
+    costs S np.add.at calls over an (n, G K) array of joint (point, label)
+    laws for G distinct points and K labels, plus O(n S M) for the drifted
+    (S, M) emission tables when the law drifts; Gaussian mu in d dimensions
+    costs O(n S d) for the mean gaps at every time.
+
+    T is the first time from which the marginals initial @ P**t repeat
+    exactly, 2n + 1 when they do not within 2n. The shortcut is exact
+    because equal inputs give equal bits. Marginal rows t >= T equal row T,
+    so at lag k the times t >= T - k share one future, M[T]: their TV is one
+    column over the union of their reach masks. Once that is the only column
+    and the k-step rows delta_b @ P**k also repeat exactly, every later
+    phi(k) is the same float. Without a fixed point in the window every lag
+    takes all n + 1 columns, as the plain loop does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixcert
 from mixcert import (
@@ -34,6 +35,15 @@ from mixcert.harness import (
     main,
     write_json,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def drop_key(doc, path):
+    """Delete doc[path[0]][path[1]]...; the config document minus one key."""
+    for key in path[:-1]:
+        doc = doc[key]
+    del doc[path[-1]]
 
 
 def discrete_process():
@@ -141,6 +151,55 @@ class TestExperimentConfig:
         doc["process"]["emission"].update(mode="poisson", sigma=1.0)
         with pytest.raises(ValueError, match="unknown emission mode 'poisson'"):
             ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("path, section", [
+        (("train",), "top level"), (("arch",), "top level"), (("process",), "top level"),
+        (("seeds",), "top level"), (("train", "epochs"), "train"),
+        (("arch", "dims"), "arch"), (("process", "markov"), "process"),
+        (("process", "emission"), "process"), (("process", "markov", "initial"), "process.markov"),
+        (("process", "emission", "mode"), "process.emission")])
+    def test_missing_required_key_rejected(self, path, section):
+        """A field with no default that a section lacks is named, not a raw
+        KeyError or a TypeError from the constructor."""
+        doc = small_config("o").to_json_dict()
+        drop_key(doc, path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"missing key {path[-1]!r} in config section {section}")):
+            ExperimentConfig.from_json_dict(doc)
+
+    def test_defaulted_keys_may_be_left_out(self):
+        doc = small_config("o").to_json_dict()
+        for key in ("out_dir", "validators"):
+            del doc[key]
+        del doc["train"]["init_scale"]
+        cfg = ExperimentConfig.from_json_dict(doc)
+        assert cfg.out_dir == "out" and cfg.validators == () and cfg.train.init_scale is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["default", "small", "validators"]))
+    def test_json_round_trip_property(self, data, name):
+        """Shipped configs with varied numeric fields survive to_json_dict,
+        JSON text and from_json_dict with the same document and digest."""
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        unit = st.floats(0.001, 0.999)
+        doc.update(
+            n_train=data.draw(st.integers(1, 10**6)), m_target=data.draw(st.integers(1, 10**6)),
+            delta=data.draw(unit),
+            gamma_list=data.draw(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=4)),
+            seeds=data.draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=5, unique=True)))
+        doc["train"].update(
+            learning_rate=data.draw(st.floats(0.0, 10.0)), epochs=data.draw(st.integers(0, 50)),
+            batch_size=data.draw(st.integers(1, 512)), seed=data.draw(st.integers(0, 2**31)),
+            init_scale=data.draw(st.none() | st.floats(1e-3, 10.0)))
+        em = doc["process"]["emission"]
+        em.update(drift_amplitude=data.draw(st.floats(0.0, 1.0)),
+                  drift_exponent=data.draw(st.floats(1e-3, 400.0)))
+        if em["mode"] == "gaussian":
+            em["sigma"] = data.draw(st.floats(1e-3, 100.0))
+        cfg = ExperimentConfig.from_json_dict(doc)
+        again = ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+        assert again.to_json_dict() == cfg.to_json_dict()
+        assert again.process.digest() == cfg.process.digest()
 
 
 class TestSmallHelpers:
@@ -288,6 +347,18 @@ class TestMainEntry:
         rc = main(["certify", "--config", str(path)])
         assert rc == 2
         assert "config error:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("path", [("train",), ("seeds",), ("train", "epochs"),
+                                      ("process", "markov"), ("process", "emission", "mode")])
+    def test_missing_config_key_rc2(self, tmp_path, capsys, path):
+        config = self.write_config(tmp_path)
+        doc = json.loads(config.read_text())
+        drop_key(doc, path)
+        config.write_text(json.dumps(doc))
+        rc = main(["certify", "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith(
+            f"config error: missing key {path[-1]!r} in config section")
 
     def test_unknown_config_key_rc2(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

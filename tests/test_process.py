@@ -47,7 +47,7 @@ from mixcert.process import (
     _fixed_point,
     _inverse_cdf,
     _marginals,
-    _mu,
+    _tv,
     _walk,
 )
 from mixcert.seeding import substream
@@ -85,11 +85,23 @@ def default_chain():
         return ProcessSpec.from_json_dict(json.load(fh)["process"])
 
 
+def reference_joint(h, table, alphabet, label_map, K):
+    """Law of (point, label), flattened over (distinct point, label), given
+    hidden law h and emission table: one np.add.at per state, in state
+    order."""
+    keys = {}
+    groups = np.array([keys.setdefault(a.tobytes(), len(keys)) for a in alphabet])
+    J = np.zeros((len(keys), K))
+    for s in range(len(h)):
+        np.add.at(J[:, label_map[s] - 1], groups, h[s] * table[s])
+    return J.ravel()
+
+
 def reference_profile(spec, n):
     """(phi, mu, delta_inf) by the O(n**2 S**2) loop with no fixed-point
     shortcut: every marginal stepped, every lag taken over all n + 1
-    conditioning times, the Gaussian drift one time at a time. mixing_profile
-    must return these bits."""
+    conditioning times, the drift one time at a time. mixing_profile must
+    return these bits."""
     markov, em = spec.markov, spec.emission
     pistar = stationary_distribution(markov)
     M = np.empty((2 * n + 1, markov.num_states))
@@ -104,10 +116,15 @@ def reference_profile(spec, n):
         tv = 0.5 * np.abs(rows[:, None, :] - M[None, k: n + k + 1, :]).sum(axis=-1)
         limit = 0.5 * np.abs(rows - pistar).sum(axis=-1)
         phi[k - 1] = min(max(float(tv[reach].max()), float(limit.max())), 1.0)
+    mu = np.empty(n)
     if em.mode == "discrete":
-        mu = _mu(spec, pistar, M, range(1, n + 1))
+        law = (em.alphabet, spec.label_map, spec.num_classes)
+        J_inf = reference_joint(pistar, em.table, *law)
+        for i in range(1, n + 1):
+            w = em.drift_weight(i)
+            table = em.table if w == 0.0 else (1.0 - w) * em.table + w * em.drift_table
+            mu[i - 1] = 0.5 * np.abs(reference_joint(M[i], table, *law) - J_inf).sum()
     else:
-        mu = np.empty(n)
         for i in range(1, n + 1):
             w = em.drift_weight(i)
             emission = 0.0
@@ -148,6 +165,21 @@ class TestTVDistance:
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError):
             tv_distance(np.array([0.9, 0.2]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("p_shape, q_shape", [
+        ((5, 1, 5), (1, 7, 5)), ((1, 7, 5), (5, 1, 5)), ((7, 5), (5,)),
+        ((5,), (7, 5)), ((6,), (6,)), ((1,), (1,))])
+    def test_kernel_is_the_plain_formula_and_keeps_its_inputs(self, p_shape, q_shape):
+        """_tv takes its absolute value in place: the bits of the plain
+        formula, on any broadcast shapes, and neither input modified."""
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            p, q = rng.random(p_shape), rng.random(q_shape)
+            p_before, q_before = p.copy(), q.copy()
+            got = _tv(p, q)
+            want = 0.5 * np.abs(p - q).sum(axis=-1)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.array_equal(p, p_before) and np.array_equal(q, q_before)
 
 
 class TestMarkovSpecValidation:
@@ -527,6 +559,30 @@ class TestOneKernel:
                     assert mu_at(spec, k) == prof.mu[k - 1], (S, mode, drift, k)
 
 
+    @pytest.mark.parametrize("drift", ["none", "normal", "underflow"])
+    def test_discrete_mu_matches_the_per_time_loop(self, drift):
+        """Discrete mu for all times at once equals the per-time joint tables
+        of reference_profile, on alphabets with duplicate points. At
+        exponent 400 the drift weight underflows to 0 from t = 7 on, and those
+        times keep the undrifted table."""
+        rng = np.random.default_rng({"none": 5, "normal": 6, "underflow": 7}[drift])
+        for S in range(1, 6):
+            spec = self.random_spec(rng, S, "discrete", drift != "none")
+            em = spec.emission
+            alphabet = em.alphabet.copy()
+            alphabet[2] = alphabet[0]  # a duplicate point, at least
+            exponent = 400.0 if drift == "underflow" else em.drift_exponent
+            spec = ProcessSpec(
+                markov=spec.markov,
+                emission=EmissionSpec.discrete(alphabet, em.table, em.drift_table,
+                                               em.drift_amplitude, exponent),
+                label_map=spec.label_map, num_classes=spec.num_classes, input_dim=2)
+            for n in (1, 2, 37, 300):
+                prof = assert_matches_reference(spec, n)
+                for i in sorted({1, min(2, n), min(7, n), n}):
+                    assert mu_at(spec, i) == prof.mu[i - 1], (drift, S, n, i)
+
+
 class TestEmissionDrift:
     def test_weight_schedule(self):
         em = EmissionSpec.gaussian(means=np.array([[1.0], [-1.0]]), sigma=0.5,
@@ -555,6 +611,24 @@ class TestEmissionDrift:
                                    drift_table=drift, drift_amplitude=1.0,
                                    drift_exponent=1.0)
         np.testing.assert_allclose(em.table_at(2), 0.5 * base + 0.5 * drift)
+
+    @pytest.mark.parametrize("amplitude, exponent", [(0.0, 0.5), (0.7, 0.5), (0.7, 400.0)])
+    def test_rows_at_over_times_stacks_the_single_times(self, amplitude, exponent):
+        """rows_at over an array of times is the stack of the one-time rows,
+        bit for bit; a weight that underflows to 0 (exponent 400, t >= 7)
+        leaves the rows themselves."""
+        means = np.array([[1.0, -2.0], [0.5, 3.0]])
+        em = EmissionSpec.gaussian(means=means, sigma=0.5,
+                                   drift_means=np.array([[-1.0, 0.25], [2.0, -3.0]]),
+                                   drift_amplitude=amplitude, drift_exponent=exponent)
+        times = np.arange(1, 40)
+        stack = em.rows_at(times)
+        assert stack.shape == (39, 2, 2)
+        assert np.array_equal(stack, np.stack([em.rows_at(int(t)) for t in times]))
+        if exponent == 400.0:
+            assert em.drift_weight(6) > 0.0 and em.drift_weight(7) == 0.0
+            assert not np.array_equal(stack[0], means)
+            assert all(np.array_equal(rows, means) for rows in stack[6:])
 
     @pytest.mark.parametrize("mode, foreign", [
         ("discrete", {"sigma": 0.5}),
