@@ -70,7 +70,7 @@ class ExperimentConfig:
     gamma_list: tuple
     delta: float
     seeds: tuple
-    out_dir: str
+    out_dir: str = "out"
     validators: tuple = ()
 
     def __post_init__(self):
@@ -111,7 +111,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = _check_keys({"out_dir": "out", **doc}, cls, "top level")
+        doc = dict(_check_keys(doc, cls, "top level"))
         for name, builder in (("arch", Architecture), ("train", TrainConfig)):
             doc[name] = builder(**_check_keys(doc[name], builder, name))
         doc["process"] = ProcessSpec.from_json_dict(doc["process"])

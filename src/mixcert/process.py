@@ -26,6 +26,7 @@ import hashlib
 import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -110,7 +111,7 @@ _MODE_FIELDS = {
 
 def _emission_keys(mode) -> tuple:
     """Names of the EmissionSpec fields a spec of `mode` carries."""
-    if mode not in _MODE_FIELDS:
+    if not isinstance(mode, str) or mode not in _MODE_FIELDS:
         raise ValueError(f"unknown emission mode {mode!r}")
     foreign = {name for other, owned in _MODE_FIELDS.items() if other != mode
                for name in owned}
@@ -436,7 +437,16 @@ def _check_keys(section: dict, cls, name: str, allowed=None) -> dict:
     """Return a config section for the dataclass `cls`. ValueError for a
     field of cls with no default that the section lacks, and for a key not
     in `allowed` (default: every field of cls), so that no key (a misspelt
-    one, another emission mode's) is silently dropped."""
+    one, another emission mode's) is silently dropped. Before that,
+    ValueError naming the section if it is not a JSON object, and naming the
+    key if a field annotated `tuple` holds something other than an array."""
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name} must be a JSON object, "
+                         f"not {type(section).__name__}")
+    for f in fields(cls):
+        if f.type == "tuple" and not isinstance(section.get(f.name, ()), (list, tuple)):
+            raise ValueError(f"key {f.name!r} in config section {name} must be a JSON "
+                             f"array, not {type(section[f.name]).__name__}")
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in section:
             raise ValueError(f"missing key {f.name!r} in config section {name}")
@@ -789,30 +799,55 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
                          mu_exact=spec.emission.mode == "discrete")
 
 
-def _inverse_cdf(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """First index whose cumulative mass reaches u, rowwise."""
-    idx = (cum_rows < u[:, None]).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+def _inverse_cdf(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """First column of row cum[states[i]] whose cumulative mass reaches u[i],
+    capped at the last column: the count of columns j < C - 1 with
+    cum[states[i], j] < u[i]. On nondecreasing rows (cumulative sums of
+    nonnegative laws) that is min(sum_j (cum[states[i], j] < u[i]), C - 1).
+    One 1-d gather and comparison per column; no (draws, C) block."""
+    idx = np.zeros(len(u), dtype=np.int64)
+    for j in range(cum.shape[1] - 1):
+        idx += cum[:, j].take(states) < u
+    return idx
 
 
 def _draw_points(table: np.ndarray, states: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """Alphabet indices drawn from the table rows of `states`, one uniform
-    each. The S rows are accumulated before they are gathered by state, which
-    gives the same bits as gathering first at a fraction of the cost."""
-    return _inverse_cdf(np.cumsum(table, axis=1)[states], rng.random(len(states)))
+    each, by the column rule of `_inverse_cdf` on the accumulated table."""
+    return _inverse_cdf(np.cumsum(table, axis=1), states, rng.random(len(states)))
 
 
 def _walk(markov: MarkovSpec, trials: int, rng: np.random.Generator):
     """Hidden states of `trials` independent chains, lazily: the start state
     H_0 from the initial law, then H_1, H_2, ... one kernel step per next().
     Each state costs one uniform per chain, drawn when it is produced, so a
-    caller can interleave its own draws between steps."""
+    caller can interleave its own draws between steps. A step is one
+    `_inverse_cdf` over the accumulated kernel, indexed by the current states."""
     cum_P = np.cumsum(markov.transition, axis=1)
-    cur = _inverse_cdf(np.tile(np.cumsum(markov.initial), (trials, 1)), rng.random(trials))
+    cur = _inverse_cdf(np.cumsum(markov.initial)[None, :], np.zeros(trials, dtype=np.int64),
+                       rng.random(trials))
     while True:
         yield cur
-        cur = _inverse_cdf(cum_P[cur], rng.random(trials))
+        cur = _inverse_cdf(cum_P, cur, rng.random(trials))
+
+
+def _walk_path(markov: MarkovSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """H_0..H_n of one chain: the states _walk(markov, 1, rng) yields, from
+    the same n + 1 uniforms drawn as one block. Each step is `bisect_left`
+    over the first C - 1 entries of a cumulative row, the count of entries
+    below u that `_inverse_cdf` takes, in Python floats, without a numpy call
+    per step."""
+    last = markov.num_states - 1
+    start = np.cumsum(markov.initial)[:last].tolist()
+    rows = [row[:last] for row in np.cumsum(markov.transition, axis=1).tolist()]
+    u = rng.random(n + 1).tolist()
+    cur = bisect_left(start, u[0])
+    states = [cur]
+    for x in u[1:]:
+        cur = bisect_left(rows[cur], x)
+        states.append(cur)
+    return np.array(states, dtype=np.int64)
 
 
 def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
@@ -825,8 +860,7 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
         raise EmptyDataset("sequence length must be >= 1")
     rng = substream(seed, _STREAM_SEQUENCE)
     em = spec.emission
-    walk = _walk(spec.markov, 1, rng)
-    emitted = np.concatenate([next(walk) for _ in range(n + 1)])[1:]
+    emitted = _walk_path(spec.markov, n, rng)[1:]
     labels = np.asarray(spec.label_map, dtype=np.int64)[emitted]
     rows = em.rows[emitted]
     if em.has_drift():

@@ -6,12 +6,13 @@ The conditional complexity of a class F on points z_1..z_n is
 
 with iid uniform signs theta_i in {-1, +1}. One kernel computes it for every
 caller: `_sign_sups` reduces a (members, paths, n) value array against sign
-rows, `_exact_rademacher` enumerates all 2**n sign vectors through it, and
-`_draw_signs` is the one sign draw. `empirical_rademacher_exact` and
-`empirical_rademacher_mc` run the kernel on one path; the symmetrization
-validator in `bounds` runs it on many. `covering_rademacher_bound` is the
-closed-form covering-number bound for margin losses of norm-bounded
-networks; the certificate module consumes its two terms scaled by 2.
+rows, `_exact_rademacher` enumerates all 2**n sign vectors through it once
+per distinct path, and `_draw_signs` is the one sign draw.
+`empirical_rademacher_exact` and `empirical_rademacher_mc` run the kernel on
+one path; the symmetrization validator in `bounds` runs it on many.
+`covering_rademacher_bound` is the closed-form covering-number bound for
+margin losses of norm-bounded networks; the certificate module consumes its
+two terms scaled by 2.
 """
 from __future__ import annotations
 
@@ -58,7 +59,9 @@ class FunctionClass:
             if vals.shape[0] != X.shape[0]:
                 raise ValueError(f"member {m} returned {vals.shape[0]} values "
                                  f"for {X.shape[0]} points")
-            if vals.min(initial=0.0) < -_RANGE_ATOL or vals.max(initial=0.0) > 1.0 + _RANGE_ATOL:
+            # negated, so that a NaN (every comparison False) is rejected too
+            if not (vals.min(initial=0.0) >= -_RANGE_ATOL
+                    and vals.max(initial=0.0) <= 1.0 + _RANGE_ATOL):
                 raise ValueError(f"member {m} left [0, 1]")
             out[m] = vals
         return out
@@ -136,9 +139,36 @@ def _sign_sups(F: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 def _exact_rademacher(F: np.ndarray) -> np.ndarray:
     """Exact conditional complexity of every path of F (members, paths, n):
-    the mean sup over all 2**n sign vectors, divided by n. Sign vector c
-    has theta_i = +1 where bit i of c is set; the loops take blocks of
-    _SIGN_CHUNK sign vectors and _PATH_BLOCK paths."""
+    the mean sup over all 2**n sign vectors, divided by n.
+
+    Paths whose (members, n) values have the same bytes have the same
+    complexity, so with two or more members the enumeration runs once per
+    distinct path and the results are scattered back. Paths are grouped by
+    a lexicographic sort of their bit patterns, one strided uint64 column
+    per (member, point): that keeps -0.0 apart from 0.0 and, unlike a byte
+    key per path, needs no (paths, members * n) copy of F. A one-member
+    class is not grouped: there a block of one path goes through a
+    matrix-vector product, whose last bits can differ from the
+    matrix-matrix product of a larger block."""
+    members, paths, n = F.shape
+    if members < 2 or paths < 2:
+        return _enumerate_signs(F)
+    cols = [F[m, :, i].view(np.uint64) for m in range(members) for i in range(n)]
+    order = np.lexsort(cols)
+    first = np.zeros(paths, dtype=bool)
+    first[0] = True
+    for col in cols:
+        sorted_col = col[order]
+        first[1:] |= sorted_col[1:] != sorted_col[:-1]
+    group = np.empty(paths, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return _enumerate_signs(F[:, order[first]])[group]
+
+
+def _enumerate_signs(F: np.ndarray) -> np.ndarray:
+    """`_exact_rademacher` of every path of F, repeated paths included. Sign
+    vector c has theta_i = +1 where bit i of c is set; the loops take blocks
+    of _SIGN_CHUNK sign vectors and _PATH_BLOCK paths."""
     paths, n = F.shape[1], F.shape[2]
     count = 1 << n
     total = np.zeros(paths)

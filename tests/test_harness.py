@@ -46,6 +46,33 @@ def drop_key(doc, path):
     del doc[path[-1]]
 
 
+def set_key(doc, path, value):
+    """Set doc[path[0]][path[1]]... to value; the empty path replaces doc."""
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+WRONG_TYPE_CASES = [
+    ((), "config section top level must be a JSON object, not int"),
+    (("train",), "config section train must be a JSON object, not int"),
+    (("arch",), "config section arch must be a JSON object, not int"),
+    (("process",), "config section process must be a JSON object, not int"),
+    (("process", "markov"), "config section process.markov must be a JSON object, not int"),
+    (("process", "emission"), "config section process.emission must be a JSON object, not int"),
+    (("seeds",), "key 'seeds' in config section top level must be a JSON array, not int"),
+    (("gamma_list",), "key 'gamma_list' in config section top level must be a JSON array"),
+    (("validators",), "key 'validators' in config section top level must be a JSON array"),
+    (("arch", "dims"), "key 'dims' in config section arch must be a JSON array, not int"),
+    (("arch", "activations"), "key 'activations' in config section arch must be a JSON array"),
+    (("process", "label_map"), "key 'label_map' in config section process must be a JSON array"),
+]
+
+
 def discrete_process():
     return ProcessSpec(
         markov=MarkovSpec(num_states=2,
@@ -166,6 +193,26 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=re.escape(
                 f"missing key {path[-1]!r} in config section {section}")):
             ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("path, message", WRONG_TYPE_CASES)
+    def test_section_of_wrong_type_rejected(self, path, message):
+        """A section that is not a JSON object, or a list that is not a JSON
+        array, is named before its keys are read."""
+        doc = set_key(small_config("o").to_json_dict(), path, 5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_json_dict(doc)
+
+    def test_wrong_type_beyond_sections(self):
+        doc = small_config("o").to_json_dict()
+        for path, value, message in (
+                (("seeds",), "7", "key 'seeds' in config section top level must be a JSON "
+                                  "array, not str"),
+                (("process", "markov"), [1, 2], "config section process.markov must be a "
+                                                "JSON object, not list"),
+                (("process", "emission", "mode"), ["x"], "unknown emission mode ['x']")):
+            bad = set_key(json.loads(json.dumps(doc)), path, value)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ExperimentConfig.from_json_dict(bad)
 
     def test_defaulted_keys_may_be_left_out(self):
         doc = small_config("o").to_json_dict()
@@ -359,6 +406,15 @@ class TestMainEntry:
         assert rc == 2
         assert capsys.readouterr().out.startswith(
             f"config error: missing key {path[-1]!r} in config section")
+
+    @pytest.mark.parametrize("path, message", WRONG_TYPE_CASES)
+    def test_wrong_type_config_rc2(self, tmp_path, capsys, path, message):
+        config = self.write_config(tmp_path)
+        doc = set_key(json.loads(config.read_text()), path, 5)
+        config.write_text(json.dumps(doc))
+        rc = main(["validate", "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith(f"config error: {message}")
 
     def test_unknown_config_key_rc2(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -49,6 +49,7 @@ from mixcert.process import (
     _marginals,
     _tv,
     _walk,
+    _walk_path,
 )
 from mixcert.seeding import substream
 
@@ -737,11 +738,102 @@ class TestSampling:
         assert abs(freq - 0.5) < 5 * np.sqrt(0.25 / 20000)
 
 
+def reference_inverse_cdf(cum_rows, u):
+    """First index whose cumulative mass reaches u, rowwise, on gathered rows
+    (draws, C): the count of entries below u, capped at the last column."""
+    idx = (cum_rows < u[:, None]).sum(axis=1)
+    return np.minimum(idx, cum_rows.shape[1] - 1)
+
+
+def reference_walk(markov, trials, rng):
+    """Hidden states of `trials` chains, one kernel step and one uniform per
+    chain per next(), by `reference_inverse_cdf` on gathered rows."""
+    cum_P = np.cumsum(markov.transition, axis=1)
+    cur = reference_inverse_cdf(np.tile(np.cumsum(markov.initial), (trials, 1)),
+                                rng.random(trials))
+    while True:
+        yield cur
+        cur = reference_inverse_cdf(cum_P[cur], rng.random(trials))
+
+
+def random_law(rng, rows, cols):
+    """Row-stochastic (rows, cols) matrix with some zero-probability columns."""
+    law = rng.random((rows, cols))
+    law[rng.random((rows, cols)) < 0.3] = 0.0
+    law[np.arange(rows), rng.integers(0, cols, size=rows)] += 0.5
+    return law / law.sum(axis=1, keepdims=True)
+
+
+class TestChainStepping:
+    """The column rule of `_inverse_cdf` and the single-chain `_walk_path`
+    against the gathered-row formula and the lazy `_walk`."""
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 16])
+    def test_inverse_cdf_matches_gathered_rows(self, S):
+        rng = np.random.default_rng(S)
+        for _ in range(25):
+            R = int(rng.integers(1, 6))
+            cum = np.cumsum(random_law(rng, R, S), axis=1)
+            states = rng.integers(0, R, size=300)
+            u = rng.random(300)
+            u[:30] = 0.0
+            # u on an exact cumulative value, ties between equal columns included
+            u[30:150] = cum[states[30:150], rng.integers(0, S, size=120)]
+            # u just above a row's total, where only the cap decides
+            u[150:200] = np.nextafter(cum[states[150:200], -1], 2.0)
+            got = _inverse_cdf(cum, states, u)
+            want = reference_inverse_cdf(cum[states], u)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_walk_path_matches_walk(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            S = int(rng.integers(1, 17))
+            markov = MarkovSpec(num_states=S, transition=random_law(rng, S, S),
+                                initial=random_law(rng, 1, S)[0])
+            n, seed = int(rng.integers(0, 300)), int(rng.integers(0, 2 ** 31))
+            a, b, c = (substream(seed, 0) for _ in range(3))
+            got = _walk_path(markov, n, a)
+            for walk in (_walk(markov, 1, b), reference_walk(markov, 1, c)):
+                want = np.concatenate([next(walk) for _ in range(n + 1)])
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            # the same uniforms were consumed
+            assert a.random() == b.random() == c.random()
+
+    def test_walk_path_on_boundary_uniforms(self):
+        """Uniforms that random draws almost never give: 0, exact cumulative
+        values, and values just above a row's total, fed in order to both
+        walks by a stand-in for the generator."""
+        class Scripted:
+            def __init__(self, u):
+                self.u = list(u)
+
+            def random(self, size):
+                out, self.u = self.u[:size], self.u[size:]
+                return np.array(out)
+
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            S = int(rng.integers(1, 9))
+            markov = MarkovSpec(num_states=S, transition=random_law(rng, S, S),
+                                initial=random_law(rng, 1, S)[0])
+            cum = np.cumsum(np.vstack([markov.initial, markov.transition]), axis=1)
+            pool = np.concatenate([[0.0], cum.ravel(), np.nextafter(cum[:, -1], 2.0)])
+            n = int(rng.integers(0, 60))
+            u = rng.choice(pool, size=n + 1)
+            got = _walk_path(markov, n, Scripted(u))
+            for walk in (_walk(markov, 1, Scripted(u)), reference_walk(markov, 1, Scripted(u))):
+                want = np.concatenate([next(walk) for _ in range(n + 1)])
+                assert np.array_equal(got, want)
+
+
 class TestOneDraw:
     """The four samplers draw through EmissionSpec.emit. The per-mode loops
     below are the samplers written out one mode at a time, with the drift
     mixture inline; the samplers must match them bit for bit, which pins the
-    order in which each consumes its random stream."""
+    order in which each consumes its random stream. They step the chain and
+    draw points with this file's `reference_walk` and `reference_inverse_cdf`,
+    not with the code under test."""
 
     @staticmethod
     def random_spec(rng, S, mode, drift):
@@ -781,11 +873,11 @@ class TestOneDraw:
     def reference_sequence(self, spec, n, seed):
         em = spec.emission
         rng = substream(seed, _STREAM_SEQUENCE)
-        walk = _walk(spec.markov, 1, rng)
+        walk = reference_walk(spec.markov, 1, rng)
         states = np.concatenate([next(walk) for _ in range(n + 1)])[1:]
         rows = np.array([self.law_at(em, t + 1)[s] for t, s in enumerate(states)])
         if em.mode == "discrete":
-            X = em.alphabet[_inverse_cdf(np.cumsum(rows, axis=1), rng.random(n))]
+            X = em.alphabet[reference_inverse_cdf(np.cumsum(rows, axis=1), rng.random(n))]
         else:
             X = rows + em.sigma * rng.standard_normal((n, spec.input_dim))
         return X, np.asarray(spec.label_map, dtype=np.int64)[states]
@@ -796,10 +888,11 @@ class TestOneDraw:
         rng = substream(seed, _STREAM_TARGET)
         if m == 0:
             return np.zeros((0, spec.input_dim)), np.zeros(0, dtype=np.int64)
-        states = _inverse_cdf(np.tile(np.cumsum(pistar), (m, 1)), rng.random(m))
+        states = reference_inverse_cdf(np.tile(np.cumsum(pistar), (m, 1)), rng.random(m))
         labels = np.array([spec.label_map[s] for s in states], dtype=np.int64)
         if em.mode == "discrete":
-            X = em.alphabet[_inverse_cdf(np.cumsum(em.table, axis=1)[states], rng.random(m))]
+            X = em.alphabet[reference_inverse_cdf(np.cumsum(em.table, axis=1)[states],
+                                                     rng.random(m))]
         else:
             X = em.means[states] + em.sigma * rng.standard_normal((m, spec.input_dim))
         return X, labels
@@ -807,7 +900,7 @@ class TestOneDraw:
     def reference_batch(self, spec, n, trials, seed):
         em = spec.emission
         rng = substream(seed, _STREAM_BATCH)
-        walk = _walk(spec.markov, trials, rng)
+        walk = reference_walk(spec.markov, trials, rng)
         next(walk)
         states = np.stack([next(walk) for _ in range(n)], axis=1)
         X = np.empty((trials, n, spec.input_dim))
@@ -815,7 +908,8 @@ class TestOneDraw:
             rows = self.law_at(em, t + 1)
             if em.mode == "discrete":
                 cum = np.cumsum(rows, axis=1)
-                X[:, t] = em.alphabet[_inverse_cdf(cum[states[:, t]], rng.random(trials))]
+                X[:, t] = em.alphabet[reference_inverse_cdf(cum[states[:, t]],
+                                                            rng.random(trials))]
             else:
                 X[:, t] = rows[states[:, t]] + em.sigma * rng.standard_normal(
                     (trials, spec.input_dim))
@@ -823,14 +917,15 @@ class TestOneDraw:
 
     def reference_table_means(self, spec, f_table, n, trials, seed):
         rng = substream(seed, _STREAM_BATCH)
-        walk = _walk(spec.markov, trials, rng)
+        walk = reference_walk(spec.markov, trials, rng)
         next(walk)
         label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
         total = np.zeros(trials)
         for t in range(n):
             cur = next(walk)
             cum = np.cumsum(self.law_at(spec.emission, t + 1), axis=1)
-            total += f_table[_inverse_cdf(cum[cur], rng.random(trials)), label_idx[cur]]
+            total += f_table[reference_inverse_cdf(cum[cur], rng.random(trials)),
+                             label_idx[cur]]
         return total / n
 
     @staticmethod

@@ -22,6 +22,7 @@ from mixcert import (
     loss_class,
     table_class,
 )
+from mixcert.rademacher import _exact_rademacher
 
 # One-layer reference terms at n=100, B=10, gamma=1, W=16, s=2, b=4, p=1,
 # frozen from an arbitrary-precision evaluation of the displayed formula.
@@ -42,6 +43,16 @@ class TestFunctionClass:
         bad = FunctionClass(evaluators=(lambda X, y: np.full(len(X), 1.5),))
         with pytest.raises(ValueError):
             bad.evaluate(np.zeros((3, 1)), np.ones(3, dtype=np.int64))
+
+    def test_nan_rejected(self):
+        """NaN fails both range comparisons, so it must be rejected by name."""
+        ok = lambda X, y: np.full(len(X), 0.5)  # noqa: E731
+        one_nan = lambda X, y: np.where(np.arange(len(X)) == 1, np.nan, 0.5)  # noqa: E731
+        for evaluators, m in (((lambda X, y: np.full(len(X), np.nan),), 0),
+                              ((ok, one_nan), 1)):
+            with pytest.raises(ValueError, match=f"member {m} left \\[0, 1\\]"):
+                FunctionClass(evaluators=evaluators).evaluate(
+                    np.zeros((3, 1)), np.ones(3, dtype=np.int64))
 
     def test_constant_class_shape(self):
         c = constant_class([0.0, 0.5, 1.0])
@@ -68,6 +79,45 @@ class TestFunctionClass:
                           rng.integers(1, 3, size=10).astype(np.int64))
         assert vals.shape == (3, 10)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+def reference_exact(F):
+    """Exact conditional complexity of every path of F (members, paths, n),
+    path blocks of 128 and sign blocks of 65536 enumerated in order, with no
+    grouping of repeated paths: the block loop the kernel runs per group."""
+    paths, n = F.shape[1], F.shape[2]
+    count = 1 << n
+    total = np.zeros(paths)
+    for start in range(0, count, 65536):
+        codes = np.arange(start, min(start + 65536, count), dtype=np.uint64)[:, None]
+        bits = (codes >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+        signs = bits.astype(np.float64) * 2.0 - 1.0
+        for p in range(0, paths, 128):
+            sups = np.tensordot(F[:, p:p + 128], signs, axes=([2], [1])).max(axis=0)
+            total[p:p + 128] += sups.sum(axis=1)
+    return total / count / n
+
+
+class TestExactKernel:
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_matches_the_block_loop(self, n):
+        """Random float values with repeated paths, so that grouping by
+        distinct path changes the block boundaries: the kernel must return the
+        oracle's bits for every class size and count of distinct paths,
+        including paths that differ only in -0.0 versus 0.0."""
+        rng = np.random.default_rng(n)
+        for members in range(1, 9):
+            for unique in (1, 2, 129, 130):
+                base = rng.random((members, unique, n))
+                if unique >= 2:
+                    base[:, 1] = base[:, 0]
+                    base[0, 0, 0], base[0, 1, 0] = -0.0, 0.0
+                pick = np.concatenate([np.arange(unique),
+                                       rng.integers(0, unique, size=int(rng.integers(1, 200)))])
+                rng.shuffle(pick)
+                F = base[:, pick]
+                got, want = _exact_rademacher(F), reference_exact(F)
+                assert got.shape == want.shape and np.array_equal(got, want), (members, unique)
 
 
 class TestExactEnumeration:
