@@ -49,6 +49,31 @@ _VALIDATOR_DEFAULTS = {
     "lemma4": {"trials": 100000, "seed": 5},
 }
 
+
+def _positive(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
+
+
+def _integer(low: int) -> tuple:
+    """The rule for an integer parameter >= low; a JSON true is not 1 here."""
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low,
+            f"an integer >= {low}")
+
+
+# (test, description) of the values each validator parameter takes. mcdiarmid
+# and symmetrization estimate a spread across trials and need two; lemma4
+# checks each trial on its own, so one is enough.
+_VALIDATOR_RULES = {
+    "n": _integer(1),
+    "trials": _integer(2),
+    "seed": _integer(0),
+    "epsilons": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                 and all(map(_positive, v)), "a non-empty array of positive numbers"),
+    "delta_override": (lambda v: v is None or _positive(v), "null or a positive number"),
+}
+_LEMMA4_RULES = dict(_VALIDATOR_RULES, trials=_integer(1))
+
+
 _CSV_COLUMNS = (
     "seed", "gamma", "n", "delta", "empirical_ramp_loss", "empirical_zero_one",
     "rademacher_term", "rademacher_source", "mu_mean", "concentration_term",
@@ -141,6 +166,11 @@ def _normalize_validator(entry) -> tuple:
         if key not in merged:
             raise ValueError(f"unknown {name} parameter {key!r}")
         merged[key] = val
+    rules = _LEMMA4_RULES if name == "lemma4" else _VALIDATOR_RULES
+    for key, val in merged.items():
+        test, wanted = rules[key]
+        if not test(val):
+            raise ValueError(f"validator {name}: {key!r} must be {wanted}, not {val!r}")
     merged["name"] = name
     return tuple(sorted(merged.items()))
 

@@ -63,12 +63,16 @@ def _as_float_matrix(a, name: str) -> np.ndarray:
     return arr
 
 
-def _check_stochastic(rows: np.ndarray, name: str) -> None:
+def _check_stochastic(rows: np.ndarray, name: str) -> np.ndarray:
+    """Check that `rows` are laws within _ATOL and return a copy with the
+    tolerated negative entries set to 0, so every cumulative row is
+    nondecreasing; other entries, -0.0 included, keep their bits."""
     if np.any(rows < -_ATOL) or np.any(rows > 1.0 + _ATOL):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     sums = rows.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > _ATOL):
         raise ValueError(f"{name} rows must sum to 1 within {_ATOL}")
+    return np.where(rows < 0.0, 0.0, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +90,11 @@ class MarkovSpec:
         P = _as_float_matrix(self.transition, "transition")
         if P.shape != (S, S):
             raise DimensionMismatch(f"transition must be ({S}, {S}), got {P.shape}")
-        _check_stochastic(P, "transition")
+        P = _check_stochastic(P, "transition")
         p0 = np.asarray(self.initial, dtype=np.float64).reshape(-1)
         if p0.shape != (S,):
             raise DimensionMismatch(f"initial must have length {S}")
-        _check_stochastic(p0[None, :], "initial")
-        P = P.copy()
-        p0 = p0.copy()
+        p0 = _check_stochastic(p0, "initial")
         P.setflags(write=False)
         p0.setflags(write=False)
         object.__setattr__(self, "num_states", S)
@@ -166,9 +168,9 @@ class EmissionSpec:
             param = _as_float_matrix(self.alphabet, "alphabet")
             if rows.shape[1] != param.shape[0]:
                 raise DimensionMismatch("table columns must match alphabet size")
-            for name, arr in ((rows_name, rows), (drift_name, drift)):
-                if arr is not None:
-                    _check_stochastic(arr, name)
+            rows = _check_stochastic(rows, rows_name)
+            if drift is not None:
+                drift = _check_stochastic(drift, drift_name)
             param.setflags(write=False)
         else:
             param = float(self.sigma)
@@ -222,44 +224,28 @@ class EmissionSpec:
             return 0.0
         return self.drift_amplitude * float(t) ** (-self.drift_exponent)
 
-    def rows_at(self, t) -> np.ndarray:
-        """Per-state rows of the time-t law, (1 - w_t) * rows + w_t * drift_rows,
-        and `rows` itself where w_t is 0. For a sequence of integer times
-        rather than one, the (times, S, C) stack of those rows: a read-only
-        view of `rows` when every weight is 0."""
-        if isinstance(t, (int, np.integer)):
-            w = self.drift_weight(t)
-            return self.rows if w == 0.0 else self._mixture(w)
-        w = np.array([self.drift_weight(i) for i in t])
+    def rows_at(self, times) -> np.ndarray:
+        """The (times, S, C) stack of per-state rows of the law at each of a
+        sequence of integer times: (1 - w_t) * rows + w_t * drift_rows, and
+        `rows` itself where w_t is 0. A read-only broadcast of `rows` when
+        every weight is 0."""
+        w = np.array([self.drift_weight(t) for t in times])
         stack = np.broadcast_to(self.rows, (len(w), *self.rows.shape))
         mix = w != 0.0
         if not mix.any():
             return stack
         stack = stack.copy()
-        stack[mix] = self._mixture(w[mix, None, None])
+        w = w[mix, None, None]
+        stack[mix] = (1.0 - w) * self.rows + w * self.drift_rows
         return stack
-
-    def _mixture(self, w) -> np.ndarray:
-        """(1 - w) * rows + w * drift_rows, for one weight or for an array of
-        weights that broadcasts against the rows."""
-        return (1.0 - w) * self.rows + w * self.drift_rows
-
-    def table_at(self, t: int) -> np.ndarray:
-        if self.mode != "discrete":
-            raise NotDiscrete("table_at needs discrete emissions")
-        return self.rows_at(t)
-
-    def means_at(self, t: int) -> np.ndarray:
-        if self.mode != "gaussian":
-            raise ValueError("means_at needs gaussian emissions")
-        return self.rows_at(t)
 
     def emit(self, rows: np.ndarray, states: np.ndarray,
              rng: np.random.Generator) -> np.ndarray:
-        """One point per entry of `states`, drawn from that state's row of
-        `rows` (per-state rows of this law, such as rows_at(t)): an alphabet
-        point by inverse CDF on one uniform each, or the row's mean plus
-        `sigma` times d standard normals each."""
+        """One point per entry of `states`, drawn from row states[i] of
+        `rows`, an (R, C) array of rows of this law (such as `rows`, one time
+        of rows_at, or one gathered row per draw): an alphabet point by
+        inverse CDF on one uniform each, or the row's mean plus `sigma` times
+        d standard normals each."""
         if self.mode == "discrete":
             return self.alphabet[_draw_points(rows, states, rng)]
         return rows[states] + self.sigma * rng.standard_normal((len(states), rows.shape[1]))
@@ -719,8 +705,9 @@ def _gaussian_emission_tv(em: EmissionSpec, w: np.ndarray) -> np.ndarray:
         return np.zeros(len(w))
     gaps = np.linalg.norm(w[:, None, None] * (em.drift_means - em.means), axis=2)
     scale = 2.0 * math.sqrt(2.0) * em.sigma
-    return np.array([max(math.erf(g / scale) for g in row) if wt != 0.0 else 0.0
-                     for wt, row in zip(w, gaps)])
+    # erf is increasing, so the erf of each time's largest gap is its largest
+    # erf; a zero weight gives a zero gap and erf(0.0) = 0.0
+    return np.array([math.erf(g / scale) for g in gaps.max(axis=1).tolist()])
 
 
 def mu_at(spec: ProcessSpec, i: int) -> float:
@@ -761,7 +748,8 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     costs S np.add.at calls over an (n, G K) array of joint (point, label)
     laws for G distinct points and K labels, plus O(n S M) for the drifted
     (S, M) emission tables when the law drifts; Gaussian mu in d dimensions
-    costs O(n S d) for the mean gaps at every time.
+    costs O(n S d) for the mean gaps at every time and one erf per time, of
+    that time's largest gap.
 
     T is the first time from which the marginals initial @ P**t repeat
     exactly, 2n + 1 when they do not within 2n. The shortcut is exact
@@ -825,8 +813,7 @@ def _walk(markov: MarkovSpec, trials: int, rng: np.random.Generator):
     caller can interleave its own draws between steps. A step is one
     `_inverse_cdf` over the accumulated kernel, indexed by the current states."""
     cum_P = np.cumsum(markov.transition, axis=1)
-    cur = _inverse_cdf(np.cumsum(markov.initial)[None, :], np.zeros(trials, dtype=np.int64),
-                       rng.random(trials))
+    cur = _draw_points(markov.initial[None, :], np.zeros(trials, dtype=np.int64), rng)
     while True:
         yield cur
         cur = _inverse_cdf(cum_P, cur, rng.random(trials))
@@ -862,15 +849,7 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
     em = spec.emission
     emitted = _walk_path(spec.markov, n, rng)[1:]
     labels = np.asarray(spec.label_map, dtype=np.int64)[emitted]
-    rows = em.rows[emitted]
-    if em.has_drift():
-        # The rows_at mixture for all n steps at once, one weight per step;
-        # a weight that underflows to 0 leaves its row untouched, as there.
-        w = np.array([em.drift_weight(t) for t in range(1, n + 1)])
-        mix = w != 0.0
-        w = w[mix, None]
-        rows[mix] = (1.0 - w) * rows[mix] + w * em.drift_rows[emitted[mix]]
-    X = em.emit(rows, np.arange(n), rng)
+    X = em.emit(em.rows_at(range(1, n + 1))[np.arange(n), emitted], np.arange(n), rng)
     return LabeledDataset(inputs=X, labels=labels, num_classes=spec.num_classes,
                           kind=KIND_SEQUENCE, seed=seed)
 
@@ -905,9 +884,10 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     states = np.stack([next(walk) for _ in range(n)], axis=1)
     label_arr = np.asarray(spec.label_map, dtype=np.int64)
     labels = label_arr[states]
+    stack = em.rows_at(range(1, n + 1))
     X = np.empty((trials, n, spec.input_dim))
     for t in range(n):
-        X[:, t] = em.emit(em.rows_at(t + 1), states[:, t], rng)
+        X[:, t] = em.emit(stack[t], states[:, t], rng)
     return X, labels
 
 
@@ -933,24 +913,24 @@ def _check_f_table(spec: ProcessSpec, f_table: np.ndarray) -> np.ndarray:
 def step_expectations(spec: ProcessSpec, f_table, n: int) -> np.ndarray:
     """Exact E[f(X_i, Y_i)] for i = 1..n on a discrete-emission process."""
     f = _check_f_table(spec, f_table)
-    em = spec.emission
-    M = _marginals(spec.markov, n)
-    label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
-    fv = f[:, label_idx]  # (alphabet, state): value when state s emits point m
-    out = np.empty(n)
-    for i in range(1, n + 1):
-        table = em.table_at(i)
-        out[i - 1] = float(np.einsum("s,sm,ms->", M[i], table, fv))
-    return out
+    return _expectations(spec, f, _marginals(spec.markov, n)[1:],
+                         spec.emission.rows_at(range(1, n + 1)))
 
 
 def stationary_expectation(spec: ProcessSpec, f_table) -> float:
     """Exact E[f] under the stationary limit law."""
     f = _check_f_table(spec, f_table)
     pistar = stationary_distribution(spec.markov)
-    label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
-    fv = f[:, label_idx]
-    return float(np.einsum("s,sm,ms->", pistar, spec.emission.table, fv))
+    return float(_expectations(spec, f, pistar[None], spec.emission.table[None])[0])
+
+
+def _expectations(spec: ProcessSpec, f: np.ndarray, laws: np.ndarray,
+                  tables: np.ndarray) -> np.ndarray:
+    """E f(X, Y) for each hidden law laws[t] and (S, M) emission table
+    tables[t], from the checked value table f; the stationary value is the
+    one-row case."""
+    fv = f[:, np.asarray(spec.label_map, dtype=np.int64) - 1]  # (M, S): state s emits m
+    return np.einsum("ts,tsm,ms->t", laws, tables, fv)
 
 
 def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
@@ -971,9 +951,10 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
     walk = _walk(spec.markov, trials, rng)
     next(walk)
     label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
+    stack = em.rows_at(range(1, n + 1))
     total = np.zeros(trials)
     for t in range(n):
         cur = next(walk)
-        points = _draw_points(em.rows_at(t + 1), cur, rng)
+        points = _draw_points(stack[t], cur, rng)
         total += ftab[points, label_idx[cur]]
     return total / n

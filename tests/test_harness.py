@@ -141,6 +141,55 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="parameter"):
             small_config("o", validators=({"name": "lemma4", "bogus": 1},))
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "symmetrization", "n": "x"}, "'n' must be an integer >= 1"),
+        ({"name": "lemma3", "n": 0}, "'n' must be an integer >= 1"),
+        ({"name": "mcdiarmid", "n": True}, "'n' must be an integer >= 1"),
+        ({"name": "mcdiarmid", "n": 50.0}, "'n' must be an integer >= 1"),
+    ])
+    def test_validator_n_checked(self, entry, message):
+        with pytest.raises(ValueError, match=f"validator {entry['name']}: {message}"):
+            small_config("o", validators=(entry,))
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "mcdiarmid", "trials": 1}, "'trials' must be an integer >= 2"),
+        ({"name": "symmetrization", "trials": False}, "'trials' must be an integer >= 2"),
+        ({"name": "lemma4", "trials": -5}, "'trials' must be an integer >= 1"),
+        ({"name": "lemma4", "trials": 0}, "'trials' must be an integer >= 1"),
+    ])
+    def test_validator_trials_checked(self, entry, message):
+        with pytest.raises(ValueError, match=f"validator {entry['name']}: {message}"):
+            small_config("o", validators=(entry,))
+        low = 1 if entry["name"] == "lemma4" else 2
+        cfg = small_config("o", validators=(dict(entry, trials=low),))
+        assert dict(cfg.validators[0])["trials"] == low
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_validator_seed_checked(self, seed):
+        with pytest.raises(ValueError, match="validator lemma4: 'seed' must be an integer >= 0"):
+            small_config("o", validators=({"name": "lemma4", "seed": seed},))
+        assert dict(small_config("o", validators=({"name": "lemma4", "seed": 0},))
+                    .validators[0])["seed"] == 0
+
+    @pytest.mark.parametrize("epsilons", [[], [0.1, 0.0], [-0.2], ["0.1"], [True], 0.1, None])
+    def test_validator_epsilons_checked(self, epsilons):
+        with pytest.raises(ValueError, match="validator mcdiarmid: 'epsilons' must be a "
+                                             "non-empty array of positive numbers"):
+            small_config("o", validators=({"name": "mcdiarmid", "epsilons": epsilons},))
+
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), "2", [2.0], True])
+    def test_validator_delta_override_checked(self, value):
+        with pytest.raises(ValueError, match="validator mcdiarmid: 'delta_override' must be "
+                                             "null or a positive number"):
+            small_config("o", validators=({"name": "mcdiarmid", "delta_override": value},))
+        cfg = small_config("o", validators=({"name": "mcdiarmid", "delta_override": 2},))
+        assert dict(cfg.validators[0])["delta_override"] == 2
+
+    def test_shipped_validator_entries_load_unchanged(self):
+        for name in ("default", "small", "validators"):
+            doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+            assert ExperimentConfig.from_json_dict(doc).to_json_dict() == doc
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             small_config("o", seeds=())
@@ -379,6 +428,22 @@ class TestMainEntry:
         rc = main(["generate", "--config", str(path), "--out", str(tmp_path / "alt")])
         assert rc == 0
         assert (tmp_path / "alt" / "target.txt").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "symmetrization", "n": "x"},
+         "validator symmetrization: 'n' must be an integer >= 1, not 'x'"),
+        ({"name": "lemma4", "trials": -5},
+         "validator lemma4: 'trials' must be an integer >= 1, not -5"),
+    ])
+    def test_bad_validator_parameter_rc2(self, tmp_path, capsys, entry, message):
+        config = self.write_config(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["validators"] = [entry]
+        config.write_text(json.dumps(doc))
+        rc = main(["validate", "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().out == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_rc2(self, tmp_path, capsys):

@@ -597,13 +597,13 @@ class TestEmissionDrift:
         em = EmissionSpec.gaussian(means=np.array([[1.0], [-1.0]]), sigma=0.5,
                                    drift_means=np.array([[3.0], [1.0]]),
                                    drift_amplitude=1.0, drift_exponent=1.0)
-        np.testing.assert_allclose(em.means_at(1), [[3.0], [1.0]])
-        np.testing.assert_allclose(em.means_at(2), [[2.0], [0.0]])
+        np.testing.assert_allclose(em.rows_at([1])[0], [[3.0], [1.0]])
+        np.testing.assert_allclose(em.rows_at([2])[0], [[2.0], [0.0]])
 
     def test_no_drift_is_constant(self):
         em = EmissionSpec.gaussian(means=np.array([[1.0], [-1.0]]), sigma=0.5)
         assert not em.has_drift()
-        np.testing.assert_array_equal(em.means_at(1), em.means_at(1000))
+        np.testing.assert_array_equal(em.rows_at([1])[0], em.rows_at([1000])[0])
 
     def test_discrete_table_drift(self):
         base = np.array([[0.8, 0.2], [0.2, 0.8]])
@@ -611,13 +611,14 @@ class TestEmissionDrift:
         em = EmissionSpec.discrete(alphabet=np.array([[0.0], [1.0]]), table=base,
                                    drift_table=drift, drift_amplitude=1.0,
                                    drift_exponent=1.0)
-        np.testing.assert_allclose(em.table_at(2), 0.5 * base + 0.5 * drift)
+        np.testing.assert_allclose(em.rows_at([2])[0], 0.5 * base + 0.5 * drift)
 
     @pytest.mark.parametrize("amplitude, exponent", [(0.0, 0.5), (0.7, 0.5), (0.7, 400.0)])
     def test_rows_at_over_times_stacks_the_single_times(self, amplitude, exponent):
-        """rows_at over an array of times is the stack of the one-time rows,
-        bit for bit; a weight that underflows to 0 (exponent 400, t >= 7)
-        leaves the rows themselves."""
+        """rows_at over an array of times is the stack of the time-t laws
+        written out one time at a time (TestOneDraw.law_at), bit for bit, and
+        each time's rows do not depend on the other times asked for; a weight
+        that underflows to 0 (exponent 400, t >= 7) leaves the rows themselves."""
         means = np.array([[1.0, -2.0], [0.5, 3.0]])
         em = EmissionSpec.gaussian(means=means, sigma=0.5,
                                    drift_means=np.array([[-1.0, 0.25], [2.0, -3.0]]),
@@ -625,7 +626,9 @@ class TestEmissionDrift:
         times = np.arange(1, 40)
         stack = em.rows_at(times)
         assert stack.shape == (39, 2, 2)
-        assert np.array_equal(stack, np.stack([em.rows_at(int(t)) for t in times]))
+        assert np.array_equal(stack, np.stack([TestOneDraw.law_at(em, int(t)) for t in times]))
+        assert all(np.array_equal(stack[i], em.rows_at([int(t)])[0])
+                   for i, t in enumerate(times))
         if exponent == 400.0:
             assert em.drift_weight(6) > 0.0 and em.drift_weight(7) == 0.0
             assert not np.array_equal(stack[0], means)
@@ -826,6 +829,35 @@ class TestChainStepping:
                 want = np.concatenate([next(walk) for _ in range(n + 1)])
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("row, bad, u", [
+        ([0.5, 0.5, -1e-13], 2, 0.99999999999995),
+        ([0.5, -1e-13, 0.5], 1, 0.49999999999995),
+    ])
+    def test_tolerated_negative_mass_loads_as_zero(self, row, bad, u):
+        """Entries down to -1e-12 pass the law check and load as 0.0, so each
+        cumulative row is nondecreasing and no stepping rule draws the state
+        `bad` of negative mass; -0.0 keeps its sign bit."""
+        markov = MarkovSpec(num_states=3, transition=[row, row, [0.5, 0.5, -0.0]],
+                            initial=row)
+        clipped = np.where(np.array(row) < 0.0, 0.0, row)
+        assert np.array_equal(markov.transition[:2], [clipped, clipped])
+        assert np.array_equal(markov.initial, clipped)
+        assert not np.signbit(markov.transition[:2, bad]).any()
+        assert np.signbit(markov.transition[2, 2])
+        em = EmissionSpec.discrete(np.eye(3), [row, row, row], [row, row, row], 0.5)
+        assert np.array_equal(em.table, [clipped] * 3)
+        assert np.array_equal(em.drift_table, [clipped] * 3)
+        cum = np.cumsum(markov.transition, axis=1)
+        assert bad not in _inverse_cdf(cum, np.array([0, 1]), np.array([u, u]))
+
+        class Constant:
+            def random(self, size):
+                return np.full(size, u)
+
+        assert bad not in _walk_path(markov, 20, Constant())
+        walk = _walk(markov, 4, Constant())
+        assert not any(bad in next(walk) for _ in range(21))
+
 
 class TestOneDraw:
     """The four samplers draw through EmissionSpec.emit. The per-mode loops
@@ -990,6 +1022,59 @@ class TestStepExpectations:
         spec = discrete_spec(SYM09, [1.0, 0.0], 2)
         f_table = np.array([[1.0, 1.0], [0.0, 0.0]])
         assert stationary_expectation(spec, f_table) == pytest.approx(0.5, abs=1e-12)
+
+    def test_gaussian_emissions_are_not_discrete(self):
+        spec = ProcessSpec(
+            markov=MarkovSpec(num_states=2, transition=np.asarray(SYM09, dtype=float),
+                              initial=np.array([1.0, 0.0])),
+            emission=EmissionSpec.gaussian(np.array([[1.0], [-1.0]]), 0.5),
+            label_map=(1, 2), num_classes=2, input_dim=1)
+        with pytest.raises(NotDiscrete):
+            step_expectations(spec, np.eye(2), 5)
+        with pytest.raises(NotDiscrete):
+            stationary_expectation(spec, np.eye(2))
+
+    @staticmethod
+    def reference_expectations(spec, f_table, n):
+        """E f at times 1..n and under the stationary limit, one time at a
+        time: np.einsum("s,sm,ms->") over the hidden law, the time-t table
+        and the values f_table[m, label(s)]."""
+        em, P = spec.emission, spec.markov.transition
+        M = [spec.markov.initial]
+        for _ in range(n):
+            M.append(M[-1] @ P)
+        fv = f_table[:, np.asarray(spec.label_map, dtype=np.int64) - 1]
+        steps = np.empty(n)
+        for i in range(1, n + 1):
+            steps[i - 1] = float(np.einsum("s,sm,ms->", M[i], TestOneDraw.law_at(em, i), fv))
+        pistar = stationary_distribution(spec.markov)
+        return steps, float(np.einsum("s,sm,ms->", pistar, em.table, fv))
+
+    @pytest.mark.parametrize("drift", ["none", "normal", "underflow"])
+    def test_one_kernel_matches_the_per_time_loop(self, drift):
+        """step_expectations and stationary_expectation share one einsum over
+        stacked laws; it returns the per-time loop's floats, bit for bit, on
+        alphabets with duplicate points and with drift weights that underflow
+        to 0 (exponent 400, t >= 7)."""
+        rng = np.random.default_rng({"none": 31, "normal": 32, "underflow": 33}[drift])
+        for S in range(1, 17):
+            spec = TestOneKernel.random_spec(rng, S, "discrete", drift != "none")
+            em = spec.emission
+            alphabet = em.alphabet.copy()
+            alphabet[2] = alphabet[0]
+            exponent = 400.0 if drift == "underflow" else em.drift_exponent
+            spec = ProcessSpec(
+                markov=spec.markov,
+                emission=EmissionSpec.discrete(alphabet, em.table, em.drift_table,
+                                               em.drift_amplitude, exponent),
+                label_map=spec.label_map, num_classes=spec.num_classes, input_dim=2)
+            # a function of the point itself, so duplicate points agree
+            f_table = (np.sin(alphabet @ [1.3, 2.7])[:, None] * np.arange(1, 4)) % 1.0
+            for n in (1, 2, 37, 1500):
+                steps, stationary = self.reference_expectations(spec, f_table, n)
+                got = step_expectations(spec, f_table, n)
+                assert got.dtype == steps.dtype and np.array_equal(got, steps), (S, n)
+                assert stationary_expectation(spec, f_table) == stationary, S
 
 
 class TestLabeledDatasetIO:
