@@ -11,7 +11,6 @@ from .bounds import (
     mcdiarmid_tail_bound,
     network_certificate,
     recompose_total,
-    run_certification,
     theorem1_bound,
     validate_lemma3,
     validate_mcdiarmid,
@@ -40,24 +39,19 @@ from .network import (
     PopulationEstimate,
     TrainConfig,
     TrainResult,
-    empirical_loss,
     forward,
     forward_batch,
-    gradient,
     margin,
     margins_batch,
     population_estimate,
     ramp_loss,
-    surrogate_loss,
     train_sgd,
-    zero_one_loss,
 )
 from .norms import (
     LayerNorms,
     complexity_from_norms,
     norm_2_1_of_transpose,
     require_positive_spectral,
-    spectral_complexity,
     spectral_norm,
 )
 from .process import (
@@ -68,7 +62,6 @@ from .process import (
     ProcessSpec,
     brute_force_phi,
     deterministic_injective,
-    marginal_at,
     mixing_profile,
     mu_at,
     phi_coefficient,
@@ -79,7 +72,6 @@ from .process import (
     stationary_distribution,
     stationary_expectation,
     step_expectations,
-    tv_distance,
 )
 from .seeding import combine_seeds, substream
 from .rademacher import (
@@ -87,7 +79,6 @@ from .rademacher import (
     RademacherEstimate,
     constant_class,
     covering_bound_terms,
-    covering_rademacher_bound,
     empirical_rademacher_exact,
     empirical_rademacher_mc,
     loss_class,

@@ -457,18 +457,3 @@ def certification_run(spec: ProcessSpec, arch: Architecture, train_config: Train
             data, result.params, float(gamma), profile, delta,
             target=target, norms=norms, seed=seed))
     return reports
-
-
-def run_certification(spec: ProcessSpec, arch: Architecture, train_config: TrainConfig,
-                      n_train: int, m_target: int, gamma_list, delta: float,
-                      seeds) -> list:
-    """Full pipeline over a seed list; one BoundReport per seed x gamma."""
-    if not gamma_list:
-        raise ValueError("gamma_list must be nonempty")
-    profile = mixing_profile(spec, n_train)
-    reports = []
-    for seed in seeds:
-        reports.extend(certification_run(spec, arch, train_config, profile,
-                                         n_train, m_target, gamma_list, delta,
-                                         int(seed)))
-    return reports

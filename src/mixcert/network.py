@@ -286,20 +286,6 @@ def error_rate(margins: np.ndarray) -> float:
     return float(np.mean(margins <= 0.0))
 
 
-def empirical_loss(params: NetworkParams, data: LabeledDataset, gamma: float) -> float:
-    """Mean ramp loss of negated margins over the dataset."""
-    if data.n == 0:
-        raise EmptyDataset("empirical loss needs at least one sample")
-    return mean_ramp_loss(dataset_margins(params, data), gamma)
-
-
-def zero_one_loss(params: NetworkParams, data: LabeledDataset) -> float:
-    """Fraction of samples whose margin is not strictly positive."""
-    if data.n == 0:
-        raise EmptyDataset("zero-one loss needs at least one sample")
-    return error_rate(dataset_margins(params, data))
-
-
 def population_estimate(params: NetworkParams, target: LabeledDataset,
                         gamma: float) -> PopulationEstimate:
     """Plug-in stationary losses from an iid target sample."""
@@ -350,24 +336,6 @@ def _loss_and_grads(layers, acts, X, y):
         if i:
             d_post = d_pre @ layers[i]
     return loss, grads
-
-
-def surrogate_loss(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy of the batch (the training objective)."""
-    X = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise EmptyDataset("surrogate loss needs at least one sample")
-    return _ce_forward(params.layers, params.activations, X, y)[3]
-
-
-def gradient(params: NetworkParams, inputs: np.ndarray, labels: np.ndarray) -> list:
-    """Exact gradient of the mean surrogate loss, one array per layer."""
-    X = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise EmptyDataset("gradient needs at least one sample")
-    return _loss_and_grads(params.layers, params.activations, X, y)[1]
 
 
 def train_sgd(train_data: LabeledDataset, arch: Architecture,

@@ -114,11 +114,6 @@ def complexity_from_norms(norms: LayerNorms) -> float:
     return prod * ratio
 
 
-def spectral_complexity(params: NetworkParams, tol: float = 1e-10) -> float:
-    """Scale-sensitive capacity aggregate of a network's weights."""
-    return complexity_from_norms(LayerNorms.from_params(params, tol=tol))
-
-
 def require_positive_spectral(norms: LayerNorms) -> None:
     """Raise ZeroSpectralNorm when the capacity term is undefined."""
     for i, s in enumerate(norms.spectral):

@@ -42,7 +42,6 @@ from .errors import (
 from .seeding import substream
 
 _ATOL = 1e-12
-_SUM_ATOL = 1e-9
 
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
 
@@ -55,7 +54,8 @@ KIND_TARGET = "target_iid"
 
 
 def _as_float_matrix(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
+    """A float64 copy of `a`, so freezing it never freezes the caller's array."""
+    arr = np.array(a, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -462,20 +462,6 @@ def _reject_trailing(raw: list, start: int) -> None:
             raise ValueError(f"unexpected content at line {i + 1}: {raw[i][:40]!r}")
 
 
-def tv_distance(p, q) -> float:
-    """Total variation between two finite laws: 0.5 * sum |p_i - q_i|."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"length mismatch {p.shape} vs {q.shape}")
-    for name, v in (("p", p), ("q", q)):
-        if np.any(v < -_SUM_ATOL):
-            raise ValueError(f"{name} has negative mass")
-        if abs(v.sum() - 1.0) > _SUM_ATOL:
-            raise ValueError(f"{name} must sum to 1 within {_SUM_ATOL}")
-    return float(_tv(p, q))
-
-
 def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Total variation along the last axis, broadcasting p against q. The
     absolute value runs in place, so the broadcast difference is the only
@@ -537,13 +523,6 @@ def _fixed_point(M: np.ndarray) -> int:
     len(M) when none is; _marginals fills from the first repeated row on."""
     repeats = np.flatnonzero((M[1:] == M[:-1]).all(axis=1))
     return int(repeats[0]) if repeats.size else len(M)
-
-
-def marginal_at(spec: ProcessSpec, t: int) -> np.ndarray:
-    """Hidden-state law at time t >= 1."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return _marginals(spec.markov, t)[t]
 
 
 def _stationary_or_none(markov: MarkovSpec) -> np.ndarray | None:
@@ -912,6 +891,8 @@ def _check_f_table(spec: ProcessSpec, f_table: np.ndarray) -> np.ndarray:
 
 def step_expectations(spec: ProcessSpec, f_table, n: int) -> np.ndarray:
     """Exact E[f(X_i, Y_i)] for i = 1..n on a discrete-emission process."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     f = _check_f_table(spec, f_table)
     return _expectations(spec, f, _marginals(spec.markov, n)[1:],
                          spec.emission.rows_at(range(1, n + 1)))

@@ -10,9 +10,6 @@ rows, `_exact_rademacher` enumerates all 2**n sign vectors through it once
 per distinct path, and `_draw_signs` is the one sign draw.
 `empirical_rademacher_exact` and `empirical_rademacher_mc` run the kernel on
 one path; the symmetrization validator in `bounds` runs it on many.
-`covering_rademacher_bound` is the closed-form covering-number bound for
-margin losses of norm-bounded networks; the certificate module consumes its
-two terms scaled by 2.
 """
 from __future__ import annotations
 
@@ -230,11 +227,3 @@ def covering_bound_terms(B: float, gamma: float, W: int, n: int,
     ratio, prod = norm_factors(norms)
     lead = 36.0 * B * math.log(2.0 * W) * math.log(n) / (gamma * n)
     return 4.0 / n ** 1.5, lead * ratio * prod
-
-
-def covering_rademacher_bound(B: float, gamma: float, W: int, n: int,
-                              norms: LayerNorms) -> float:
-    """Closed-form bound on the Rademacher complexity of the ramp-loss class
-    of networks with the given layer norms on points of total energy B**2."""
-    first, second = covering_bound_terms(B, gamma, W, n, norms)
-    return first + second

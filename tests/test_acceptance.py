@@ -20,13 +20,13 @@ from mixcert import (
     ProcessSpec,
     TrainConfig,
     brute_force_phi,
+    certification_run,
     complexity_from_norms,
     empirical_rademacher_exact,
     empirical_rademacher_mc,
     mixing_profile,
     network_certificate,
     phi_coefficient,
-    run_certification,
     sample_sequence,
     spectral_norm,
     table_class,
@@ -251,10 +251,13 @@ def test_c08_certified_bound_holds_across_twenty_seeds():
     assert len(config.seeds) == 20
     assert config.n_train == 2000 and config.delta == 0.05
     assert config.gamma_list == (0.5, 1.0)
-    reports = run_certification(config.process, config.arch, config.train,
-                                n_train=config.n_train, m_target=config.m_target,
-                                gamma_list=config.gamma_list, delta=config.delta,
-                                seeds=config.seeds)
+    profile = mixing_profile(config.process, config.n_train)
+    reports = [rep for seed in config.seeds
+               for rep in certification_run(config.process, config.arch, config.train,
+                                            profile, n_train=config.n_train,
+                                            m_target=config.m_target,
+                                            gamma_list=config.gamma_list,
+                                            delta=config.delta, seed=seed)]
     assert len(reports) == 40
     held = sum(1 for seed in config.seeds
                if all(r.bound_holds for r in reports if r.seed == seed))

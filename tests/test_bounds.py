@@ -28,7 +28,6 @@ from mixcert import (
     mixing_profile,
     network_certificate,
     recompose_total,
-    run_certification,
     sample_sequence,
     sample_sequences_batch,
     theorem1_bound,
@@ -459,8 +458,11 @@ class TestCertificationRun:
         spec = self.drift_spec()
         arch = Architecture(dims=(2, 8, 2), activations=("relu", "identity"))
         cfg = TrainConfig(learning_rate=0.05, epochs=5, batch_size=32, seed=1)
-        reports = run_certification(spec, arch, cfg, n_train=200, m_target=1000,
-                                    gamma_list=(1.0,), delta=0.05, seeds=(4, 5))
+        prof = mixing_profile(spec, 200)
+        reports = [rep for seed in (4, 5)
+                   for rep in certification_run(spec, arch, cfg, prof, n_train=200,
+                                                m_target=1000, gamma_list=(1.0,),
+                                                delta=0.05, seed=seed)]
         assert len(reports) == 2
         assert reports[0].seed == 4 and reports[1].seed == 5
         assert reports[0].total_bound != reports[1].total_bound

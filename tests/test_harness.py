@@ -37,6 +37,17 @@ from mixcert.harness import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DEMO_DIR = CONFIG_DIR.parent / "demos"
+
+
+def package_env() -> dict:
+    """The environment with the package under test first on PYTHONPATH, so a
+    child process imports it and never an installed copy."""
+    src_dir = Path(mixcert.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src_dir), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def drop_key(doc, path):
@@ -519,10 +530,7 @@ class TestMainEntry:
         from the declaration, so the test needs no installed copy and cannot
         pick up a stale one: both children import the package under test.
         """
-        src_dir = Path(mixcert.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src_dir), env.get("PYTHONPATH")) if p)
+        env = package_env()
         path = self.write_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "mixcert", "rademacher",
@@ -560,3 +568,12 @@ class TestMainEntry:
         listed = re.search(r"\{([^}]*)\}", script.stdout).group(1).split(",")
         for cmd in ("generate", "train", "certify", "validate", "rademacher"):
             assert cmd in listed, listed
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMO_DIR.glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    """Each demo runs to exit 0 against the package under test, so removing
+    a public name a demo imports fails here."""
+    proc = subprocess.run([sys.executable, str(DEMO_DIR / demo)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300, env=package_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr

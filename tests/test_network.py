@@ -20,18 +20,21 @@ from mixcert import (
     PopulationEstimate,
     TrainConfig,
     WrongKind,
-    empirical_loss,
     forward,
     forward_batch,
-    gradient,
     margin,
     margins_batch,
     population_estimate,
     ramp_loss,
     substream,
-    surrogate_loss,
     train_sgd,
-    zero_one_loss,
+)
+from mixcert.network import (
+    _ce_forward,
+    _loss_and_grads,
+    dataset_margins,
+    error_rate,
+    mean_ramp_loss,
 )
 
 
@@ -230,15 +233,15 @@ class TestLosses:
     def test_zero_one_counts_ties_as_errors(self):
         data = LabeledDataset(inputs=np.array([[0.5, 0.5]]), labels=np.array([1]),
                               num_classes=2, kind="sequence", seed=0)
-        assert zero_one_loss(self.identity_net(), data) == 1.0
+        assert error_rate(dataset_margins(self.identity_net(), data)) == 1.0
 
     def test_frozen_losses_on_identity_net(self):
         """Margins are (1, 1, 0, 0), so half the points are errors and the
         ramp at gamma=2 is (1/4)(1/2 + 1/2 + 1 + 1)."""
-        p, d = self.identity_net(), self.data()
-        assert zero_one_loss(p, d) == 0.5
-        assert empirical_loss(p, d, gamma=2.0) == pytest.approx(0.75, abs=1e-15)
-        assert empirical_loss(p, d, gamma=1.0) == pytest.approx(0.5, abs=1e-15)
+        margins = dataset_margins(self.identity_net(), self.data())
+        assert error_rate(margins) == 0.5
+        assert mean_ramp_loss(margins, gamma=2.0) == pytest.approx(0.75, abs=1e-15)
+        assert mean_ramp_loss(margins, gamma=1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_ramp_dominates_zero_one(self):
         rng = np.random.default_rng(11)
@@ -246,14 +249,20 @@ class TestLosses:
         d = LabeledDataset(inputs=rng.normal(size=(50, 2)),
                            labels=rng.integers(1, 3, size=50).astype(np.int64),
                            num_classes=2, kind="sequence", seed=0)
+        margins = dataset_margins(p, d)
         for gamma in (0.1, 0.5, 2.0):
-            assert empirical_loss(p, d, gamma) >= zero_one_loss(p, d) - 1e-15
+            assert mean_ramp_loss(margins, gamma) >= error_rate(margins) - 1e-15
 
     def test_empty_dataset_rejected(self):
-        d = LabeledDataset(inputs=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64),
-                           num_classes=2, kind="sequence", seed=0)
+        def empty(kind):
+            return LabeledDataset(inputs=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64),
+                                  num_classes=2, kind=kind, seed=0)
+        arch = Architecture(dims=(2, 2), activations=("identity",))
         with pytest.raises(EmptyDataset):
-            empirical_loss(self.identity_net(), d, gamma=1.0)
+            train_sgd(empty("sequence"), arch, TrainConfig(learning_rate=0.1, epochs=1,
+                                                           batch_size=1, seed=0))
+        with pytest.raises(EmptyDataset):
+            population_estimate(self.identity_net(), empty("target_iid"), gamma=1.0)
 
 
 class TestForward:
@@ -306,7 +315,7 @@ class TestGradient:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(6, 3))
         y = np.array([1, 2, 3, 1, 2, 3])
-        grads = gradient(p, X, y)
+        grads = _loss_and_grads(p.layers, p.activations, X, y)[1]
         h = 1e-6
         for li, W in enumerate(p.layers):
             for idx in [(0, 0), (W.shape[0] - 1, W.shape[1] - 1)]:
@@ -316,7 +325,8 @@ class TestGradient:
                 Wm[li][idx] -= h
                 pp = NetworkParams(layers=tuple(Wp), activations=p.activations)
                 pm = NetworkParams(layers=tuple(Wm), activations=p.activations)
-                num = (surrogate_loss(pp, X, y) - surrogate_loss(pm, X, y)) / (2 * h)
+                num = (_ce_forward(pp.layers, pp.activations, X, y)[3]
+                       - _ce_forward(pm.layers, pm.activations, X, y)[3]) / (2 * h)
                 assert abs(num - grads[li][idx]) < 1e-7
 
     def test_zero_gradient_at_symmetric_point(self):
@@ -326,7 +336,7 @@ class TestGradient:
                           activations=(Activation("identity"),))
         X = np.array([[1.0, 2.0], [1.0, 2.0]])
         y = np.array([1, 2])
-        g = gradient(p, X, y)
+        g = _loss_and_grads(p.layers, p.activations, X, y)[1]
         np.testing.assert_allclose(g[0], 0.0, atol=1e-15)
 
 
@@ -356,10 +366,10 @@ class TestTrainSGD:
         res = train_sgd(data, arch, cfg)
         assert res.epoch_losses[-1] < res.epoch_losses[0]
         assert res.epoch_losses[-1] < 0.05
-        assert zero_one_loss(res.params, data) <= 0.02
+        assert error_rate(dataset_margins(res.params, data)) <= 0.02
 
     def test_matches_hand_loop_over_gradient(self):
-        """Training is plain W - lr * g steps over gradient(), on the same
+        """Training is plain W - lr * g steps over _loss_and_grads, on the same
         initialization and batch order: one backprop, not two."""
         data = self.spec_data(n=70)
         arch = Architecture(dims=(2, 6, 3, 2), activations=("tanh", "relu", "identity"))
@@ -378,8 +388,8 @@ class TestTrainSGD:
                 take = order[start:start + cfg.batch_size]
                 params = NetworkParams(layers=tuple(layers), activations=acts)
                 Xb, yb = data.inputs[take], data.labels[take]
-                total += surrogate_loss(params, Xb, yb) * take.size
-                grads = gradient(params, Xb, yb)
+                total += _ce_forward(params.layers, params.activations, Xb, yb)[3] * take.size
+                grads = _loss_and_grads(params.layers, params.activations, Xb, yb)[1]
                 layers = [W - cfg.learning_rate * g for W, g in zip(layers, grads)]
             losses.append(total / data.n)
         for got, want in zip(res.params.layers, layers):

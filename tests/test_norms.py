@@ -12,7 +12,6 @@ from mixcert import (
     complexity_from_norms,
     norm_2_1_of_transpose,
     require_positive_spectral,
-    spectral_complexity,
     spectral_norm,
 )
 
@@ -124,7 +123,7 @@ class TestSpectralComplexity:
     def test_frozen_identity_layer(self):
         """The 2x2 identity has s=1, b=2, giving aggregate exactly 2."""
         p = NetworkParams(layers=(np.eye(2),), activations=(Activation("identity"),))
-        assert spectral_complexity(p) == pytest.approx(2.0, rel=1e-10)
+        assert complexity_from_norms(LayerNorms.from_params(p)) == pytest.approx(2.0, rel=1e-10)
 
     def test_zero_layer_gives_zero(self):
         norms = LayerNorms(spectral=(0.0, 1.0), two_one=(0.0, 2.0), lipschitz=(1.0, 1.0))
@@ -137,12 +136,13 @@ class TestSpectralComplexity:
         layers = (rng.normal(size=(5, 3)), rng.normal(size=(4, 5)), rng.normal(size=(2, 4)))
         acts = (Activation("relu"), Activation("relu"), Activation("identity"))
         p = NetworkParams(layers=layers, activations=acts)
-        base = spectral_complexity(p, tol=1e-13)
+        base = complexity_from_norms(LayerNorms.from_params(p, tol=1e-13))
         for c in (0.5, 3.0):
             for k in range(3):
                 scaled = tuple(c * W if i == k else W for i, W in enumerate(layers))
                 q = NetworkParams(layers=scaled, activations=acts)
-                assert spectral_complexity(q, tol=1e-13) == pytest.approx(c * base, rel=1e-9)
+                scaled_norms = LayerNorms.from_params(q, tol=1e-13)
+                assert complexity_from_norms(scaled_norms) == pytest.approx(c * base, rel=1e-9)
 
     def test_require_positive_spectral(self):
         norms = LayerNorms(spectral=(1.0, 0.0), two_one=(2.0, 0.0), lipschitz=(1.0, 1.0))

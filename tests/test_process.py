@@ -27,7 +27,6 @@ from mixcert import (
     TooLarge,
     brute_force_phi,
     deterministic_injective,
-    marginal_at,
     mixing_profile,
     mu_at,
     phi_coefficient,
@@ -38,7 +37,6 @@ from mixcert import (
     stationary_distribution,
     step_expectations,
     stationary_expectation,
-    tv_distance,
 )
 from mixcert.process import (
     _STREAM_BATCH,
@@ -152,20 +150,16 @@ SYM09 = [[0.9, 0.1], [0.1, 0.9]]
 
 class TestTVDistance:
     def test_frozen_value(self):
-        assert tv_distance(np.array([0.9, 0.1]), np.array([0.5, 0.5])) == pytest.approx(0.4, abs=1e-15)
+        assert _tv(np.array([0.9, 0.1]), np.array([0.5, 0.5])) == pytest.approx(0.4, abs=1e-15)
 
     def test_symmetry_and_zero(self):
         p = np.array([0.3, 0.2, 0.5])
         q = np.array([0.25, 0.25, 0.5])
-        assert tv_distance(p, q) == tv_distance(q, p)
-        assert tv_distance(p, p) == 0.0
+        assert _tv(p, q) == _tv(q, p)
+        assert _tv(p, p) == 0.0
 
     def test_disjoint_supports_give_one(self):
-        assert tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(ValueError):
-            tv_distance(np.array([0.9, 0.2]), np.array([0.5, 0.5]))
+        assert _tv(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
 
     @pytest.mark.parametrize("p_shape, q_shape", [
         ((5, 1, 5), (1, 7, 5)), ((1, 7, 5), (5, 1, 5)), ((7, 5), (5,)),
@@ -302,20 +296,15 @@ class TestStationaryDistribution:
 class TestMarginals:
     def test_frozen_t3(self):
         spec = discrete_spec(SYM09, [1.0, 0.0], 2)
-        np.testing.assert_allclose(marginal_at(spec, 3), [0.756, 0.244],
+        np.testing.assert_allclose(_marginals(spec.markov, 3)[3], [0.756, 0.244],
                                    rtol=0, atol=1e-15)
 
     def test_closed_form_decay(self):
         spec = discrete_spec(SYM09, [1.0, 0.0], 2)
         for t in range(1, 12):
             expect = 0.5 + 0.5 * 0.8 ** t
-            np.testing.assert_allclose(marginal_at(spec, t)[0], expect,
+            np.testing.assert_allclose(_marginals(spec.markov, t)[t][0], expect,
                                        rtol=0, atol=1e-13)
-
-    def test_rejects_t_zero(self):
-        spec = discrete_spec(SYM09, [1.0, 0.0], 2)
-        with pytest.raises(ValueError):
-            marginal_at(spec, 0)
 
 
 class TestPhiCoefficient:
@@ -649,6 +638,21 @@ class TestEmissionDrift:
         with pytest.raises(ValueError, match=f"{name} .*{mode}"):
             EmissionSpec(mode=mode, **own, **foreign)
 
+    def test_callers_arrays_stay_writable(self):
+        """The spec freezes copies of its float64 inputs, never the caller's
+        own arrays, and a later write by the caller leaves the spec as it was."""
+        a = np.array([[1.0], [2.0]])
+        em = EmissionSpec.gaussian(a, 0.5)
+        a[0, 0] = 3.0
+        assert em.means[0, 0] == 1.0
+        drift = np.array([[0.0], [0.0]])
+        alphabet = np.array([[0.0], [1.0]])
+        gauss = EmissionSpec.gaussian(a, 0.5, drift_means=drift, drift_amplitude=0.5)
+        disc = EmissionSpec.discrete(alphabet=alphabet, table=np.eye(2))
+        drift[0, 0] = 5.0
+        alphabet[0, 0] = 5.0
+        assert gauss.drift_means[0, 0] == 0.0 and disc.alphabet[0, 0] == 0.0
+
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ValueError):
             EmissionSpec.gaussian(means=np.array([[1.0], [-1.0]]), sigma=0.5,
@@ -720,7 +724,7 @@ class TestSampling:
         n, trials = 10, 4000
         X, Y = sample_sequences_batch(self.spec(), n, trials, seed=21)
         assert X.shape == (trials, n, 1) and Y.shape == (trials, n)
-        exact = np.mean([marginal_at(self.spec(), t)[0] for t in range(1, n + 1)])
+        exact = np.mean([_marginals(self.spec().markov, t)[t][0] for t in range(1, n + 1)])
         freq = float(np.mean(X[..., 0] == 0.0))
         sigma = np.sqrt(0.25 / (n * trials))
         assert abs(freq - exact) < 5 * sigma
@@ -1016,12 +1020,19 @@ class TestStepExpectations:
         f_table = np.array([[1.0, 1.0], [0.0, 0.0]])
         exact = step_expectations(spec, f_table, 4)
         for i in range(4):
-            assert exact[i] == pytest.approx(marginal_at(spec, i + 1)[0], abs=1e-14)
+            assert exact[i] == pytest.approx(_marginals(spec.markov, i + 1)[i + 1][0], abs=1e-14)
 
     def test_stationary_expectation(self):
         spec = discrete_spec(SYM09, [1.0, 0.0], 2)
         f_table = np.array([[1.0, 1.0], [0.0, 0.0]])
         assert stationary_expectation(spec, f_table) == pytest.approx(0.5, abs=1e-12)
+
+    def test_horizon_zero_is_empty_and_negative_is_rejected(self):
+        spec = discrete_spec(SYM09, [1.0, 0.0], 2)
+        f_table = np.array([[1.0, 1.0], [0.0, 0.0]])
+        assert step_expectations(spec, f_table, 0).shape == (0,)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            step_expectations(spec, f_table, -1)
 
     def test_gaussian_emissions_are_not_discrete(self):
         spec = ProcessSpec(

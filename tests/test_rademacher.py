@@ -16,7 +16,6 @@ from mixcert import (
     ZeroSpectralNorm,
     constant_class,
     covering_bound_terms,
-    covering_rademacher_bound,
     empirical_rademacher_exact,
     empirical_rademacher_mc,
     loss_class,
@@ -196,15 +195,15 @@ class TestCoveringBound:
                                              norms=ONE_LAYER)
         assert first == pytest.approx(COVERING_FIRST, rel=1e-15)
         assert second == pytest.approx(COVERING_SECOND, rel=1e-13)
-        total = covering_rademacher_bound(B=10.0, gamma=1.0, W=16, n=100,
-                                          norms=ONE_LAYER)
+        total = sum(covering_bound_terms(B=10.0, gamma=1.0, W=16, n=100,
+                                         norms=ONE_LAYER))
         assert total == pytest.approx(COVERING_FIRST + COVERING_SECOND, rel=1e-13)
 
     def test_strictly_decreasing_in_gamma(self):
         prev = None
         for gamma in (0.25, 0.5, 1.0, 2.0, 4.0):
-            v = covering_rademacher_bound(B=10.0, gamma=gamma, W=16, n=100,
-                                          norms=ONE_LAYER)
+            v = sum(covering_bound_terms(B=10.0, gamma=gamma, W=16, n=100,
+                                         norms=ONE_LAYER))
             if prev is not None:
                 assert v < prev
             prev = v
@@ -212,8 +211,8 @@ class TestCoveringBound:
     def test_decreasing_in_n_past_eight(self):
         prev = None
         for n in range(8, 200, 7):
-            v = covering_rademacher_bound(B=10.0, gamma=1.0, W=16, n=n,
-                                          norms=ONE_LAYER)
+            v = sum(covering_bound_terms(B=10.0, gamma=1.0, W=16, n=n,
+                                         norms=ONE_LAYER))
             if prev is not None:
                 assert v <= prev + 1e-15
             prev = v
