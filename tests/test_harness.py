@@ -457,6 +457,18 @@ class TestMainEntry:
         assert capsys.readouterr().out == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_nan_initial_law_rc2(self, tmp_path, capsys):
+        """json reads the literal NaN; the chain's start law rejects it."""
+        config = self.write_config(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["process"]["markov"]["initial"][0] = float("nan")
+        config.write_text(json.dumps(doc))
+        assert "NaN" in config.read_text()
+        rc = main(["certify", "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().out == "config error: initial entries must lie in [0, 1]\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_rc2(self, tmp_path, capsys):
         rc = main(["certify", "--config", str(tmp_path / "nope.json")])
         assert rc == 2

@@ -21,6 +21,7 @@ from mixcert import (
     EmptyDataset,
     LabeledDataset,
     MarkovSpec,
+    MixingProfile,
     NonUniqueStationary,
     NotDiscrete,
     ProcessSpec,
@@ -44,8 +45,11 @@ from mixcert.process import (
     _STREAM_TARGET,
     _fixed_point,
     _inverse_cdf,
+    _limit_gap_bound,
     _marginals,
+    _phi_lag,
     _tv,
+    _tv_slack,
     _walk,
     _walk_path,
 )
@@ -70,8 +74,9 @@ def discrete_spec(P, pi0, S, input_dim=1, alphabet=None):
 
 
 def lazy_ring(stay, S=16):
-    """Directed ring that stays put with probability `stay`, started at state
-    0, with state-revealing emissions; slow to mix for stay near 1."""
+    """Directed ring that stays put with probability `stay` (one number, or
+    one per state), started at state 0, with state-revealing emissions; slow
+    to mix for stay near 1."""
     P = np.zeros((S, S))
     P[np.arange(S), np.arange(S)] = stay
     P[np.arange(S), (np.arange(S) + 1) % S] = 1.0 - stay
@@ -96,6 +101,35 @@ def reference_joint(h, table, alphabet, label_map, K):
     return J.ravel()
 
 
+def reference_marginals(markov, tmax):
+    """Rows t = 0..tmax of initial @ P**t, every one stepped."""
+    M = np.empty((tmax + 1, markov.num_states))
+    M[0] = markov.initial
+    for t in range(1, tmax + 1):
+        M[t] = M[t - 1] @ markov.transition
+    return M
+
+
+def reference_phi(spec, n, lags):
+    """phi(k) for each k in the increasing sequence lags by the O(n S**2)
+    reduction per lag with no shortcut: the k-step rows as a running
+    product, every one of the n + 1 conditioning times, and the limit
+    point."""
+    markov = spec.markov
+    pistar = stationary_distribution(markov)
+    M = reference_marginals(markov, 2 * n)
+    reach = (M[: n + 1] > 0.0).T
+    phi = []
+    rows = np.eye(markov.num_states)
+    for k in range(1, lags[-1] + 1):
+        rows = rows @ markov.transition
+        if k in lags:
+            tv = 0.5 * np.abs(rows[:, None, :] - M[None, k: n + k + 1, :]).sum(axis=-1)
+            limit = 0.5 * np.abs(rows - pistar).sum(axis=-1)
+            phi.append(min(max(float(tv[reach].max()), float(limit.max())), 1.0))
+    return np.array(phi)
+
+
 def reference_profile(spec, n):
     """(phi, mu, delta_inf) by the O(n**2 S**2) loop with no fixed-point
     shortcut: every marginal stepped, every lag taken over all n + 1
@@ -103,18 +137,8 @@ def reference_profile(spec, n):
     return these bits."""
     markov, em = spec.markov, spec.emission
     pistar = stationary_distribution(markov)
-    M = np.empty((2 * n + 1, markov.num_states))
-    M[0] = markov.initial
-    for t in range(1, 2 * n + 1):
-        M[t] = M[t - 1] @ markov.transition
-    reach = (M[: n + 1] > 0.0).T
-    phi = np.empty(n)
-    rows = np.eye(markov.num_states)
-    for k in range(1, n + 1):
-        rows = rows @ markov.transition
-        tv = 0.5 * np.abs(rows[:, None, :] - M[None, k: n + k + 1, :]).sum(axis=-1)
-        limit = 0.5 * np.abs(rows - pistar).sum(axis=-1)
-        phi[k - 1] = min(max(float(tv[reach].max()), float(limit.max())), 1.0)
+    M = reference_marginals(markov, n)
+    phi = reference_phi(spec, n, range(1, n + 1))
     mu = np.empty(n)
     if em.mode == "discrete":
         law = (em.alphabet, spec.label_map, spec.num_classes)
@@ -178,6 +202,12 @@ class TestTVDistance:
 
 
 class TestMarkovSpecValidation:
+    @pytest.mark.parametrize("initial", [[math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf]])
+    def test_rejects_non_finite_initial(self, initial):
+        with pytest.raises(ValueError, match="initial"):
+            MarkovSpec(num_states=2, transition=np.array([[0.9, 0.1], [0.2, 0.8]]),
+                       initial=np.array(initial))
+
     def test_rejects_bad_row_sum(self):
         with pytest.raises(ValueError):
             MarkovSpec(num_states=2, transition=np.array([[0.9, 0.2], [0.2, 0.8]]),
@@ -497,6 +527,14 @@ class TestMixingProfile:
         assert t_lo <= _fixed_point(_marginals(spec.markov, 2 * n)) <= t_hi
         assert_matches_reference(spec, n)
 
+    @pytest.mark.parametrize("field, value", [
+        ("phi", [math.nan, 0.1]), ("mu", [0.0, math.nan]), ("delta_inf", math.nan)])
+    def test_rejects_nan(self, field, value):
+        fields = dict(horizon=2, phi=[0.2, 0.1], mu=[0.0, 0.0], delta_inf=1.6,
+                      phi_exact=True, mu_exact=True)
+        with pytest.raises(ValueError, match="phi and mu" if field != "delta_inf" else field):
+            MixingProfile(**{**fields, field: value})
+
     def test_periodic_chain_rejected(self):
         """Period-2 flipper: no certified stationary law, so no drift mu and
         no profile."""
@@ -571,6 +609,90 @@ class TestOneKernel:
                 prof = assert_matches_reference(spec, n)
                 for i in sorted({1, min(2, n), min(7, n), n}):
                     assert mu_at(spec, i) == prof.mu[i - 1], (drift, S, n, i)
+
+
+class TestPrunedPhi:
+    """_phi_lag reduces the conditioning times in blocks of _PHI_BLOCK and
+    stops once the triangle bound through pi* is strictly below the best
+    value taken: every profile keeps the bits of the reduction over every
+    time."""
+
+    @pytest.mark.parametrize("S, n, seed", [(16, 800, 0), (16, 800, 1), (32, 800, 0),
+                                            (32, 800, 1), (64, 200, 0)])
+    def test_rings_match_the_reference(self, S, n, seed):
+        """Slow lazy rings with no marginal fixed point inside 2n, so only
+        the pruning cuts the work; the reference is taken at about 40 lags
+        of each, the views at three."""
+        spec = lazy_ring(np.random.default_rng(seed).uniform(0.5, 0.8, size=S), S)
+        assert _fixed_point(_marginals(spec.markov, 2 * n)) == 2 * n + 1
+        prof = mixing_profile(spec, n)
+        lags = sorted({1, n // 2, n, *range(1, n + 1, n // 40)})
+        assert np.array_equal(prof.phi[np.array(lags) - 1], reference_phi(spec, n, lags))
+        for k in (1, n // 2, n):
+            assert phi_coefficient(spec, k, n) == prof.phi[k - 1], k
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_small_blocks_match_the_reference(self, monkeypatch, block):
+        """Blocks of 1-3 times make the pruning act at n < 60, on sparse
+        starts, lazy chains and point-mass starts of 1-8 states."""
+        monkeypatch.setattr("mixcert.process._PHI_BLOCK", block)
+        rng = np.random.default_rng(70 + block)
+        for S, kind in itertools.product(range(1, 9), ("sparse", "lazy", "point")):
+            spec = TestOneKernel.random_spec(rng, S, "discrete", False)
+            P, p0 = spec.markov.transition, spec.markov.initial
+            if kind == "lazy":
+                P = 0.97 * np.eye(S) + 0.03 * P
+            elif kind == "point":
+                p0 = np.eye(S)[rng.integers(S)]
+            spec = ProcessSpec(markov=MarkovSpec(S, P, p0), emission=spec.emission,
+                               label_map=spec.label_map, num_classes=3, input_dim=2)
+            n = int(rng.integers(2, 60))
+            prof = assert_matches_reference(spec, n)
+            for k in (1, n // 2, n):
+                assert phi_coefficient(spec, k, n) == prof.phi[k - 1], (S, kind, k)
+
+    def test_ring_reduces_few_times(self, monkeypatch):
+        """On the 16-state ring at n = 800 under 10% of the lag-time columns
+        are reduced."""
+        columns = []
+
+        def counting_tv(p, q):
+            gap = np.broadcast_shapes(p.shape, q.shape)
+            if len(gap) == 3:
+                columns.append(gap[1])
+            return _tv(p, q)
+
+        monkeypatch.setattr("mixcert.process._tv", counting_tv)
+        spec = lazy_ring(np.random.default_rng(0).uniform(0.5, 0.8, size=16))
+        mixing_profile(spec, 800)
+        assert 800 <= sum(columns) < 0.1 * 800 * 801
+
+    def test_limit_bound_is_a_suffix_max(self):
+        """TV(M[t], pi*) rises in floats on this chain; the bound the pruning
+        reads is its suffix max, so it never rises and never falls below."""
+        spec = discrete_spec([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 2)
+        M = _marginals(spec.markov, 200)
+        pistar = stationary_distribution(spec.markov)
+        e = _tv(M, pistar)
+        assert np.any(np.diff(e) > 0.0)
+        assert np.array_equal(_limit_gap_bound(M, pistar), [e[t:].max() for t in range(len(e))])
+
+    def test_a_tie_does_not_prune(self, monkeypatch):
+        """A block is skipped only when limit + bound + slack is strictly
+        below the best value taken. Here it ties exactly before the second
+        time, so that time is still reduced and its larger TV found."""
+        monkeypatch.setattr("mixcert.process._PHI_BLOCK", 1)
+        rows = np.array([[0.75, 0.25], [0.25, 0.75]])
+        pistar = np.array([0.5, 0.5])
+        future = np.array([[0.25, 0.75], [0.0, 1.0]])
+        limit, best = 0.25, 0.5  # max_b TV(rows[b], pistar); TV(rows[0], future[0])
+        slack = _tv_slack(2)
+        bound = np.array([0.5, best - slack - limit])
+        assert limit + bound[1] + slack == best
+        reach = np.ones((2, 2), dtype=bool)
+        assert _phi_lag(rows, future, reach, pistar, bound) == 0.75
+        bound[1] -= slack
+        assert _phi_lag(rows, future, reach, pistar, bound) == best
 
 
 class TestEmissionDrift:

@@ -1,4 +1,5 @@
-"""SHA-256 of every file the mixcert CLI writes on the shipped configs.
+"""SHA-256 of every file the mixcert CLI writes on the shipped configs, and
+of the mixing profiles of three slow rings.
 
     python tools/output_digests.py SRC OUT
 
@@ -6,8 +7,14 @@ runs `python -m mixcert` generate, train, certify (at --jobs 1 and at
 --jobs 2), validate and rademacher on configs/default.json, small.json and
 validators.json of this checkout, importing mixcert from the source tree SRC
 (PYTHONPATH=SRC), with each run's outputs under OUT/<config>/<run>. It then
-prints one "sha256  path" line per file, sorted by path relative to OUT. Two
-source trees write the same bytes exactly when their listings are equal:
+prints one "sha256  path" line per file, sorted by path relative to OUT,
+and then one "sha256  rings/S<S>-n800" line per slow lazy ring of S = 16,
+32 and 64 states: the digest of phi, mu and repr(delta_inf) of its
+`mixing_profile` at n = 800. No marginal fixed point falls inside 2n there,
+so these lines cover the reduction over conditioning times that the shipped
+configs skip. `python tools/output_digests.py --rings` prints them alone,
+importing mixcert from PYTHONPATH. Two source trees write the same bytes
+exactly when their listings are equal:
 
     python tools/output_digests.py /path/to/parent/src /tmp/a > a.txt
     python tools/output_digests.py src /tmp/b > b.txt
@@ -21,9 +28,34 @@ import sys
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 RUNS = {"generate": (), "train": (), "certify-jobs1": ("--jobs", "1"),
         "certify-jobs2": ("--jobs", "2"), "validate": (), "rademacher": ()}
+RING_STATES = (16, 32, 64)
+RING_N = 800
+
+
+def ring_digests() -> int:
+    """Print the "sha256  rings/S<S>-n<n>" lines: lazy directed rings that
+    stay put with probabilities drawn uniformly from [0.5, 0.8], started at
+    state 0, with state-revealing emissions."""
+    import numpy as np
+    from mixcert import EmissionSpec, MarkovSpec, ProcessSpec, mixing_profile
+
+    for S in RING_STATES:
+        stay = np.random.default_rng(S).uniform(0.5, 0.8, size=S)
+        spec = ProcessSpec(
+            markov=MarkovSpec(S, np.diag(stay) + np.roll(np.diag(1.0 - stay), 1, axis=1),
+                              np.eye(S)[0]),
+            emission=EmissionSpec.discrete(np.arange(S, dtype=np.float64)[:, None], np.eye(S)),
+            label_map=tuple(1 + s % 2 for s in range(S)), num_classes=2, input_dim=1)
+        prof = mixing_profile(spec, RING_N)
+        digest = hashlib.sha256(prof.phi.tobytes() + prof.mu.tobytes()
+                                + repr(prof.delta_inf).encode("ascii"))
+        print(f"{digest.hexdigest()}  rings/S{S}-n{RING_N}")
+    return 0
 
 
 def main(argv) -> int:
+    if argv == ["--rings"]:
+        return ring_digests()
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -43,6 +75,8 @@ def main(argv) -> int:
     for path in paths:
         with open(os.path.join(out, path), "rb") as fh:
             print(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+    sys.stdout.flush()
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--rings"], env=env, check=True)
     return 0
 
 
