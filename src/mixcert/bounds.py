@@ -47,6 +47,8 @@ from .process import (
     LabeledDataset,
     MixingProfile,
     ProcessSpec,
+    _as_float,
+    _as_int,
     mixing_profile,
     sample_sequence,
     sample_sequences_batch,
@@ -73,17 +75,14 @@ _MAX_CLASSES = 5  # the ramp-dominance sweep draws K from 2.._MAX_CLASSES
 
 
 def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise BadDelta(f"delta must lie in (0, 1), got {delta}")
+    _as_float(delta, "delta", 0.0, 1.0, error=BadDelta)
 
 
 def concentration_term(n: int, delta: float, delta_inf: float) -> float:
     """3 * delta_inf * sqrt(ln(2/delta) / (2n))."""
     _check_delta(delta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if delta_inf < 1.0:
-        raise ValueError("delta_inf must be >= 1")
+    _as_int(n, "n", 1)
+    _as_float(delta_inf, "delta_inf", 1.0, closed=True)
     return 3.0 * delta_inf * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
@@ -103,10 +102,8 @@ def theorem1_bound(empirical: float, rademacher: float, profile: MixingProfile,
     _check_delta(delta)
     if n != profile.horizon:
         raise DimensionMismatch(f"profile horizon {profile.horizon} != n {n}")
-    if not 0.0 <= empirical <= 1.0:
-        raise ValueError("empirical loss must lie in [0, 1]")
-    if rademacher < 0.0:
-        raise ValueError("rademacher term must be >= 0")
+    _as_float(empirical, "empirical", 0.0, 1.0, closed=True)
+    _as_float(rademacher, "rademacher", 0.0, closed=True)
     return _theorem1_sum(empirical, float(profile.mu.mean()),
                          concentration_term(n, delta, profile.delta_inf),
                          2.0 * rademacher)
@@ -115,14 +112,9 @@ def theorem1_bound(empirical: float, rademacher: float, profile: MixingProfile,
 def mcdiarmid_tail_bound(epsilon: float, n: int, c: float, delta_inf: float) -> float:
     """Two-sided dependent-data bounded-differences tail:
     2 * exp(-2 eps**2 / (n c**2 delta_inf**2)) for per-coordinate range c."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be > 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if c <= 0.0:
-        raise ValueError("c must be > 0")
-    if delta_inf <= 0.0:
-        raise ValueError("delta_inf must be > 0")
+    for key, value in (("epsilon", epsilon), ("c", c), ("delta_inf", delta_inf)):
+        _as_float(value, key, 0.0)
+    _as_int(n, "n", 1)
     return 2.0 * math.exp(-2.0 * epsilon ** 2 / (n * c ** 2 * delta_inf ** 2))
 
 
@@ -194,8 +186,7 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
     n = data.n
     if n != profile.horizon:
         raise DimensionMismatch(f"profile horizon {profile.horizon} != n {n}")
-    if n < 2:
-        raise ValueError("certificates need n >= 2")
+    _as_int(n, "n", 2)
     _check_delta(delta)
     if norms is None:
         norms = LayerNorms.from_params(params)
@@ -270,8 +261,7 @@ def validate_mcdiarmid(spec: ProcessSpec, f, n: int, trials: int, seed: int,
     value is the negative control: the bound turns false and violations
     should be flagged).
     """
-    if trials < 2:
-        raise ValueError("need trials >= 2")
+    _as_int(trials, "trials", 2)
     if delta_inf is None:
         delta_inf = mixing_profile(spec, n).delta_inf
     means = sequence_value_means(spec, f, n, trials, seed)
@@ -372,8 +362,7 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
     vectors sampled independently per path otherwise. Flags a violation
     when the lhs exceeds the rhs beyond combined 3-stderr bands.
     """
-    if trials < 2:
-        raise ValueError("need trials >= 2")
+    _as_int(trials, "trials", 2)
     X, Y = sample_sequences_batch(spec, n, trials, seed)
     F = fclass.evaluate(X.reshape(-1, spec.input_dim), Y.reshape(-1))
     F = F.reshape(fclass.size, trials, n)

@@ -30,6 +30,8 @@ from .network import Architecture, TrainConfig
 from .process import (
     ProcessSpec,
     _check_keys,
+    _as_float,
+    _as_int,
     mixing_profile,
     sample_sequence,
     sample_target,
@@ -50,28 +52,14 @@ _VALIDATOR_DEFAULTS = {
 }
 
 
-def _positive(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
-
-
-def _integer(low: int) -> tuple:
-    """The rule for an integer parameter >= low; a JSON true is not 1 here."""
-    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low,
-            f"an integer >= {low}")
-
-
-# (test, description) of the values each validator parameter takes. mcdiarmid
-# and symmetrization estimate a spread across trials and need two; lemma4
-# checks each trial on its own, so one is enough.
-_VALIDATOR_RULES = {
-    "n": _integer(1),
-    "trials": _integer(2),
-    "seed": _integer(0),
-    "epsilons": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-                 and all(map(_positive, v)), "a non-empty array of positive numbers"),
-    "delta_override": (lambda v: v is None or _positive(v), "null or a positive number"),
-}
-_LEMMA4_RULES = dict(_VALIDATOR_RULES, trials=_integer(1))
+# Lower bounds of the integer validator parameters. mcdiarmid and
+# symmetrization estimate a spread across trials and need two; lemma4 checks
+# each trial on its own, so one is enough.
+_VALIDATOR_LOWS = {"n": 1, "trials": 2, "seed": 0}
+_LEMMA4_LOWS = dict(_VALIDATOR_LOWS, trials=1)
+# What each real validator parameter holds.
+_VALIDATOR_REALS = {"epsilons": "a non-empty array of positive numbers",
+                    "delta_override": "null or a positive number"}
 
 
 _CSV_COLUMNS = (
@@ -99,25 +87,17 @@ class ExperimentConfig:
     validators: tuple = ()
 
     def __post_init__(self):
-        if self.n_train < 1:
-            raise ValueError("n_train must be >= 1")
-        if self.m_target < 1:
-            raise ValueError("m_target must be >= 1")
-        gammas = tuple(float(g) for g in self.gamma_list)
-        if not gammas or any(g <= 0.0 for g in gammas):
-            raise ValueError("gamma_list must be nonempty with positive entries")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        seeds = tuple(int(s) for s in self.seeds)
-        if not seeds:
-            raise ValueError("seeds must be nonempty")
-        if len(set(seeds)) != len(seeds):
-            raise ValueError("seeds must be distinct")
-        validators = tuple(_normalize_validator(v) for v in self.validators)
-        object.__setattr__(self, "gamma_list", gammas)
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "validators", validators)
-        object.__setattr__(self, "out_dir", str(self.out_dir))
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"'out_dir' must be a string, not {self.out_dir!r}")
+        for key, value in (
+                ("n_train", _as_int(self.n_train, "n_train", 1)),
+                ("m_target", _as_int(self.m_target, "m_target", 1)),
+                ("gamma_list", _distinct(tuple(
+                    _as_float(g, "gamma_list", 0.0) for g in self.gamma_list), "gamma_list")),
+                ("delta", _as_float(self.delta, "delta", 0.0, 1.0)),
+                ("seeds", _distinct(tuple(_as_int(s, "seeds", 0) for s in self.seeds), "seeds")),
+                ("validators", tuple(_normalize_validator(v) for v in self.validators))):
+            object.__setattr__(self, key, value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -166,13 +146,37 @@ def _normalize_validator(entry) -> tuple:
         if key not in merged:
             raise ValueError(f"unknown {name} parameter {key!r}")
         merged[key] = val
-    rules = _LEMMA4_RULES if name == "lemma4" else _VALIDATOR_RULES
-    for key, val in merged.items():
-        test, wanted = rules[key]
-        if not test(val):
-            raise ValueError(f"validator {name}: {key!r} must be {wanted}, not {val!r}")
+    lows = _LEMMA4_LOWS if name == "lemma4" else _VALIDATOR_LOWS
+    try:
+        for key, val in merged.items():
+            merged[key] = _validator_value(key, val, lows)
+    except ValueError as exc:
+        raise ValueError(f"validator {name}: {exc}") from None
     merged["name"] = name
     return tuple(sorted(merged.items()))
+
+
+def _validator_value(key: str, value, lows: dict):
+    """One validator parameter, checked and coerced: an integer >= its
+    entry in `lows`, or the real value that _VALIDATOR_REALS describes."""
+    if key in lows:
+        return _as_int(value, key, lows[key])
+    try:
+        if key == "delta_override":
+            return None if value is None else _as_float(value, key, 0.0)
+        if isinstance(value, (list, tuple)) and value:
+            return [_as_float(v, key, 0.0) for v in value]
+    except ValueError:
+        pass
+    raise ValueError(f"{key!r} must be {_VALIDATOR_REALS[key]}, not {value!r}")
+
+
+def _distinct(values: tuple, key: str) -> tuple:
+    """`values` if it is non-empty and repeats no value; else ValueError naming `key`."""
+    if values and len(set(values)) == len(values):
+        return values
+    raise ValueError(f"{key!r} must be a non-empty array of distinct values, "
+                     f"not {list(values)!r}")
 
 
 def write_json(doc: dict, path) -> None:
@@ -348,7 +352,7 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     try:
         config = ExperimentConfig.load(args.config)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", flush=True)
         return 2
     out_dir = args.out if args.out is not None else config.out_dir

@@ -21,7 +21,7 @@ from .errors import (
     NonpositiveGamma,
     WrongKind,
 )
-from .process import KIND_TARGET, LabeledDataset, _line, _reject_trailing
+from .process import KIND_TARGET, LabeledDataset, _as_float, _as_int, _line, _reject_trailing
 from .seeding import substream
 
 _ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "identity")
@@ -38,13 +38,12 @@ class Activation:
     def __post_init__(self):
         if self.kind not in _ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
-        if self.kind == "leaky_relu" and not 0.0 < self.slope < 1.0:
-            raise ValueError("leaky_relu slope must lie in (0, 1)")
-        object.__setattr__(self, "slope", float(self.slope))
+        if self.kind == "leaky_relu":
+            object.__setattr__(self, "slope", _as_float(self.slope, "slope", 0.0, 1.0))
 
     @classmethod
     def parse(cls, name: str) -> "Activation":
-        if name.startswith("leaky_relu"):
+        if isinstance(name, str) and name.startswith("leaky_relu"):
             slope = float(name.split(":", 1)[1]) if ":" in name else 0.01
             return cls("leaky_relu", slope)
         return cls(name)
@@ -171,10 +170,10 @@ class Architecture:
     activations: tuple
 
     def __post_init__(self):
-        dims = tuple(int(v) for v in self.dims)
-        if len(dims) < 2 or any(v < 1 for v in dims):
-            raise ValueError("dims must list at least input and output sizes, all >= 1")
-        acts = tuple(str(a) for a in self.activations)
+        dims = tuple(_as_int(v, "dims", 1) for v in self.dims)
+        if len(dims) < 2:
+            raise ValueError("dims must list at least input and output sizes")
+        acts = tuple(self.activations)
         if len(acts) != len(dims) - 1:
             raise DimensionMismatch("one activation per layer")
         for a in acts:
@@ -192,14 +191,15 @@ class TrainConfig:
     init_scale: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.init_scale is not None and self.init_scale <= 0.0:
-            raise ValueError("init_scale must be > 0 when given")
+        for key, value in (
+                ("learning_rate",
+                 _as_float(self.learning_rate, "learning_rate", 0.0, closed=True)),
+                ("epochs", _as_int(self.epochs, "epochs", 0)),
+                ("batch_size", _as_int(self.batch_size, "batch_size", 1)),
+                ("seed", _as_int(self.seed, "seed", 0)),
+                ("init_scale", None if self.init_scale is None
+                 else _as_float(self.init_scale, "init_scale", 0.0))):
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,7 @@ def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def ramp_loss(r, gamma: float):
     """Piecewise-linear loss: 1 for r >= 0, 0 for r <= -gamma, linear
     in between; 1/gamma-Lipschitz and confined to [0, 1]."""
-    if gamma <= 0.0:
-        raise NonpositiveGamma("gamma must be > 0")
+    gamma = _as_float(gamma, "gamma", 0.0, error=NonpositiveGamma)
     arr = np.asarray(r, dtype=np.float64)
     out = np.clip(1.0 + np.minimum(arr, 0.0) / gamma, 0.0, 1.0)
     if np.isscalar(r) or arr.ndim == 0:

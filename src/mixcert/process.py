@@ -43,6 +43,8 @@ from .seeding import substream
 
 _ATOL = 1e-12
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # a number is finite iff |x| <= this
+
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
 
 _PHI_BLOCK = 32  # conditioning times _phi_lag reduces per block
@@ -87,9 +89,7 @@ class MarkovSpec:
     initial: np.ndarray
 
     def __post_init__(self):
-        S = int(self.num_states)
-        if S < 1:
-            raise ValueError("num_states must be >= 1")
+        S = _as_int(self.num_states, "num_states", 1)
         P = _as_float_matrix(self.transition, "transition")
         if P.shape != (S, S):
             raise DimensionMismatch(f"transition must be ({S}, {S}), got {P.shape}")
@@ -150,13 +150,11 @@ class EmissionSpec:
         for name in _field_names(EmissionSpec):
             if name not in keys and getattr(self, name) is not None:
                 raise ValueError(f"{name} is not a field of {self.mode} emissions")
-        c = float(self.drift_amplitude)
-        if not 0.0 <= c <= 1.0:
-            raise ValueError("drift_amplitude must lie in [0, 1] so mixtures stay laws")
-        if float(self.drift_exponent) <= 0.0:
-            raise ValueError("drift_exponent must be > 0")
-        object.__setattr__(self, "drift_amplitude", c)
-        object.__setattr__(self, "drift_exponent", float(self.drift_exponent))
+        # an amplitude in [0, 1] keeps every mixture a law
+        object.__setattr__(self, "drift_amplitude", _as_float(
+            self.drift_amplitude, "drift_amplitude", 0.0, 1.0, closed=True))
+        object.__setattr__(self, "drift_exponent", _as_float(
+            self.drift_exponent, "drift_exponent", 0.0))
         owned = _MODE_FIELDS[self.mode]
         param_name, rows_name, drift_name = owned
         if getattr(self, param_name) is None or getattr(self, rows_name) is None:
@@ -176,9 +174,7 @@ class EmissionSpec:
                 drift = _check_stochastic(drift, drift_name)
             param.setflags(write=False)
         else:
-            param = float(self.sigma)
-            if param <= 0.0:
-                raise ValueError("sigma must be > 0")
+            param = _as_float(self.sigma, "sigma", 0.0)
         for arr in (rows, drift):
             if arr is not None:
                 arr.setflags(write=False)
@@ -266,21 +262,20 @@ class ProcessSpec:
 
     def __post_init__(self):
         S = self.markov.num_states
-        K = int(self.num_classes)
-        if K < 2:
-            raise BadLabel("num_classes must be >= 2")
-        labels = tuple(int(v) for v in self.label_map)
+        K = _as_int(self.num_classes, "num_classes", 2, BadLabel)
+        labels = tuple(_as_int(v, "label_map", 1, BadLabel) for v in self.label_map)
         if len(labels) != S:
             raise DimensionMismatch("label_map must assign a label to every state")
-        if any(not 1 <= v <= K for v in labels):
+        if any(v > K for v in labels):
             raise BadLabel(f"labels must lie in 1..{K}")
         if self.emission.num_states != S:
             raise DimensionMismatch("emission tables must have one row per state")
-        if self.emission.input_dim != int(self.input_dim):
+        d = _as_int(self.input_dim, "input_dim", 1)
+        if self.emission.input_dim != d:
             raise DimensionMismatch("emission dimension must equal input_dim")
         object.__setattr__(self, "label_map", labels)
         object.__setattr__(self, "num_classes", K)
-        object.__setattr__(self, "input_dim", int(self.input_dim))
+        object.__setattr__(self, "input_dim", d)
 
     def to_json_dict(self) -> dict:
         em = self.emission
@@ -327,13 +322,12 @@ class MixingProfile:
         # negated, so that a NaN (every comparison False) is rejected too
         if not all(np.all(v >= 0.0) and np.all(v <= 1.0) for v in (phi, mu)):
             raise ValueError("phi and mu entries must lie in [0, 1]")
-        if not self.delta_inf >= 1.0:
-            raise ValueError("delta_inf must be >= 1")
         phi.setflags(write=False)
         mu.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "delta_inf", float(self.delta_inf))
+        object.__setattr__(self, "delta_inf", _as_float(self.delta_inf, "delta_inf", 1.0,
+                                                    closed=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,9 +353,7 @@ class LabeledDataset:
             raise DimensionMismatch("labels must be (n,)")
         if not np.all(np.isfinite(X)):
             raise ValueError("inputs must be finite")
-        K = int(self.num_classes)
-        if K < 2:
-            raise BadLabel("num_classes must be >= 2")
+        K = _as_int(self.num_classes, "num_classes", 2, BadLabel)
         if y.size and (y.min() < 1 or y.max() > K):
             raise BadLabel(f"labels must lie in 1..{K}")
         if self.kind not in (KIND_SEQUENCE, KIND_TARGET):
@@ -373,7 +365,7 @@ class LabeledDataset:
         object.__setattr__(self, "inputs", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "num_classes", K)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
 
     @property
     def n(self) -> int:
@@ -445,6 +437,32 @@ def _check_keys(section: dict, cls, name: str, allowed=None) -> dict:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in config section {name}")
     return section
+
+
+def _as_int(value, key: str, low: int, error=ValueError) -> int:
+    """`value` as an int if it is a Python or numpy integer >= low; a bool
+    is not one, and neither is an integral float. Else `error` naming `key`."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
+        return int(value)
+    raise error(f"{key!r} must be an integer >= {low}, not {value!r}")
+
+
+def _as_float(value, key: str, low: float, high: float = math.inf, closed: bool = False,
+              error=ValueError) -> float:
+    """`value` as a float if it is a finite Python or numpy number (a bool is
+    not one) between low and high, both excluded or, with `closed`, both
+    included. Else `error` naming `key`. Finiteness is tested before any
+    comparison with the bounds, so NaN is rejected."""
+    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and abs(value) <= _FLOAT_MAX
+            and (low <= value <= high if closed else low < value < high)):
+        return float(value)
+    if high == math.inf:
+        wanted = f"a finite number {'>=' if closed else '>'} {low:g}"
+    else:
+        left, right = ("[", "]") if closed else ("(", ")")
+        wanted = f"a number in {left}{low:g}, {high:g}{right}"
+    raise error(f"{key!r} must be {wanted}, not {value!r}")
 
 
 def _field_names(cls) -> tuple:
@@ -574,10 +592,8 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
     coefficient (conditioning on less cannot increase the sup, and the
     future event algebra is a coarsening).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _as_int(k, "k", 1)
+    _as_int(horizon, "horizon", 1)
     markov = spec.markov
     M = _marginals(markov, horizon + k)
     # the running product of mixing_profile, so both give the same bits
@@ -736,8 +752,7 @@ def mu_at(spec: ProcessSpec, i: int) -> float:
     """Marginal drift at time i: TV between the law of (X_i, Y_i) and its
     stationary limit. Exact for discrete emissions; for Gaussian emissions a
     certified upper bound TV(hidden_i, pi*) + max-state emission TV."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
+    _as_int(i, "i", 1)
     pistar = stationary_distribution(spec.markov)
     return float(_mu(spec, pistar, _marginals(spec.markov, i), (i,))[0])
 
@@ -793,8 +808,7 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     column. On a slow 16-state ring at n = 800, with no fixed point inside
     2n, about 4% of the columns are reduced.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _as_int(n, "n", 1)
     markov = spec.markov
     pistar = stationary_distribution(markov)
     M = _marginals(markov, 2 * n)
@@ -878,8 +892,7 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
     The hidden state starts at the initial law and takes n kernel steps;
     X_i is emitted from the time-i law of state H_i. Deterministic in seed.
     """
-    if n < 1:
-        raise EmptyDataset("sequence length must be >= 1")
+    _as_int(n, "n", 1, EmptyDataset)
     rng = substream(seed, _STREAM_SEQUENCE)
     em = spec.emission
     emitted = _walk_path(spec.markov, n, rng)[1:]
@@ -891,8 +904,7 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
 
 def sample_target(spec: ProcessSpec, m: int, seed: int) -> LabeledDataset:
     """Draw m iid samples of the stationary limit (pi*, limit emission)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _as_int(m, "m", 0)
     pistar = stationary_distribution(spec.markov)
     rng = substream(seed, _STREAM_TARGET)
     em = spec.emission
@@ -910,8 +922,8 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     Returns (inputs (trials, n, d), labels (trials, n)). Single Philox
     stream with a fixed draw order, so results depend only on the seed.
     """
-    if n < 1 or trials < 1:
-        raise ValueError("need n >= 1 and trials >= 1")
+    _as_int(n, "n", 1)
+    _as_int(trials, "trials", 1)
     rng = substream(seed, _STREAM_BATCH)
     em = spec.emission
     walk = _walk(spec.markov, trials, rng)

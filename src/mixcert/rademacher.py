@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
 from .norms import LayerNorms, norm_factors, require_positive_spectral
-from .process import LabeledDataset
+from .process import LabeledDataset, _as_float, _as_int
 from .seeding import substream
 
 _EXACT_MAX_N = 20
@@ -104,8 +104,7 @@ def table_class(alphabet: np.ndarray, tables) -> FunctionClass:
 
 def loss_class(params_list, gamma: float) -> FunctionClass:
     """Ramp losses of negated margins of fixed networks."""
-    if gamma <= 0.0:
-        raise NonpositiveGamma("gamma must be > 0")
+    _as_float(gamma, "gamma", 0.0, error=NonpositiveGamma)
 
     def make(params: NetworkParams) -> Callable:
         def f(X: np.ndarray, y: np.ndarray, params=params) -> np.ndarray:
@@ -194,8 +193,7 @@ def empirical_rademacher_exact(fclass: FunctionClass,
 def empirical_rademacher_mc(fclass: FunctionClass, data: LabeledDataset,
                             trials: int, seed: int) -> RademacherEstimate:
     """Monte Carlo complexity over `trials` sign draws with its stderr."""
-    if trials < 100:
-        raise ValueError("need trials >= 100 for a meaningful stderr")
+    _as_int(trials, "trials", 100)  # fewer give no meaningful stderr
     n = data.n
     if n == 0:
         raise EmptyDataset("need at least one point")
@@ -215,14 +213,10 @@ def covering_bound_terms(B: float, gamma: float, W: int, n: int,
     (36 * B * ln(2W) * ln(n) / (gamma * n)) * (sum (b_i/s_i)**(2/3))**(3/2)
     * prod(s_i * p_i). The certificate consumes both scaled by 2.
     """
-    if gamma <= 0.0:
-        raise NonpositiveGamma("gamma must be > 0")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if B < 0.0:
-        raise ValueError("B must be >= 0")
-    if W < 1:
-        raise ValueError("W must be >= 1")
+    _as_float(gamma, "gamma", 0.0, error=NonpositiveGamma)
+    _as_int(n, "n", 2)
+    _as_float(B, "B", 0.0, closed=True)
+    _as_int(W, "W", 1)
     require_positive_spectral(norms)
     ratio, prod = norm_factors(norms)
     lead = 36.0 * B * math.log(2.0 * W) * math.log(n) / (gamma * n)

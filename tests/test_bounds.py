@@ -5,6 +5,8 @@ displayed formulas; statistical checks use fixed seeds and three-sigma
 envelopes.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,12 @@ class TestTheorem1Bound:
         with pytest.raises(ValueError):
             theorem1_bound(1.2, 0.05, flat_profile(10), 0.05, 10)
 
+    @pytest.mark.parametrize("empirical, rademacher, key", [
+        (math.nan, 0.05, "empirical"), (0.2, math.nan, "rademacher")])
+    def test_rejects_nan_terms(self, empirical, rademacher, key):
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            theorem1_bound(empirical, rademacher, flat_profile(10), 0.05, 10)
+
 
 class TestMcDiarmidTailBound:
     def test_frozen_values(self):
@@ -134,6 +142,12 @@ class TestMcDiarmidTailBound:
             v = mcdiarmid_tail_bound(eps, 50, 0.02, 1.5)
             assert 0.0 <= v <= 2.0
 
+    @pytest.mark.parametrize("key", ["epsilon", "c", "delta_inf"])
+    def test_rejects_nan(self, key):
+        args = dict(epsilon=0.1, n=100, c=0.01, delta_inf=1.0)
+        with pytest.raises(ValueError, match=f"'{key}' must be a finite number > 0"):
+            mcdiarmid_tail_bound(**{**args, key: math.nan})
+
 
 class TestConcentrationTerm:
     def test_frozen_value(self):
@@ -143,6 +157,10 @@ class TestConcentrationTerm:
     def test_linear_in_delta_inf(self):
         assert concentration_term(100, 0.05, 3.0) == \
             pytest.approx(3 * concentration_term(100, 0.05, 1.0), rel=1e-15)
+
+    def test_rejects_nan_delta_inf(self):
+        with pytest.raises(ValueError, match="'delta_inf' must be a finite number >= 1"):
+            concentration_term(10, 0.05, math.nan)
 
 
 class TestNetworkCertificate:

@@ -38,6 +38,9 @@ from mixcert.harness import (
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEMO_DIR = CONFIG_DIR.parent / "demos"
+# the shipped configs and the one the benchmark loads, which is read only here
+SHIPPED_CONFIGS = [CONFIG_DIR / f"{name}.json" for name in ("default", "small", "validators")]
+SHIPPED_CONFIGS.append(CONFIG_DIR.parent / "perfbench" / "validate_discrete.json")
 
 
 def package_env() -> dict:
@@ -81,6 +84,27 @@ WRONG_TYPE_CASES = [
     (("arch", "dims"), "key 'dims' in config section arch must be a JSON array, not int"),
     (("arch", "activations"), "key 'activations' in config section arch must be a JSON array"),
     (("process", "label_map"), "key 'label_map' in config section process must be a JSON array"),
+]
+
+
+# (path, value) of a config field and a value it must not hold
+BAD_VALUE_CASES = [
+    (("gamma_list",), [float("nan")]),
+    (("gamma_list",), [0.5, 0.5]),
+    (("seeds",), [1.5, 2.7]),
+    (("seeds",), [-3]),
+    (("process", "num_classes"), 2.9),
+    (("process", "label_map"), [[1], 2]),
+    (("arch", "dims"), [2, "16", 2]),
+    (("process", "emission", "drift_amplitude"), True),
+    (("process", "emission", "sigma"), float("nan")),
+    (("n_train",), 200.5),
+    (("n_train",), "200"),
+    (("m_target",), 3.0),
+    (("delta",), "0.05"),
+    (("train", "epochs"), 2.5),
+    (("train", "seed"), -1),
+    (("train", "learning_rate"), float("nan")),
 ]
 
 
@@ -197,9 +221,33 @@ class TestExperimentConfig:
         assert dict(cfg.validators[0])["delta_override"] == 2
 
     def test_shipped_validator_entries_load_unchanged(self):
-        for name in ("default", "small", "validators"):
-            doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        for path in SHIPPED_CONFIGS:
+            doc = json.loads(path.read_text())
             assert ExperimentConfig.from_json_dict(doc).to_json_dict() == doc
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_numpy_scalars_load_as_python_numbers(self, path):
+        """Every integer and real of a config may be a numpy scalar; it is
+        stored as the Python int or float it equals."""
+        def to_numpy(v):
+            if isinstance(v, dict):
+                return {k: to_numpy(x) for k, x in v.items()}
+            if isinstance(v, list):
+                return [to_numpy(x) for x in v]
+            if isinstance(v, bool) or v is None or isinstance(v, str):
+                return v
+            return np.int64(v) if isinstance(v, int) else np.float64(v)
+
+        def leaf_types(v):
+            if isinstance(v, (dict, list)):
+                return set().union(*map(leaf_types, v.values() if isinstance(v, dict) else v))
+            return {type(v)}
+
+        doc = json.loads(path.read_text())
+        got = ExperimentConfig.from_json_dict(to_numpy(doc)).to_json_dict()
+        assert got == doc
+        assert leaf_types(got) <= {int, float, str, type(None)}
+        assert json.dumps(got, sort_keys=True) == json.dumps(doc, sort_keys=True)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
@@ -292,7 +340,8 @@ class TestExperimentConfig:
         doc.update(
             n_train=data.draw(st.integers(1, 10**6)), m_target=data.draw(st.integers(1, 10**6)),
             delta=data.draw(unit),
-            gamma_list=data.draw(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=4)),
+            gamma_list=data.draw(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=4,
+                                          unique=True)),
             seeds=data.draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=5, unique=True)))
         doc["train"].update(
             learning_rate=data.draw(st.floats(0.0, 10.0)), epochs=data.draw(st.integers(0, 50)),
@@ -467,6 +516,21 @@ class TestMainEntry:
         rc = main(["certify", "--config", str(config)])
         assert rc == 2
         assert capsys.readouterr().out == "config error: initial entries must lie in [0, 1]\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value", BAD_VALUE_CASES, ids=[
+        f"{'.'.join(path)}={json.dumps(value)}" for path, value in BAD_VALUE_CASES])
+    def test_bad_config_value_rc2(self, tmp_path, capsys, path, value):
+        """A value that is not what its field holds (a truncated integer, a
+        NaN, a bool or a string for a number, a repeat) is a config error that
+        names its key; nothing runs."""
+        config = self.write_config(tmp_path, process=gaussian_process())
+        doc = set_key(json.loads(config.read_text()), path, value)
+        config.write_text(json.dumps(doc))
+        rc = main(["certify", "--config", str(config)])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"config error: {path[-1]!r} must be "), out
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_rc2(self, tmp_path, capsys):

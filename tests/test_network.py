@@ -1,5 +1,6 @@
 """Feed-forward network tests: margins, losses, gradients, training."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -218,6 +219,10 @@ class TestRampLoss:
         with pytest.raises(NonpositiveGamma):
             ramp_loss(0.1, 0.0)
 
+    def test_rejects_nan_gamma(self):
+        with pytest.raises(NonpositiveGamma, match="'gamma' must be a finite number > 0"):
+            ramp_loss(0.3, math.nan)
+
 
 class TestLosses:
     def data(self):
@@ -358,6 +363,12 @@ class TestTrainSGD:
         for a, b in zip(r1.params.layers, r2.params.layers):
             np.testing.assert_array_equal(a, b)
         assert r1.epoch_losses == r2.epoch_losses
+
+    @pytest.mark.parametrize("key", ["learning_rate", "init_scale"])
+    def test_config_rejects_nan(self, key):
+        args = dict(learning_rate=0.1, epochs=5, batch_size=32, seed=9, init_scale=1.0)
+        with pytest.raises(ValueError, match=f"'{key}' must be a finite number"):
+            TrainConfig(**{**args, key: math.nan})
 
     def test_loss_decreases_and_separates(self):
         data = self.spec_data()

@@ -781,6 +781,14 @@ class TestEmissionDrift:
                                   drift_means=np.array([[0.0], [0.0]]),
                                   drift_amplitude=1.5, drift_exponent=0.5)
 
+    @pytest.mark.parametrize("key", ["sigma", "drift_amplitude", "drift_exponent"])
+    def test_rejects_nan_scalars(self, key):
+        args = dict(means=np.array([[1.0], [-1.0]]), sigma=0.5,
+                    drift_means=np.array([[0.0], [0.0]]), drift_amplitude=0.5,
+                    drift_exponent=0.5)
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            EmissionSpec.gaussian(**{**args, key: math.nan})
+
 
 class TestProcessSpecSerialization:
     def make(self):

@@ -12,6 +12,7 @@ from mixcert import (
     LabeledDataset,
     LayerNorms,
     NetworkParams,
+    NonpositiveGamma,
     TooLarge,
     ZeroSpectralNorm,
     constant_class,
@@ -78,6 +79,11 @@ class TestFunctionClass:
                           rng.integers(1, 3, size=10).astype(np.int64))
         assert vals.shape == (3, 10)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+    def test_loss_class_rejects_nan_gamma(self):
+        net = NetworkParams(layers=(np.eye(2),), activations=(Activation("identity"),))
+        with pytest.raises(NonpositiveGamma):
+            loss_class([net], gamma=math.nan)
 
 
 def reference_exact(F):
@@ -238,3 +244,7 @@ class TestCoveringBound:
         zero = LayerNorms(spectral=(0.0,), two_one=(0.0,), lipschitz=(1.0,))
         with pytest.raises(ZeroSpectralNorm):
             covering_bound_terms(B=10.0, gamma=1.0, W=16, n=100, norms=zero)
+
+    def test_rejects_nan_gamma(self):
+        with pytest.raises(NonpositiveGamma):
+            covering_bound_terms(B=10.0, gamma=math.nan, W=16, n=100, norms=ONE_LAYER)
