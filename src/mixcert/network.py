@@ -21,7 +21,8 @@ from .errors import (
     NonpositiveGamma,
     WrongKind,
 )
-from .process import KIND_TARGET, LabeledDataset, _as_float, _as_int, _line, _reject_trailing
+from .process import (KIND_TARGET, LabeledDataset, _as_array, _as_float, _as_int, _as_labels,
+                      _count, _fields, _reject_trailing)
 from .seeding import substream
 
 _ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "identity")
@@ -43,10 +44,17 @@ class Activation:
 
     @classmethod
     def parse(cls, name: str) -> "Activation":
-        if isinstance(name, str) and name.startswith("leaky_relu"):
-            slope = float(name.split(":", 1)[1]) if ":" in name else 0.01
-            return cls("leaky_relu", slope)
-        return cls(name)
+        """An activation from its name; "leaky_relu:<slope>" sets the slope,
+        which is 0.01 for "leaky_relu" alone."""
+        if not isinstance(name, str) or not name.startswith("leaky_relu"):
+            return cls(name)
+        kind, colon, text = name.partition(":")
+        try:
+            slope = float(text) if colon else 0.01
+        except ValueError:
+            raise ValueError(f"'activations' must be activation names, with a number "
+                             f"after 'leaky_relu:', not {name!r}") from None
+        return cls(kind, slope)
 
     def name(self) -> str:
         if self.kind == "leaky_relu":
@@ -85,28 +93,19 @@ class NetworkParams:
     activations: tuple
 
     def __post_init__(self):
-        layers = tuple(np.asarray(W, dtype=np.float64) for W in self.layers)
+        layers = tuple(_as_array(W, f"layer {i}", 2) for i, W in enumerate(self.layers))
         if not layers:
             raise ValueError("need at least one layer")
         acts = tuple(a if isinstance(a, Activation) else Activation.parse(a)
                      for a in self.activations)
         if len(acts) != len(layers):
             raise DimensionMismatch("one activation per layer")
-        for i, W in enumerate(layers):
-            if W.ndim != 2:
-                raise DimensionMismatch(f"layer {i} must be a matrix")
-            if not np.all(np.isfinite(W)):
-                raise ValueError(f"layer {i} has non-finite entries")
-            if i and W.shape[1] != layers[i - 1].shape[0]:
+        for i in range(1, len(layers)):
+            if layers[i].shape[1] != layers[i - 1].shape[0]:
                 raise DimensionMismatch(
-                    f"layer {i} expects {W.shape[1]} inputs, previous emits "
+                    f"layer {i} expects {layers[i].shape[1]} inputs, previous emits "
                     f"{layers[i - 1].shape[0]}")
-        frozen = []
-        for W in layers:
-            W = W.copy()
-            W.setflags(write=False)
-            frozen.append(W)
-        object.__setattr__(self, "layers", tuple(frozen))
+        object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "activations", acts)
 
     @property
@@ -143,21 +142,15 @@ class NetworkParams:
     def load(cls, path) -> "NetworkParams":
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read().split("\n")
-        L = int(raw[0])
+        (L,) = _fields(raw, 0, (("layer count", _count),))
         layers = []
         pos = 1
         for _ in range(L):
-            rows, cols = (int(v) for v in _line(raw, pos).split())
-            pos += 1
-            W = np.zeros((rows, cols))
-            for r in range(rows):
-                entries = _line(raw, pos).split()
-                if len(entries) != cols:
-                    raise ValueError(f"layer row at line {pos + 1} has wrong arity")
-                W[r] = [float(v) for v in entries]
-                pos += 1
-            layers.append(W)
-        acts = tuple(Activation.parse(name) for name in _line(raw, pos).split())
+            rows, cols = _fields(raw, pos, (("rows", _count), ("cols", _count)))
+            layers.append(np.reshape([_fields(raw, pos + 1 + r, (("weight", float),) * cols)
+                                      for r in range(rows)], (rows, cols)))
+            pos += 1 + rows
+        acts = _fields(raw, pos, (("activation", Activation.parse),) * L)
         _reject_trailing(raw, pos + 1)
         return cls(layers=tuple(layers), activations=acts)
 
@@ -242,10 +235,7 @@ def margin(v: np.ndarray, j: int) -> float:
 
 def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    raw = np.asarray(labels)
-    if raw.dtype.kind not in "biu" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
-        raise BadLabel("labels must be integers")
-    labels = raw.astype(np.int64)
+    labels = _as_labels(labels)
     K = logits.shape[1]
     if K < 2:
         raise BadLabel("margins need at least two classes")

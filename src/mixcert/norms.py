@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergenceWarning, ZeroSpectralNorm
 from .network import NetworkParams
+from .process import _as_float
 from .seeding import substream
 
 _RESTART_TAGS = (101, 211)
@@ -38,8 +39,7 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10) -> float:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise DimensionMismatch("spectral_norm needs a matrix")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _as_float(tol, "tol", 0.0)
     if A.size == 0 or not np.any(A):
         return 0.0
     for tag in _RESTART_TAGS:
@@ -83,9 +83,9 @@ class LayerNorms:
     def __post_init__(self):
         if not len(self.spectral) == len(self.two_one) == len(self.lipschitz):
             raise DimensionMismatch("per-layer tuples must have equal length")
-        object.__setattr__(self, "spectral", tuple(float(v) for v in self.spectral))
-        object.__setattr__(self, "two_one", tuple(float(v) for v in self.two_one))
-        object.__setattr__(self, "lipschitz", tuple(float(v) for v in self.lipschitz))
+        for key in ("spectral", "two_one", "lipschitz"):
+            object.__setattr__(self, key, tuple(_as_float(v, key, 0.0, closed=True)
+                                                for v in getattr(self, key)))
 
     @classmethod
     def from_params(cls, params: NetworkParams, tol: float = 1e-10) -> "LayerNorms":

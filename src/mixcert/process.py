@@ -57,19 +57,9 @@ KIND_SEQUENCE = "sequence"
 KIND_TARGET = "target_iid"
 
 
-def _as_float_matrix(a, name: str) -> np.ndarray:
-    """A float64 copy of `a`, so freezing it never freezes the caller's array."""
-    arr = np.array(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a 2-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
-
-
 def _check_stochastic(rows: np.ndarray, name: str) -> np.ndarray:
-    """Check that `rows` are laws within _ATOL and return a copy with the
-    tolerated negative entries set to 0, so every cumulative row is
+    """Check that `rows` are laws within _ATOL and return a read-only copy
+    with the tolerated negative entries set to 0, so every cumulative row is
     nondecreasing; other entries, -0.0 included, keep their bits."""
     # negated, so that a NaN (every comparison False) is rejected too
     if not (np.all(rows >= -_ATOL) and np.all(rows <= 1.0 + _ATOL)):
@@ -77,7 +67,9 @@ def _check_stochastic(rows: np.ndarray, name: str) -> np.ndarray:
     sums = rows.sum(axis=-1)
     if not np.all(np.abs(sums - 1.0) <= _ATOL):
         raise ValueError(f"{name} rows must sum to 1 within {_ATOL}")
-    return np.where(rows < 0.0, 0.0, rows)
+    out = np.where(rows < 0.0, 0.0, rows)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,19 +82,15 @@ class MarkovSpec:
 
     def __post_init__(self):
         S = _as_int(self.num_states, "num_states", 1)
-        P = _as_float_matrix(self.transition, "transition")
+        P = _as_array(self.transition, "transition", 2)
         if P.shape != (S, S):
             raise DimensionMismatch(f"transition must be ({S}, {S}), got {P.shape}")
-        P = _check_stochastic(P, "transition")
         p0 = np.asarray(self.initial, dtype=np.float64).reshape(-1)
         if p0.shape != (S,):
             raise DimensionMismatch(f"initial must have length {S}")
-        p0 = _check_stochastic(p0, "initial")
-        P.setflags(write=False)
-        p0.setflags(write=False)
         object.__setattr__(self, "num_states", S)
-        object.__setattr__(self, "transition", P)
-        object.__setattr__(self, "initial", p0)
+        object.__setattr__(self, "transition", _check_stochastic(P, "transition"))
+        object.__setattr__(self, "initial", _check_stochastic(p0, "initial"))
 
 
 # The EmissionSpec fields each mode owns, in one layout: the law's fixed
@@ -159,25 +147,21 @@ class EmissionSpec:
         param_name, rows_name, drift_name = owned
         if getattr(self, param_name) is None or getattr(self, rows_name) is None:
             raise ValueError(f"{self.mode} mode needs {param_name} and {rows_name}")
-        rows = _as_float_matrix(getattr(self, rows_name), rows_name)
+        rows = _as_array(getattr(self, rows_name), rows_name, 2)
         drift = getattr(self, drift_name)
         if drift is not None:
-            drift = _as_float_matrix(drift, drift_name)
+            drift = _as_array(drift, drift_name, 2)
             if drift.shape != rows.shape:
                 raise DimensionMismatch(f"{drift_name} must match {rows_name} shape")
         if self.mode == "discrete":
-            param = _as_float_matrix(self.alphabet, "alphabet")
+            param = _as_array(self.alphabet, "alphabet", 2)
             if rows.shape[1] != param.shape[0]:
                 raise DimensionMismatch("table columns must match alphabet size")
             rows = _check_stochastic(rows, rows_name)
             if drift is not None:
                 drift = _check_stochastic(drift, drift_name)
-            param.setflags(write=False)
         else:
             param = _as_float(self.sigma, "sigma", 0.0)
-        for arr in (rows, drift):
-            if arr is not None:
-                arr.setflags(write=False)
         for name, value in zip(owned, (param, rows, drift)):
             object.__setattr__(self, name, value)
 
@@ -315,15 +299,11 @@ class MixingProfile:
     mu_exact: bool
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.float64)
-        mu = np.asarray(self.mu, dtype=np.float64)
+        phi, mu = (_as_array(v, "phi and mu", 1) for v in (self.phi, self.mu))
         if phi.shape != (self.horizon,) or mu.shape != (self.horizon,):
             raise DimensionMismatch("phi and mu must have length horizon")
-        # negated, so that a NaN (every comparison False) is rejected too
         if not all(np.all(v >= 0.0) and np.all(v <= 1.0) for v in (phi, mu)):
             raise ValueError("phi and mu entries must lie in [0, 1]")
-        phi.setflags(write=False)
-        mu.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "delta_inf", _as_float(self.delta_inf, "delta_inf", 1.0,
@@ -345,23 +325,15 @@ class LabeledDataset:
     seed: int
 
     def __post_init__(self):
-        X = np.asarray(self.inputs, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
-        if X.ndim != 2:
-            raise DimensionMismatch("inputs must be (n, d)")
+        X = _as_array(self.inputs, "inputs", 2)
+        y = _as_labels(self.labels)
         if y.shape != (X.shape[0],):
             raise DimensionMismatch("labels must be (n,)")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("inputs must be finite")
         K = _as_int(self.num_classes, "num_classes", 2, BadLabel)
         if y.size and (y.min() < 1 or y.max() > K):
             raise BadLabel(f"labels must lie in 1..{K}")
         if self.kind not in (KIND_SEQUENCE, KIND_TARGET):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        X = X.copy()
-        y = y.copy()
-        X.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "inputs", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "num_classes", K)
@@ -391,28 +363,41 @@ class LabeledDataset:
     def load(cls, path) -> "LabeledDataset":
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read().split("\n")
-        head = raw[0].split()
-        if len(head) != 5:
-            raise ValueError("malformed dataset header")
-        n, d, K = int(head[0]), int(head[1]), int(head[2])
-        kind, seed = head[3], int(head[4])
-        X = np.zeros((n, d), dtype=np.float64)
-        y = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            parts = _line(raw, 1 + i).split()
-            if len(parts) != d + 1:
-                raise ValueError(f"dataset row {i} has {len(parts)} fields, wanted {d + 1}")
-            X[i] = [float(v) for v in parts[:d]]
-            y[i] = int(parts[d])
+        n, d, K, kind, seed = _fields(raw, 0, (("n", _count), ("d", _count), ("K", _count),
+                                               ("kind", str), ("seed", _count)))
+        rows = [_fields(raw, 1 + i, (("input", float),) * d + (("label", _count),))
+                for i in range(n)]
         _reject_trailing(raw, 1 + n)
-        return cls(inputs=X, labels=y, num_classes=K, kind=kind, seed=seed)
+        return cls(inputs=np.reshape([r[:d] for r in rows], (n, d)),
+                   labels=[r[d] for r in rows], num_classes=K, kind=kind, seed=seed)
 
 
-def _line(raw: list, i: int) -> str:
-    """raw[i], line i + 1 of a text file; ValueError if the file ends before."""
+def _count(text: str) -> int:
+    """A text field of decimal digits as an int; ValueError for any other
+    text, a sign included."""
+    if not text.isdigit():
+        raise ValueError("not an integer >= 0")
+    return int(text)
+
+
+def _fields(raw: list, i: int, fields: tuple) -> list:
+    """raw[i], line i + 1 of a text file, read as one whitespace-separated
+    field per (name, read) pair of `fields`. ValueError naming the line if
+    the file ends before it or the line holds another number of fields, and
+    naming the field too if `read` rejects its text."""
     if i >= len(raw):
         raise ValueError(f"missing line {i + 1}: the file ends at line {len(raw)}")
-    return raw[i]
+    parts = raw[i].split()
+    if len(parts) != len(fields):
+        names = " ".join(dict.fromkeys(name for name, _ in fields))
+        raise ValueError(f"line {i + 1} has {len(parts)} fields, wanted {len(fields)} ({names})")
+    out = []
+    for (name, read), text in zip(fields, parts):
+        try:
+            out.append(read(text))
+        except ValueError as err:
+            raise ValueError(f"line {i + 1}: {name} {text!r}: {err}") from None
+    return out
 
 
 def _check_keys(section: dict, cls, name: str, allowed=None) -> dict:
@@ -445,6 +430,32 @@ def _as_int(value, key: str, low: int, error=ValueError) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
         return int(value)
     raise error(f"{key!r} must be an integer >= {low}, not {value!r}")
+
+
+def _as_array(value, name: str, ndim: int) -> np.ndarray:
+    """A read-only float64 copy of `value`, so freezing it never freezes the
+    caller's array. DimensionMismatch unless it has `ndim` axes, ValueError
+    naming `name` unless every entry is finite."""
+    arr = np.array(value, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be a {ndim}-d array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
+def _as_labels(labels) -> np.ndarray:
+    """A read-only int64 copy of `labels`; BadLabel unless every entry is an
+    integer (an integral float is one; 1.5, NaN and a string are not), so no
+    label is ever truncated or parsed."""
+    raw = np.asarray(labels)
+    if not (raw.dtype.kind in "biu" or raw.dtype.kind == "f"
+            and np.all(np.isfinite(raw) & (raw == np.trunc(raw)))):
+        raise BadLabel("labels must be integers")
+    y = raw.astype(np.int64)
+    y.setflags(write=False)
+    return y
 
 
 def _as_float(value, key: str, low: float, high: float = math.inf, closed: bool = False,
@@ -564,13 +575,8 @@ def deterministic_injective(spec: ProcessSpec) -> bool:
     tops = table.argmax(axis=1)
     if np.any(np.abs(table[np.arange(table.shape[0]), tops] - 1.0) > _ATOL):
         return False
-    keys = set()
-    for s, m in enumerate(tops):
-        key = (em.alphabet[m].tobytes(), spec.label_map[s])
-        if key in keys:
-            return False
-        keys.add(key)
-    return True
+    groups, _ = _alphabet_groups(em.alphabet)
+    return len(set(zip(groups[tops].tolist(), spec.label_map))) == len(tops)
 
 
 def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
@@ -942,7 +948,7 @@ def _check_f_table(spec: ProcessSpec, f_table: np.ndarray) -> np.ndarray:
     em = spec.emission
     if em.mode != "discrete":
         raise NotDiscrete("value tables need discrete emissions")
-    f = np.asarray(f_table, dtype=np.float64)
+    f = _as_array(f_table, "f_table", 2)
     if f.shape != (em.alphabet.shape[0], spec.num_classes):
         raise DimensionMismatch(
             f"f_table must be (alphabet size, num_classes) = "

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
 from .norms import LayerNorms, norm_factors, require_positive_spectral
-from .process import LabeledDataset, _as_float, _as_int
+from .process import LabeledDataset, _as_array, _as_float, _as_int, _as_labels
 from .seeding import substream
 
 _EXACT_MAX_N = 20
@@ -49,7 +49,7 @@ class FunctionClass:
     def evaluate(self, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Value matrix (members x points); range-checked on use."""
         X = np.asarray(inputs, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
+        y = _as_labels(labels)
         out = np.empty((self.size, X.shape[0]))
         for m, f in enumerate(self.evaluators):
             vals = np.asarray(f(X, y), dtype=np.float64).reshape(-1)
@@ -77,7 +77,7 @@ def table_class(alphabet: np.ndarray, tables) -> FunctionClass:
     Inputs are matched to alphabet rows bitwise, which is how discrete
     processes emit them.
     """
-    alphabet = np.asarray(alphabet, dtype=np.float64)
+    alphabet = _as_array(alphabet, "alphabet", 2)
     lookup = {alphabet[m].tobytes(): m for m in range(alphabet.shape[0])}
 
     def make(tab: np.ndarray) -> Callable:
@@ -93,7 +93,7 @@ def table_class(alphabet: np.ndarray, tables) -> FunctionClass:
 
     checked = []
     for tab in tables:
-        tab = np.asarray(tab, dtype=np.float64)
+        tab = _as_array(tab, "table", 2)
         if tab.shape[0] != alphabet.shape[0]:
             raise ValueError("each table needs one row per alphabet point")
         if tab.min() < 0.0 or tab.max() > 1.0:

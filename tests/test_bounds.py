@@ -341,6 +341,13 @@ class TestValidateLemma3:
         np.testing.assert_allclose(rep.gaps, rep.mu, rtol=0, atol=1e-14)
         assert rep.max_slack <= 1e-12
 
+    def test_rejects_a_nan_table(self):
+        """A NaN value is an error, not a report of NaN gaps."""
+        spec = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [1.0, 0.0], 2)
+        table = np.array([[math.nan, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="f_table must be finite"):
+            validate_lemma3(spec, table, n=5)
+
     def test_constant_function_has_zero_gaps(self):
         spec = discrete_spec([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 2)
         table = np.full((2, 2), 0.25)

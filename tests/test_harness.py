@@ -17,6 +17,7 @@ import mixcert
 from mixcert import (
     Architecture,
     EmissionSpec,
+    LabeledDataset,
     MarkovSpec,
     NetworkParams,
     ProcessSpec,
@@ -105,6 +106,7 @@ BAD_VALUE_CASES = [
     (("train", "epochs"), 2.5),
     (("train", "seed"), -1),
     (("train", "learning_rate"), float("nan")),
+    (("arch", "activations"), ["leaky_relu:abc", "identity"]),
 ]
 
 
@@ -406,6 +408,20 @@ class TestPipelineCommands:
         doc = json.loads((tmp_path / "losses_seed3.json").read_text())
         assert doc["seed"] == 3
         assert len(doc["epoch_losses"]) == 2
+
+    def test_written_files_load_back_bit_for_bit(self, tmp_path):
+        """Every data and weights file that generate and train write on
+        configs/small.json loads back and saves to the same bytes, so the
+        file readers accept all that the writers produce."""
+        cfg = ExperimentConfig.load(CONFIG_DIR / "small.json")
+        paths = [Path(p) for p in cmd_generate(cfg, tmp_path) + cmd_train(cfg, tmp_path)]
+        texts = [p for p in paths if p.suffix == ".txt"]
+        assert len(texts) == 2 * len(cfg.seeds) + 1
+        for path in texts:
+            cls = NetworkParams if path.name.startswith("params") else LabeledDataset
+            again = tmp_path / "again.txt"
+            cls.load(path).save(again)
+            assert again.read_bytes() == path.read_bytes(), path.name
 
     def test_certify_reports_and_summary(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -146,6 +146,18 @@ class TestNetworkParams:
         with pytest.raises(ValueError, match=f"line {lines + 2}"):
             NetworkParams.load(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", r"line 1 has 0 fields, wanted 1 \(layer count\)"),
+        ("1\n-2 2\n0.5 0.5\n0.5 0.5\nrelu\n", "line 2: rows '-2'"),
+        ("1\n1 2\n0.5 x\nrelu\n", "line 3: weight 'x'"),
+        ("1\n1 1\n0.5\nleaky_relu:abc\n", "line 4: activation 'leaky_relu:abc'"),
+    ], ids=["empty-file", "negative-rows", "letter-weight", "letter-slope"])
+    def test_load_names_the_line_and_field(self, tmp_path, text, message):
+        path = tmp_path / "w.txt"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError, match=message):
+            NetworkParams.load(path)
+
     def test_load_rejects_a_file_cut_short(self, tmp_path):
         """A 2x1 layer with one row present and no activation line."""
         path = tmp_path / "w.txt"

@@ -78,6 +78,10 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.eye(2), tol=0.0)
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError, match="'tol' must be a finite number > 0"):
+            spectral_norm(np.eye(2), tol=float("nan"))
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(12, 12))
@@ -112,6 +116,12 @@ class TestLayerNorms:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             LayerNorms(spectral=(1.0, 2.0), two_one=(1.0,), lipschitz=(1.0, 1.0))
+
+    @pytest.mark.parametrize("key", ["spectral", "two_one", "lipschitz"])
+    def test_rejects_nan(self, key):
+        entries = dict(spectral=(1.0,), two_one=(1.0,), lipschitz=(1.0,))
+        with pytest.raises(ValueError, match=f"'{key}' must be a finite number >= 0"):
+            LayerNorms(**{**entries, key: (float("nan"),)})
 
 
 class TestSpectralComplexity:

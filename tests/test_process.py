@@ -17,11 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixcert import (
+    Activation,
+    BadLabel,
     EmissionSpec,
     EmptyDataset,
     LabeledDataset,
     MarkovSpec,
     MixingProfile,
+    NetworkParams,
     NonUniqueStationary,
     NotDiscrete,
     ProcessSpec,
@@ -230,6 +233,52 @@ class TestMarkovSpecValidation:
             mk.transition[0, 0] = 0.0
 
 
+class TestArrayRule:
+    def test_stored_arrays_are_read_only_copies(self):
+        """Every array a spec, profile, dataset or network stores is its own
+        read-only copy: it shares no memory with the caller's array, which
+        stays writable."""
+        P, p0 = np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([1.0, 0.0])
+        alphabet, table, drift_table = np.array([[0.0], [1.0]]), np.eye(2), np.full((2, 2), 0.5)
+        means, drift_means = np.array([[1.0], [-1.0]]), np.zeros((2, 1))
+        phi, mu = np.array([0.2, 0.1]), np.array([0.3, 0.0])
+        X, y = np.zeros((2, 1)), np.array([1, 2])
+        W0, W1 = np.ones((3, 1)), np.ones((2, 3))
+        markov = MarkovSpec(num_states=2, transition=P, initial=p0)
+        disc = EmissionSpec.discrete(alphabet, table, drift_table, drift_amplitude=0.5)
+        gauss = EmissionSpec.gaussian(means, 0.5, drift_means, drift_amplitude=0.5)
+        prof = MixingProfile(horizon=2, phi=phi, mu=mu, delta_inf=1.6, phi_exact=True,
+                             mu_exact=True)
+        data = LabeledDataset(inputs=X, labels=y, num_classes=2, kind="sequence", seed=0)
+        net = NetworkParams(layers=(W0, W1),
+                            activations=(Activation("relu"), Activation("identity")))
+        for stored, caller in [
+                (markov.transition, P), (markov.initial, p0), (disc.alphabet, alphabet),
+                (disc.table, table), (disc.drift_table, drift_table), (gauss.means, means),
+                (gauss.drift_means, drift_means), (prof.phi, phi), (prof.mu, mu),
+                (data.inputs, X), (data.labels, y), (net.layers[0], W0), (net.layers[1], W1)]:
+            assert not stored.flags.writeable
+            assert not np.shares_memory(stored, caller)
+            assert caller.flags.writeable
+
+    @pytest.mark.parametrize("labels", [[1.7, 2.2], [1.0, math.nan], [1, 2.5], ["1", "2"]])
+    def test_dataset_labels_are_never_truncated(self, labels):
+        with pytest.raises(BadLabel, match="labels must be integers"):
+            LabeledDataset(inputs=np.zeros((2, 1)), labels=np.array(labels), num_classes=2,
+                           kind="sequence", seed=0)
+
+    def test_integral_float_labels_are_their_integers(self):
+        data = LabeledDataset(inputs=np.zeros((2, 1)), labels=np.array([2.0, 1.0]),
+                              num_classes=2, kind="sequence", seed=0)
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs(self, value):
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            LabeledDataset(inputs=np.array([[0.0], [value]]), labels=np.array([1, 2]),
+                           num_classes=2, kind="sequence", seed=0)
+
+
 class TestStationaryDistribution:
     def test_frozen_two_thirds_chain(self):
         mk = MarkovSpec(num_states=2, transition=np.array([[0.9, 0.1], [0.2, 0.8]]),
@@ -432,6 +481,17 @@ class TestBruteForcePhi:
         spec3 = discrete_spec([[1 / 3] * 3] * 3, [1 / 3] * 3, 3)
         with pytest.raises(TooLarge):
             brute_force_phi(spec3, 1, n_max=2, future_len=3)
+
+    @pytest.mark.parametrize("label_map, injective", [((1, 2), True), ((1, 1), False)])
+    def test_a_repeated_alphabet_point_is_one_point(self, label_map, injective):
+        """Two states emitting the same point, stored twice in the alphabet,
+        are identifiable exactly when their labels differ."""
+        spec = ProcessSpec(
+            markov=MarkovSpec(num_states=2, transition=np.asarray(SYM09, dtype=float),
+                              initial=np.array([1.0, 0.0])),
+            emission=EmissionSpec.discrete(alphabet=np.array([[0.5], [0.5]]), table=np.eye(2)),
+            label_map=label_map, num_classes=2, input_dim=1)
+        assert deterministic_injective(spec) is injective
 
     def test_requires_injective_emissions(self):
         spec = ProcessSpec(
@@ -1164,6 +1224,14 @@ class TestStepExpectations:
         with pytest.raises(ValueError, match="n must be >= 0"):
             step_expectations(spec, f_table, -1)
 
+    def test_rejects_a_nan_value(self):
+        spec = discrete_spec(SYM09, [1.0, 0.0], 2)
+        f_table = np.array([[math.nan, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="f_table must be finite"):
+            step_expectations(spec, f_table, 4)
+        with pytest.raises(ValueError, match="f_table must be finite"):
+            stationary_expectation(spec, f_table)
+
     def test_gaussian_emissions_are_not_discrete(self):
         spec = ProcessSpec(
             markov=MarkovSpec(num_states=2, transition=np.asarray(SYM09, dtype=float),
@@ -1265,6 +1333,18 @@ class TestLabeledDatasetIO:
         path = tmp_path / "data.txt"
         path.write_text("3 1 2 sequence 0\n0.5 1\n0.25 2", encoding="ascii")
         with pytest.raises(ValueError, match="missing line 4"):
+            LabeledDataset.load(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 x 2 sequence 0\n", "line 1: d 'x'"),
+        ("-1 1 2 sequence 0\n", "line 1: n '-1'"),
+        ("2 1 2 sequence 0\n0.5 1\nabc 2\n", "line 3: input 'abc'"),
+        ("2 1 2 sequence 0\n0.5 1\n0.25 1.5\n", "line 3: label '1.5'"),
+    ], ids=["letter-d", "negative-n", "letter-input", "fractional-label"])
+    def test_load_names_the_line_and_field(self, tmp_path, text, message):
+        path = tmp_path / "data.txt"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError, match=message):
             LabeledDataset.load(path)
 
     def test_save_is_byte_stable(self, tmp_path):

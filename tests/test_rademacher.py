@@ -7,6 +7,7 @@ import pytest
 
 from mixcert import (
     Activation,
+    BadLabel,
     EmptyDataset,
     FunctionClass,
     LabeledDataset,
@@ -68,6 +69,14 @@ class TestFunctionClass:
         y = np.array([2, 1])
         vals = c.evaluate(X, y)
         np.testing.assert_allclose(vals[0], [0.4, 0.2])
+
+    def test_labels_are_never_truncated(self):
+        with pytest.raises(BadLabel, match="labels must be integers"):
+            constant_class([0.5]).evaluate(np.zeros((2, 1)), [1.7, 2.2])
+
+    def test_table_class_rejects_nan(self):
+        with pytest.raises(ValueError, match="table must be finite"):
+            table_class(np.array([[0.0], [1.0]]), [np.array([[math.nan, 0.5], [0.5, 0.5]])])
 
     def test_loss_class_in_range(self):
         rng = np.random.default_rng(31)
