@@ -72,6 +72,8 @@ _CONSISTENCY_RTOL = 1e-12
 _EXACT_SIGN_LIMIT = 12  # symmetrization enumerates all signs up to this n
 _MC_SIGNS = 256  # sign draws per path beyond it
 _MAX_CLASSES = 5  # the ramp-dominance sweep draws K from 2.._MAX_CLASSES
+_MCDIARMID_EPSILONS = (0.02, 0.05, 0.1, 0.2, 0.3)  # tail deviations validate_mcdiarmid checks
+_LEMMA3_TOL = 1e-12  # rounding validate_lemma3 forgives in its exact comparison
 
 
 def _check_delta(delta: float) -> None:
@@ -249,7 +251,7 @@ class TailReport(_Report):
 
 
 def validate_mcdiarmid(spec: ProcessSpec, f, n: int, trials: int, seed: int,
-                       epsilons: tuple = (0.02, 0.05, 0.1, 0.2, 0.3),
+                       epsilons: tuple = _MCDIARMID_EPSILONS,
                        delta_inf: float | None = None) -> TailReport:
     """Simulate the path mean (1/n) sum f(Z_i) and compare its two-sided
     tails around the grand mean with the dependent-data bound at
@@ -295,8 +297,7 @@ class Lemma3Report(_Report):
     passed: bool
 
 
-def validate_lemma3(spec: ProcessSpec, f_table, n: int,
-                    tol: float = 1e-12) -> Lemma3Report:
+def validate_lemma3(spec: ProcessSpec, f_table, n: int) -> Lemma3Report:
     """Check |E f(Z_i) - E_stationary f| <= mu_i for every i <= n, and the
     averaged version, with both sides computed exactly (discrete emissions
     only). The slack reported is max_i (gap_i - mu_i)."""
@@ -307,11 +308,11 @@ def validate_lemma3(spec: ProcessSpec, f_table, n: int,
     slack = float((gaps - profile.mu).max())
     avg_gap = float(abs(per_step.mean() - limit))
     mu_mean = float(profile.mu.mean())
-    passed = bool(slack <= tol and avg_gap <= mu_mean + tol)
+    passed = bool(slack <= _LEMMA3_TOL and avg_gap <= mu_mean + _LEMMA3_TOL)
     return Lemma3Report(n=n, gaps=tuple(float(g) for g in gaps),
                         mu=tuple(float(m) for m in profile.mu),
                         max_slack=slack, avg_gap=avg_gap, mu_mean=mu_mean,
-                        tol=tol, passed=passed)
+                        tol=_LEMMA3_TOL, passed=passed)
 
 
 @dataclass

@@ -44,7 +44,7 @@ class ZeroSpectralNorm(ValueError):
 
 
 class BadDelta(ValueError):
-    """Confidence level delta must lie in (0, 1)."""
+    """Confidence level delta is outside (0, 1)."""
 
 
 class NotDiscrete(ValueError):

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import (
+    _MCDIARMID_EPSILONS,
     certification_run,
     train_seed,
     validate_lemma3,
@@ -45,7 +46,7 @@ from .rademacher import (
 
 _VALIDATOR_DEFAULTS = {
     "mcdiarmid": {"n": 50, "trials": 20000, "seed": 7,
-                  "epsilons": [0.02, 0.05, 0.1, 0.2, 0.3], "delta_override": None},
+                  "epsilons": list(_MCDIARMID_EPSILONS), "delta_override": None},
     "lemma3": {"n": 100},
     "symmetrization": {"n": 8, "trials": 1000, "seed": 11},
     "lemma4": {"trials": 100000, "seed": 5},
@@ -337,18 +338,21 @@ def main(argv=None) -> int:
         prog="mixcert",
         description="certification pipeline for networks trained on mixing sequences")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("generate", "write datasets for every seed"),
-            ("train", "train and persist one network per seed"),
-            ("certify", "emit bound reports and a summary table"),
-            ("validate", "run the configured lemma validators"),
-            ("rademacher", "compare exact and Monte Carlo complexity")):
+    for name, help_text, cmd in (
+            ("generate", "write datasets for every seed", cmd_generate),
+            ("train", "train and persist one network per seed", cmd_train),
+            ("certify", "emit bound reports and a summary table", cmd_certify),
+            ("validate", "run the configured lemma validators", cmd_validate),
+            ("rademacher", "compare exact and Monte Carlo complexity", cmd_rademacher)):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(cmd=cmd)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for certify")
+        if cmd is cmd_certify:
+            p.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
+    jobs = {"jobs": args.jobs} if "jobs" in args else {}  # certify's alone
+    if jobs.get("jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
     try:
         config = ExperimentConfig.load(args.config)
@@ -357,16 +361,7 @@ def main(argv=None) -> int:
         return 2
     out_dir = args.out if args.out is not None else config.out_dir
     try:
-        if args.command == "generate":
-            paths = cmd_generate(config, out_dir)
-        elif args.command == "train":
-            paths = cmd_train(config, out_dir)
-        elif args.command == "certify":
-            paths = cmd_certify(config, out_dir, jobs=args.jobs)
-        elif args.command == "validate":
-            paths = cmd_validate(config, out_dir)
-        else:
-            paths = cmd_rademacher(config, out_dir)
+        paths = args.cmd(config, out_dir, **jobs)
     except Exception as exc:  # pipeline errors are reported, not raised, at the CLI
         print(f"error: {type(exc).__name__}: {exc}", flush=True)
         return 1

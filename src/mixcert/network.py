@@ -235,12 +235,10 @@ def margin(v: np.ndarray, j: int) -> float:
 
 def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    labels = _as_labels(labels)
     K = logits.shape[1]
     if K < 2:
         raise BadLabel("margins need at least two classes")
-    if labels.size and (labels.min() < 1 or labels.max() > K):
-        raise BadLabel(f"labels must lie in 1..{K}")
+    labels = _as_labels(labels, K)
     idx = np.arange(logits.shape[0])
     true = logits[idx, labels - 1]
     masked = logits.copy()

@@ -57,19 +57,20 @@ KIND_SEQUENCE = "sequence"
 KIND_TARGET = "target_iid"
 
 
-def _check_stochastic(rows: np.ndarray, name: str) -> np.ndarray:
-    """Check that `rows` are laws within _ATOL and return a read-only copy
+def _check_stochastic(value, name: str, ndim: int) -> np.ndarray:
+    """`value` as laws within _ATOL: a read-only float64 copy (`_numbers`)
     with the tolerated negative entries set to 0, so every cumulative row is
     nondecreasing; other entries, -0.0 included, keep their bits."""
+    rows = _numbers(value, name, ndim)
     # negated, so that a NaN (every comparison False) is rejected too
     if not (np.all(rows >= -_ATOL) and np.all(rows <= 1.0 + _ATOL)):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     sums = rows.sum(axis=-1)
     if not np.all(np.abs(sums - 1.0) <= _ATOL):
         raise ValueError(f"{name} rows must sum to 1 within {_ATOL}")
-    out = np.where(rows < 0.0, 0.0, rows)
-    out.setflags(write=False)
-    return out
+    rows[rows < 0.0] = 0.0
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +83,15 @@ class MarkovSpec:
 
     def __post_init__(self):
         S = _as_int(self.num_states, "num_states", 1)
-        P = _as_array(self.transition, "transition", 2)
+        P = _check_stochastic(self.transition, "transition", 2)
         if P.shape != (S, S):
             raise DimensionMismatch(f"transition must be ({S}, {S}), got {P.shape}")
-        p0 = np.asarray(self.initial, dtype=np.float64).reshape(-1)
+        p0 = _check_stochastic(self.initial, "initial", 1)
         if p0.shape != (S,):
             raise DimensionMismatch(f"initial must have length {S}")
         object.__setattr__(self, "num_states", S)
-        object.__setattr__(self, "transition", _check_stochastic(P, "transition"))
-        object.__setattr__(self, "initial", _check_stochastic(p0, "initial"))
+        object.__setattr__(self, "transition", P)
+        object.__setattr__(self, "initial", p0)
 
 
 # The EmissionSpec fields each mode owns, in one layout: the law's fixed
@@ -147,19 +148,17 @@ class EmissionSpec:
         param_name, rows_name, drift_name = owned
         if getattr(self, param_name) is None or getattr(self, rows_name) is None:
             raise ValueError(f"{self.mode} mode needs {param_name} and {rows_name}")
-        rows = _as_array(getattr(self, rows_name), rows_name, 2)
+        check = _check_stochastic if self.mode == "discrete" else _as_array
+        rows = check(getattr(self, rows_name), rows_name, 2)
         drift = getattr(self, drift_name)
         if drift is not None:
-            drift = _as_array(drift, drift_name, 2)
+            drift = check(drift, drift_name, 2)
             if drift.shape != rows.shape:
                 raise DimensionMismatch(f"{drift_name} must match {rows_name} shape")
         if self.mode == "discrete":
             param = _as_array(self.alphabet, "alphabet", 2)
             if rows.shape[1] != param.shape[0]:
                 raise DimensionMismatch("table columns must match alphabet size")
-            rows = _check_stochastic(rows, rows_name)
-            if drift is not None:
-                drift = _check_stochastic(drift, drift_name)
         else:
             param = _as_float(self.sigma, "sigma", 0.0)
         for name, value in zip(owned, (param, rows, drift)):
@@ -299,11 +298,14 @@ class MixingProfile:
     mu_exact: bool
 
     def __post_init__(self):
-        phi, mu = (_as_array(v, "phi and mu", 1) for v in (self.phi, self.mu))
-        if phi.shape != (self.horizon,) or mu.shape != (self.horizon,):
+        n = _as_int(self.horizon, "horizon", 1)
+        phi, mu = (_as_array(v, "phi and mu", 1, 0.0, 1.0) for v in (self.phi, self.mu))
+        if phi.shape != (n,) or mu.shape != (n,):
             raise DimensionMismatch("phi and mu must have length horizon")
-        if not all(np.all(v >= 0.0) and np.all(v <= 1.0) for v in (phi, mu)):
-            raise ValueError("phi and mu entries must lie in [0, 1]")
+        for flag in ("phi_exact", "mu_exact"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag!r} must be a boolean, not {getattr(self, flag)!r}")
+        object.__setattr__(self, "horizon", n)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "delta_inf", _as_float(self.delta_inf, "delta_inf", 1.0,
@@ -326,12 +328,10 @@ class LabeledDataset:
 
     def __post_init__(self):
         X = _as_array(self.inputs, "inputs", 2)
-        y = _as_labels(self.labels)
+        K = _as_int(self.num_classes, "num_classes", 2, BadLabel)
+        y = _as_labels(self.labels, K)
         if y.shape != (X.shape[0],):
             raise DimensionMismatch("labels must be (n,)")
-        K = _as_int(self.num_classes, "num_classes", 2, BadLabel)
-        if y.size and (y.min() < 1 or y.max() > K):
-            raise BadLabel(f"labels must lie in 1..{K}")
         if self.kind not in (KIND_SEQUENCE, KIND_TARGET):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         object.__setattr__(self, "inputs", X)
@@ -432,27 +432,46 @@ def _as_int(value, key: str, low: int, error=ValueError) -> int:
     raise error(f"{key!r} must be an integer >= {low}, not {value!r}")
 
 
-def _as_array(value, name: str, ndim: int) -> np.ndarray:
-    """A read-only float64 copy of `value`, so freezing it never freezes the
-    caller's array. DimensionMismatch unless it has `ndim` axes, ValueError
-    naming `name` unless every entry is finite."""
-    arr = np.array(value, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise DimensionMismatch(f"{name} must be a {ndim}-d array, got shape {arr.shape}")
+def _numbers(value, name: str, ndim: int) -> np.ndarray:
+    """A new float64 array of `value`, a rectangular array of integers or reals
+    with `ndim` axes: ValueError naming `name` for ragged rows and for string,
+    boolean, None or other object entries, DimensionMismatch for other axes."""
+    try:
+        raw = np.array(value)
+    except ValueError:  # numpy refuses ragged nesting
+        raw = np.array(None)
+    # numpy reads a boolean among numbers as a number; only a list mixes them
+    if raw.dtype.kind not in "iuf" or not isinstance(value, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.array(value, dtype=object).flat):
+        raise ValueError(f"{name} must be a rectangular array of numbers")
+    if raw.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be a {ndim}-d array, got shape {raw.shape}")
+    return raw.astype(np.float64, copy=False)
+
+
+def _as_array(value, name: str, ndim: int, low=-math.inf, high=math.inf) -> np.ndarray:
+    """A read-only float64 copy of `value` (`_numbers`), so freezing it never
+    freezes the caller's array. ValueError naming `name` unless every entry is
+    finite and then, so that NaN is named as such, in the closed [low, high]."""
+    arr = _numbers(value, name, ndim)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
+    if not (np.all(arr >= low) and np.all(arr <= high)):
+        raise ValueError(f"{name} entries must lie in [{low:g}, {high:g}]")
     arr.setflags(write=False)
     return arr
 
 
-def _as_labels(labels) -> np.ndarray:
+def _as_labels(labels, K: float = math.inf) -> np.ndarray:
     """A read-only int64 copy of `labels`; BadLabel unless every entry is an
-    integer (an integral float is one; 1.5, NaN and a string are not), so no
-    label is ever truncated or parsed."""
+    integer (an integral float is one; 1.5, NaN and a string are not) in 1..K,
+    so no label is ever truncated, parsed or wrapped round to the last class."""
     raw = np.asarray(labels)
     if not (raw.dtype.kind in "biu" or raw.dtype.kind == "f"
             and np.all(np.isfinite(raw) & (raw == np.trunc(raw)))):
         raise BadLabel("labels must be integers")
+    if raw.size and (raw.min() < 1 or raw.max() > K):
+        raise BadLabel(f"labels must lie in 1..{K}")
     y = raw.astype(np.int64)
     y.setflags(write=False)
     return y
@@ -944,22 +963,27 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     return X, labels
 
 
+def _value_table(table, name: str, alphabet: np.ndarray) -> np.ndarray:
+    """A read-only copy of a value table over (alphabet point, label): one row
+    per point, entries in [0, 1], and equal rows at repeated points, so that
+    whichever copy of a point a lookup finds, it reads the same values."""
+    f = _as_array(table, name, 2, 0.0, 1.0)
+    if f.shape[0] != alphabet.shape[0]:
+        raise DimensionMismatch(f"{name} must have one row per alphabet point")
+    groups, _ = _alphabet_groups(alphabet)
+    first = np.unique(groups, return_index=True)[1]
+    if np.any(f != f[first[groups]]):
+        raise ValueError(f"{name} must agree on duplicate alphabet points")
+    return f
+
+
 def _check_f_table(spec: ProcessSpec, f_table: np.ndarray) -> np.ndarray:
     em = spec.emission
     if em.mode != "discrete":
         raise NotDiscrete("value tables need discrete emissions")
-    f = _as_array(f_table, "f_table", 2)
-    if f.shape != (em.alphabet.shape[0], spec.num_classes):
-        raise DimensionMismatch(
-            f"f_table must be (alphabet size, num_classes) = "
-            f"({em.alphabet.shape[0]}, {spec.num_classes})")
-    if np.any(f < 0.0) or np.any(f > 1.0):
-        raise ValueError("f_table values must lie in [0, 1]")
-    groups, _ = _alphabet_groups(em.alphabet)
-    for g in np.unique(groups):
-        rows = f[groups == g]
-        if np.any(np.abs(rows - rows[0]) > 0.0):
-            raise ValueError("f_table must agree on duplicate alphabet points")
+    f = _value_table(f_table, "f_table", em.alphabet)
+    if f.shape[1] != spec.num_classes:
+        raise DimensionMismatch(f"f_table must have {spec.num_classes} columns, one per class")
     return f
 
 

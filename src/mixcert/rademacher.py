@@ -22,13 +22,13 @@ import numpy as np
 from .errors import EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
 from .norms import LayerNorms, norm_factors, require_positive_spectral
-from .process import LabeledDataset, _as_array, _as_float, _as_int, _as_labels
+from .process import (_ATOL, LabeledDataset, _as_array, _as_float, _as_int, _as_labels,
+                      _value_table)
 from .seeding import substream
 
 _EXACT_MAX_N = 20
 _SIGN_CHUNK = 65536  # sign vectors per block of the exact enumeration
 _PATH_BLOCK = 128  # paths per block of the exact enumeration
-_RANGE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ class FunctionClass:
                 raise ValueError(f"member {m} returned {vals.shape[0]} values "
                                  f"for {X.shape[0]} points")
             # negated, so that a NaN (every comparison False) is rejected too
-            if not (vals.min(initial=0.0) >= -_RANGE_ATOL
-                    and vals.max(initial=0.0) <= 1.0 + _RANGE_ATOL):
+            if not (vals.min(initial=0.0) >= -_ATOL and vals.max(initial=0.0) <= 1.0 + _ATOL):
                 raise ValueError(f"member {m} left [0, 1]")
             out[m] = vals
         return out
@@ -91,14 +90,7 @@ def table_class(alphabet: np.ndarray, tables) -> FunctionClass:
             return tab[idx, y - 1]
         return f
 
-    checked = []
-    for tab in tables:
-        tab = _as_array(tab, "table", 2)
-        if tab.shape[0] != alphabet.shape[0]:
-            raise ValueError("each table needs one row per alphabet point")
-        if tab.min() < 0.0 or tab.max() > 1.0:
-            raise ValueError("table values must lie in [0, 1]")
-        checked.append(tab)
+    checked = [_value_table(tab, "table", alphabet) for tab in tables]
     return FunctionClass(evaluators=tuple(make(t) for t in checked))
 
 

@@ -109,6 +109,20 @@ BAD_VALUE_CASES = [
     (("arch", "activations"), ["leaky_relu:abc", "identity"]),
 ]
 
+# (process, path, value) of a config array field and a value that is not a
+# rectangular array of numbers
+ARRAY_VALUE_CASES = [
+    ("gaussian", ("process", "markov", "transition"), [["0.9", "0.1"], ["0.1", "0.9"]]),
+    ("gaussian", ("process", "markov", "transition"), [[0.9, 0.1], [0.1]]),
+    ("gaussian", ("process", "markov", "initial"), [True, False]),
+    ("gaussian", ("process", "markov", "initial"), [1.0, False]),
+    ("gaussian", ("process", "markov", "initial"), {"a": 1}),
+    ("gaussian", ("process", "markov", "initial"), [None, 1.0]),
+    ("gaussian", ("process", "emission", "means"), "abc"),
+    ("discrete", ("process", "emission", "table"), [["1", "0"], ["0", "1"]]),
+    ("discrete", ("process", "emission", "alphabet"), [["0"], ["1"]]),
+]
+
 
 def discrete_process():
     return ProcessSpec(
@@ -549,6 +563,21 @@ class TestMainEntry:
         assert out.startswith(f"config error: {path[-1]!r} must be "), out
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("process, path, value", ARRAY_VALUE_CASES, ids=[
+        f"{'.'.join(path)}={json.dumps(value)}" for _, path, value in ARRAY_VALUE_CASES])
+    def test_bad_config_array_rc2(self, tmp_path, capsys, process, path, value):
+        """Strings, booleans, nulls, objects and ragged rows are no arrays of
+        numbers: a config error that names the field; nothing runs."""
+        builder = discrete_process if process == "discrete" else gaussian_process
+        config = self.write_config(tmp_path, process=builder())
+        doc = set_key(json.loads(config.read_text()), path, value)
+        config.write_text(json.dumps(doc))
+        rc = main(["certify", "--config", str(config)])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert out == f"config error: {path[-1]} must be a rectangular array of numbers\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_rc2(self, tmp_path, capsys):
         rc = main(["certify", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
@@ -613,6 +642,15 @@ class TestMainEntry:
         path = self.write_config(tmp_path)
         with pytest.raises(SystemExit):
             main(["certify", "--config", str(path), "--jobs", "0"])
+
+    @pytest.mark.parametrize("command", ["generate", "train", "validate", "rademacher"])
+    def test_jobs_belongs_to_certify_alone(self, tmp_path, capsys, command):
+        path = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_console_script_smoke(self, tmp_path):
         """``python -m mixcert`` runs a subcommand, and the ``mixcert`` script

@@ -595,6 +595,16 @@ class TestMixingProfile:
         with pytest.raises(ValueError, match="phi and mu" if field != "delta_inf" else field):
             MixingProfile(**{**fields, field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("horizon", 2.0, "'horizon' must be an integer >= 1, not 2.0"),
+        ("phi_exact", "yes", "'phi_exact' must be a boolean, not 'yes'"),
+        ("mu_exact", 0, "'mu_exact' must be a boolean, not 0")])
+    def test_rejects_mistyped_fields(self, field, value, message):
+        fields = dict(horizon=2, phi=[0.2, 0.1], mu=[0.0, 0.0], delta_inf=1.6,
+                      phi_exact=True, mu_exact=True)
+        with pytest.raises(ValueError, match=message):
+            MixingProfile(**{**fields, field: value})
+
     def test_periodic_chain_rejected(self):
         """Period-2 flipper: no certified stationary law, so no drift mu and
         no profile."""

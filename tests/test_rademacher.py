@@ -78,6 +78,15 @@ class TestFunctionClass:
         with pytest.raises(ValueError, match="table must be finite"):
             table_class(np.array([[0.0], [1.0]]), [np.array([[math.nan, 0.5], [0.5, 0.5]])])
 
+    def test_table_class_checks_repeated_points(self):
+        """A repeated alphabet point must carry one row of values, or a
+        lookup would silently read one copy and drop the other."""
+        alphabet = [[0.5], [0.5]]
+        with pytest.raises(ValueError, match="table must agree on duplicate alphabet points"):
+            table_class(alphabet, [[[0.0, 0.0], [1.0, 1.0]]])
+        c = table_class(alphabet, [[[0.25, 1.0], [0.25, 1.0]]])
+        np.testing.assert_array_equal(c.evaluate([[0.5], [0.5]], [1, 2]), [[0.25, 1.0]])
+
     def test_loss_class_in_range(self):
         rng = np.random.default_rng(31)
         nets = [NetworkParams(layers=(rng.normal(size=(2, 3)),),
