@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from ._checks import _as_float, _as_int
 from .errors import BadDelta, DimensionMismatch, WrongKind
 from .network import (
     Architecture,
@@ -47,8 +48,6 @@ from .process import (
     LabeledDataset,
     MixingProfile,
     ProcessSpec,
-    _as_float,
-    _as_int,
     mixing_profile,
     sample_sequence,
     sample_sequences_batch,
@@ -102,7 +101,7 @@ def theorem1_bound(empirical: float, rademacher: float, profile: MixingProfile,
                    delta: float, n: int) -> float:
     """Generic risk bound: empirical + mean(mu) + concentration + 2 * rademacher."""
     _check_delta(delta)
-    if n != profile.horizon:
+    if _as_int(n, "n", 1) != profile.horizon:
         raise DimensionMismatch(f"profile horizon {profile.horizon} != n {n}")
     _as_float(empirical, "empirical", 0.0, 1.0, closed=True)
     _as_float(rademacher, "rademacher", 0.0, closed=True)
@@ -221,7 +220,7 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
         total_bound=total,
         phi_exact=profile.phi_exact,
         mu_exact=profile.mu_exact,
-        seed=seed,
+        seed=seed if seed is None else _as_int(seed, "seed", 0),
     )
     if target is not None:
         pop = population_estimate(params, target, gamma)
@@ -264,6 +263,9 @@ def validate_mcdiarmid(spec: ProcessSpec, f, n: int, trials: int, seed: int,
     should be flagged).
     """
     _as_int(trials, "trials", 2)
+    epsilons = tuple(_as_float(e, "epsilons", 0.0) for e in epsilons)
+    if not epsilons:
+        raise ValueError("'epsilons' must be a non-empty array of positive numbers")
     if delta_inf is None:
         delta_inf = mixing_profile(spec, n).delta_inf
     means = sequence_value_means(spec, f, n, trials, seed)
@@ -278,7 +280,7 @@ def validate_mcdiarmid(spec: ProcessSpec, f, n: int, trials: int, seed: int,
         bnds.append(bound)
         flags.append(bool(hit - 3.0 * stderr > bound))
     return TailReport(n=n, trials=trials, delta_inf=float(delta_inf),
-                      epsilons=tuple(float(e) for e in epsilons),
+                      epsilons=epsilons,
                       frequencies=tuple(freqs), stderrs=tuple(errs),
                       bounds=tuple(bnds), violations=tuple(flags))
 
@@ -339,15 +341,10 @@ def _class_step_means(fclass: FunctionClass, spec: ProcessSpec, n: int,
     biases the check toward flagging, never toward passing)."""
     if spec.emission.mode == "discrete":
         alphabet = spec.emission.alphabet
-        K = spec.num_classes
-        out = np.empty(fclass.size)
-        for m, f in enumerate(fclass.evaluators):
-            tab = np.column_stack([
-                np.asarray(f(alphabet, np.full(alphabet.shape[0], y, dtype=np.int64)),
-                           dtype=np.float64)
-                for y in range(1, K + 1)])
-            out[m] = float(step_expectations(spec, tab, n).mean())
-        return out
+        # (members, M, K): each member's value table over (alphabet point, label)
+        tables = np.stack([fclass.evaluate(alphabet, np.full(alphabet.shape[0], y))
+                           for y in range(1, spec.num_classes + 1)], axis=2)
+        return np.array([float(step_expectations(spec, tab, n).mean()) for tab in tables])
     X, Y = sample_sequences_batch(spec, n, trials, combine_seeds(seed, 1))
     F = fclass.evaluate(X.reshape(-1, spec.input_dim), Y.reshape(-1))
     return F.reshape(fclass.size, trials, n).mean(axis=(1, 2))
@@ -402,6 +399,7 @@ def validate_ramp_dominance(trials: int, seed: int) -> RampDominanceReport:
     """Random sweep of the pointwise domination: the zero-one indicator
     (argmax error, ties counted as errors) never exceeds the ramp loss of
     the negated margin, for any score vector, label, and gamma."""
+    _as_int(trials, "trials", 1)
     rng = substream(seed, 0)
     failures = 0
     done = 0
@@ -444,6 +442,6 @@ def certification_run(spec: ProcessSpec, arch: Architecture, train_config: Train
     reports = []
     for gamma in gamma_list:
         reports.append(network_certificate(
-            data, result.params, float(gamma), profile, delta,
+            data, result.params, gamma, profile, delta,
             target=target, norms=norms, seed=seed))
     return reports

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._checks import _as_float, _as_int, _check_keys
 from .bounds import (
     _MCDIARMID_EPSILONS,
     certification_run,
@@ -28,15 +29,7 @@ from .bounds import (
     validate_symmetrization,
 )
 from .network import Architecture, TrainConfig
-from .process import (
-    ProcessSpec,
-    _check_keys,
-    _as_float,
-    _as_int,
-    mixing_profile,
-    sample_sequence,
-    sample_target,
-)
+from .process import ProcessSpec, mixing_profile, sample_sequence, sample_target
 from .rademacher import (
     FunctionClass,
     constant_class,

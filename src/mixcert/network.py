@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import (_as_array, _as_float, _as_int, _as_labels, _count, _fields, _numbers,
+                      _reject_trailing)
 from .errors import (
     BadLabel,
     DimensionMismatch,
@@ -21,8 +23,7 @@ from .errors import (
     NonpositiveGamma,
     WrongKind,
 )
-from .process import (KIND_TARGET, LabeledDataset, _as_array, _as_float, _as_int, _as_labels,
-                      _count, _fields, _reject_trailing)
+from .process import KIND_TARGET, LabeledDataset
 from .seeding import substream
 
 _ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "identity")
@@ -215,12 +216,12 @@ class PopulationEstimate:
 
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Network output for a single input vector: one row of forward_batch."""
-    return forward_batch(params, np.reshape(x, (1, -1)))[0]
+    return forward_batch(params, _numbers(x, "x", 1)[None])[0]
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    Z = np.asarray(X, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != params.input_dim:
+    Z = _numbers(X, "inputs", 2)
+    if Z.shape[1] != params.input_dim:
         raise DimensionMismatch("inputs must be (n, input_dim)")
     for W, act in zip(params.layers, params.activations):
         Z = act.apply(Z @ W.T)
@@ -230,15 +231,13 @@ def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
 def margin(v: np.ndarray, j: int) -> float:
     """Score gap v_j - max_{i != j} v_i for 1-indexed class j: one row of
     margins_batch."""
-    return float(margins_batch(np.reshape(v, (1, -1)), [j])[0])
+    return float(margins_batch(_numbers(v, "v", 1)[None], [j])[0])
 
 
 def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    K = logits.shape[1]
-    if K < 2:
-        raise BadLabel("margins need at least two classes")
-    labels = _as_labels(labels, K)
+    logits = _numbers(logits, "logits", 2)
+    K = _as_int(logits.shape[1], "num_classes", 2, BadLabel)
+    labels = _as_labels(labels, logits.shape[0], K)
     idx = np.arange(logits.shape[0])
     true = logits[idx, labels - 1]
     masked = logits.copy()
@@ -250,9 +249,9 @@ def ramp_loss(r, gamma: float):
     """Piecewise-linear loss: 1 for r >= 0, 0 for r <= -gamma, linear
     in between; 1/gamma-Lipschitz and confined to [0, 1]."""
     gamma = _as_float(gamma, "gamma", 0.0, error=NonpositiveGamma)
-    arr = np.asarray(r, dtype=np.float64)
+    arr = _numbers(r, "r")
     out = np.clip(1.0 + np.minimum(arr, 0.0) / gamma, 0.0, 1.0)
-    if np.isscalar(r) or arr.ndim == 0:
+    if arr.ndim == 0:
         return float(out)
     return out
 
@@ -278,8 +277,7 @@ def population_estimate(params: NetworkParams, target: LabeledDataset,
     """Plug-in stationary losses from an iid target sample."""
     if target.kind != KIND_TARGET:
         raise WrongKind(f"population estimates need a {KIND_TARGET!r} dataset")
-    if target.n == 0:
-        raise EmptyDataset("population estimate needs at least one sample")
+    _as_int(target.n, "n", 1, EmptyDataset)
     margins = dataset_margins(params, target)
     halfwidth = math.sqrt(math.log(2.0 / _DELTA_EST) / (2.0 * target.n))
     return PopulationEstimate(
@@ -334,8 +332,7 @@ def train_sgd(train_data: LabeledDataset, arch: Architecture,
     seed, so identical configs give bit-identical weights. Raises
     DivergedLoss the moment any batch loss stops being finite.
     """
-    if train_data.n == 0:
-        raise EmptyDataset("training needs at least one sample")
+    n = _as_int(train_data.n, "n", 1, EmptyDataset)
     dims = arch.dims
     if dims[0] != train_data.input_dim:
         raise DimensionMismatch(
@@ -351,7 +348,6 @@ def train_sgd(train_data: LabeledDataset, arch: Architecture,
         layers.append(rng.uniform(-a, a, size=(d_out, d_in)))
 
     X, y = train_data.inputs, train_data.labels
-    n = train_data.n
     epoch_losses = []
     for _ in range(config.epochs):
         order = rng.permutation(n)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _as_float, _numbers
 from .errors import DimensionMismatch, NoConvergenceWarning, ZeroSpectralNorm
 from .network import NetworkParams
-from .process import _as_float
 from .seeding import substream
 
 _RESTART_TAGS = (101, 211)
@@ -36,9 +36,7 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10) -> float:
     in the null space, and returns 0.0 for the zero matrix. If the cap is
     hit, warns NoConvergenceWarning and returns the best estimate.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise DimensionMismatch("spectral_norm needs a matrix")
+    A = _numbers(A, "A", 2)
     _as_float(tol, "tol", 0.0)
     if A.size == 0 or not np.any(A):
         return 0.0
@@ -66,9 +64,7 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10) -> float:
 
 def norm_2_1_of_transpose(A: np.ndarray) -> float:
     """Sum of Euclidean row norms; upper-bounds the spectral norm."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise DimensionMismatch("needs a matrix")
+    A = _numbers(A, "A", 2)
     return float(np.sqrt((A * A).sum(axis=1)).sum())
 
 

@@ -27,23 +27,16 @@ import itertools
 import json
 import math
 from bisect import bisect_left
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadLabel,
-    DimensionMismatch,
-    EmptyDataset,
-    NonUniqueStationary,
-    NotDiscrete,
-    TooLarge,
-)
+from ._checks import (_ATOL, _as_array, _as_float, _as_int, _as_labels, _check_keys,
+                      _check_stochastic, _count, _field_names, _fields, _reject_trailing,
+                      _unit_values)
+from .errors import (BadLabel, DimensionMismatch, EmptyDataset, NonUniqueStationary, NotDiscrete,
+                     TooLarge)
 from .seeding import substream
-
-_ATOL = 1e-12
-
-_FLOAT_MAX = float(np.finfo(np.float64).max)  # a number is finite iff |x| <= this
 
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
 
@@ -55,22 +48,6 @@ _STREAM_BATCH = 2
 
 KIND_SEQUENCE = "sequence"
 KIND_TARGET = "target_iid"
-
-
-def _check_stochastic(value, name: str, ndim: int) -> np.ndarray:
-    """`value` as laws within _ATOL: a read-only float64 copy (`_numbers`)
-    with the tolerated negative entries set to 0, so every cumulative row is
-    nondecreasing; other entries, -0.0 included, keep their bits."""
-    rows = _numbers(value, name, ndim)
-    # negated, so that a NaN (every comparison False) is rejected too
-    if not (np.all(rows >= -_ATOL) and np.all(rows <= 1.0 + _ATOL)):
-        raise ValueError(f"{name} entries must lie in [0, 1]")
-    sums = rows.sum(axis=-1)
-    if not np.all(np.abs(sums - 1.0) <= _ATOL):
-        raise ValueError(f"{name} rows must sum to 1 within {_ATOL}")
-    rows[rows < 0.0] = 0.0
-    rows.setflags(write=False)
-    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,9 +306,7 @@ class LabeledDataset:
     def __post_init__(self):
         X = _as_array(self.inputs, "inputs", 2)
         K = _as_int(self.num_classes, "num_classes", 2, BadLabel)
-        y = _as_labels(self.labels, K)
-        if y.shape != (X.shape[0],):
-            raise DimensionMismatch("labels must be (n,)")
+        y = _as_labels(self.labels, X.shape[0], K)
         if self.kind not in (KIND_SEQUENCE, KIND_TARGET):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         object.__setattr__(self, "inputs", X)
@@ -372,146 +347,11 @@ class LabeledDataset:
                    labels=[r[d] for r in rows], num_classes=K, kind=kind, seed=seed)
 
 
-def _count(text: str) -> int:
-    """A text field of decimal digits as an int; ValueError for any other
-    text, a sign included."""
-    if not text.isdigit():
-        raise ValueError("not an integer >= 0")
-    return int(text)
-
-
-def _fields(raw: list, i: int, fields: tuple) -> list:
-    """raw[i], line i + 1 of a text file, read as one whitespace-separated
-    field per (name, read) pair of `fields`. ValueError naming the line if
-    the file ends before it or the line holds another number of fields, and
-    naming the field too if `read` rejects its text."""
-    if i >= len(raw):
-        raise ValueError(f"missing line {i + 1}: the file ends at line {len(raw)}")
-    parts = raw[i].split()
-    if len(parts) != len(fields):
-        names = " ".join(dict.fromkeys(name for name, _ in fields))
-        raise ValueError(f"line {i + 1} has {len(parts)} fields, wanted {len(fields)} ({names})")
-    out = []
-    for (name, read), text in zip(fields, parts):
-        try:
-            out.append(read(text))
-        except ValueError as err:
-            raise ValueError(f"line {i + 1}: {name} {text!r}: {err}") from None
-    return out
-
-
-def _check_keys(section: dict, cls, name: str, allowed=None) -> dict:
-    """Return a config section for the dataclass `cls`. ValueError for a
-    field of cls with no default that the section lacks, and for a key not
-    in `allowed` (default: every field of cls), so that no key (a misspelt
-    one, another emission mode's) is silently dropped. Before that,
-    ValueError naming the section if it is not a JSON object, and naming the
-    key if a field annotated `tuple` holds something other than an array."""
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name} must be a JSON object, "
-                         f"not {type(section).__name__}")
-    for f in fields(cls):
-        if f.type == "tuple" and not isinstance(section.get(f.name, ()), (list, tuple)):
-            raise ValueError(f"key {f.name!r} in config section {name} must be a JSON "
-                             f"array, not {type(section[f.name]).__name__}")
-    for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in section:
-            raise ValueError(f"missing key {f.name!r} in config section {name}")
-    allowed = _field_names(cls) if allowed is None else allowed
-    for key in section:
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in config section {name}")
-    return section
-
-
-def _as_int(value, key: str, low: int, error=ValueError) -> int:
-    """`value` as an int if it is a Python or numpy integer >= low; a bool
-    is not one, and neither is an integral float. Else `error` naming `key`."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
-        return int(value)
-    raise error(f"{key!r} must be an integer >= {low}, not {value!r}")
-
-
-def _numbers(value, name: str, ndim: int) -> np.ndarray:
-    """A new float64 array of `value`, a rectangular array of integers or reals
-    with `ndim` axes: ValueError naming `name` for ragged rows and for string,
-    boolean, None or other object entries, DimensionMismatch for other axes."""
-    try:
-        raw = np.array(value)
-    except ValueError:  # numpy refuses ragged nesting
-        raw = np.array(None)
-    # numpy reads a boolean among numbers as a number; only a list mixes them
-    if raw.dtype.kind not in "iuf" or not isinstance(value, np.ndarray) and any(
-            isinstance(v, (bool, np.bool_)) for v in np.array(value, dtype=object).flat):
-        raise ValueError(f"{name} must be a rectangular array of numbers")
-    if raw.ndim != ndim:
-        raise DimensionMismatch(f"{name} must be a {ndim}-d array, got shape {raw.shape}")
-    return raw.astype(np.float64, copy=False)
-
-
-def _as_array(value, name: str, ndim: int, low=-math.inf, high=math.inf) -> np.ndarray:
-    """A read-only float64 copy of `value` (`_numbers`), so freezing it never
-    freezes the caller's array. ValueError naming `name` unless every entry is
-    finite and then, so that NaN is named as such, in the closed [low, high]."""
-    arr = _numbers(value, name, ndim)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    if not (np.all(arr >= low) and np.all(arr <= high)):
-        raise ValueError(f"{name} entries must lie in [{low:g}, {high:g}]")
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_labels(labels, K: float = math.inf) -> np.ndarray:
-    """A read-only int64 copy of `labels`; BadLabel unless every entry is an
-    integer (an integral float is one; 1.5, NaN and a string are not) in 1..K,
-    so no label is ever truncated, parsed or wrapped round to the last class."""
-    raw = np.asarray(labels)
-    if not (raw.dtype.kind in "biu" or raw.dtype.kind == "f"
-            and np.all(np.isfinite(raw) & (raw == np.trunc(raw)))):
-        raise BadLabel("labels must be integers")
-    if raw.size and (raw.min() < 1 or raw.max() > K):
-        raise BadLabel(f"labels must lie in 1..{K}")
-    y = raw.astype(np.int64)
-    y.setflags(write=False)
-    return y
-
-
-def _as_float(value, key: str, low: float, high: float = math.inf, closed: bool = False,
-              error=ValueError) -> float:
-    """`value` as a float if it is a finite Python or numpy number (a bool is
-    not one) between low and high, both excluded or, with `closed`, both
-    included. Else `error` naming `key`. Finiteness is tested before any
-    comparison with the bounds, so NaN is rejected."""
-    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            and abs(value) <= _FLOAT_MAX
-            and (low <= value <= high if closed else low < value < high)):
-        return float(value)
-    if high == math.inf:
-        wanted = f"a finite number {'>=' if closed else '>'} {low:g}"
-    else:
-        left, right = ("[", "]") if closed else ("(", ")")
-        wanted = f"a number in {left}{low:g}, {high:g}{right}"
-    raise error(f"{key!r} must be {wanted}, not {value!r}")
-
-
-def _field_names(cls) -> tuple:
-    return tuple(f.name for f in fields(cls))
-
-
 def _json_fields(spec, names) -> dict:
     """The named fields of a spec as a JSON document, arrays as nested lists."""
     values = {name: getattr(spec, name) for name in names}
     return {name: v.tolist() if isinstance(v, np.ndarray) else v
             for name, v in values.items()}
-
-
-def _reject_trailing(raw: list, start: int) -> None:
-    """Raise ValueError at the first non-blank line of raw[start:], the
-    lines after a text file's declared content."""
-    for i in range(start, len(raw)):
-        if raw[i].strip():
-            raise ValueError(f"unexpected content at line {i + 1}: {raw[i][:40]!r}")
 
 
 def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -692,8 +532,8 @@ def brute_force_phi(spec: ProcessSpec, k: int, n_max: int, future_len: int) -> f
     generate the same events.
     """
     S = spec.markov.num_states
-    if k < 1 or n_max < 0 or future_len < 1:
-        raise ValueError("need k >= 1, n_max >= 0, future_len >= 1")
+    for value, key, low in ((k, "k", 1), (n_max, "n_max", 0), (future_len, "future_len", 1)):
+        _as_int(value, key, low)
     if S > 3 or n_max > 4 or future_len > 3:
         raise TooLarge("brute force enumerations limited to S <= 3, n_max <= 4, future_len <= 3")
     if not deterministic_injective(spec):
@@ -989,8 +829,7 @@ def _check_f_table(spec: ProcessSpec, f_table: np.ndarray) -> np.ndarray:
 
 def step_expectations(spec: ProcessSpec, f_table, n: int) -> np.ndarray:
     """Exact E[f(X_i, Y_i)] for i = 1..n on a discrete-emission process."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _as_int(n, "n", 0)
     f = _check_f_table(spec, f_table)
     return _expectations(spec, f, _marginals(spec.markov, n)[1:],
                          spec.emission.rows_at(range(1, n + 1)))
@@ -1017,13 +856,14 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
     """Per-trial averages (1/n) sum_i f(X_i, Y_i) over `trials` paths.
 
     `f` is either a value table over (alphabet point, label) for discrete
-    emissions or a vectorized callable f(inputs, labels) -> values.
+    emissions or a vectorized callable f(inputs, labels) -> values in [0, 1].
     """
+    _as_int(n, "n", 1)
+    _as_int(trials, "trials", 1)
     em = spec.emission
     if callable(f):
         X, Y = sample_sequences_batch(spec, n, trials, seed)
-        flat = np.asarray(f(X.reshape(-1, spec.input_dim), Y.reshape(-1)),
-                          dtype=np.float64)
+        flat = _unit_values(f(X.reshape(-1, spec.input_dim), Y.reshape(-1)), "f", trials * n)
         return flat.reshape(trials, n).mean(axis=1)
     ftab = _check_f_table(spec, f)
     rng = substream(seed, _STREAM_BATCH)

@@ -19,11 +19,11 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import _as_array, _as_float, _as_int, _as_labels, _numbers, _unit_values
 from .errors import EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
 from .norms import LayerNorms, norm_factors, require_positive_spectral
-from .process import (_ATOL, LabeledDataset, _as_array, _as_float, _as_int, _as_labels,
-                      _value_table)
+from .process import LabeledDataset, _value_table
 from .seeding import substream
 
 _EXACT_MAX_N = 20
@@ -48,25 +48,19 @@ class FunctionClass:
 
     def evaluate(self, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Value matrix (members x points); range-checked on use."""
-        X = np.asarray(inputs, dtype=np.float64)
-        y = _as_labels(labels)
+        X = _numbers(inputs, "inputs", 2)
+        y = _as_labels(labels, X.shape[0])
         out = np.empty((self.size, X.shape[0]))
         for m, f in enumerate(self.evaluators):
-            vals = np.asarray(f(X, y), dtype=np.float64).reshape(-1)
-            if vals.shape[0] != X.shape[0]:
-                raise ValueError(f"member {m} returned {vals.shape[0]} values "
-                                 f"for {X.shape[0]} points")
-            # negated, so that a NaN (every comparison False) is rejected too
-            if not (vals.min(initial=0.0) >= -_ATOL and vals.max(initial=0.0) <= 1.0 + _ATOL):
-                raise ValueError(f"member {m} left [0, 1]")
-            out[m] = vals
+            out[m] = _unit_values(f(X, y), f"member {m}", X.shape[0])
         return out
 
 
 def constant_class(values) -> FunctionClass:
     """One constant function per value."""
     def make(c: float) -> Callable:
-        return lambda X, y, c=float(c): np.full(X.shape[0], c)
+        c = _as_float(c, "values", 0.0, 1.0, closed=True)
+        return lambda X, y: np.full(X.shape[0], c)
     return FunctionClass(evaluators=tuple(make(c) for c in values))
 
 
@@ -74,13 +68,15 @@ def table_class(alphabet: np.ndarray, tables) -> FunctionClass:
     """Functions given by value tables over (alphabet point, label).
 
     Inputs are matched to alphabet rows bitwise, which is how discrete
-    processes emit them.
+    processes emit them; each member takes labels 1..K for its own table's
+    K columns.
     """
     alphabet = _as_array(alphabet, "alphabet", 2)
     lookup = {alphabet[m].tobytes(): m for m in range(alphabet.shape[0])}
 
     def make(tab: np.ndarray) -> Callable:
         def f(X: np.ndarray, y: np.ndarray, tab=tab) -> np.ndarray:
+            y = _as_labels(y, X.shape[0], tab.shape[1])
             idx = np.empty(X.shape[0], dtype=np.int64)
             for i in range(X.shape[0]):
                 key = np.ascontiguousarray(X[i]).tobytes()
@@ -172,9 +168,7 @@ def _enumerate_signs(F: np.ndarray) -> np.ndarray:
 def empirical_rademacher_exact(fclass: FunctionClass,
                                data: LabeledDataset) -> RademacherEstimate:
     """Exact complexity by full sign enumeration; needs n <= 20."""
-    n = data.n
-    if n == 0:
-        raise EmptyDataset("need at least one point")
+    n = _as_int(data.n, "n", 1, EmptyDataset)
     if n > _EXACT_MAX_N:
         raise TooLarge(f"2**{n} sign vectors exceed the exact budget (n <= {_EXACT_MAX_N})")
     F = fclass.evaluate(data.inputs, data.labels)
@@ -186,9 +180,7 @@ def empirical_rademacher_mc(fclass: FunctionClass, data: LabeledDataset,
                             trials: int, seed: int) -> RademacherEstimate:
     """Monte Carlo complexity over `trials` sign draws with its stderr."""
     _as_int(trials, "trials", 100)  # fewer give no meaningful stderr
-    n = data.n
-    if n == 0:
-        raise EmptyDataset("need at least one point")
+    n = _as_int(data.n, "n", 1, EmptyDataset)
     F = fclass.evaluate(data.inputs, data.labels)
     signs = _draw_signs(substream(seed, 0), trials, n)
     sups = _sign_sups(F[:, None, :], signs)[0] / n

@@ -1,0 +1,141 @@
+"""The input rules applied to the arguments of the public functions.
+
+Each case is one public call with one malformed argument and the named error
+it must raise. None of them may compute a value from the argument: strings
+are not parsed, booleans are not numbers, floats are not truncated to
+integers, and a misshapen array is never indexed into a raw IndexError.
+"""
+
+import numpy as np
+import pytest
+
+from mixcert import (
+    Activation,
+    BadLabel,
+    DimensionMismatch,
+    EmissionSpec,
+    LabeledDataset,
+    MarkovSpec,
+    MixingProfile,
+    NetworkParams,
+    ProcessSpec,
+    brute_force_phi,
+    combine_seeds,
+    constant_class,
+    forward_batch,
+    margins_batch,
+    mixing_profile,
+    network_certificate,
+    norm_2_1_of_transpose,
+    ramp_loss,
+    sample_sequence,
+    sample_sequences_batch,
+    sequence_value_means,
+    spectral_norm,
+    step_expectations,
+    substream,
+    table_class,
+    theorem1_bound,
+    validate_lemma3,
+    validate_mcdiarmid,
+    validate_ramp_dominance,
+)
+from mixcert._checks import _numbers
+
+SPEC = ProcessSpec(
+    markov=MarkovSpec(num_states=2, transition=[[0.9, 0.1], [0.1, 0.9]], initial=[1.0, 0.0]),
+    emission=EmissionSpec.discrete(alphabet=[[0.0], [1.0]], table=np.eye(2)),
+    label_map=(1, 2), num_classes=2, input_dim=1)
+F_TABLE = [[1.0, 1.0], [0.0, 0.0]]
+TABLES = table_class([[0.0], [1.0]], [np.eye(2)])
+NET = NetworkParams(layers=(np.eye(2),), activations=(Activation("identity"),))
+PROFILE = MixingProfile(horizon=5, phi=np.zeros(5), mu=np.zeros(5), delta_inf=1.0,
+                        phi_exact=True, mu_exact=True)
+NUMBERS = "must be a rectangular array of numbers"
+SEED = "'seed' must be an integer >= 0"
+
+
+def certificate(seed):
+    net = NetworkParams(layers=(np.ones((2, 1)),), activations=("identity",))
+    return network_certificate(sample_sequence(SPEC, 20, 0), net, 0.5, mixing_profile(SPEC, 20),
+                               0.05, seed=seed)
+
+
+def dataset(labels):
+    return LabeledDataset(inputs=[[0.0], [1.0]], labels=labels, num_classes=2,
+                          kind="sequence", seed=0)
+
+
+CASES = {
+    # arrays passed in, not stored: strings and booleans are not numbers
+    "margins_batch string logits": (lambda: margins_batch([["1", "2"]], [1]), ValueError, NUMBERS),
+    "ramp_loss string margins": (lambda: ramp_loss(np.array(["0.5"]), 1.0), ValueError, NUMBERS),
+    "spectral_norm string matrix": (lambda: spectral_norm([["1", "2"]]), ValueError, NUMBERS),
+    "norm_2_1 boolean matrix":
+        (lambda: norm_2_1_of_transpose([[True, False]]), ValueError, NUMBERS),
+    "forward_batch string inputs":
+        (lambda: forward_batch(NET, [["1", "2"]]), ValueError, NUMBERS),
+    "evaluate string inputs": (lambda: TABLES.evaluate([["0"]], [1]), ValueError, NUMBERS),
+    # misshapen arrays are named, not indexed
+    "margins_batch 1-d logits":
+        (lambda: margins_batch([1.0, 2.0], [1]), DimensionMismatch, "logits must be a 2-d"),
+    "margins_batch label count":
+        (lambda: margins_batch([[1.0, 2.0]], [1, 2]), DimensionMismatch, r"labels must be \(1,\)"),
+    "evaluate label count": (lambda: constant_class([0.5]).evaluate(np.zeros((2, 1)), [1]),
+                             DimensionMismatch, r"labels must be \(2,\)"),
+    # labels
+    "boolean labels": (lambda: dataset([True, True]), BadLabel, "labels must be integers"),
+    "ragged labels": (lambda: dataset([[1], [2, 1]]), BadLabel, "labels must be integers"),
+    "label above a table's K":
+        (lambda: TABLES.evaluate([[0.0]], [3]), BadLabel, r"labels must lie in 1\.\.2"),
+    # seeds
+    "float seed": (lambda: sample_sequences_batch(SPEC, 3, 2, 2.7), ValueError, SEED),
+    "float seed folded": (lambda: combine_seeds(1.5, 2), ValueError, SEED),
+    "string seed of a report": (lambda: certificate("abc"), ValueError, SEED),
+    "boolean seed": (lambda: substream(True), ValueError, SEED),
+    "negative seed": (lambda: substream(-1), ValueError, SEED),
+    # counts
+    "ramp sweep of no trials":
+        (lambda: validate_ramp_dominance(trials=0, seed=0), ValueError, "'trials' must be"),
+    "ramp sweep of negative trials":
+        (lambda: validate_ramp_dominance(trials=-3, seed=0), ValueError, "'trials' must be"),
+    "ramp sweep of fractional trials":
+        (lambda: validate_ramp_dominance(trials=1.5, seed=0), ValueError, "'trials' must be"),
+    "theorem1 string n": (lambda: theorem1_bound(0.1, 0.1, PROFILE, 0.05, n="5"),
+                          ValueError, "'n' must be an integer >= 1"),
+    "step_expectations float n":
+        (lambda: step_expectations(SPEC, F_TABLE, 2.5), ValueError, "'n' must be"),
+    "step_expectations boolean n":
+        (lambda: step_expectations(SPEC, F_TABLE, True), ValueError, "'n' must be"),
+    "lemma3 float n": (lambda: validate_lemma3(SPEC, F_TABLE, 2.5), ValueError, "'n' must be"),
+    "brute_force_phi float k":
+        (lambda: brute_force_phi(SPEC, 1.5, 1, 1), ValueError, "'k' must be"),
+    "table means float n":
+        (lambda: sequence_value_means(SPEC, F_TABLE, 2.5, 3, 0), ValueError, "'n' must be"),
+    # reals
+    "string epsilon": (lambda: validate_mcdiarmid(SPEC, F_TABLE, 5, 10, 0, epsilons=("0.1",)),
+                       ValueError, "'epsilons' must be"),
+    "no epsilons": (lambda: validate_mcdiarmid(SPEC, F_TABLE, 5, 10, 0, epsilons=()),
+                    ValueError, "'epsilons' must be a non-empty"),
+    "string constant": (lambda: constant_class(["0.5"]), ValueError, "'values' must be"),
+    # the values a caller's function returns
+    "statistic above 1": (lambda: validate_mcdiarmid(SPEC, lambda X, y: 5.0 * (y == 1), 5, 10, 0),
+                          ValueError, r"f left \[0, 1\]"),
+    "statistic of strings":
+        (lambda: sequence_value_means(SPEC, lambda X, y: np.full(len(y), "1"), 5, 10, 0),
+         ValueError, NUMBERS),
+}
+
+
+@pytest.mark.parametrize("call, error, match", CASES.values(), ids=CASES.keys())
+def test_malformed_argument_raises_its_named_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_a_float64_argument_is_not_copied():
+    """Arrays a function only reads pass on their dtype alone, so the rules
+    cost no copy on the hot paths."""
+    a = np.zeros((3, 2))
+    assert _numbers(a, "a", 2) is a
+    assert _numbers(a, "a", 2, copy=True) is not a

@@ -1231,7 +1231,7 @@ class TestStepExpectations:
         spec = discrete_spec(SYM09, [1.0, 0.0], 2)
         f_table = np.array([[1.0, 1.0], [0.0, 0.0]])
         assert step_expectations(spec, f_table, 0).shape == (0,)
-        with pytest.raises(ValueError, match="n must be >= 0"):
+        with pytest.raises(ValueError, match="'n' must be an integer >= 0"):
             step_expectations(spec, f_table, -1)
 
     def test_rejects_a_nan_value(self):
