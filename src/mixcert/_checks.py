@@ -23,6 +23,19 @@ def _as_int(value, key: str, low: int, error=ValueError) -> int:
     raise error(f"{key!r} must be an integer >= {low}, not {value!r}")
 
 
+def _as_times(times, key: str) -> np.ndarray:
+    """`times` as a 1-d integer array: `_as_int`'s rule (integers >= 1; a
+    bool, a float or a string is not one) applied to the whole array in one
+    pass, so a long range of times costs no Python loop. Else ValueError
+    naming `key`."""
+    arr = np.asarray(times)
+    if arr.ndim == 1 and (not arr.size or arr.dtype.kind in "iu" and arr.min() >= 1 and (
+            isinstance(times, (np.ndarray, range))
+            or not any(isinstance(t, (bool, np.bool_)) for t in times))):
+        return arr
+    raise ValueError(f"{key!r} must be a 1-d sequence of integers >= 1, not {times!r}")
+
+
 def _as_float(value, key: str, low: float, high: float = math.inf, closed: bool = False,
               error=ValueError) -> float:
     """`value` as a float if it is a finite Python or numpy number (a bool is
@@ -95,19 +108,19 @@ def _check_stochastic(value, name: str, ndim: int) -> np.ndarray:
     return rows
 
 
-def _as_labels(labels, n: int, K: float = math.inf) -> np.ndarray:
+def _as_labels(labels, n: int, K: float = math.inf, name: str = "labels") -> np.ndarray:
     """A read-only int64 copy of `labels`, n numbers (`_numbers`);
     DimensionMismatch for another shape, BadLabel unless every entry is an
     integer (an integral float is one; 1.5, NaN, a string and a boolean are
     not) in 1..K, so no label is ever truncated, parsed or wrapped round to
-    the last class."""
-    raw = _numbers(labels, "labels", 1, bad=BadLabel("labels must be integers"))
+    the last class. Each error names `name`."""
+    raw = _numbers(labels, name, 1, bad=BadLabel(f"{name} must be integers"))
     if raw.shape[0] != n:
-        raise DimensionMismatch(f"labels must be ({n},), got shape {raw.shape}")
+        raise DimensionMismatch(f"{name} must be ({n},), got shape {raw.shape}")
     if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
-        raise BadLabel("labels must be integers")
+        raise BadLabel(f"{name} must be integers")
     if raw.size and (raw.min() < 1 or raw.max() > K):
-        raise BadLabel(f"labels must lie in 1..{K}")
+        raise BadLabel(f"{name} must lie in 1..{K}")
     y = raw.astype(np.int64)
     y.setflags(write=False)
     return y

@@ -27,18 +27,19 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import _as_float, _as_int
+from ._checks import _as_float, _as_int, _numbers
 from .errors import BadDelta, DimensionMismatch, WrongKind
 from .network import (
     Architecture,
     NetworkParams,
     TrainConfig,
     TrainResult,
+    _check_target,
+    _plug_in,
     dataset_margins,
     error_rate,
     margins_batch,
     mean_ramp_loss,
-    population_estimate,
     ramp_loss,
     train_sgd,
 )
@@ -166,11 +167,34 @@ def recompose_total(report: BoundReport) -> float:
                          report.complexity_term)
 
 
+def _margins(params: NetworkParams, data: LabeledDataset, target: LabeledDataset | None,
+             margins: tuple | None) -> tuple:
+    """The training margins and the target margins (None without a target)
+    that a certificate reads at every gamma: `margins` checked against the
+    two datasets, or computed from `params` when it is None."""
+    if target is not None:
+        _check_target(target)
+    sets = (data, target)
+    if margins is None:
+        return tuple(None if ds is None else dataset_margins(params, ds) for ds in sets)
+    if not isinstance(margins, tuple) or len(margins) != 2:
+        raise ValueError("margins must be a (training, target) pair")
+    checked = []
+    for values, ds in zip(margins, sets):
+        if ds is not None:
+            values = _numbers(values, "margins", 1)
+            if values.shape[0] != ds.n:
+                raise DimensionMismatch(f"margins must be ({ds.n},), got shape {values.shape}")
+        checked.append(values)
+    return tuple(checked)
+
+
 def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: float,
                         profile: MixingProfile, delta: float,
                         target: LabeledDataset | None = None,
                         norms: LayerNorms | None = None,
-                        seed: int | None = None) -> BoundReport:
+                        seed: int | None = None,
+                        margins: tuple | None = None) -> BoundReport:
     """Assemble the network risk certificate for one trained predictor.
 
     The complexity terms instantiate the covering bound with B = the total
@@ -180,7 +204,10 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
     network constant, so the certificate degenerates to the non-complexity
     terms. When `target` is given, plug-in stationary losses are attached
     and bound_holds records whether the certificate clears the plug-in
-    zero-one estimate minus its half-width.
+    zero-one estimate minus its half-width. `margins`, the pair
+    (dataset_margins(params, data), dataset_margins(params, target)), lets a
+    caller that certifies at several gammas run the network once; it is
+    computed here when None.
     """
     if data.kind != KIND_SEQUENCE:
         raise WrongKind("certificates are issued for sequence datasets")
@@ -203,14 +230,14 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
             1.0, 2.0 * rademacher_term):
         raise AssertionError("certificate terms disagree with the covering bound")
     conc = concentration_term(n, delta, profile.delta_inf)
-    margins = dataset_margins(params, data)
-    empirical = mean_ramp_loss(margins, gamma)
+    train_margins, target_margins = _margins(params, data, target, margins)
+    empirical = mean_ramp_loss(train_margins, gamma)
     mu_mean = float(profile.mu.mean())
     total = _theorem1_sum(empirical, mu_mean, conc, small, complexity)
     report = BoundReport(
         n=n, gamma=float(gamma), delta=float(delta),
         empirical_ramp_loss=empirical,
-        empirical_zero_one=error_rate(margins),
+        empirical_zero_one=error_rate(train_margins),
         rademacher_term=rademacher_term,
         rademacher_source=SOURCE_COVERING,
         mu_mean=mu_mean,
@@ -223,7 +250,7 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
         seed=seed if seed is None else _as_int(seed, "seed", 0),
     )
     if target is not None:
-        pop = population_estimate(params, target, gamma)
+        pop = _plug_in(target_margins, gamma)
         report.population_ramp_estimate = pop.ramp_loss
         report.population_zero_one_estimate = pop.zero_one_loss
         report.population_halfwidth = pop.halfwidth
@@ -439,9 +466,7 @@ def certification_run(spec: ProcessSpec, arch: Architecture, train_config: Train
     data, result = train_seed(spec, arch, train_config, n_train, seed)
     target = sample_target(spec, m_target, seed)
     norms = LayerNorms.from_params(result.params)
-    reports = []
-    for gamma in gamma_list:
-        reports.append(network_certificate(
-            data, result.params, gamma, profile, delta,
-            target=target, norms=norms, seed=seed))
-    return reports
+    margins = _margins(result.params, data, target, None)
+    return [network_certificate(data, result.params, gamma, profile, delta, target=target,
+                                norms=norms, seed=seed, margins=margins)
+            for gamma in gamma_list]

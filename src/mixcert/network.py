@@ -75,15 +75,17 @@ class Activation:
             return np.tanh(z)
         return z
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def backward(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The chain rule through this activation: the gradient in the
+        pre-activations z, given the gradient d in the outputs."""
         if self.kind == "relu":
-            return (z > 0.0).astype(np.float64)
+            return d * (z > 0.0)
         if self.kind == "leaky_relu":
-            return np.where(z > 0.0, 1.0, self.slope)
+            return d * np.where(z > 0.0, 1.0, self.slope)
         if self.kind == "tanh":
             t = np.tanh(z)
-            return 1.0 - t * t
-        return np.ones_like(z)
+            return d * (1.0 - t * t)
+        return d  # d * 1.0 has the bits of d
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,26 +274,38 @@ def error_rate(margins: np.ndarray) -> float:
     return float(np.mean(margins <= 0.0))
 
 
-def population_estimate(params: NetworkParams, target: LabeledDataset,
-                        gamma: float) -> PopulationEstimate:
-    """Plug-in stationary losses from an iid target sample."""
+def _check_target(target: LabeledDataset) -> None:
+    """WrongKind unless `target` is an iid target sample, EmptyDataset if it
+    is empty."""
     if target.kind != KIND_TARGET:
         raise WrongKind(f"population estimates need a {KIND_TARGET!r} dataset")
     _as_int(target.n, "n", 1, EmptyDataset)
-    margins = dataset_margins(params, target)
-    halfwidth = math.sqrt(math.log(2.0 / _DELTA_EST) / (2.0 * target.n))
+
+
+def _plug_in(margins: np.ndarray, gamma: float) -> PopulationEstimate:
+    """Plug-in losses of an iid target sample from its margins, with their
+    Hoeffding half-width."""
+    m = margins.shape[0]
     return PopulationEstimate(
         ramp_loss=mean_ramp_loss(margins, gamma),
         zero_one_loss=error_rate(margins),
-        halfwidth=halfwidth,
-        sample_size=target.n,
+        halfwidth=math.sqrt(math.log(2.0 / _DELTA_EST) / (2.0 * m)),
+        sample_size=m,
         delta_est=_DELTA_EST,
     )
 
 
+def population_estimate(params: NetworkParams, target: LabeledDataset,
+                        gamma: float) -> PopulationEstimate:
+    """Plug-in stationary losses from an iid target sample."""
+    _check_target(target)
+    return _plug_in(dataset_margins(params, target), gamma)
+
+
 def _ce_forward(layers, acts, X, y):
-    """Pre-activations, layer outputs, max-shifted logits, and the mean
-    softmax cross-entropy of labels y."""
+    """Pre-activations, layer outputs, the softmax probabilities less the
+    one-hot labels y (the batch size times the loss's gradient in the
+    logits), and the mean softmax cross-entropy of labels y."""
     pre = []
     post = [X]
     for W, act in zip(layers, acts):
@@ -300,23 +314,24 @@ def _ce_forward(layers, acts, X, y):
         post.append(act.apply(a))
     logits = post[-1]
     shift = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shift).sum(axis=1))
-    loss = float(np.mean(lse - shift[np.arange(X.shape[0]), y - 1]))
-    return pre, post, shift, loss
+    expv = np.exp(shift)
+    total = expv.sum(axis=1, keepdims=True)
+    rows, cols = np.arange(X.shape[0]), y - 1
+    # sum / m is np.mean's arithmetic, without its Python wrapper
+    loss = float((np.log(total[:, 0]) - shift[rows, cols]).sum() / X.shape[0])
+    probs = expv / total
+    probs[rows, cols] -= 1.0
+    return pre, post, probs, loss
 
 
 def _loss_and_grads(layers, acts, X, y):
     """Mean softmax cross-entropy and its exact gradient, one array per
     layer. Takes raw layer lists so the trainer never rebuilds params."""
-    n = X.shape[0]
-    pre, post, shift, loss = _ce_forward(layers, acts, X, y)
-    expv = np.exp(shift)
-    probs = expv / expv.sum(axis=1, keepdims=True)
-    probs[np.arange(n), y - 1] -= 1.0
-    d_post = probs / n
+    pre, post, probs, loss = _ce_forward(layers, acts, X, y)
+    d_post = probs / X.shape[0]
     grads: list = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        d_pre = d_post * acts[i].derivative(pre[i])
+        d_pre = acts[i].backward(pre[i], d_post)
         grads[i] = d_pre.T @ post[i]
         if i:
             d_post = d_pre @ layers[i]
@@ -347,17 +362,18 @@ def train_sgd(train_data: LabeledDataset, arch: Architecture,
         a = config.init_scale if config.init_scale is not None else 1.0 / math.sqrt(d_in)
         layers.append(rng.uniform(-a, a, size=(d_out, d_in)))
 
-    X, y = train_data.inputs, train_data.labels
     epoch_losses = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
+        # one gather per epoch; each batch is then a contiguous slice
+        X, y = train_data.inputs[order], train_data.labels[order]
         total = 0.0
         for start in range(0, n, config.batch_size):
-            take = order[start:start + config.batch_size]
-            batch_loss, grads = _loss_and_grads(layers, acts, X[take], y[take])
+            stop = min(start + config.batch_size, n)
+            batch_loss, grads = _loss_and_grads(layers, acts, X[start:stop], y[start:stop])
             if not math.isfinite(batch_loss):
                 raise DivergedLoss(f"surrogate loss became {batch_loss}")
-            total += batch_loss * take.size
+            total += batch_loss * (stop - start)
             layers = [W - config.learning_rate * g for W, g in zip(layers, grads)]
         epoch_losses.append(total / n)
     params = NetworkParams(layers=tuple(layers), activations=acts)

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import (_ATOL, _as_array, _as_float, _as_int, _as_labels, _check_keys,
-                      _check_stochastic, _count, _field_names, _fields, _reject_trailing,
-                      _unit_values)
+from ._checks import (_ATOL, _as_array, _as_float, _as_int, _as_labels, _as_times,
+                      _check_keys, _check_stochastic, _count, _field_names, _fields,
+                      _reject_trailing, _unit_values)
 from .errors import (BadLabel, DimensionMismatch, EmptyDataset, NonUniqueStationary, NotDiscrete,
                      TooLarge)
 from .seeding import substream
@@ -178,17 +178,23 @@ class EmissionSpec:
         return self.drift_amplitude != 0.0 and self.drift_rows is not None
 
     def drift_weight(self, t: int) -> float:
-        """Mixture weight w_t = amplitude * t**(-exponent); 0 without drift."""
+        """Mixture weight w_t = amplitude * t**(-exponent) at an integer
+        time t >= 1; 0 without drift."""
+        return self._weights([_as_int(t, "t", 1)])[0]
+
+    def _weights(self, times: list) -> list:
+        """drift_weight of each of a list of checked times, in Python floats."""
         if not self.has_drift():
-            return 0.0
-        return self.drift_amplitude * float(t) ** (-self.drift_exponent)
+            return [0.0] * len(times)
+        a, e = self.drift_amplitude, -self.drift_exponent
+        return [a * float(t) ** e for t in times]
 
     def rows_at(self, times) -> np.ndarray:
         """The (times, S, C) stack of per-state rows of the law at each of a
-        sequence of integer times: (1 - w_t) * rows + w_t * drift_rows, and
-        `rows` itself where w_t is 0. A read-only broadcast of `rows` when
-        every weight is 0."""
-        w = np.array([self.drift_weight(t) for t in times])
+        sequence of integer times >= 1: (1 - w_t) * rows + w_t * drift_rows,
+        and `rows` itself where w_t is 0. A read-only broadcast of `rows`
+        when every weight is 0."""
+        w = np.array(self._weights(_as_times(times, "times").tolist()))
         stack = np.broadcast_to(self.rows, (len(w), *self.rows.shape))
         mix = w != 0.0
         if not mix.any():
@@ -223,11 +229,7 @@ class ProcessSpec:
     def __post_init__(self):
         S = self.markov.num_states
         K = _as_int(self.num_classes, "num_classes", 2, BadLabel)
-        labels = tuple(_as_int(v, "label_map", 1, BadLabel) for v in self.label_map)
-        if len(labels) != S:
-            raise DimensionMismatch("label_map must assign a label to every state")
-        if any(v > K for v in labels):
-            raise BadLabel(f"labels must lie in 1..{K}")
+        labels = tuple(_as_labels(self.label_map, S, K, "'label_map'").tolist())
         if self.emission.num_states != S:
             raise DimensionMismatch("emission tables must have one row per state")
         d = _as_int(self.input_dim, "input_dim", 1)
@@ -632,7 +634,7 @@ def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, times) -> np.ndarr
         law = (*_alphabet_groups(em.alphabet), spec.label_map, spec.num_classes)
         J_inf = _joint_table(pistar[None], em.table[None], *law)[0]
         return _tv(_joint_table(M[times], em.rows_at(times), *law), J_inf)
-    w = np.array([em.drift_weight(i) for i in times])
+    w = np.array(em._weights(times.tolist()))
     return np.minimum(1.0, _tv(M[times], pistar) + _gaussian_emission_tv(em, w))
 
 

@@ -32,6 +32,7 @@ from mixcert import (
     recompose_total,
     sample_sequence,
     sample_sequences_batch,
+    sample_target,
     theorem1_bound,
     train_sgd,
     validate_lemma3,
@@ -39,6 +40,7 @@ from mixcert import (
     validate_ramp_dominance,
     validate_symmetrization,
 )
+from mixcert.bounds import train_seed
 from mixcert.harness import builtin_class
 
 # empirical 0.2, complexity 0.05, mean drift 0.01, unit dependence factor,
@@ -462,6 +464,25 @@ class TestCertificationRun:
         for r in reports:
             assert r.bound_holds in (True, False)
             assert r.population_halfwidth > 0.0
+
+    def test_shared_margins_equal_a_certificate_of_its_own(self):
+        """certification_run runs the network once per seed and hands its
+        margins to every gamma; each report equals, field by field, the
+        certificate that computes its own margins."""
+        spec = self.drift_spec()
+        n = 200
+        prof = mixing_profile(spec, n)
+        arch = Architecture(dims=(2, 8, 2), activations=("relu", "identity"))
+        cfg = TrainConfig(learning_rate=0.05, epochs=5, batch_size=32, seed=1)
+        for seed in (4, 5):
+            reports = certification_run(spec, arch, cfg, prof, n_train=n, m_target=1000,
+                                        gamma_list=(0.5, 1.0), delta=0.05, seed=seed)
+            data, result = train_seed(spec, arch, cfg, n, seed)
+            target = sample_target(spec, 1000, seed)
+            for rep, gamma in zip(reports, (0.5, 1.0)):
+                alone = network_certificate(data, result.params, gamma, prof, 0.05,
+                                            target=target, seed=seed)
+                assert rep.to_json_dict() == alone.to_json_dict()
 
     def test_zero_epochs_trivial_bound(self):
         """An untrained network near zero scores everything at margin about

@@ -55,10 +55,15 @@ NUMBERS = "must be a rectangular array of numbers"
 SEED = "'seed' must be an integer >= 0"
 
 
-def certificate(seed):
+DRIFT = EmissionSpec.gaussian(means=[[1.0], [-1.0]], sigma=0.5, drift_means=[[0.0], [0.0]],
+                              drift_amplitude=0.5)
+TIMES = "'times' must be a 1-d sequence of integers >= 1"
+
+
+def certificate(seed, margins=None):
     net = NetworkParams(layers=(np.ones((2, 1)),), activations=("identity",))
     return network_certificate(sample_sequence(SPEC, 20, 0), net, 0.5, mixing_profile(SPEC, 20),
-                               0.05, seed=seed)
+                               0.05, seed=seed, margins=margins)
 
 
 def dataset(labels):
@@ -88,6 +93,24 @@ CASES = {
     "ragged labels": (lambda: dataset([[1], [2, 1]]), BadLabel, "labels must be integers"),
     "label above a table's K":
         (lambda: TABLES.evaluate([[0.0]], [3]), BadLabel, r"labels must lie in 1\.\.2"),
+    # times of a drifting law: integers >= 1, not parsed, rounded or powered into complex
+    "rows_at string time": (lambda: DRIFT.rows_at(["4"]), ValueError, TIMES),
+    "rows_at time 0": (lambda: DRIFT.rows_at([0]), ValueError, TIMES),
+    "rows_at negative time": (lambda: DRIFT.rows_at([-1]), ValueError, TIMES),
+    "rows_at float time": (lambda: DRIFT.rows_at([2.5]), ValueError, TIMES),
+    "rows_at boolean time": (lambda: DRIFT.rows_at([True, 2]), ValueError, TIMES),
+    "drift_weight string time": (lambda: DRIFT.drift_weight("4"), ValueError, "'t' must be"),
+    "drift_weight time 0": (lambda: DRIFT.drift_weight(0), ValueError, "'t' must be"),
+    "drift_weight negative time": (lambda: DRIFT.drift_weight(-1), ValueError, "'t' must be"),
+    "drift_weight float time": (lambda: DRIFT.drift_weight(2.5), ValueError, "'t' must be"),
+    "drift_weight boolean time": (lambda: DRIFT.drift_weight(True), ValueError, "'t' must be"),
+    # margins a caller shares across gammas
+    "certificate margins not a pair":
+        (lambda: certificate(0, np.zeros(20)), ValueError, r"\(training, target\) pair"),
+    "certificate margins of another length": (lambda: certificate(0, (np.zeros(19), None)),
+                                              DimensionMismatch, r"margins must be \(20,\)"),
+    "certificate string margins":
+        (lambda: certificate(0, (["0.5"] * 20, None)), ValueError, NUMBERS),
     # seeds
     "float seed": (lambda: sample_sequences_batch(SPEC, 3, 2, 2.7), ValueError, SEED),
     "float seed folded": (lambda: combine_seeds(1.5, 2), ValueError, SEED),

@@ -346,6 +346,19 @@ class TestGradient:
                        - _ce_forward(pm.layers, pm.activations, X, y)[3]) / (2 * h)
                 assert abs(num - grads[li][idx]) < 1e-7
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_loss_is_the_mean_cross_entropy(self, n):
+        """The batch loss is np.mean of the per-sample cross-entropy over the
+        max-shifted scores of forward_batch, bit for bit."""
+        p = tiny_params()
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        y = rng.integers(1, 4, size=n)
+        logits = forward_batch(p, X)
+        shift = logits - logits.max(axis=1, keepdims=True)
+        want = float(np.mean(np.log(np.exp(shift).sum(axis=1)) - shift[np.arange(n), y - 1]))
+        assert _ce_forward(p.layers, p.activations, X, y)[3] == want
+
     def test_zero_gradient_at_symmetric_point(self):
         """All-zero weights score every class equally on every input, a
         stationary point of the averaged cross entropy for balanced labels."""
@@ -391,12 +404,21 @@ class TestTrainSGD:
         assert res.epoch_losses[-1] < 0.05
         assert error_rate(dataset_margins(res.params, data)) <= 0.02
 
-    def test_matches_hand_loop_over_gradient(self):
+    @pytest.mark.parametrize("dims, activations", [
+        ((2, 2), ("identity",)),
+        ((2, 5, 2), ("leaky_relu:0.1", "tanh")),
+        ((2, 6, 3, 2), ("tanh", "relu", "identity")),
+        ((2, 4, 4, 2), ("relu", "identity", "leaky_relu")),
+    ], ids=["identity", "leaky-tanh", "tanh-relu-identity", "relu-identity-leaky"])
+    @pytest.mark.parametrize("batch_size", [16, 1, 100], ids=["batch16", "batch1", "batch100"])
+    def test_matches_hand_loop_over_gradient(self, dims, activations, batch_size):
         """Training is plain W - lr * g steps over _loss_and_grads, on the same
-        initialization and batch order: one backprop, not two."""
+        initialization and batch order: one backprop, not two. Bit for bit at
+        depths 1 to 3, for every activation, with a short last batch (70 % 16),
+        one-sample batches, and one batch larger than the data."""
         data = self.spec_data(n=70)
-        arch = Architecture(dims=(2, 6, 3, 2), activations=("tanh", "relu", "identity"))
-        cfg = TrainConfig(learning_rate=0.2, epochs=3, batch_size=16, seed=4)
+        arch = Architecture(dims=dims, activations=activations)
+        cfg = TrainConfig(learning_rate=0.2, epochs=3, batch_size=batch_size, seed=4)
         res = train_sgd(data, arch, cfg)
 
         acts = tuple(Activation.parse(a) for a in arch.activations)

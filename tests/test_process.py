@@ -887,6 +887,17 @@ class TestProcessSpecSerialization:
             emission=spec.emission, label_map=(1, 2), num_classes=2, input_dim=2)
         assert other.digest() != spec.digest()
 
+    def test_integral_float_label_map_is_the_integer_one(self):
+        """label_map follows the one label rule, as LabeledDataset's labels do:
+        an integral float is an integer. It is stored as Python ints, so the
+        spec serializes and digests as with integer labels."""
+        spec = self.make()
+        floats = ProcessSpec(markov=spec.markov, emission=spec.emission, label_map=(1.0, 2.0),
+                             num_classes=2, input_dim=2)
+        assert floats.label_map == (1, 2) and all(type(v) is int for v in floats.label_map)
+        assert floats.to_json_dict() == spec.to_json_dict()
+        assert floats.digest() == spec.digest()
+
     def test_rejects_bad_label_map(self):
         with pytest.raises(ValueError):
             ProcessSpec(
