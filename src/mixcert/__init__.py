@@ -36,14 +36,12 @@ from .network import (
     Activation,
     Architecture,
     NetworkParams,
-    PopulationEstimate,
     TrainConfig,
     TrainResult,
     forward,
     forward_batch,
     margin,
     margins_batch,
-    population_estimate,
     ramp_loss,
     train_sgd,
 )

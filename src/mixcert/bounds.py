@@ -28,14 +28,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ._checks import _as_float, _as_int, _numbers
-from .errors import BadDelta, DimensionMismatch, WrongKind
+from .errors import BadDelta, DimensionMismatch, EmptyDataset, NonpositiveGamma, WrongKind
 from .network import (
     Architecture,
     NetworkParams,
     TrainConfig,
     TrainResult,
-    _check_target,
-    _plug_in,
     dataset_margins,
     error_rate,
     margins_batch,
@@ -46,6 +44,7 @@ from .network import (
 from .norms import LayerNorms
 from .process import (
     KIND_SEQUENCE,
+    KIND_TARGET,
     LabeledDataset,
     MixingProfile,
     ProcessSpec,
@@ -74,6 +73,7 @@ _MC_SIGNS = 256  # sign draws per path beyond it
 _MAX_CLASSES = 5  # the ramp-dominance sweep draws K from 2.._MAX_CLASSES
 _MCDIARMID_EPSILONS = (0.02, 0.05, 0.1, 0.2, 0.3)  # tail deviations validate_mcdiarmid checks
 _LEMMA3_TOL = 1e-12  # rounding validate_lemma3 forgives in its exact comparison
+_DELTA_EST = 0.01  # confidence of the plug-in population estimate
 
 
 def _check_delta(delta: float) -> None:
@@ -167,47 +167,24 @@ def recompose_total(report: BoundReport) -> float:
                          report.complexity_term)
 
 
-def _margins(params: NetworkParams, data: LabeledDataset, target: LabeledDataset | None,
-             margins: tuple | None) -> tuple:
-    """The training margins and the target margins (None without a target)
-    that a certificate reads at every gamma: `margins` checked against the
-    two datasets, or computed from `params` when it is None."""
-    if target is not None:
-        _check_target(target)
-    sets = (data, target)
-    if margins is None:
-        return tuple(None if ds is None else dataset_margins(params, ds) for ds in sets)
-    if not isinstance(margins, tuple) or len(margins) != 2:
-        raise ValueError("margins must be a (training, target) pair")
-    checked = []
-    for values, ds in zip(margins, sets):
-        if ds is not None:
-            values = _numbers(values, "margins", 1)
-            if values.shape[0] != ds.n:
-                raise DimensionMismatch(f"margins must be ({ds.n},), got shape {values.shape}")
-        checked.append(values)
-    return tuple(checked)
-
-
-def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: float,
+def network_certificate(data: LabeledDataset, params: NetworkParams, gammas,
                         profile: MixingProfile, delta: float,
                         target: LabeledDataset | None = None,
-                        norms: LayerNorms | None = None,
-                        seed: int | None = None,
-                        margins: tuple | None = None) -> BoundReport:
-    """Assemble the network risk certificate for one trained predictor.
+                        seed: int | None = None) -> list:
+    """The network risk certificates of one trained predictor: one
+    BoundReport per margin scale in `gammas`, in order.
 
+    Only the ramp losses and the covering terms depend on gamma, so the
+    layer norms, B, the concentration term and the margins are computed once.
     The complexity terms instantiate the covering bound with B = the total
     input energy sqrt(sum ||x_i||^2), W = the largest layer axis, and the
     layer norm aggregate; they equal exactly twice the two covering-bound
     addends, which is asserted. A layer with spectral norm zero makes the
     network constant, so the certificate degenerates to the non-complexity
-    terms. When `target` is given, plug-in stationary losses are attached
-    and bound_holds records whether the certificate clears the plug-in
-    zero-one estimate minus its half-width. `margins`, the pair
-    (dataset_margins(params, data), dataset_margins(params, target)), lets a
-    caller that certifies at several gammas run the network once; it is
-    computed here when None.
+    terms. When `target`, an iid target sample, is given, plug-in stationary
+    losses on it are attached with the two-sided Hoeffding half-width
+    sqrt(ln(2/_DELTA_EST) / (2m)), and bound_holds records whether the
+    certificate clears the plug-in zero-one estimate minus that half-width.
     """
     if data.kind != KIND_SEQUENCE:
         raise WrongKind("certificates are issued for sequence datasets")
@@ -216,46 +193,61 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gamma: floa
         raise DimensionMismatch(f"profile horizon {profile.horizon} != n {n}")
     _as_int(n, "n", 2)
     _check_delta(delta)
-    if norms is None:
-        norms = LayerNorms.from_params(params)
-    B = float(np.sqrt((data.inputs ** 2).sum()))
-    if any(s == 0.0 for s in norms.spectral):
-        first, second = 4.0 / n ** 1.5, 0.0
-    else:
-        first, second = covering_bound_terms(B, gamma, params.width, n, norms)
-    small = 2.0 * first
-    complexity = 2.0 * second
-    rademacher_term = first + second
-    if abs(small + complexity - 2.0 * rademacher_term) > _CONSISTENCY_RTOL * max(
-            1.0, 2.0 * rademacher_term):
-        raise AssertionError("certificate terms disagree with the covering bound")
-    conc = concentration_term(n, delta, profile.delta_inf)
-    train_margins, target_margins = _margins(params, data, target, margins)
-    empirical = mean_ramp_loss(train_margins, gamma)
-    mu_mean = float(profile.mu.mean())
-    total = _theorem1_sum(empirical, mu_mean, conc, small, complexity)
-    report = BoundReport(
-        n=n, gamma=float(gamma), delta=float(delta),
-        empirical_ramp_loss=empirical,
-        empirical_zero_one=error_rate(train_margins),
-        rademacher_term=rademacher_term,
-        rademacher_source=SOURCE_COVERING,
-        mu_mean=mu_mean,
-        concentration_term=conc,
-        small_term=small,
-        complexity_term=complexity,
-        total_bound=total,
-        phi_exact=profile.phi_exact,
-        mu_exact=profile.mu_exact,
-        seed=seed if seed is None else _as_int(seed, "seed", 0),
-    )
+    gammas = [_as_float(g, "gammas", 0.0, error=NonpositiveGamma)
+              for g in _numbers(gammas, "gammas", 1)]
+    if not gammas:
+        raise ValueError("'gammas' must be a non-empty array of positive numbers")
+    seed = seed if seed is None else _as_int(seed, "seed", 0)
     if target is not None:
-        pop = _plug_in(target_margins, gamma)
-        report.population_ramp_estimate = pop.ramp_loss
-        report.population_zero_one_estimate = pop.zero_one_loss
-        report.population_halfwidth = pop.halfwidth
-        report.bound_holds = bool(total >= pop.zero_one_loss - pop.halfwidth)
-    return report
+        if target.kind != KIND_TARGET:
+            raise WrongKind(f"population estimates need a {KIND_TARGET!r} dataset")
+        m = _as_int(target.n, "n", 1, EmptyDataset)
+        target_margins = dataset_margins(params, target)
+        target_zero_one = error_rate(target_margins)
+        halfwidth = math.sqrt(math.log(2.0 / _DELTA_EST) / (2.0 * m))
+    norms = LayerNorms.from_params(params)
+    constant = any(s == 0.0 for s in norms.spectral)
+    B = float(np.sqrt((data.inputs ** 2).sum()))
+    conc = concentration_term(n, delta, profile.delta_inf)
+    train_margins = dataset_margins(params, data)
+    zero_one = error_rate(train_margins)
+    mu_mean = float(profile.mu.mean())
+    reports = []
+    for gamma in gammas:
+        if constant:
+            first, second = 4.0 / n ** 1.5, 0.0
+        else:
+            first, second = covering_bound_terms(B, gamma, params.width, n, norms)
+        small = 2.0 * first
+        complexity = 2.0 * second
+        rademacher_term = first + second
+        if abs(small + complexity - 2.0 * rademacher_term) > _CONSISTENCY_RTOL * max(
+                1.0, 2.0 * rademacher_term):
+            raise AssertionError("certificate terms disagree with the covering bound")
+        empirical = mean_ramp_loss(train_margins, gamma)
+        total = _theorem1_sum(empirical, mu_mean, conc, small, complexity)
+        report = BoundReport(
+            n=n, gamma=gamma, delta=float(delta),
+            empirical_ramp_loss=empirical,
+            empirical_zero_one=zero_one,
+            rademacher_term=rademacher_term,
+            rademacher_source=SOURCE_COVERING,
+            mu_mean=mu_mean,
+            concentration_term=conc,
+            small_term=small,
+            complexity_term=complexity,
+            total_bound=total,
+            phi_exact=profile.phi_exact,
+            mu_exact=profile.mu_exact,
+            seed=seed,
+        )
+        if target is not None:
+            report.population_ramp_estimate = mean_ramp_loss(target_margins, gamma)
+            report.population_zero_one_estimate = target_zero_one
+            report.population_halfwidth = halfwidth
+            report.bound_holds = bool(total >= target_zero_one - halfwidth)
+        reports.append(report)
+    return reports
 
 
 @dataclass
@@ -465,8 +457,5 @@ def certification_run(spec: ProcessSpec, arch: Architecture, train_config: Train
     """Sample, train, and certify one seed across every gamma."""
     data, result = train_seed(spec, arch, train_config, n_train, seed)
     target = sample_target(spec, m_target, seed)
-    norms = LayerNorms.from_params(result.params)
-    margins = _margins(result.params, data, target, None)
-    return [network_certificate(data, result.params, gamma, profile, delta, target=target,
-                                norms=norms, seed=seed, margins=margins)
-            for gamma in gamma_list]
+    return network_certificate(data, result.params, gamma_list, profile, delta,
+                               target=target, seed=seed)

@@ -90,7 +90,7 @@ class ExperimentConfig:
                     _as_float(g, "gamma_list", 0.0) for g in self.gamma_list), "gamma_list")),
                 ("delta", _as_float(self.delta, "delta", 0.0, 1.0)),
                 ("seeds", _distinct(tuple(_as_int(s, "seeds", 0) for s in self.seeds), "seeds")),
-                ("validators", tuple(_normalize_validator(v) for v in self.validators))):
+                ("validators", _validators(self.validators))):
             object.__setattr__(self, key, value)
 
     def to_json_dict(self) -> dict:
@@ -123,6 +123,16 @@ class ExperimentConfig:
     def load(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _validators(entries) -> tuple:
+    """The normalized validator entries; ValueError naming 'validators' if
+    one names a validator twice, since each writes validate_<name>.json."""
+    out = tuple(_normalize_validator(v) for v in entries)
+    names = [dict(v)["name"] for v in out]
+    if len(set(names)) != len(names):
+        raise ValueError(f"'validators' must be an array of distinct validators, not {names!r}")
+    return out
 
 
 def _normalize_validator(entry) -> tuple:

@@ -21,13 +21,11 @@ from .errors import (
     DivergedLoss,
     EmptyDataset,
     NonpositiveGamma,
-    WrongKind,
 )
-from .process import KIND_TARGET, LabeledDataset
+from .process import LabeledDataset
 from .seeding import substream
 
 _ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "identity")
-_DELTA_EST = 0.01  # confidence of the plug-in population estimate
 
 
 @dataclass(frozen=True)
@@ -204,18 +202,6 @@ class TrainResult:
     epoch_losses: tuple
 
 
-@dataclass(frozen=True)
-class PopulationEstimate:
-    """Plug-in losses on an iid stationary sample with a two-sided
-    Hoeffding half-width sqrt(ln(2/delta_est) / (2m))."""
-
-    ramp_loss: float
-    zero_one_loss: float
-    halfwidth: float
-    sample_size: int
-    delta_est: float
-
-
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Network output for a single input vector: one row of forward_batch."""
     return forward_batch(params, _numbers(x, "x", 1)[None])[0]
@@ -272,34 +258,6 @@ def error_rate(margins: np.ndarray) -> float:
     """Fraction of margins that are not strictly positive; argmax ties
     therefore count as errors."""
     return float(np.mean(margins <= 0.0))
-
-
-def _check_target(target: LabeledDataset) -> None:
-    """WrongKind unless `target` is an iid target sample, EmptyDataset if it
-    is empty."""
-    if target.kind != KIND_TARGET:
-        raise WrongKind(f"population estimates need a {KIND_TARGET!r} dataset")
-    _as_int(target.n, "n", 1, EmptyDataset)
-
-
-def _plug_in(margins: np.ndarray, gamma: float) -> PopulationEstimate:
-    """Plug-in losses of an iid target sample from its margins, with their
-    Hoeffding half-width."""
-    m = margins.shape[0]
-    return PopulationEstimate(
-        ramp_loss=mean_ramp_loss(margins, gamma),
-        zero_one_loss=error_rate(margins),
-        halfwidth=math.sqrt(math.log(2.0 / _DELTA_EST) / (2.0 * m)),
-        sample_size=m,
-        delta_est=_DELTA_EST,
-    )
-
-
-def population_estimate(params: NetworkParams, target: LabeledDataset,
-                        gamma: float) -> PopulationEstimate:
-    """Plug-in stationary losses from an iid target sample."""
-    _check_target(target)
-    return _plug_in(dataset_margins(params, target), gamma)
 
 
 def _ce_forward(layers, acts, X, y):

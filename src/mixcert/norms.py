@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_float, _numbers
+from ._checks import _as_array, _as_float
 from .errors import DimensionMismatch, NoConvergenceWarning, ZeroSpectralNorm
 from .network import NetworkParams
 from .seeding import substream
@@ -36,7 +36,7 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10) -> float:
     in the null space, and returns 0.0 for the zero matrix. If the cap is
     hit, warns NoConvergenceWarning and returns the best estimate.
     """
-    A = _numbers(A, "A", 2)
+    A = _as_array(A, "A", 2)
     _as_float(tol, "tol", 0.0)
     if A.size == 0 or not np.any(A):
         return 0.0
@@ -64,7 +64,7 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10) -> float:
 
 def norm_2_1_of_transpose(A: np.ndarray) -> float:
     """Sum of Euclidean row norms; upper-bounds the spectral norm."""
-    A = _numbers(A, "A", 2)
+    A = _as_array(A, "A", 2)
     return float(np.sqrt((A * A).sum(axis=1)).sum())
 
 

@@ -13,7 +13,8 @@ from ._checks import _as_int
 
 def substream(seed: int, *tags: int) -> np.random.Generator:
     """Generator for the substream identified by ``tags`` under ``seed``."""
-    ss = np.random.SeedSequence(_as_int(seed, "seed", 0), spawn_key=tuple(int(t) for t in tags))
+    ss = np.random.SeedSequence(_as_int(seed, "seed", 0),
+                                spawn_key=tuple(_as_int(t, "tags", 0) for t in tags))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -288,10 +288,10 @@ def test_c09_iid_reduction_is_bit_exact():
     arch = Architecture(dims=(2, 8, 2), activations=("relu", "identity"))
     result = train_sgd(data, arch, TrainConfig(learning_rate=0.1, epochs=10,
                                                batch_size=16, seed=3))
-    dependent = network_certificate(data, result.params, gamma=1.0,
-                                    profile=natural, delta=0.05)
-    independent = network_certificate(data, result.params, gamma=1.0,
-                                      profile=flat_profile(n), delta=0.05)
+    dependent = network_certificate(data, result.params, gammas=(1.0,),
+                                    profile=natural, delta=0.05)[0]
+    independent = network_certificate(data, result.params, gammas=(1.0,),
+                                      profile=flat_profile(n), delta=0.05)[0]
     assert dependent.total_bound == independent.total_bound
     assert dependent.concentration_term == independent.concentration_term
     assert dependent.small_term == independent.small_term

@@ -181,31 +181,31 @@ class TestNetworkCertificate:
     def test_frozen_noncomplexity_terms(self):
         """At n=100, delta=0.05, trivial profile: concentration and small
         terms match the arbitrary-precision references."""
-        rep = network_certificate(self.crafted(), self.one_layer(), gamma=1.0,
-                                  profile=flat_profile(100), delta=0.05)
+        rep = network_certificate(self.crafted(), self.one_layer(), gammas=(1.0,),
+                                  profile=flat_profile(100), delta=0.05)[0]
         assert rep.concentration_term == pytest.approx(CERT_CONCENTRATION, rel=1e-14)
         assert rep.small_term == pytest.approx(0.008, rel=1e-15)
         assert rep.complexity_term == pytest.approx(CERT_COMPLEXITY, rel=1e-12)
 
     def test_total_recomposes(self):
-        rep = network_certificate(self.crafted(), self.one_layer(), gamma=1.0,
-                                  profile=flat_profile(100), delta=0.05)
+        rep = network_certificate(self.crafted(), self.one_layer(), gammas=(1.0,),
+                                  profile=flat_profile(100), delta=0.05)[0]
         assert recompose_total(rep) == rep.total_bound
         parts = (rep.empirical_ramp_loss + rep.mu_mean + rep.concentration_term
                  + rep.small_term + rep.complexity_term)
         assert rep.total_bound == pytest.approx(parts, rel=1e-12)
 
     def test_all_terms_nonnegative(self):
-        rep = network_certificate(self.crafted(), self.one_layer(), gamma=1.0,
-                                  profile=flat_profile(100), delta=0.05)
+        rep = network_certificate(self.crafted(), self.one_layer(), gammas=(1.0,),
+                                  profile=flat_profile(100), delta=0.05)[0]
         for term in (rep.empirical_ramp_loss, rep.mu_mean, rep.concentration_term,
                      rep.small_term, rep.complexity_term, rep.total_bound):
             assert term >= 0.0
 
     def test_complexity_term_is_twice_the_covering_second_term(self):
         from mixcert import covering_bound_terms, LayerNorms
-        rep = network_certificate(self.crafted(), self.one_layer(), gamma=1.0,
-                                  profile=flat_profile(100), delta=0.05)
+        rep = network_certificate(self.crafted(), self.one_layer(), gammas=(1.0,),
+                                  profile=flat_profile(100), delta=0.05)[0]
         norms = LayerNorms(spectral=(2.0,), two_one=(4.0,), lipschitz=(1.0,))
         first, second = covering_bound_terms(B=10.0, gamma=1.0, W=rep_width(self.one_layer()),
                                              n=100, norms=norms)
@@ -216,26 +216,26 @@ class TestNetworkCertificate:
 
     def test_gamma_halving_is_exact(self):
         data, params = self.crafted(), self.one_layer()
-        r1 = network_certificate(data, params, gamma=1.0,
-                                 profile=flat_profile(100), delta=0.05)
-        r2 = network_certificate(data, params, gamma=0.5,
-                                 profile=flat_profile(100), delta=0.05)
+        r1 = network_certificate(data, params, gammas=(1.0,),
+                                 profile=flat_profile(100), delta=0.05)[0]
+        r2 = network_certificate(data, params, gammas=(0.5,),
+                                 profile=flat_profile(100), delta=0.05)[0]
         assert r2.complexity_term == 2.0 * r1.complexity_term
 
     def test_zero_inputs_degenerate(self):
         data = LabeledDataset(inputs=np.zeros((64, 2)),
                               labels=(1 + np.arange(64) % 2).astype(np.int64),
                               num_classes=2, kind="sequence", seed=0)
-        rep = network_certificate(data, self.one_layer(), gamma=1.0,
-                                  profile=flat_profile(64), delta=0.05)
+        rep = network_certificate(data, self.one_layer(), gammas=(1.0,),
+                                  profile=flat_profile(64), delta=0.05)[0]
         assert rep.complexity_term == 0.0
         assert rep.small_term == pytest.approx(8 / 64 ** 1.5, rel=1e-15)
 
     def test_zero_weights_degenerate(self):
         params = NetworkParams(layers=(np.zeros((2, 2)),),
                                activations=(Activation("identity"),))
-        rep = network_certificate(self.crafted(64), params, gamma=1.0,
-                                  profile=flat_profile(64), delta=0.05)
+        rep = network_certificate(self.crafted(64), params, gammas=(1.0,),
+                                  profile=flat_profile(64), delta=0.05)[0]
         assert rep.complexity_term == 0.0
         assert rep.empirical_ramp_loss == 1.0
 
@@ -243,17 +243,17 @@ class TestNetworkCertificate:
         data = LabeledDataset(inputs=np.ones((10, 2)), labels=np.ones(10, dtype=np.int64),
                               num_classes=2, kind="target_iid", seed=0)
         with pytest.raises(WrongKind):
-            network_certificate(data, self.one_layer(), gamma=1.0,
+            network_certificate(data, self.one_layer(), gammas=(1.0,),
                                 profile=flat_profile(10), delta=0.05)
 
     def test_rejects_horizon_mismatch(self):
         with pytest.raises(ValueError):
-            network_certificate(self.crafted(50), self.one_layer(), gamma=1.0,
+            network_certificate(self.crafted(50), self.one_layer(), gammas=(1.0,),
                                 profile=flat_profile(49), delta=0.05)
 
     def test_report_serializes(self):
-        rep = network_certificate(self.crafted(), self.one_layer(), gamma=1.0,
-                                  profile=flat_profile(100), delta=0.05)
+        rep = network_certificate(self.crafted(), self.one_layer(), gammas=(1.0,),
+                                  profile=flat_profile(100), delta=0.05)[0]
         doc = rep.to_json_dict()
         for key in ("n", "gamma", "delta", "empirical_ramp_loss", "empirical_zero_one",
                     "rademacher_term", "rademacher_source", "mu_mean",
@@ -287,9 +287,10 @@ class TestIidReduction:
         arch = Architecture(dims=(2, 8, 2), activations=("relu", "identity"))
         res = train_sgd(data, arch, TrainConfig(learning_rate=0.1, epochs=10,
                                                 batch_size=16, seed=3))
-        a = network_certificate(data, res.params, gamma=1.0, profile=natural, delta=0.05)
-        b = network_certificate(data, res.params, gamma=1.0, profile=flat_profile(n),
-                                delta=0.05)
+        a = network_certificate(data, res.params, gammas=(1.0,), profile=natural,
+                                delta=0.05)[0]
+        b = network_certificate(data, res.params, gammas=(1.0,), profile=flat_profile(n),
+                                delta=0.05)[0]
         assert a.total_bound == b.total_bound
         assert a.concentration_term == b.concentration_term
         assert a.mu_mean == b.mu_mean == 0.0
@@ -466,23 +467,28 @@ class TestCertificationRun:
             assert r.population_halfwidth > 0.0
 
     def test_shared_margins_equal_a_certificate_of_its_own(self):
-        """certification_run runs the network once per seed and hands its
-        margins to every gamma; each report equals, field by field, the
-        certificate that computes its own margins."""
+        """One certificate call runs the network once and reads its margins
+        at every gamma; each report of a two-gamma call equals, field by
+        field, the report of a one-gamma call, and certification_run returns
+        the two-gamma call's reports."""
         spec = self.drift_spec()
         n = 200
         prof = mixing_profile(spec, n)
         arch = Architecture(dims=(2, 8, 2), activations=("relu", "identity"))
         cfg = TrainConfig(learning_rate=0.05, epochs=5, batch_size=32, seed=1)
         for seed in (4, 5):
-            reports = certification_run(spec, arch, cfg, prof, n_train=n, m_target=1000,
-                                        gamma_list=(0.5, 1.0), delta=0.05, seed=seed)
             data, result = train_seed(spec, arch, cfg, n, seed)
             target = sample_target(spec, 1000, seed)
+            reports = network_certificate(data, result.params, (0.5, 1.0), prof, 0.05,
+                                          target=target, seed=seed)
+            assert len(reports) == 2
             for rep, gamma in zip(reports, (0.5, 1.0)):
-                alone = network_certificate(data, result.params, gamma, prof, 0.05,
-                                            target=target, seed=seed)
+                alone = network_certificate(data, result.params, (gamma,), prof, 0.05,
+                                            target=target, seed=seed)[0]
                 assert rep.to_json_dict() == alone.to_json_dict()
+            run = certification_run(spec, arch, cfg, prof, n_train=n, m_target=1000,
+                                    gamma_list=(0.5, 1.0), delta=0.05, seed=seed)
+            assert [r.to_json_dict() for r in run] == [r.to_json_dict() for r in reports]
 
     def test_zero_epochs_trivial_bound(self):
         """An untrained network near zero scores everything at margin about

@@ -18,6 +18,7 @@ from mixcert import (
     MarkovSpec,
     MixingProfile,
     NetworkParams,
+    NonpositiveGamma,
     ProcessSpec,
     brute_force_phi,
     combine_seeds,
@@ -53,6 +54,7 @@ PROFILE = MixingProfile(horizon=5, phi=np.zeros(5), mu=np.zeros(5), delta_inf=1.
                         phi_exact=True, mu_exact=True)
 NUMBERS = "must be a rectangular array of numbers"
 SEED = "'seed' must be an integer >= 0"
+TAGS = "'tags' must be an integer >= 0"
 
 
 DRIFT = EmissionSpec.gaussian(means=[[1.0], [-1.0]], sigma=0.5, drift_means=[[0.0], [0.0]],
@@ -60,10 +62,10 @@ DRIFT = EmissionSpec.gaussian(means=[[1.0], [-1.0]], sigma=0.5, drift_means=[[0.
 TIMES = "'times' must be a 1-d sequence of integers >= 1"
 
 
-def certificate(seed, margins=None):
+def certificate(seed, gammas=(0.5,)):
     net = NetworkParams(layers=(np.ones((2, 1)),), activations=("identity",))
-    return network_certificate(sample_sequence(SPEC, 20, 0), net, 0.5, mixing_profile(SPEC, 20),
-                               0.05, seed=seed, margins=margins)
+    return network_certificate(sample_sequence(SPEC, 20, 0), net, gammas,
+                               mixing_profile(SPEC, 20), 0.05, seed=seed)[0]
 
 
 def dataset(labels):
@@ -104,19 +106,23 @@ CASES = {
     "drift_weight negative time": (lambda: DRIFT.drift_weight(-1), ValueError, "'t' must be"),
     "drift_weight float time": (lambda: DRIFT.drift_weight(2.5), ValueError, "'t' must be"),
     "drift_weight boolean time": (lambda: DRIFT.drift_weight(True), ValueError, "'t' must be"),
-    # margins a caller shares across gammas
-    "certificate margins not a pair":
-        (lambda: certificate(0, np.zeros(20)), ValueError, r"\(training, target\) pair"),
-    "certificate margins of another length": (lambda: certificate(0, (np.zeros(19), None)),
-                                              DimensionMismatch, r"margins must be \(20,\)"),
-    "certificate string margins":
-        (lambda: certificate(0, (["0.5"] * 20, None)), ValueError, NUMBERS),
+    # the margin scales of a certificate: a non-empty 1-d array of positive numbers
+    "certificate of no gammas": (lambda: certificate(0, ()), ValueError, "'gammas' must be"),
+    "certificate of a scalar gamma":
+        (lambda: certificate(0, 0.5), DimensionMismatch, "gammas must be a 1-d array"),
+    "certificate of a zero gamma":
+        (lambda: certificate(0, (0.5, 0.0)), NonpositiveGamma, "'gammas' must be"),
+    "certificate of string gammas": (lambda: certificate(0, ["0.5"]), ValueError, NUMBERS),
     # seeds
     "float seed": (lambda: sample_sequences_batch(SPEC, 3, 2, 2.7), ValueError, SEED),
     "float seed folded": (lambda: combine_seeds(1.5, 2), ValueError, SEED),
     "string seed of a report": (lambda: certificate("abc"), ValueError, SEED),
     "boolean seed": (lambda: substream(True), ValueError, SEED),
     "negative seed": (lambda: substream(-1), ValueError, SEED),
+    # stream tags: integers >= 0, not parsed or truncated onto another stream
+    "string stream tag": (lambda: substream(0, "3"), ValueError, TAGS),
+    "float stream tag": (lambda: substream(0, 2.7), ValueError, TAGS),
+    "boolean stream tag": (lambda: substream(0, True), ValueError, TAGS),
     # counts
     "ramp sweep of no trials":
         (lambda: validate_ramp_dominance(trials=0, seed=0), ValueError, "'trials' must be"),

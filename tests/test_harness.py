@@ -107,6 +107,7 @@ BAD_VALUE_CASES = [
     (("train", "seed"), -1),
     (("train", "learning_rate"), float("nan")),
     (("arch", "activations"), ["leaky_relu:abc", "identity"]),
+    (("validators",), [{"name": "lemma3", "n": 10}, {"name": "lemma3", "n": 20}]),
 ]
 
 # (process, path, value) of a config array field and a value that is not a

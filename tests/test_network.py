@@ -16,16 +16,16 @@ from mixcert import (
     DivergedLoss,
     EmptyDataset,
     LabeledDataset,
+    MixingProfile,
     NetworkParams,
     NonpositiveGamma,
-    PopulationEstimate,
     TrainConfig,
     WrongKind,
     forward,
     forward_batch,
     margin,
     margins_batch,
-    population_estimate,
+    network_certificate,
     ramp_loss,
     substream,
     train_sgd,
@@ -51,6 +51,16 @@ def reference_margin(v, j):
     """Per-vector oracle: the true score minus the largest other score."""
     v = np.asarray(v, dtype=np.float64)
     return float(v[j - 1] - np.delete(v, j - 1).max())
+
+
+def certify_with_target(params, target, gamma):
+    """The one report of a certificate, on a fixed four-point sequence, that
+    carries the plug-in losses of `params` on `target`."""
+    data = LabeledDataset(inputs=np.ones((4, 2)), labels=np.array([1, 2, 1, 2]),
+                          num_classes=2, kind="sequence", seed=0)
+    profile = MixingProfile(horizon=4, phi=np.zeros(4), mu=np.zeros(4), delta_inf=1.0,
+                            phi_exact=True, mu_exact=True)
+    return network_certificate(data, params, (gamma,), profile, 0.05, target=target)[0]
 
 
 def random_params(rng, max_layers=3, max_dim=6):
@@ -279,7 +289,7 @@ class TestLosses:
             train_sgd(empty("sequence"), arch, TrainConfig(learning_rate=0.1, epochs=1,
                                                            batch_size=1, seed=0))
         with pytest.raises(EmptyDataset):
-            population_estimate(self.identity_net(), empty("target_iid"), gamma=1.0)
+            certify_with_target(self.identity_net(), empty("target_iid"), gamma=1.0)
 
 
 class TestForward:
@@ -481,21 +491,20 @@ class TestPopulationEstimate:
 
     def test_halfwidth_formula(self):
         p = NetworkParams(layers=(np.eye(2),), activations=(Activation("identity"),))
-        est = population_estimate(p, self.target(400), gamma=1.0)
+        rep = certify_with_target(p, self.target(400), gamma=1.0)
         expect = np.sqrt(np.log(2.0 / 0.01) / (2.0 * 400))
-        assert est.halfwidth == pytest.approx(expect, rel=1e-15)
-        assert est.delta_est == 0.01 and est.sample_size == 400
+        assert rep.population_halfwidth == pytest.approx(expect, rel=1e-15)
 
     def test_rejects_sequence_kind(self):
         p = NetworkParams(layers=(np.eye(2),), activations=(Activation("identity"),))
         d = LabeledDataset(inputs=np.zeros((3, 2)), labels=np.array([1, 1, 2]),
                            num_classes=2, kind="sequence", seed=0)
         with pytest.raises(WrongKind):
-            population_estimate(p, d, gamma=1.0)
+            certify_with_target(p, d, gamma=1.0)
 
     def test_losses_in_range(self):
         p = tiny_params(dims=(2, 5, 2), acts=("relu", "identity"))
-        est = population_estimate(p, self.target(), gamma=0.5)
-        assert 0.0 <= est.zero_one_loss <= 1.0
-        assert 0.0 <= est.ramp_loss <= 1.0
-        assert isinstance(est, PopulationEstimate)
+        rep = certify_with_target(p, self.target(), gamma=0.5)
+        assert 0.0 <= rep.population_zero_one_estimate <= 1.0
+        assert 0.0 <= rep.population_ramp_estimate <= 1.0
+        assert rep.bound_holds in (True, False)

@@ -104,6 +104,14 @@ class TestTwoOneNorm:
             norm_2_1_of_transpose(np.zeros(3))
 
 
+@pytest.mark.parametrize("norm", [spectral_norm, norm_2_1_of_transpose])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_norms_reject_non_finite_matrices(norm, bad):
+    """A NaN or an infinity is named, not iterated into nan or inf."""
+    with pytest.raises(ValueError, match="A must be finite"):
+        norm(np.array([[bad, 1.0]]))
+
+
 class TestLayerNorms:
     def test_from_params(self):
         p = NetworkParams(layers=(np.array([[2.0, 0.0], [0.0, 2.0]]),),

@@ -1,5 +1,5 @@
-"""SHA-256 of every file the mixcert CLI writes on the shipped configs, and
-of the mixing profiles of three slow rings.
+"""SHA-256 of every file the mixcert CLI writes on the shipped configs, of
+what each demo prints, and of the mixing profiles of three slow rings.
 
     python tools/output_digests.py SRC OUT
 
@@ -8,7 +8,9 @@ runs `python -m mixcert` generate, train, certify (at --jobs 1 and at
 validators.json of this checkout, importing mixcert from the source tree SRC
 (PYTHONPATH=SRC), with each run's outputs under OUT/<config>/<run>. It then
 prints one "sha256  path" line per file, sorted by path relative to OUT,
-and then one "sha256  rings/S<S>-n800" line per slow lazy ring of S = 16,
+then one "sha256  demos/<name>" line per script in demos/ of this checkout,
+the digest of its stdout run with the same PYTHONPATH, and then one
+"sha256  rings/S<S>-n800" line per slow lazy ring of S = 16,
 32 and 64 states: the digest of phi, mu and repr(delta_inf) of its
 `mixing_profile` at n = 800. No marginal fixed point falls inside 2n there,
 so these lines cover the reduction over conditioning times that the shipped
@@ -25,7 +27,9 @@ import os
 import subprocess
 import sys
 
-CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+CONFIG_DIR = os.path.join(ROOT, "configs")
+DEMO_DIR = os.path.join(ROOT, "demos")
 RUNS = {"generate": (), "train": (), "certify-jobs1": ("--jobs", "1"),
         "certify-jobs2": ("--jobs", "2"), "validate": (), "rademacher": ()}
 RING_STATES = (16, 32, 64)
@@ -75,6 +79,10 @@ def main(argv) -> int:
     for path in paths:
         with open(os.path.join(out, path), "rb") as fh:
             print(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+    for name in sorted(n for n in os.listdir(DEMO_DIR) if n.endswith(".py")):
+        stdout = subprocess.run([sys.executable, os.path.join(DEMO_DIR, name)], env=env,
+                                check=True, stdout=subprocess.PIPE).stdout
+        print(f"{hashlib.sha256(stdout).hexdigest()}  demos/{name}")
     sys.stdout.flush()
     subprocess.run([sys.executable, os.path.abspath(__file__), "--rings"], env=env, check=True)
     return 0
