@@ -251,8 +251,9 @@ def cmd_certify(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
     work = [(config.process, config.arch, config.train, profile, config.n_train,
              config.m_target, config.gamma_list, config.delta, seed)
             for seed in config.seeds]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work))  # a pool starts all its workers up front
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(certification_run, *zip(*work)))
     else:
         per_seed = list(map(certification_run, *zip(*work)))

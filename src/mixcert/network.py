@@ -260,10 +260,14 @@ def error_rate(margins: np.ndarray) -> float:
     return float(np.mean(margins <= 0.0))
 
 
-def _ce_forward(layers, acts, X, y):
+def _ce_forward(layers, acts, X, y, flat=None):
     """Pre-activations, layer outputs, the softmax probabilities less the
     one-hot labels y (the batch size times the loss's gradient in the
-    logits), and the mean softmax cross-entropy of labels y."""
+    logits), and the mean softmax cross-entropy of labels y.
+
+    `flat` holds each label's position in the row-major (m, K) scores,
+    i * K + y_i - 1; the trainer passes it precomputed, otherwise it is
+    computed from y."""
     pre = []
     post = [X]
     for W, act in zip(layers, acts):
@@ -271,22 +275,30 @@ def _ce_forward(layers, acts, X, y):
         pre.append(a)
         post.append(act.apply(a))
     logits = post[-1]
-    shift = logits - logits.max(axis=1, keepdims=True)
+    m, K = logits.shape
+    if flat is None:
+        flat = np.arange(m) * K + (y - 1)
+    # A maximum is exact in any order, so the row maxima are taken column by
+    # column, which is cheaper than a reduction along the short class axis.
+    # Only the sign of a zero maximum may differ, which changes no exp and no loss.
+    top = logits[:, 0]
+    for k in range(1, K):
+        top = np.maximum(top, logits[:, k])
+    shift = logits - top[:, None]
     expv = np.exp(shift)
-    total = expv.sum(axis=1, keepdims=True)
-    rows, cols = np.arange(X.shape[0]), y - 1
+    total = np.add.reduce(expv, axis=1, keepdims=True)  # ndarray.sum without its wrapper
     # sum / m is np.mean's arithmetic, without its Python wrapper
-    loss = float((np.log(total[:, 0]) - shift[rows, cols]).sum() / X.shape[0])
-    probs = expv / total
-    probs[rows, cols] -= 1.0
-    return pre, post, probs, loss
+    loss = float(np.add.reduce(np.log(total[:, 0]) - shift.take(flat))) / m
+    expv /= total
+    expv.ravel()[flat] -= 1.0
+    return pre, post, expv, loss
 
 
-def _loss_and_grads(layers, acts, X, y):
+def _loss_and_grads(layers, acts, X, y, flat=None):
     """Mean softmax cross-entropy and its exact gradient, one array per
     layer. Takes raw layer lists so the trainer never rebuilds params."""
-    pre, post, probs, loss = _ce_forward(layers, acts, X, y)
-    d_post = probs / X.shape[0]
+    pre, post, d_post, loss = _ce_forward(layers, acts, X, y, flat)
+    d_post /= X.shape[0]
     grads: list = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         d_pre = acts[i].backward(pre[i], d_post)
@@ -320,19 +332,27 @@ def train_sgd(train_data: LabeledDataset, arch: Architecture,
         a = config.init_scale if config.init_scale is not None else 1.0 / math.sqrt(d_in)
         layers.append(rng.uniform(-a, a, size=(d_out, d_in)))
 
+    bs, lr = config.batch_size, config.learning_rate
+    rows = np.arange(n) % bs * dims[-1]  # sample i is row i % bs of its batch
     epoch_losses = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         # one gather per epoch; each batch is then a contiguous slice
         X, y = train_data.inputs[order], train_data.labels[order]
+        flat = rows + (y - 1)  # each label's place in its batch's row-major scores
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            stop = min(start + config.batch_size, n)
-            batch_loss, grads = _loss_and_grads(layers, acts, X[start:stop], y[start:stop])
+        for start in range(0, n, bs):
+            stop = min(start + bs, n)
+            batch_loss, grads = _loss_and_grads(layers, acts, X[start:stop], y[start:stop],
+                                                flat[start:stop])
             if not math.isfinite(batch_loss):
-                raise DivergedLoss(f"surrogate loss became {batch_loss}")
+                raise DivergedLoss(f"surrogate loss became {batch_loss} in epoch {epoch} of "
+                                   f"{config.epochs}, in the batch from sample {start} of "
+                                   f"that epoch's shuffled order")
             total += batch_loss * (stop - start)
-            layers = [W - config.learning_rate * g for W, g in zip(layers, grads)]
+            for W, g in zip(layers, grads):  # W - lr * g, in place
+                g *= lr
+                W -= g
         epoch_losses.append(total / n)
     params = NetworkParams(layers=tuple(layers), activations=acts)
     return TrainResult(params=params, epoch_losses=tuple(epoch_losses))

@@ -872,10 +872,13 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
     walk = _walk(spec.markov, trials, rng)
     next(walk)
     label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
+    # values[s, p] = f(point p, label of state s), read by one flat take per step
+    values = ftab.T[label_idx]
+    M = values.shape[1]
     stack = em.rows_at(range(1, n + 1))
     total = np.zeros(trials)
     for t in range(n):
         cur = next(walk)
         points = _draw_points(stack[t], cur, rng)
-        total += ftab[points, label_idx[cur]]
+        total += values.take(cur * M + points)
     return total / n

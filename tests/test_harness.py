@@ -22,6 +22,7 @@ from mixcert import (
     NetworkParams,
     ProcessSpec,
     TrainConfig,
+    harness,
 )
 from mixcert.harness import (
     _CSV_COLUMNS,
@@ -466,6 +467,36 @@ class TestPipelineCommands:
         assert [os.path.basename(p) for p in p1] == [os.path.basename(p) for p in p2]
         for a, b in zip(p1, p2):
             assert file_digest(a) == file_digest(b)
+
+    @pytest.mark.parametrize("seeds, jobs, started", [
+        ((3, 4), 500, [2]), ((3, 4), 2, [2]), ((3,), 4, []), ((3, 4), 1, [])],
+        ids=["jobs500-seeds2", "jobs2-seeds2", "jobs4-seeds1", "jobs1-seeds2"])
+    def test_certify_pool_never_outnumbers_the_seeds(self, tmp_path, monkeypatch, seeds,
+                                                     jobs, started):
+        """The pool forks all its workers at once, so it gets at most one per
+        seed, and none when that is one. A stand-in pool records its size and
+        maps serially, so no process is started."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = small_config(tmp_path, seeds=seeds)
+        got = cmd_certify(cfg, tmp_path / "pool", jobs=jobs)
+        assert sizes == started
+        want = cmd_certify(cfg, tmp_path / "serial", jobs=1)
+        assert [file_digest(p) for p in got] == [file_digest(p) for p in want]
 
     def test_validate_all_four_on_discrete(self, tmp_path):
         cfg = small_config(tmp_path, validators=(

@@ -381,12 +381,12 @@ class TestGradient:
 
 
 class TestTrainSGD:
-    def spec_data(self, n=200, seed=1):
+    def spec_data(self, n=200, seed=1, num_classes=2):
         rng = np.random.default_rng(seed)
-        labels = rng.integers(1, 3, size=n).astype(np.int64)
-        centers = np.array([[2.0, 2.0], [-2.0, -2.0]])
+        labels = rng.integers(1, num_classes + 1, size=n).astype(np.int64)
+        centers = np.array([[2.0, 2.0], [-2.0, -2.0], [2.0, -2.0], [-2.0, 2.0]])
         inputs = centers[labels - 1] + 0.3 * rng.normal(size=(n, 2))
-        return LabeledDataset(inputs=inputs, labels=labels, num_classes=2,
+        return LabeledDataset(inputs=inputs, labels=labels, num_classes=num_classes,
                               kind="sequence", seed=seed)
 
     def test_deterministic(self):
@@ -419,14 +419,18 @@ class TestTrainSGD:
         ((2, 5, 2), ("leaky_relu:0.1", "tanh")),
         ((2, 6, 3, 2), ("tanh", "relu", "identity")),
         ((2, 4, 4, 2), ("relu", "identity", "leaky_relu")),
-    ], ids=["identity", "leaky-tanh", "tanh-relu-identity", "relu-identity-leaky"])
+        ((2, 5, 3), ("tanh", "identity")),
+        ((2, 6, 4, 4), ("relu", "leaky_relu:0.1", "identity")),
+    ], ids=["identity", "leaky-tanh", "tanh-relu-identity", "relu-identity-leaky",
+            "k3-tanh-identity", "k4-relu-leaky-identity"])
     @pytest.mark.parametrize("batch_size", [16, 1, 100], ids=["batch16", "batch1", "batch100"])
     def test_matches_hand_loop_over_gradient(self, dims, activations, batch_size):
         """Training is plain W - lr * g steps over _loss_and_grads, on the same
         initialization and batch order: one backprop, not two. Bit for bit at
-        depths 1 to 3, for every activation, with a short last batch (70 % 16),
-        one-sample batches, and one batch larger than the data."""
-        data = self.spec_data(n=70)
+        depths 1 to 3, for every activation, with 2, 3 and 4 classes, a short
+        last batch (70 % 16), one-sample batches, and one batch larger than
+        the data."""
+        data = self.spec_data(n=70, num_classes=dims[-1])
         arch = Architecture(dims=dims, activations=activations)
         cfg = TrainConfig(learning_rate=0.2, epochs=3, batch_size=batch_size, seed=4)
         res = train_sgd(data, arch, cfg)
@@ -460,12 +464,14 @@ class TestTrainSGD:
 
     def test_diverging_rate_raises(self):
         """A step size past float range overflows the scores; the trainer
-        must stop at the first non-finite batch loss."""
+        must stop at the first non-finite batch loss, and say where: the
+        first step is finite, so the second batch (samples 16-31) diverges."""
         data = self.spec_data(n=60)
         arch = Architecture(dims=(2, 8, 2), activations=("identity", "identity"))
         cfg = TrainConfig(learning_rate=1e200, epochs=5, batch_size=16, seed=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergedLoss):
+            with pytest.raises(DivergedLoss, match=r"became nan in epoch 1 of 5, in the batch "
+                                                   r"from sample 16 of that epoch's shuffled"):
                 train_sgd(data, arch, cfg)
 
     def test_init_scale_zero_epochs(self):
