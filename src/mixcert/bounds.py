@@ -34,6 +34,7 @@ from .network import (
     NetworkParams,
     TrainConfig,
     TrainResult,
+    _row_max,
     dataset_margins,
     error_rate,
     margins_batch,
@@ -383,6 +384,7 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
     X, Y = sample_sequences_batch(spec, n, trials, seed)
     F = fclass.evaluate(X.reshape(-1, spec.input_dim), Y.reshape(-1))
     F = F.reshape(fclass.size, trials, n)
+    del X, Y  # the paths are no longer needed once F holds their values
     centers = _class_step_means(fclass, spec, n, seed, trials)
     lhs_vals = (F.mean(axis=2) - centers[:, None]).max(axis=0)
 
@@ -431,7 +433,7 @@ def validate_ramp_dominance(trials: int, seed: int) -> RampDominanceReport:
         labels = rng.integers(1, K + 1, size=batch)
         # force exact argmax ties on a slice so the boundary case is exercised
         idx = np.where(ties)[0]
-        top = logits[idx].max(axis=1)
+        top = _row_max(logits[idx])
         logits[idx, labels[idx] - 1] = top
         gamma = float(10.0 ** rng.uniform(-2.0, 1.0))
         margins = margins_batch(logits, labels)

@@ -73,16 +73,26 @@ class Activation:
             return np.tanh(z)
         return z
 
-    def backward(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """The chain rule through this activation: the gradient in the
-        pre-activations z, given the gradient d in the outputs."""
+    def _forward(self, z: np.ndarray) -> tuple:
+        """apply(z), and what backward needs of z: for relu the mask z > 0
+        as floats, for tanh its output tanh(z), otherwise z itself."""
+        out = self.apply(z)
         if self.kind == "relu":
-            return d * (z > 0.0)
+            return out, (z > 0.0).astype(np.float64)
+        return out, (out if self.kind == "tanh" else z)
+
+    def backward(self, saved: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The chain rule through this activation: the gradient in the
+        pre-activations, given the gradient d in the outputs and what
+        _forward saved. The relu mask is multiplied as floats, which has the
+        bits of the bool mask (d * 1.0 = d, d * 0.0 = d * False) without a
+        cast on every step."""
+        if self.kind == "relu":
+            return d * saved
         if self.kind == "leaky_relu":
-            return d * np.where(z > 0.0, 1.0, self.slope)
+            return d * np.where(saved > 0.0, 1.0, self.slope)
         if self.kind == "tanh":
-            t = np.tanh(z)
-            return d * (1.0 - t * t)
+            return d * (1.0 - saved * saved)
         return d  # d * 1.0 has the bits of d
 
 
@@ -226,11 +236,22 @@ def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     logits = _numbers(logits, "logits", 2)
     K = _as_int(logits.shape[1], "num_classes", 2, BadLabel)
     labels = _as_labels(labels, logits.shape[0], K)
-    idx = np.arange(logits.shape[0])
-    true = logits[idx, labels - 1]
-    masked = logits.copy()
-    masked[idx, labels - 1] = -np.inf
-    return true - masked.max(axis=1)
+    masked = logits.copy()  # row-major: the score of label i sits at flat[i]
+    flat = np.arange(logits.shape[0]) * K + (labels - 1)
+    true = masked.take(flat)
+    masked.ravel()[flat] = -np.inf
+    return true - _row_max(masked)
+
+
+def _row_max(A: np.ndarray) -> np.ndarray:
+    """Maximum of each row of a matrix with few columns, such as class
+    scores. A maximum is exact in any order, so it is taken column by
+    column, which is cheaper than a reduction along the short axis; only the
+    sign of a zero maximum may differ from `A.max(axis=1)`."""
+    top = A[:, 0]
+    for k in range(1, A.shape[1]):
+        top = np.maximum(top, A[:, k])
+    return top
 
 
 def ramp_loss(r, gamma: float):
@@ -261,47 +282,44 @@ def error_rate(margins: np.ndarray) -> float:
 
 
 def _ce_forward(layers, acts, X, y, flat=None):
-    """Pre-activations, layer outputs, the softmax probabilities less the
+    """What each layer's activation saved for its backward pass
+    (`Activation._forward`), layer outputs, the softmax probabilities less the
     one-hot labels y (the batch size times the loss's gradient in the
     logits), and the mean softmax cross-entropy of labels y.
 
     `flat` holds each label's position in the row-major (m, K) scores,
     i * K + y_i - 1; the trainer passes it precomputed, otherwise it is
     computed from y."""
-    pre = []
+    saved = []
     post = [X]
     for W, act in zip(layers, acts):
-        a = post[-1] @ W.T
-        pre.append(a)
-        post.append(act.apply(a))
+        out, keep = act._forward(post[-1] @ W.T)
+        saved.append(keep)
+        post.append(out)
     logits = post[-1]
     m, K = logits.shape
     if flat is None:
         flat = np.arange(m) * K + (y - 1)
-    # A maximum is exact in any order, so the row maxima are taken column by
-    # column, which is cheaper than a reduction along the short class axis.
-    # Only the sign of a zero maximum may differ, which changes no exp and no loss.
-    top = logits[:, 0]
-    for k in range(1, K):
-        top = np.maximum(top, logits[:, k])
-    shift = logits - top[:, None]
+    # only the sign of a zero row maximum may differ from max(axis=1), which
+    # changes no exp and no loss
+    shift = logits - _row_max(logits)[:, None]
     expv = np.exp(shift)
     total = np.add.reduce(expv, axis=1, keepdims=True)  # ndarray.sum without its wrapper
     # sum / m is np.mean's arithmetic, without its Python wrapper
     loss = float(np.add.reduce(np.log(total[:, 0]) - shift.take(flat))) / m
     expv /= total
     expv.ravel()[flat] -= 1.0
-    return pre, post, expv, loss
+    return saved, post, expv, loss
 
 
 def _loss_and_grads(layers, acts, X, y, flat=None):
     """Mean softmax cross-entropy and its exact gradient, one array per
     layer. Takes raw layer lists so the trainer never rebuilds params."""
-    pre, post, d_post, loss = _ce_forward(layers, acts, X, y, flat)
+    saved, post, d_post, loss = _ce_forward(layers, acts, X, y, flat)
     d_post /= X.shape[0]
     grads: list = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        d_pre = acts[i].backward(pre[i], d_post)
+        d_pre = acts[i].backward(saved[i], d_post)
         grads[i] = d_pre.T @ post[i]
         if i:
             d_post = d_pre @ layers[i]

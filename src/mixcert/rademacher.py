@@ -10,6 +10,14 @@ rows, `_exact_rademacher` enumerates all 2**n sign vectors through it once
 per distinct path, and `_draw_signs` is the one sign draw.
 `empirical_rademacher_exact` and `empirical_rademacher_mc` run the kernel on
 one path; the symmetrization validator in `bounds` runs it on many.
+
+`_sign_sups` folds the sup over members into a running maximum, one
+(paths, k) product per member, so it never holds all members' sums at once:
+a block of the exact enumeration holds 2 x _PATH_BLOCK x min(2**n,
+_SIGN_CHUNK) floats whatever the class size. A product with one path or one
+sign row keeps the stacked form, in which every member's sums come from one
+product, because numpy sends a product with a single row or column through
+matrix-vector code whose last bits can differ.
 """
 from __future__ import annotations
 
@@ -117,8 +125,25 @@ def _draw_signs(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
 
 def _sign_sups(F: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """sup_f sum_i theta_i f(z_i) of every path under every sign row:
-    values F (members, paths, n) against signs (k, n) give (paths, k)."""
-    return np.tensordot(F, signs, axes=([2], [1])).max(axis=0)
+    values F (members, paths, n) against signs (k, n) give (paths, k).
+
+    The sup is a running maximum over members, each member's sums one
+    matrix product `F[m] @ signs.T`, so memory stays at two (paths, k)
+    arrays for any class size. With one path or one sign row the sums of all
+    members come from one stacked product instead: alone, such a product
+    would be a matrix-vector one, whose last bits can differ from the
+    matrix-matrix product of the stack. The running maximum takes the
+    members in the order the stacked `.max(axis=0)` does, so both forms give
+    the same bits."""
+    members, paths, _ = F.shape
+    if paths < 2 or signs.shape[0] < 2:
+        return np.tensordot(F, signs, axes=([2], [1])).max(axis=0)
+    sups = F[0] @ signs.T
+    sums = np.empty_like(sups)
+    for m in range(1, members):
+        np.matmul(F[m], signs.T, out=sums)
+        np.maximum(sups, sums, out=sups)
+    return sups
 
 
 def _exact_rademacher(F: np.ndarray) -> np.ndarray:
@@ -152,7 +177,9 @@ def _exact_rademacher(F: np.ndarray) -> np.ndarray:
 def _enumerate_signs(F: np.ndarray) -> np.ndarray:
     """`_exact_rademacher` of every path of F, repeated paths included. Sign
     vector c has theta_i = +1 where bit i of c is set; the loops take blocks
-    of _SIGN_CHUNK sign vectors and _PATH_BLOCK paths."""
+    of _SIGN_CHUNK sign vectors and _PATH_BLOCK paths, and `_sign_sups`
+    keeps each block at 2 x _PATH_BLOCK x min(2**n, _SIGN_CHUNK) floats
+    besides the signs, whatever the number of members."""
     paths, n = F.shape[1], F.shape[2]
     count = 1 << n
     total = np.zeros(paths)

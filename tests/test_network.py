@@ -101,6 +101,24 @@ class TestActivation:
         for name in ("relu", "tanh", "identity", "leaky_relu:0.5"):
             assert Activation.parse(name).lipschitz == 1.0
 
+    @pytest.mark.parametrize("name", ["relu", "leaky_relu:0.25", "tanh", "identity"])
+    def test_saved_forward_keeps_the_bits_of_the_chain_rule_in_z(self, name):
+        """What _forward saves gives backward the bits of the chain rule
+        written in the pre-activations z (the relu mask as a bool), and its
+        outputs are apply's, at signed zeros and on both sides of them."""
+        act = Activation.parse(name)
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(64, 16))
+        z[::5, ::3] = 0.0
+        z[1::5, ::3] = -0.0
+        d = rng.normal(size=(64, 16))
+        d[::4] = -d[::4]
+        local = {"relu": z > 0.0, "leaky_relu": np.where(z > 0.0, 1.0, 0.25),
+                 "tanh": 1.0 - np.tanh(z) * np.tanh(z), "identity": 1.0}[act.kind]
+        out, saved = act._forward(z)
+        assert out.tobytes() == act.apply(z).tobytes()
+        assert act.backward(saved, d).tobytes() == (d * local).tobytes()
+
 
 class TestNetworkParams:
     def test_rejects_chain_mismatch(self):
@@ -213,6 +231,31 @@ class TestMargin:
             oracle = np.array([reference_margin(V[i], int(y[i])) for i in range(200)])
             assert np.array_equal(margins_batch(V, y), oracle)
             assert np.array_equal([margin(V[i], int(y[i])) for i in range(200)], oracle)
+
+    def test_batch_matches_the_reduction_along_the_class_axis(self):
+        """margins_batch equals its earlier form, the true score less
+        `masked.max(axis=1)`, with exact ties, +-inf scores (so also
+        inf - inf = nan) and labels in every column. The row maxima are taken
+        column by column, so only the sign of a zero maximum may differ,
+        which np.array_equal ignores and no loss or error rate reads."""
+        rng = np.random.default_rng(11)
+        for K in range(2, 7):
+            V = rng.normal(size=(600, K))
+            V[rng.random(V.shape) < 0.1] = np.inf
+            V[rng.random(V.shape) < 0.1] = -np.inf
+            y = rng.integers(1, K + 1, size=600)
+            y[:K] = np.arange(1, K + 1)
+            tie = rng.random(600) < 0.3
+            V[tie, rng.integers(0, K)] = V[tie, y[tie] - 1]
+            idx = np.arange(600)
+            masked = V.copy()
+            masked[idx, y - 1] = -np.inf
+            with np.errstate(invalid="ignore"):
+                want = V[idx, y - 1] - masked.max(axis=1)
+                got = margins_batch(V, y)
+            assert np.array_equal(got, want, equal_nan=True), K
+            assert set(y) == set(range(1, K + 1))
+            assert np.any(got == 0.0) and np.any(np.isnan(got)) and np.any(np.isinf(got))
 
 
 class TestRampLoss:

@@ -1,6 +1,7 @@
 """Empirical complexity estimators and the closed-form covering bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mixcert import (
     loss_class,
     table_class,
 )
-from mixcert.rademacher import _exact_rademacher
+from mixcert.rademacher import _draw_signs, _exact_rademacher, _sign_sups
 
 # One-layer reference terms at n=100, B=10, gamma=1, W=16, s=2, b=4, p=1,
 # frozen from an arbitrary-precision evaluation of the displayed formula.
@@ -141,6 +142,44 @@ class TestExactKernel:
                 F = base[:, pick]
                 got, want = _exact_rademacher(F), reference_exact(F)
                 assert got.shape == want.shape and np.array_equal(got, want), (members, unique)
+
+
+class TestSignKernel:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 256, 4096])
+    def test_member_fold_equals_the_stacked_product(self, k, scale):
+        """The running maximum over members gives the bits of the stacked
+        tensordot's maximum on random float classes, including one path, one
+        member and one sign row, where a lone product would be a
+        matrix-vector one."""
+        rng = np.random.default_rng(k)
+        shapes = [(1, 1, 1), (9, 1, 15), (1, 300, 15), (2, 2, 1)]
+        shapes += [(int(rng.integers(1, 10)), int(rng.integers(1, 301)), int(rng.integers(1, 16)))
+                   for _ in range(12)]
+        for members, paths, n in shapes:
+            # the stacked oracle holds members * paths * k floats; keep it small
+            paths = min(paths, max(1, (1 << 21) // (members * k)))
+            F = rng.random((members, paths, n)) * scale
+            signs = _draw_signs(rng, k, n)
+            got = _sign_sups(F, signs)
+            want = np.tensordot(F, signs, axes=([2], [1])).max(axis=0)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), (
+                members, paths, n)
+
+    def test_memory_does_not_grow_with_the_class(self):
+        """The exact enumeration never holds all members' sums at once: beyond
+        F itself (its copy in distinct-path order), its peak is a fixed number
+        of (_PATH_BLOCK, 2**10) float blocks for 2 and for 32 members."""
+        block = 128 * 1024 * 8
+        for members in (2, 32):
+            F = np.random.default_rng(members).random((members, 256, 10))
+            tracemalloc.start()
+            try:
+                _exact_rademacher(F)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - F.nbytes < 3 * block, (members, (peak - F.nbytes) / block)
 
 
 class TestExactEnumeration:

@@ -15,7 +15,13 @@ the digest of its stdout run with the same PYTHONPATH, and then one
 `mixing_profile` at n = 800. No marginal fixed point falls inside 2n there,
 so these lines cover the reduction over conditioning times that the shipped
 configs skip. `python tools/output_digests.py --rings` prints them alone,
-importing mixcert from PYTHONPATH. Two source trees write the same bytes
+importing mixcert from PYTHONPATH. Last come the "sha256  signs/<call>"
+lines: the repr of `validate_symmetrization` (exact and Monte Carlo signs)
+and of exact and Monte Carlo `empirical_rademacher_*` for a class of fixed
+random value tables on the chain of configs/validators.json. The shipped
+configs only run the sign kernel on the built-in class, whose values 0, 0.5
+and 1 sum exactly in any order, so only these lines see a last-bit change
+in it; `--signs` prints them alone. Two source trees write the same bytes
 exactly when their listings are equal:
 
     python tools/output_digests.py /path/to/parent/src /tmp/a > a.txt
@@ -34,6 +40,7 @@ RUNS = {"generate": (), "train": (), "certify-jobs1": ("--jobs", "1"),
         "certify-jobs2": ("--jobs", "2"), "validate": (), "rademacher": ()}
 RING_STATES = (16, 32, 64)
 RING_N = 800
+SIGN_MEMBERS = 5
 
 
 def ring_digests() -> int:
@@ -57,9 +64,35 @@ def ring_digests() -> int:
     return 0
 
 
+def sign_digests() -> int:
+    """Print the "sha256  signs/<call>" lines: SIGN_MEMBERS value tables
+    drawn uniformly from [0, 1), whose signed sums round differently when
+    summed in another order."""
+    import numpy as np
+    from mixcert import (ExperimentConfig, empirical_rademacher_exact,
+                         empirical_rademacher_mc, sample_sequence, table_class,
+                         validate_symmetrization)
+
+    spec = ExperimentConfig.load(os.path.join(CONFIG_DIR, "validators.json")).process
+    alphabet = np.asarray(spec.emission.alphabet)
+    rng = np.random.default_rng(2024)
+    fclass = table_class(alphabet, [rng.random((alphabet.shape[0], spec.num_classes))
+                                    for _ in range(SIGN_MEMBERS)])
+    data = sample_sequence(spec, 12, 7)
+    for name, result in (
+            ("symmetrization-exact-n8", validate_symmetrization(fclass, spec, 8, 1000, 11)),
+            ("symmetrization-mc-n14", validate_symmetrization(fclass, spec, 14, 200, 11)),
+            ("rademacher-exact-n12", empirical_rademacher_exact(fclass, data)),
+            ("rademacher-mc-n12", empirical_rademacher_mc(fclass, data, 10000, 7))):
+        print(f"{hashlib.sha256(repr(result).encode('ascii')).hexdigest()}  signs/{name}")
+    return 0
+
+
 def main(argv) -> int:
     if argv == ["--rings"]:
         return ring_digests()
+    if argv == ["--signs"]:
+        return sign_digests()
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -84,7 +117,9 @@ def main(argv) -> int:
                                 check=True, stdout=subprocess.PIPE).stdout
         print(f"{hashlib.sha256(stdout).hexdigest()}  demos/{name}")
     sys.stdout.flush()
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--rings"], env=env, check=True)
+    for section in ("--rings", "--signs"):
+        subprocess.run([sys.executable, os.path.abspath(__file__), section], env=env,
+                       check=True)
     return 0
 
 
