@@ -1,9 +1,10 @@
 """The input rules, one per kind of value a caller, a config or a file
 passes in: integers, reals, arrays of numbers, laws, labels, the values a
-caller's function returns, config sections and text-file fields."""
+caller's function returns, class members, config sections and text fields."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -137,6 +138,18 @@ def _unit_values(values, name: str, n: int) -> np.ndarray:
     if not (vals.min(initial=0.0) >= -_ATOL and vals.max(initial=0.0) <= 1.0 + _ATOL):
         raise ValueError(f"{name} left [0, 1]")
     return vals
+
+
+def _instances(values, key: str, kind: type) -> tuple:
+    """`values` as a tuple of `kind` instances; TypeError naming `key` and the
+    first entry that is not one, so a wrong object fails where it is passed."""
+    if not isinstance(values, Iterable):
+        raise TypeError(f"{key} must be a sequence, not {type(values).__name__}")
+    values = tuple(values)
+    for i, value in enumerate(values):
+        if not isinstance(value, kind):
+            raise TypeError(f"{key}[{i}] must be a {kind.__name__}, not {type(value).__name__}")
+    return values
 
 
 def _field_names(cls) -> tuple:

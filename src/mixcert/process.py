@@ -436,7 +436,7 @@ def deterministic_injective(spec: ProcessSpec) -> bool:
     tops = table.argmax(axis=1)
     if np.any(np.abs(table[np.arange(table.shape[0]), tops] - 1.0) > _ATOL):
         return False
-    groups, _ = _alphabet_groups(em.alphabet)
+    groups, _ = _bit_groups(em.alphabet.T)
     return len(set(zip(groups[tops].tolist(), spec.label_map))) == len(tops)
 
 
@@ -580,22 +580,31 @@ def brute_force_phi(spec: ProcessSpec, k: int, n_max: int, future_len: int) -> f
     return best
 
 
-def _alphabet_groups(alphabet: np.ndarray) -> tuple[np.ndarray, int]:
-    """Collapse duplicate alphabet rows so laws live on distinct points."""
-    seen: dict[bytes, int] = {}
-    groups = np.empty(alphabet.shape[0], dtype=np.int64)
-    for m in range(alphabet.shape[0]):
-        key = alphabet[m].tobytes()
-        groups[m] = seen.setdefault(key, len(seen))
-    return groups, len(seen)
+def _bit_groups(cols) -> tuple[np.ndarray, np.ndarray]:
+    """The one "same point" rule: rows of the float64 columns `cols`, viewed
+    as uint64 without a copy, are the same point when every column has the
+    same bits, so -0.0 is not 0.0. Returns each row's group id, numbered in
+    order of first appearance, and the first row of each group in id order."""
+    cols = [col.view(np.uint64) for col in cols]
+    order = np.lexsort(cols)  # stable: each group's rows in row order
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for col in cols:
+        sorted_col = col[order]
+        starts[1:] |= sorted_col[1:] != sorted_col[:-1]
+    head = np.empty_like(order)  # each row's first row of its group
+    head[order] = order[starts][np.cumsum(starts) - 1]
+    is_first = head == np.arange(order.size)
+    return (np.cumsum(is_first) - 1)[head], np.flatnonzero(is_first)
 
 
 def _joint_table(h: np.ndarray, tables: np.ndarray, groups: np.ndarray,
-                 num_groups: int, label_map: tuple, K: int) -> np.ndarray:
+                 first: np.ndarray, label_map: tuple, K: int) -> np.ndarray:
     """Laws of (point, label), one flattened (group, label) row per hidden
-    law h[t] and (S, M) emission table tables[t]. Each entry adds its terms
-    state by state, then alphabet point by point."""
-    J = np.zeros((h.shape[0], num_groups * K))
+    law h[t] and (S, M) emission table tables[t], for the alphabet's
+    `_bit_groups` (groups, first). Each entry adds its terms state by state,
+    then alphabet point by point."""
+    J = np.zeros((h.shape[0], first.size * K))
     for s in range(tables.shape[1]):
         np.add.at(J, (slice(None), groups * K + label_map[s] - 1),
                   h[:, s, None] * tables[:, s])
@@ -631,7 +640,7 @@ def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, times) -> np.ndarr
     em = spec.emission
     times = np.asarray(times)
     if em.mode == "discrete":
-        law = (*_alphabet_groups(em.alphabet), spec.label_map, spec.num_classes)
+        law = (*_bit_groups(em.alphabet.T), spec.label_map, spec.num_classes)
         J_inf = _joint_table(pistar[None], em.table[None], *law)[0]
         return _tv(_joint_table(M[times], em.rows_at(times), *law), J_inf)
     w = np.array(em._weights(times.tolist()))
@@ -812,8 +821,7 @@ def _value_table(table, name: str, alphabet: np.ndarray) -> np.ndarray:
     f = _as_array(table, name, 2, 0.0, 1.0)
     if f.shape[0] != alphabet.shape[0]:
         raise DimensionMismatch(f"{name} must have one row per alphabet point")
-    groups, _ = _alphabet_groups(alphabet)
-    first = np.unique(groups, return_index=True)[1]
+    groups, first = _bit_groups(alphabet.T)
     if np.any(f != f[first[groups]]):
         raise ValueError(f"{name} must agree on duplicate alphabet points")
     return f

@@ -7,9 +7,9 @@ The conditional complexity of a class F on points z_1..z_n is
 with iid uniform signs theta_i in {-1, +1}. One kernel computes it for every
 caller: `_sign_sups` reduces a (members, paths, n) value array against sign
 rows, `_exact_rademacher` enumerates all 2**n sign vectors through it once
-per distinct path, and `_draw_signs` is the one sign draw.
-`empirical_rademacher_exact` and `empirical_rademacher_mc` run the kernel on
-one path; the symmetrization validator in `bounds` runs it on many.
+per distinct path (`process._bit_groups`), `_draw_signs` is the one sign
+draw. `empirical_rademacher_exact` and `empirical_rademacher_mc` run the
+kernel on one path; the symmetrization validator in `bounds` runs it on many.
 
 `_sign_sups` folds the sup over members into a running maximum, one
 (paths, k) product per member, so it never holds all members' sums at once:
@@ -22,16 +22,16 @@ matrix-vector code whose last bits can differ.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ._checks import _as_array, _as_float, _as_int, _as_labels, _numbers, _unit_values
-from .errors import EmptyDataset, NonpositiveGamma, TooLarge
+from ._checks import _as_array, _as_float, _as_int, _as_labels, _instances, _numbers, _unit_values
+from .errors import DimensionMismatch, EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
 from .norms import LayerNorms, norm_factors, require_positive_spectral
-from .process import LabeledDataset, _value_table
+from .process import LabeledDataset, _bit_groups, _value_table
 from .seeding import substream
 
 _EXACT_MAX_N = 20
@@ -48,7 +48,7 @@ class FunctionClass:
     def __post_init__(self):
         if not self.evaluators:
             raise ValueError("a function class needs at least one member")
-        object.__setattr__(self, "evaluators", tuple(self.evaluators))
+        object.__setattr__(self, "evaluators", _instances(self.evaluators, "evaluators", Callable))
 
     @property
     def size(self) -> int:
@@ -75,22 +75,24 @@ def constant_class(values) -> FunctionClass:
 def table_class(alphabet: np.ndarray, tables) -> FunctionClass:
     """Functions given by value tables over (alphabet point, label).
 
-    Inputs are matched to alphabet rows bitwise, which is how discrete
-    processes emit them; each member takes labels 1..K for its own table's
-    K columns.
+    Inputs are matched to alphabet rows bitwise (`_bit_groups`), which is
+    how discrete processes emit them; each member takes labels 1..K for its
+    own table's K columns.
     """
     alphabet = _as_array(alphabet, "alphabet", 2)
-    lookup = {alphabet[m].tobytes(): m for m in range(alphabet.shape[0])}
+    size, dim = alphabet.shape
+    if not dim:
+        raise DimensionMismatch("alphabet points need at least one coordinate")
 
     def make(tab: np.ndarray) -> Callable:
         def f(X: np.ndarray, y: np.ndarray, tab=tab) -> np.ndarray:
             y = _as_labels(y, X.shape[0], tab.shape[1])
-            idx = np.empty(X.shape[0], dtype=np.int64)
-            for i in range(X.shape[0]):
-                key = np.ascontiguousarray(X[i]).tobytes()
-                if key not in lookup:
-                    raise ValueError("input point is not an alphabet point")
-                idx[i] = lookup[key]
+            if X.shape[1] != dim:
+                raise ValueError("input point is not an alphabet point")
+            ids, first = _bit_groups(map(np.concatenate, zip(alphabet.T, X.T)))
+            idx = first[ids[size:]]  # alphabet rows first: a group holding one starts at one
+            if np.any(idx >= size):
+                raise ValueError("input point is not an alphabet point")
             return tab[idx, y - 1]
         return f
 
@@ -107,6 +109,7 @@ def loss_class(params_list, gamma: float) -> FunctionClass:
             return ramp_loss(-margins_batch(forward_batch(params, X), y), gamma)
         return f
 
+    params_list = _instances(params_list, "params_list", NetworkParams)
     return FunctionClass(evaluators=tuple(make(p) for p in params_list))
 
 
@@ -150,28 +153,18 @@ def _exact_rademacher(F: np.ndarray) -> np.ndarray:
     """Exact conditional complexity of every path of F (members, paths, n):
     the mean sup over all 2**n sign vectors, divided by n.
 
-    Paths whose (members, n) values have the same bytes have the same
+    Paths whose (members, n) values have the same bits have the same
     complexity, so with two or more members the enumeration runs once per
-    distinct path and the results are scattered back. Paths are grouped by
-    a lexicographic sort of their bit patterns, one strided uint64 column
-    per (member, point): that keeps -0.0 apart from 0.0 and, unlike a byte
-    key per path, needs no (paths, members * n) copy of F. A one-member
-    class is not grouped: there a block of one path goes through a
-    matrix-vector product, whose last bits can differ from the
+    distinct path (`_bit_groups`, on one strided column per member and
+    point: no (paths, members * n) copy of F) and the results are scattered
+    back. A one-member class is not grouped: there a block of one path goes
+    through a matrix-vector product, whose last bits can differ from the
     matrix-matrix product of a larger block."""
     members, paths, n = F.shape
     if members < 2 or paths < 2:
         return _enumerate_signs(F)
-    cols = [F[m, :, i].view(np.uint64) for m in range(members) for i in range(n)]
-    order = np.lexsort(cols)
-    first = np.zeros(paths, dtype=bool)
-    first[0] = True
-    for col in cols:
-        sorted_col = col[order]
-        first[1:] |= sorted_col[1:] != sorted_col[:-1]
-    group = np.empty(paths, dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    return _enumerate_signs(F[:, order[first]])[group]
+    group, first = _bit_groups(F[m, :, i] for m in range(members) for i in range(n))
+    return _enumerate_signs(F[:, first])[group]
 
 
 def _enumerate_signs(F: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from mixcert import (
     BadLabel,
     DimensionMismatch,
     EmissionSpec,
+    FunctionClass,
     LabeledDataset,
     MarkovSpec,
     MixingProfile,
@@ -24,6 +25,7 @@ from mixcert import (
     combine_seeds,
     constant_class,
     forward_batch,
+    loss_class,
     margins_batch,
     mixing_profile,
     network_certificate,
@@ -54,6 +56,7 @@ PROFILE = MixingProfile(horizon=5, phi=np.zeros(5), mu=np.zeros(5), delta_inf=1.
                         phi_exact=True, mu_exact=True)
 NUMBERS = "must be a rectangular array of numbers"
 SEED = "'seed' must be an integer >= 0"
+OFF_ALPHABET = "input point is not an alphabet point"
 TAGS = "'tags' must be an integer >= 0"
 
 
@@ -147,6 +150,25 @@ CASES = {
     "no epsilons": (lambda: validate_mcdiarmid(SPEC, F_TABLE, 5, 10, 0, epsilons=()),
                     ValueError, "'epsilons' must be a non-empty"),
     "string constant": (lambda: constant_class(["0.5"]), ValueError, "'values' must be"),
+    # the members a class is built from: checked when the class is built
+    "loss_class of a string": (lambda: loss_class("x", 1.0), TypeError,
+                               r"params_list\[0\] must be a NetworkParams, not str"),
+    "loss_class of None": (lambda: loss_class([NET, None], 1.0), TypeError,
+                           r"params_list\[1\] must be a NetworkParams, not NoneType"),
+    "loss_class of a number": (lambda: loss_class(5, 1.0), TypeError,
+                               "params_list must be a sequence, not int"),
+    "FunctionClass of a string": (lambda: FunctionClass(evaluators=("x",)), TypeError,
+                                  r"evaluators\[0\] must be a Callable, not str"),
+    # points looked up in a table class's alphabet: matched bitwise, never rounded
+    "evaluate point off the alphabet": (lambda: TABLES.evaluate([[0.5]], [1]),
+                                        ValueError, OFF_ALPHABET),
+    "evaluate point of another dimension": (lambda: TABLES.evaluate([[0.0, 1.0]], [1]),
+                                            ValueError, OFF_ALPHABET),
+    "evaluate -0.0 against an alphabet 0.0": (lambda: TABLES.evaluate([[-0.0]], [1]),
+                                              ValueError, OFF_ALPHABET),
+    "table_class of zero-dimensional points":
+        (lambda: table_class(np.zeros((2, 0)), [np.full((2, 2), 0.5)]), DimensionMismatch,
+         "alphabet points need at least one coordinate"),
     # the values a caller's function returns
     "statistic above 1": (lambda: validate_mcdiarmid(SPEC, lambda X, y: 5.0 * (y == 1), 5, 10, 0),
                           ValueError, r"f left \[0, 1\]"),

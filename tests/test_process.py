@@ -46,6 +46,7 @@ from mixcert.process import (
     _STREAM_BATCH,
     _STREAM_SEQUENCE,
     _STREAM_TARGET,
+    _bit_groups,
     _fixed_point,
     _inverse_cdf,
     _limit_gap_bound,
@@ -202,6 +203,34 @@ class TestTVDistance:
             want = 0.5 * np.abs(p - q).sum(axis=-1)
             assert got.shape == want.shape and np.array_equal(got, want)
             assert np.array_equal(p, p_before) and np.array_equal(q, q_before)
+
+
+def reference_groups(rows):
+    """Group ids in order of first appearance and the first row of each
+    group, from a dict keyed on each row's bytes."""
+    keys = {}
+    ids = [keys.setdefault(row.tobytes(), (len(keys), i))[0] for i, row in enumerate(rows)]
+    return np.array(ids, dtype=np.intp), np.array([i for _, i in keys.values()], dtype=np.intp)
+
+
+class TestBitGroups:
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 4), (50, 1), (50, 3), (3000, 6)])
+    def test_matches_a_byte_key_dict(self, rows, cols):
+        """Random float rows drawn with repeats from a small pool: rows in the
+        pool's second half differ in their last entry, rows in its first half
+        only in the sign of a zero first entry. A pool of one point makes
+        every row the same point."""
+        rng = np.random.default_rng(rows * cols)
+        for pool_size in (1, 2, 7, rows):
+            pool = np.repeat(rng.random((1, cols)), pool_size, axis=0)
+            half = pool_size // 2
+            pool[half:, -1] = rng.random(pool_size - half)
+            pool[:half, 0] = 0.0
+            pool[half // 2:half, 0] = -0.0
+            table = pool[rng.integers(0, pool_size, size=rows)]
+            ids, first = _bit_groups(table.T)
+            want_ids, want_first = reference_groups(table)
+            assert np.array_equal(ids, want_ids) and np.array_equal(first, want_first)
 
 
 class TestMarkovSpecValidation:

@@ -88,6 +88,27 @@ class TestFunctionClass:
         c = table_class(alphabet, [[[0.25, 1.0], [0.25, 1.0]]])
         np.testing.assert_array_equal(c.evaluate([[0.5], [0.5]], [1, 2]), [[0.25, 1.0]])
 
+    def test_table_class_matches_a_byte_key_lookup(self):
+        """Random alphabets with repeated rows and -0.0 next to 0.0: every
+        member reads the values a dict keyed on each point's bytes finds."""
+        rng = np.random.default_rng(5)
+        for dim in (1, 3):
+            pool = rng.random((6, dim))
+            pool[:2, 0] = 0.0, -0.0
+            alphabet = pool[rng.integers(0, 6, size=12)]
+            lookup = {row.tobytes(): m for m, row in enumerate(alphabet)}
+            rows = [lookup[row.tobytes()] for row in alphabet]
+            tables = [rng.random((12, 3))[rows] for _ in range(4)]
+            X = alphabet[rng.integers(0, 12, size=500)]
+            y = rng.integers(1, 4, size=500)
+            want = [[tab[lookup[x.tobytes()], k - 1] for x, k in zip(X, y)] for tab in tables]
+            assert np.array_equal(table_class(alphabet, tables).evaluate(X, y), want)
+
+    def test_empty_input_has_no_values(self):
+        c = table_class([[0.0], [1.0]], [np.eye(2), np.full((2, 2), 0.5)])
+        vals = c.evaluate(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
+        assert vals.shape == (2, 0)
+
     def test_loss_class_in_range(self):
         rng = np.random.default_rng(31)
         nets = [NetworkParams(layers=(rng.normal(size=(2, 3)),),

@@ -21,7 +21,10 @@ and of exact and Monte Carlo `empirical_rademacher_*` for a class of fixed
 random value tables on the chain of configs/validators.json. The shipped
 configs only run the sign kernel on the built-in class, whose values 0, 0.5
 and 1 sum exactly in any order, so only these lines see a last-bit change
-in it; `--signs` prints them alone. Two source trees write the same bytes
+in it. The last of them, "signs/table-lookup-n20000", is the digest of
+`table_class(...).evaluate` on 20,000 points over that alphabet with its
+first point repeated, the one line that covers a lookup of a repeated
+alphabet point. `--signs` prints these lines alone. Two source trees write the same bytes
 exactly when their listings are equal:
 
     python tools/output_digests.py /path/to/parent/src /tmp/a > a.txt
@@ -41,6 +44,7 @@ RUNS = {"generate": (), "train": (), "certify-jobs1": ("--jobs", "1"),
 RING_STATES = (16, 32, 64)
 RING_N = 800
 SIGN_MEMBERS = 5
+LOOKUP_POINTS = 20000
 
 
 def ring_digests() -> int:
@@ -85,6 +89,13 @@ def sign_digests() -> int:
             ("rademacher-exact-n12", empirical_rademacher_exact(fclass, data)),
             ("rademacher-mc-n12", empirical_rademacher_mc(fclass, data, 10000, 7))):
         print(f"{hashlib.sha256(repr(result).encode('ascii')).hexdigest()}  signs/{name}")
+    rng = np.random.default_rng(2025)
+    repeated = np.concatenate([alphabet, alphabet[:1]])
+    tables = [rng.random((alphabet.shape[0], spec.num_classes)) for _ in range(SIGN_MEMBERS)]
+    pick = rng.integers(0, repeated.shape[0], size=LOOKUP_POINTS)
+    values = table_class(repeated, [np.concatenate([t, t[:1]]) for t in tables]).evaluate(
+        repeated[pick], rng.integers(1, spec.num_classes + 1, size=LOOKUP_POINTS))
+    print(f"{hashlib.sha256(values.tobytes()).hexdigest()}  signs/table-lookup-n{LOOKUP_POINTS}")
     return 0
 
 
