@@ -256,9 +256,13 @@ def _row_max(A: np.ndarray) -> np.ndarray:
 
 def ramp_loss(r, gamma: float):
     """Piecewise-linear loss: 1 for r >= 0, 0 for r <= -gamma, linear
-    in between; 1/gamma-Lipschitz and confined to [0, 1]."""
+    in between; 1/gamma-Lipschitz and confined to [0, 1]. An infinite r
+    takes its limit, 0 or 1; a NaN r is a ValueError, since it has no value
+    in [0, 1]."""
     gamma = _as_float(gamma, "gamma", 0.0, error=NonpositiveGamma)
     arr = _numbers(r, "r")
+    if np.isnan(arr).any():
+        raise ValueError("r must not be NaN")
     out = np.clip(1.0 + np.minimum(arr, 0.0) / gamma, 0.0, 1.0)
     if arr.ndim == 0:
         return float(out)

@@ -867,26 +867,34 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
 
     `f` is either a value table over (alphabet point, label) for discrete
     emissions or a vectorized callable f(inputs, labels) -> values in [0, 1].
+
+    One walk of the chains, one step at a time: per step, each chain's state
+    draw and then that step's emission, whose values are added to a running
+    total. So memory is O(trials) besides the (n, S, C) law stack of
+    `rows_at`, whatever n is. A callable is applied to the step's emitted
+    points and labels, `trials` of each; a value table reads the values of
+    the drawn alphabet indices. On discrete emissions both consume the same
+    uniforms, so a callable and its equal value table give the same bits.
     """
     _as_int(n, "n", 1)
     _as_int(trials, "trials", 1)
     em = spec.emission
+    label_arr = np.asarray(spec.label_map, dtype=np.int64)
     if callable(f):
-        X, Y = sample_sequences_batch(spec, n, trials, seed)
-        flat = _unit_values(f(X.reshape(-1, spec.input_dim), Y.reshape(-1)), "f", trials * n)
-        return flat.reshape(trials, n).mean(axis=1)
-    ftab = _check_f_table(spec, f)
+        def step_values(rows, cur, rng):
+            return _unit_values(f(em.emit(rows, cur, rng), label_arr[cur]), "f", trials)
+    else:
+        # values[s, p] = f(point p, label of state s), read by one flat take per step
+        values = _check_f_table(spec, f).T[label_arr - 1]
+        M = values.shape[1]
+
+        def step_values(rows, cur, rng):
+            return values.take(cur * M + _draw_points(rows, cur, rng))
     rng = substream(seed, _STREAM_BATCH)
     walk = _walk(spec.markov, trials, rng)
     next(walk)
-    label_idx = np.asarray(spec.label_map, dtype=np.int64) - 1
-    # values[s, p] = f(point p, label of state s), read by one flat take per step
-    values = ftab.T[label_idx]
-    M = values.shape[1]
     stack = em.rows_at(range(1, n + 1))
     total = np.zeros(trials)
     for t in range(n):
-        cur = next(walk)
-        points = _draw_points(stack[t], cur, rng)
-        total += values.take(cur * M + points)
+        total += step_values(stack[t], next(walk), rng)
     return total / n

@@ -80,6 +80,8 @@ CASES = {
     # arrays passed in, not stored: strings and booleans are not numbers
     "margins_batch string logits": (lambda: margins_batch([["1", "2"]], [1]), ValueError, NUMBERS),
     "ramp_loss string margins": (lambda: ramp_loss(np.array(["0.5"]), 1.0), ValueError, NUMBERS),
+    "ramp_loss NaN margin": (lambda: ramp_loss(np.array([0.5, np.nan]), 1.0), ValueError,
+                             "r must not be NaN"),
     "spectral_norm string matrix": (lambda: spectral_norm([["1", "2"]]), ValueError, NUMBERS),
     "norm_2_1 boolean matrix":
         (lambda: norm_2_1_of_transpose([[True, False]]), ValueError, NUMBERS),
@@ -175,6 +177,13 @@ CASES = {
     "statistic of strings":
         (lambda: sequence_value_means(SPEC, lambda X, y: np.full(len(y), "1"), 5, 10, 0),
          ValueError, NUMBERS),
+    # f is applied one step at a time, to the `trials` points of that step
+    "statistic of the wrong count":
+        (lambda: sequence_value_means(SPEC, lambda X, y: np.zeros(len(y) + 1), 5, 10, 0),
+         ValueError, "f returned 11 values for 10 points"),
+    "statistic of NaN":
+        (lambda: sequence_value_means(SPEC, lambda X, y: np.full(len(y), np.nan), 5, 10, 0),
+         ValueError, r"f left \[0, 1\]"),
 }
 
 

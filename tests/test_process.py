@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1204,6 +1205,24 @@ class TestOneDraw:
                              label_idx[cur]]
         return total / n
 
+    def reference_callable_means(self, spec, f, n, trials, seed):
+        em = spec.emission
+        rng = substream(seed, _STREAM_BATCH)
+        walk = reference_walk(spec.markov, trials, rng)
+        next(walk)
+        labels = np.asarray(spec.label_map, dtype=np.int64)
+        total = np.zeros(trials)
+        for t in range(n):
+            cur = next(walk)
+            rows = self.law_at(em, t + 1)
+            if em.mode == "discrete":
+                X = em.alphabet[reference_inverse_cdf(np.cumsum(rows, axis=1)[cur],
+                                                      rng.random(trials))]
+            else:
+                X = rows[cur] + em.sigma * rng.standard_normal((trials, spec.input_dim))
+            total += f(X, labels[cur])
+        return total / n
+
     @staticmethod
     def assert_same(got, want):
         got, want = np.asarray(got), np.asarray(want)
@@ -1235,12 +1254,55 @@ class TestOneDraw:
             def f(inputs, labels):
                 return (np.abs(inputs).sum(axis=1) * labels) % 1.0
             self.assert_same(sequence_value_means(spec, f, n, trials, seed),
-                             f(X.reshape(-1, spec.input_dim), Y.reshape(-1))
-                             .reshape(trials, n).mean(axis=1))
+                             self.reference_callable_means(spec, f, n, trials, seed))
             if mode == "discrete":
                 f_table = rng.random((spec.emission.alphabet.shape[0], spec.num_classes))
                 self.assert_same(sequence_value_means(spec, f_table, n, trials, seed),
                                  self.reference_table_means(spec, f_table, n, trials, seed))
+
+    def test_a_callable_equals_its_value_table(self):
+        """One kernel: a callable that looks its points up in a value table
+        draws the same uniforms as that table and adds the same values."""
+        rng = np.random.default_rng(22)
+        for i in range(51):
+            drift = ("none", "normal", "underflow")[i % 3]
+            spec = self.random_spec(rng, int(rng.integers(1, 6)), "discrete", drift)
+            alphabet = spec.emission.alphabet
+            f_table = rng.random((alphabet.shape[0], spec.num_classes))
+
+            def f(inputs, labels):
+                points = (inputs[:, None, :] == alphabet[None]).all(axis=2).argmax(axis=1)
+                return f_table[points, labels - 1]
+            n, trials = int(rng.integers(1, 60)), int(rng.integers(1, 200))
+            seed = int(rng.integers(0, 2 ** 31))
+            self.assert_same(sequence_value_means(spec, f, n, trials, seed),
+                             sequence_value_means(spec, f_table, n, trials, seed))
+
+    def test_callable_memory_is_bounded_in_n(self):
+        """The callable path holds a few arrays of `trials` values and the
+        (n, S, d) law stack, never the (trials, n, d) inputs of all steps."""
+        spec = ProcessSpec(
+            markov=MarkovSpec(num_states=3, transition=np.array(
+                [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]),
+                initial=np.array([1.0, 0.0, 0.0])),
+            emission=EmissionSpec.gaussian(
+                np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), 0.5,
+                drift_means=np.zeros((3, 2)), drift_amplitude=0.5, drift_exponent=0.5),
+            label_map=(1, 2, 2), num_classes=2, input_dim=2)
+        n, trials = 800, 2000
+
+        def f(inputs, labels):
+            return (labels == 1).astype(np.float64)
+        # a first call imports modules lazily, about 0.7 MB that no size changes
+        sequence_value_means(spec, f, 2, 2, seed=0)
+        tracemalloc.start()
+        try:
+            sequence_value_means(spec, f, n, trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = n * spec.markov.num_states * spec.input_dim * 8
+        assert peak < 32 * trials * 8 + stack
 
 
 class TestStepExpectations:
