@@ -55,6 +55,17 @@ def _as_float(value, key: str, low: float, high: float = math.inf, closed: bool 
     raise error(f"{key!r} must be {wanted}, not {value!r}")
 
 
+def _as_floats(values, key: str, low: float, high: float = math.inf, closed: bool = False,
+               error=ValueError) -> tuple:
+    """`values` as a tuple of floats: a non-empty 1-d array of numbers
+    (`_numbers`) whose entries each pass `_as_float`. Each error names `key`."""
+    bad = ValueError(f"{key!r} must be a rectangular array of numbers")
+    arr = _numbers(values, key, 1, bad=bad)
+    if not arr.size:
+        raise ValueError(f"{key!r} must be a non-empty array of numbers")
+    return tuple(_as_float(v, key, low, high, closed, error) for v in arr.tolist())
+
+
 def _numbers(value, name: str, ndim: int | None = None, copy: bool = False,
              bad: Exception | None = None) -> np.ndarray:
     """`value` as a float64 array with `ndim` axes (any number for None). A

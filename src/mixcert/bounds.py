@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import _as_float, _as_int, _numbers
+from ._checks import _as_float, _as_floats, _as_int
 from .errors import BadDelta, DimensionMismatch, EmptyDataset, NonpositiveGamma, WrongKind
 from .network import (
     Architecture,
@@ -129,18 +129,20 @@ class _Report:
         return asdict(self)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class BoundReport(_Report):
     """Every term of one certificate, plus the plug-in ground truth.
 
     total_bound is `_theorem1_sum` of empirical_ramp_loss, mu_mean,
     concentration_term, small_term and complexity_term, in that order; the
     last two are twice the two covering-bound addends, whose sum is
-    rademacher_term. rademacher_source names that bound.
+    rademacher_term. rademacher_source names that bound. The fields are
+    keyword-only, and their order is the column order of summary.csv.
     """
 
-    n: int
+    seed: int | None = None
     gamma: float
+    n: int
     delta: float
     empirical_ramp_loss: float
     empirical_zero_one: float
@@ -151,13 +153,12 @@ class BoundReport(_Report):
     small_term: float
     complexity_term: float
     total_bound: float
-    phi_exact: bool
-    mu_exact: bool
     population_ramp_estimate: float | None = None
     population_zero_one_estimate: float | None = None
     population_halfwidth: float | None = None
     bound_holds: bool | None = None
-    seed: int | None = None
+    phi_exact: bool
+    mu_exact: bool
 
 
 def recompose_total(report: BoundReport) -> float:
@@ -194,10 +195,7 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gammas,
         raise DimensionMismatch(f"profile horizon {profile.horizon} != n {n}")
     _as_int(n, "n", 2)
     _check_delta(delta)
-    gammas = [_as_float(g, "gammas", 0.0, error=NonpositiveGamma)
-              for g in _numbers(gammas, "gammas", 1)]
-    if not gammas:
-        raise ValueError("'gammas' must be a non-empty array of positive numbers")
+    gammas = _as_floats(gammas, "gammas", 0.0, error=NonpositiveGamma)
     seed = seed if seed is None else _as_int(seed, "seed", 0)
     if target is not None:
         if target.kind != KIND_TARGET:
@@ -283,9 +281,7 @@ def validate_mcdiarmid(spec: ProcessSpec, f, n: int, trials: int, seed: int,
     should be flagged).
     """
     _as_int(trials, "trials", 2)
-    epsilons = tuple(_as_float(e, "epsilons", 0.0) for e in epsilons)
-    if not epsilons:
-        raise ValueError("'epsilons' must be a non-empty array of positive numbers")
+    epsilons = _as_floats(epsilons, "epsilons", 0.0)
     if delta_inf is None:
         delta_inf = mixing_profile(spec, n).delta_inf
     means = sequence_value_means(spec, f, n, trials, seed)

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from ._checks import _as_float, _as_int, _check_keys
 from .bounds import (
     _MCDIARMID_EPSILONS,
+    BoundReport,
     certification_run,
     train_seed,
     validate_lemma3,
@@ -37,32 +39,34 @@ from .rademacher import (
     empirical_rademacher_mc,
 )
 
-_VALIDATOR_DEFAULTS = {
-    "mcdiarmid": {"n": 50, "trials": 20000, "seed": 7,
-                  "epsilons": list(_MCDIARMID_EPSILONS), "delta_override": None},
-    "lemma3": {"n": 100},
-    "symmetrization": {"n": 8, "trials": 1000, "seed": 11},
-    "lemma4": {"trials": 100000, "seed": 5},
+# One entry per validator: its parameter defaults, the lower bounds of its
+# integer parameters and run(spec, **params). mcdiarmid and symmetrization
+# estimate a spread across trials and need two; lemma4 checks each trial on
+# its own, so one is enough. Each run looks its validate_* up by name when
+# called, so a rebinding of that module global reaches it.
+_VALIDATORS = {
+    "mcdiarmid": (
+        {"n": 50, "trials": 20000, "seed": 7,
+         "epsilons": list(_MCDIARMID_EPSILONS), "delta_override": None},
+        {"n": 1, "trials": 2, "seed": 0},
+        lambda spec, epsilons, delta_override, **p: validate_mcdiarmid(
+            spec, _label_indicator_f(spec), epsilons=tuple(epsilons),
+            delta_inf=delta_override, **p)),
+    "lemma3": (
+        {"n": 100}, {"n": 1},
+        lambda spec, **p: validate_lemma3(spec, _label_indicator_f(spec), **p)),
+    "symmetrization": (
+        {"n": 8, "trials": 1000, "seed": 11}, {"n": 1, "trials": 2, "seed": 0},
+        lambda spec, **p: validate_symmetrization(builtin_class(spec), spec, **p)),
+    "lemma4": (
+        {"trials": 100000, "seed": 5}, {"trials": 1, "seed": 0},
+        lambda spec, **p: validate_ramp_dominance(**p)),
 }
-
-
-# Lower bounds of the integer validator parameters. mcdiarmid and
-# symmetrization estimate a spread across trials and need two; lemma4 checks
-# each trial on its own, so one is enough.
-_VALIDATOR_LOWS = {"n": 1, "trials": 2, "seed": 0}
-_LEMMA4_LOWS = dict(_VALIDATOR_LOWS, trials=1)
 # What each real validator parameter holds.
 _VALIDATOR_REALS = {"epsilons": "a non-empty array of positive numbers",
                     "delta_override": "null or a positive number"}
-
-
-_CSV_COLUMNS = (
-    "seed", "gamma", "n", "delta", "empirical_ramp_loss", "empirical_zero_one",
-    "rademacher_term", "rademacher_source", "mu_mean", "concentration_term",
-    "small_term", "complexity_term", "total_bound", "population_ramp_estimate",
-    "population_zero_one_estimate", "population_halfwidth", "bound_holds",
-    "phi_exact", "mu_exact",
-)
+# The summary.csv columns: every certificate field, in BoundReport's order.
+_CSV_COLUMNS = tuple(f.name for f in fields(BoundReport))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,21 +147,18 @@ def _normalize_validator(entry) -> tuple:
         name = params.pop("name", None)
     else:
         name, params = None, {}
-    if name not in _VALIDATOR_DEFAULTS:
+    if name not in _VALIDATORS:
         raise ValueError(f"unknown validator {name!r}")
-    merged = dict(_VALIDATOR_DEFAULTS[name])
-    for key, val in params.items():
-        if key not in merged:
+    defaults, lows, _ = _VALIDATORS[name]
+    for key in params:
+        if key not in defaults:
             raise ValueError(f"unknown {name} parameter {key!r}")
-        merged[key] = val
-    lows = _LEMMA4_LOWS if name == "lemma4" else _VALIDATOR_LOWS
     try:
-        for key, val in merged.items():
-            merged[key] = _validator_value(key, val, lows)
+        merged = {key: _validator_value(key, val, lows)
+                  for key, val in dict(defaults, **params).items()}
     except ValueError as exc:
         raise ValueError(f"validator {name}: {exc}") from None
-    merged["name"] = name
-    return tuple(sorted(merged.items()))
+    return tuple(sorted(dict(merged, name=name).items()))
 
 
 def _validator_value(key: str, value, lows: dict):
@@ -248,15 +249,15 @@ def cmd_certify(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
     """Certificates for every seed x gamma; JSON per pair plus summary.csv."""
     os.makedirs(out_dir, exist_ok=True)
     profile = mixing_profile(config.process, config.n_train)
-    work = [(config.process, config.arch, config.train, profile, config.n_train,
-             config.m_target, config.gamma_list, config.delta, seed)
-            for seed in config.seeds]
-    workers = min(jobs, len(work))  # a pool starts all its workers up front
+    run = functools.partial(certification_run, config.process, config.arch, config.train,
+                            profile, config.n_train, config.m_target, config.gamma_list,
+                            config.delta)
+    workers = min(jobs, len(config.seeds))  # a pool starts all its workers up front
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(certification_run, *zip(*work)))
+            per_seed = list(pool.map(run, config.seeds))
     else:
-        per_seed = list(map(certification_run, *zip(*work)))
+        per_seed = list(map(run, config.seeds))
     reports = [r for batch in per_seed for r in batch]
     paths = []
     for rep in reports:
@@ -265,8 +266,7 @@ def cmd_certify(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
         paths.append(path)
     rows = [",".join(_CSV_COLUMNS)]
     for rep in sorted(reports, key=lambda r: (r.seed, r.gamma)):
-        doc = rep.to_json_dict()
-        rows.append(",".join(_csv_field(doc[c]) for c in _CSV_COLUMNS))
+        rows.append(",".join(_csv_field(getattr(rep, c)) for c in _CSV_COLUMNS))
     cpath = os.path.join(out_dir, "summary.csv")
     with open(cpath, "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -291,22 +291,7 @@ def cmd_validate(config: ExperimentConfig, out_dir) -> list:
     for entry in config.validators:
         params = dict(entry)
         name = params.pop("name")
-        if name == "mcdiarmid":
-            report = validate_mcdiarmid(
-                config.process, _label_indicator_f(config.process),
-                n=params["n"], trials=params["trials"], seed=params["seed"],
-                epsilons=tuple(params["epsilons"]),
-                delta_inf=params["delta_override"])
-        elif name == "lemma3":
-            report = validate_lemma3(config.process, _label_indicator_f(config.process),
-                                     n=params["n"])
-        elif name == "symmetrization":
-            report = validate_symmetrization(
-                builtin_class(config.process), config.process,
-                n=params["n"], trials=params["trials"], seed=params["seed"])
-        else:
-            report = validate_ramp_dominance(trials=params["trials"],
-                                             seed=params["seed"])
+        report = _VALIDATORS[name][2](config.process, **params)
         path = os.path.join(out_dir, f"validate_{name}.json")
         write_json(report.to_json_dict(), path)
         paths.append(path)

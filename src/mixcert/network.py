@@ -234,7 +234,7 @@ def margin(v: np.ndarray, j: int) -> float:
 
 def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     logits = _numbers(logits, "logits", 2)
-    K = _as_int(logits.shape[1], "num_classes", 2, BadLabel)
+    K = _as_int(logits.shape[1], "logits columns", 2, BadLabel)
     labels = _as_labels(labels, logits.shape[0], K)
     masked = logits.copy()  # row-major: the score of label i sits at flat[i]
     flat = np.arange(logits.shape[0]) * K + (labels - 1)

@@ -22,12 +22,13 @@ matrix-vector code whose last bits can differ.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_array, _as_float, _as_int, _as_labels, _instances, _numbers, _unit_values
+from ._checks import (_as_array, _as_float, _as_floats, _as_int, _as_labels, _instances,
+                      _numbers, _unit_values)
 from .errors import DimensionMismatch, EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
 from .norms import LayerNorms, norm_factors, require_positive_spectral
@@ -67,8 +68,8 @@ class FunctionClass:
 def constant_class(values) -> FunctionClass:
     """One constant function per value."""
     def make(c: float) -> Callable:
-        c = _as_float(c, "values", 0.0, 1.0, closed=True)
         return lambda X, y: np.full(X.shape[0], c)
+    values = _as_floats(values, "values", 0.0, 1.0, closed=True)
     return FunctionClass(evaluators=tuple(make(c) for c in values))
 
 
@@ -96,7 +97,10 @@ def table_class(alphabet: np.ndarray, tables) -> FunctionClass:
             return tab[idx, y - 1]
         return f
 
-    checked = [_value_table(tab, "table", alphabet) for tab in tables]
+    checked = [_value_table(tab, "table", alphabet)
+               for tab in (tables if isinstance(tables, Iterable) else ())]
+    if not checked:
+        raise ValueError(f"'tables' must be a non-empty sequence of value tables, not {tables!r}")
     return FunctionClass(evaluators=tuple(make(t) for t in checked))
 
 

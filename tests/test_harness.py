@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -242,6 +243,19 @@ class TestExperimentConfig:
         for path in SHIPPED_CONFIGS:
             doc = json.loads(path.read_text())
             assert ExperimentConfig.from_json_dict(doc).to_json_dict() == doc
+
+    @pytest.mark.parametrize("name", sorted(harness._VALIDATORS))
+    def test_validator_defaults_pass_their_own_checks(self, name):
+        """Each validator's defaults are integers at or above its own lows or
+        the reals that _VALIDATOR_REALS describes, so a bad default fails
+        here and not first in a config that names the validator."""
+        defaults, lows, run = harness._VALIDATORS[name]
+        assert callable(run) and set(lows) <= set(defaults)
+        for key, value in defaults.items():
+            assert key in lows or key in harness._VALIDATOR_REALS, key
+            assert harness._validator_value(key, value, lows) == value, key
+        assert harness._normalize_validator(name) == tuple(
+            sorted(dict(defaults, name=name).items()))
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
     def test_numpy_scalars_load_as_python_numbers(self, path):
@@ -528,6 +542,66 @@ class TestPipelineCommands:
         assert doc["class_size"] == 5
         assert doc["within_3_stderr"] is True
         assert doc["gap"] == pytest.approx(abs(doc["mc_value"] - doc["exact"]), abs=0)
+
+
+class TestPerfbenchContract:
+    """The benchmark rebinds library names by module attribute
+    (perfbench/workloads.py, TRACED_NAMES) to time each stage. It is read
+    here, never edited, so a change that drops one of those calls fails in
+    tier-1 and not first as a silent zero in a traced benchmark run."""
+
+    @pytest.fixture
+    def workloads(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "perfbench"))
+        import workloads
+        return workloads
+
+    def test_every_traced_name_is_bound_in_its_target(self, workloads):
+        for target, names in workloads.TRACED_NAMES:
+            # Tracer.patched reads vars(target)[attr], not an inherited attribute
+            missing = [attr for attr in names if attr not in vars(target)]
+            assert not missing, (target.__name__, missing)
+
+    def test_validate_calls_each_validator_through_its_module_name(self, tmp_path,
+                                                                  monkeypatch):
+        """Each configured validator reaches harness.validate_<name> once,
+        with that entry's parameters under the validator's own names."""
+        calls = {}
+
+        def recorder(name):
+            fn = getattr(harness, name)
+
+            def record(*args, **kwargs):
+                bound = inspect.signature(fn).bind(*args, **kwargs).arguments
+                calls.setdefault(name, []).append(bound)
+                return fn(*args, **kwargs)
+            return record
+
+        names = ("validate_mcdiarmid", "validate_lemma3", "validate_symmetrization",
+                 "validate_ramp_dominance")
+        for name in names:
+            monkeypatch.setattr(harness, name, recorder(name))
+        cfg = small_config(tmp_path, validators=(
+            {"name": "mcdiarmid", "n": 6, "trials": 40, "seed": 3, "epsilons": [0.1, 0.2],
+             "delta_override": 2.5},
+            {"name": "lemma3", "n": 9},
+            {"name": "symmetrization", "n": 5, "trials": 30, "seed": 4},
+            {"name": "lemma4", "trials": 50, "seed": 9},
+        ))
+        cmd_validate(cfg, tmp_path)
+        want = {
+            "validate_mcdiarmid": {"n": 6, "trials": 40, "seed": 3, "epsilons": (0.1, 0.2),
+                                   "delta_inf": 2.5},
+            "validate_lemma3": {"n": 9},
+            "validate_symmetrization": {"n": 5, "trials": 30, "seed": 4},
+            "validate_ramp_dominance": {"trials": 50, "seed": 9},
+        }
+        assert sorted(calls) == sorted(names)
+        for name in names:
+            (bound,) = calls[name]
+            assert bound.pop("spec", cfg.process) is cfg.process
+            params = {k: v for k, v in bound.items() if k not in ("f", "f_table", "fclass")}
+            assert params == want[name], name
 
 
 class TestMainEntry:
