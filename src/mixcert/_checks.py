@@ -13,7 +13,7 @@ from .errors import BadLabel, DimensionMismatch
 
 _ATOL = 1e-12
 
-_FLOAT_MAX = float(np.finfo(np.float64).max)  # a number is finite iff |x| <= this
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # an integer is finite iff |x| <= this
 
 
 def _as_int(value, key: str, low: int, error=ValueError) -> int:
@@ -42,9 +42,12 @@ def _as_float(value, key: str, low: float, high: float = math.inf, closed: bool 
     """`value` as a float if it is a finite Python or numpy number (a bool is
     not one) between low and high, both excluded or, with `closed`, both
     included. Else `error` naming `key`. Finiteness is tested before any
-    comparison with the bounds, so NaN is rejected."""
+    comparison with the bounds, so NaN is rejected: `math.isfinite` for a
+    real of any width, and for an integer, which may exceed every float, its
+    size against the largest float64."""
     if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            and abs(value) <= _FLOAT_MAX
+            and (abs(value) <= _FLOAT_MAX if isinstance(value, (int, np.integer))
+                 else math.isfinite(value))
             and (low <= value <= high if closed else low < value < high)):
         return float(value)
     if high == math.inf:
@@ -139,15 +142,28 @@ def _as_labels(labels, n: int, K: float = math.inf, name: str = "labels") -> np.
 
 
 def _unit_values(values, name: str, n: int) -> np.ndarray:
-    """What a caller's function returned for n points, as a flat float64
-    array (`_numbers`): ValueError naming `name` unless it holds n values,
-    each in [0, 1] within _ATOL."""
-    vals = _numbers(values, name).reshape(-1)
-    if vals.shape[0] != n:
-        raise ValueError(f"{name} returned {vals.shape[0]} values for {n} points")
+    """What a caller's function returned for n points (`_numbers`), each
+    value in [0, 1] within _ATOL: n values are one function's, returned flat;
+    otherwise a 2-d result of n columns holds one function's per row and
+    keeps its shape. Any other result is a ValueError naming `name`."""
+    vals = _numbers(values, name)
+    if vals.size == n:
+        vals = vals.reshape(-1)
+    elif vals.ndim != 2 or vals.shape[1] != n:
+        raise ValueError(f"{name} returned {vals.size} values for {n} points "
+                         f"(shape {vals.shape})")
     # negated, so that a NaN (every comparison False) is rejected too
     if not (vals.min(initial=0.0) >= -_ATOL and vals.max(initial=0.0) <= 1.0 + _ATOL):
         raise ValueError(f"{name} left [0, 1]")
+    return vals
+
+
+def _one_function(vals: np.ndarray, name: str) -> np.ndarray:
+    """`_unit_values`' result where one function's values are wanted:
+    ValueError naming `name` for a block of one row per function."""
+    if vals.ndim != 1:
+        raise ValueError(f"{name} returned {vals.shape[0]} rows, one per function, "
+                         "where one function is wanted")
     return vals
 
 

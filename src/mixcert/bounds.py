@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import _as_float, _as_floats, _as_int
+from ._checks import _as_float, _as_floats, _as_int, _one_function
 from .errors import BadDelta, DimensionMismatch, EmptyDataset, NonpositiveGamma, WrongKind
 from .network import (
     Architecture,
@@ -77,15 +77,15 @@ _LEMMA3_TOL = 1e-12  # rounding validate_lemma3 forgives in its exact comparison
 _DELTA_EST = 0.01  # confidence of the plug-in population estimate
 
 
-def _check_delta(delta: float) -> None:
-    _as_float(delta, "delta", 0.0, 1.0, error=BadDelta)
+def _check_delta(delta: float) -> float:
+    return _as_float(delta, "delta", 0.0, 1.0, error=BadDelta)
 
 
 def concentration_term(n: int, delta: float, delta_inf: float) -> float:
     """3 * delta_inf * sqrt(ln(2/delta) / (2n))."""
-    _check_delta(delta)
-    _as_int(n, "n", 1)
-    _as_float(delta_inf, "delta_inf", 1.0, closed=True)
+    delta = _check_delta(delta)
+    n = _as_int(n, "n", 1)
+    delta_inf = _as_float(delta_inf, "delta_inf", 1.0, closed=True)
     return 3.0 * delta_inf * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
@@ -102,11 +102,11 @@ def _theorem1_sum(empirical: float, mu_mean: float, concentration: float,
 def theorem1_bound(empirical: float, rademacher: float, profile: MixingProfile,
                    delta: float, n: int) -> float:
     """Generic risk bound: empirical + mean(mu) + concentration + 2 * rademacher."""
-    _check_delta(delta)
+    delta = _check_delta(delta)
     if _as_int(n, "n", 1) != profile.horizon:
         raise DimensionMismatch(f"profile horizon {profile.horizon} != n {n}")
-    _as_float(empirical, "empirical", 0.0, 1.0, closed=True)
-    _as_float(rademacher, "rademacher", 0.0, closed=True)
+    empirical = _as_float(empirical, "empirical", 0.0, 1.0, closed=True)
+    rademacher = _as_float(rademacher, "rademacher", 0.0, closed=True)
     return _theorem1_sum(empirical, float(profile.mu.mean()),
                          concentration_term(n, delta, profile.delta_inf),
                          2.0 * rademacher)
@@ -115,9 +115,9 @@ def theorem1_bound(empirical: float, rademacher: float, profile: MixingProfile,
 def mcdiarmid_tail_bound(epsilon: float, n: int, c: float, delta_inf: float) -> float:
     """Two-sided dependent-data bounded-differences tail:
     2 * exp(-2 eps**2 / (n c**2 delta_inf**2)) for per-coordinate range c."""
-    for key, value in (("epsilon", epsilon), ("c", c), ("delta_inf", delta_inf)):
-        _as_float(value, key, 0.0)
-    _as_int(n, "n", 1)
+    epsilon, c, delta_inf = (_as_float(value, key, 0.0) for key, value in (
+        ("epsilon", epsilon), ("c", c), ("delta_inf", delta_inf)))
+    n = _as_int(n, "n", 1)
     return 2.0 * math.exp(-2.0 * epsilon ** 2 / (n * c ** 2 * delta_inf ** 2))
 
 
@@ -284,7 +284,7 @@ def validate_mcdiarmid(spec: ProcessSpec, f, n: int, trials: int, seed: int,
     epsilons = _as_floats(epsilons, "epsilons", 0.0)
     if delta_inf is None:
         delta_inf = mixing_profile(spec, n).delta_inf
-    means = sequence_value_means(spec, f, n, trials, seed)
+    means = _one_function(sequence_value_means(spec, f, n, trials, seed), "f")
     center = float(means.mean())
     freqs, errs, bnds, flags = [], [], [], []
     for eps in epsilons:
@@ -353,17 +353,18 @@ def _class_step_means(fclass: FunctionClass, spec: ProcessSpec, n: int,
     """Per-member process means (1/n) sum_i E f(Z_i).
 
     Exact via value tables on the finite support for discrete emissions;
-    otherwise estimated from an independent batch (the extra noise only
-    biases the check toward flagging, never toward passing)."""
+    otherwise estimated from independent paths (the extra noise only biases
+    the check toward flagging, never toward passing): one
+    `sequence_value_means` walk evaluates the whole class per step, so it
+    holds the (members, trials) running totals and no batch of paths."""
     if spec.emission.mode == "discrete":
         alphabet = spec.emission.alphabet
         # (members, M, K): each member's value table over (alphabet point, label)
         tables = np.stack([fclass.evaluate(alphabet, np.full(alphabet.shape[0], y))
                            for y in range(1, spec.num_classes + 1)], axis=2)
         return np.array([float(step_expectations(spec, tab, n).mean()) for tab in tables])
-    X, Y = sample_sequences_batch(spec, n, trials, combine_seeds(seed, 1))
-    F = fclass.evaluate(X.reshape(-1, spec.input_dim), Y.reshape(-1))
-    return F.reshape(fclass.size, trials, n).mean(axis=(1, 2))
+    means = sequence_value_means(spec, fclass.evaluate, n, trials, combine_seeds(seed, 1))
+    return means.reshape(fclass.size, trials).mean(axis=1)  # a one-member class comes flat
 
 
 def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,

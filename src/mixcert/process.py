@@ -863,18 +863,23 @@ def _expectations(spec: ProcessSpec, f: np.ndarray, laws: np.ndarray,
 
 def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
                          seed: int) -> np.ndarray:
-    """Per-trial averages (1/n) sum_i f(X_i, Y_i) over `trials` paths.
+    """Per-trial averages (1/n) sum_i f(X_i, Y_i) over `trials` paths:
+    (trials,) for one function, (k, trials) for k functions.
 
     `f` is either a value table over (alphabet point, label) for discrete
-    emissions or a vectorized callable f(inputs, labels) -> values in [0, 1].
+    emissions or a vectorized callable f(inputs, labels) -> values in [0, 1],
+    either `trials` values (one function) or a (k, trials) block, one row per
+    function, as `FunctionClass.evaluate` returns (`_unit_values`).
 
     One walk of the chains, one step at a time: per step, each chain's state
     draw and then that step's emission, whose values are added to a running
-    total. So memory is O(trials) besides the (n, S, C) law stack of
-    `rows_at`, whatever n is. A callable is applied to the step's emitted
-    points and labels, `trials` of each; a value table reads the values of
-    the drawn alphabet indices. On discrete emissions both consume the same
-    uniforms, so a callable and its equal value table give the same bits.
+    total. So memory is O(k * trials) besides the (n, S, C) law stack of
+    `rows_at`, whatever n is, and every function is averaged over the same
+    paths. A callable is applied to the step's emitted points and labels,
+    `trials` of each; a value table reads the values of the drawn alphabet
+    indices. On discrete emissions both consume the same uniforms, so a
+    callable and its equal value table give the same bits, and each row of
+    a class's result has the bits of that row's function alone.
     """
     _as_int(n, "n", 1)
     _as_int(trials, "trials", 1)
@@ -894,7 +899,11 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
     walk = _walk(spec.markov, trials, rng)
     next(walk)
     stack = em.rows_at(range(1, n + 1))
-    total = np.zeros(trials)
+    total = 0.0  # the first step's sum is a new array of that step's shape
     for t in range(n):
-        total += step_values(stack[t], next(walk), rng)
+        step = step_values(stack[t], next(walk), rng)
+        if t and step.shape != total.shape:
+            raise ValueError(f"f returned shape {step.shape} at step {t + 1}, "
+                             f"{total.shape} before")
+        total += step
     return total / n

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import (_as_array, _as_float, _as_floats, _as_int, _as_labels, _instances,
-                      _numbers, _unit_values)
+                      _numbers, _one_function, _unit_values)
 from .errors import DimensionMismatch, EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
 from .norms import LayerNorms, norm_factors, require_positive_spectral
@@ -61,7 +61,8 @@ class FunctionClass:
         y = _as_labels(labels, X.shape[0])
         out = np.empty((self.size, X.shape[0]))
         for m, f in enumerate(self.evaluators):
-            out[m] = _unit_values(f(X, y), f"member {m}", X.shape[0])
+            name = f"member {m}"
+            out[m] = _one_function(_unit_values(f(X, y), name, X.shape[0]), name)
         return out
 
 
@@ -221,10 +222,10 @@ def covering_bound_terms(B: float, gamma: float, W: int, n: int,
     (36 * B * ln(2W) * ln(n) / (gamma * n)) * (sum (b_i/s_i)**(2/3))**(3/2)
     * prod(s_i * p_i). The certificate consumes both scaled by 2.
     """
-    _as_float(gamma, "gamma", 0.0, error=NonpositiveGamma)
-    _as_int(n, "n", 2)
-    _as_float(B, "B", 0.0, closed=True)
-    _as_int(W, "W", 1)
+    gamma = _as_float(gamma, "gamma", 0.0, error=NonpositiveGamma)
+    n = _as_int(n, "n", 2)
+    B = _as_float(B, "B", 0.0, closed=True)
+    W = _as_int(W, "W", 1)
     require_positive_spectral(norms)
     ratio, prod = norm_factors(norms)
     lead = 36.0 * B * math.log(2.0 * W) * math.log(n) / (gamma * n)

@@ -6,6 +6,7 @@ envelopes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mixcert import (
     BadDelta,
     EmissionSpec,
     LabeledDataset,
+    LayerNorms,
     MarkovSpec,
     MixingProfile,
     NetworkParams,
@@ -25,6 +27,8 @@ from mixcert import (
     WrongKind,
     certification_run,
     concentration_term,
+    constant_class,
+    covering_bound_terms,
     empirical_rademacher_exact,
     mcdiarmid_tail_bound,
     mixing_profile,
@@ -40,7 +44,7 @@ from mixcert import (
     validate_ramp_dominance,
     validate_symmetrization,
 )
-from mixcert.bounds import train_seed
+from mixcert.bounds import _class_step_means, train_seed
 from mixcert.harness import builtin_class
 
 # empirical 0.2, complexity 0.05, mean drift 0.01, unit dependence factor,
@@ -163,6 +167,32 @@ class TestConcentrationTerm:
     def test_rejects_nan_delta_inf(self):
         with pytest.raises(ValueError, match="'delta_inf' must be a finite number >= 1"):
             concentration_term(10, 0.05, math.nan)
+
+
+NARROW_CALLS = {
+    "concentration_term": (concentration_term, (np.int64(10), np.float32(0.05),
+                                                np.float32(1.5))),
+    "mcdiarmid_tail_bound": (mcdiarmid_tail_bound, (np.float32(0.1), np.int32(10),
+                                                    np.float32(0.1), np.float32(1e-30))),
+    "theorem1_bound": (theorem1_bound, (np.float32(0.1), np.float32(0.2), flat_profile(10),
+                                        np.float32(0.05), np.int64(10))),
+    "covering_bound_terms": (covering_bound_terms, (
+        np.float32(3.0), np.float32(0.7), np.int16(4), np.uint8(10),
+        LayerNorms(spectral=(2.0, 0.5), two_one=(1.5, 0.25), lipschitz=(1.0, 1.0)))),
+}
+
+
+@pytest.mark.parametrize("call, args", NARROW_CALLS.values(), ids=NARROW_CALLS.keys())
+def test_bound_helpers_compute_in_python_floats(call, args):
+    """A float32 or a narrow numpy integer argument is checked, then computed
+    with as the Python number its check returns: the result is the float64
+    call's, in Python floats, with no float32 step and no numpy warning."""
+    wide = [float(a) if isinstance(a, np.floating) else int(a) if isinstance(a, np.integer)
+            else a for a in args]
+    got, want = call(*args), call(*wide)
+    if not isinstance(got, tuple):  # covering_bound_terms returns its two terms
+        got, want = (got,), (want,)
+    assert [type(g) for g in got] == [float] * len(want) and got == want
 
 
 class TestNetworkCertificate:
@@ -332,6 +362,13 @@ class TestValidateMcdiarmid:
         np.testing.assert_array_equal(r1.frequencies, r2.frequencies)
 
 
+    def test_rejects_a_class_valued_statistic(self):
+        spec = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], 2)
+        with pytest.raises(ValueError, match="f returned 2 rows"):
+            validate_mcdiarmid(spec, lambda x, y: np.zeros((2, len(y))), n=5, trials=10,
+                               seed=0)
+
+
 class TestValidateLemma3:
     def test_tight_case_gap_equals_mu(self):
         """State-1 emission indicator on the symmetric chain started at a
@@ -423,6 +460,47 @@ class TestValidateSymmetrization:
             inputs=X[t], labels=Y[t], num_classes=2, kind="sequence", seed=seed)).value
             for t in range(trials)]
         assert abs(rep.rhs_mean - 2.0 * float(np.mean(exact))) <= 3.0 * rep.rhs_stderr
+
+
+class TestClassStepMeans:
+    """The process means a Gaussian chain's symmetrization check centers on:
+    one walk that evaluates the whole class per step."""
+
+    SPEC = ProcessSpec(
+        markov=MarkovSpec(num_states=3, transition=np.array(
+            [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]),
+            initial=np.array([1.0, 0.0, 0.0])),
+        emission=EmissionSpec.gaussian(
+            np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), 0.5,
+            drift_means=np.zeros((3, 2)), drift_amplitude=0.5, drift_exponent=0.5),
+        label_map=(1, 2, 2), num_classes=2, input_dim=2)
+
+    def test_members_are_averaged_over_the_same_paths(self):
+        cls = builtin_class(self.SPEC)  # constants 0, 0.5, 1 and one indicator per label
+        means = _class_step_means(cls, self.SPEC, 20, 3, 500)
+        assert means.shape == (5,)
+        np.testing.assert_array_equal(means[:3], [0.0, 0.5, 1.0])
+        assert means[3] + means[4] == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_member_class(self):
+        means = _class_step_means(constant_class([0.5]), self.SPEC, 7, 3, 40)
+        np.testing.assert_array_equal(means, [0.5])
+
+    def test_memory_is_bounded_in_n(self):
+        """Running totals of (members, trials) values and the (n, S, d) law
+        stack, never a (trials, n, d) batch of paths or its class values."""
+        cls = builtin_class(self.SPEC)
+        n, trials = 800, 2000
+        # a first call imports modules lazily, about 0.7 MB that no size changes
+        _class_step_means(cls, self.SPEC, 2, 0, 2)
+        tracemalloc.start()
+        try:
+            _class_step_means(cls, self.SPEC, n, 0, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = n * self.SPEC.markov.num_states * self.SPEC.input_dim * 8
+        assert peak < (32 + 4 * cls.size) * trials * 8 + stack
 
 
 class TestValidateRampDominance:

@@ -6,6 +6,8 @@ are not parsed, booleans are not numbers, floats are not truncated to
 integers, and a misshapen array is never indexed into a raw IndexError.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from mixcert import (
     ProcessSpec,
     brute_force_phi,
     combine_seeds,
+    concentration_term,
     constant_class,
     forward_batch,
     loss_class,
@@ -152,6 +155,10 @@ CASES = {
     "no epsilons": (lambda: validate_mcdiarmid(SPEC, F_TABLE, 5, 10, 0, epsilons=()),
                     ValueError, "'epsilons' must be a non-empty"),
     "string constant": (lambda: constant_class(["0.5"]), ValueError, "'values' must be"),
+    # finiteness is a real's own, at any width: a float32 infinity is not finite
+    "float32 infinite dependence factor":
+        (lambda: concentration_term(10, 0.05, np.float32("inf")), ValueError,
+         "'delta_inf' must be a finite number >= 1"),
     # the members a class is built from: checked when the class is built
     "loss_class of a string": (lambda: loss_class("x", 1.0), TypeError,
                                r"params_list\[0\] must be a NetworkParams, not str"),
@@ -184,6 +191,23 @@ CASES = {
     "statistic of NaN":
         (lambda: sequence_value_means(SPEC, lambda X, y: np.full(len(y), np.nan), 5, 10, 0),
          ValueError, r"f left \[0, 1\]"),
+    # a class is one row per function, each of the step's `trials` points
+    "class rows of the wrong count":
+        (lambda: sequence_value_means(SPEC, lambda X, y: np.zeros((3, len(y) + 1)), 5, 10, 0),
+         ValueError, r"f returned 33 values for 10 points \(shape \(3, 11\)\)"),
+    "class values of three axes":
+        (lambda: sequence_value_means(SPEC, lambda X, y: np.zeros((2, 1, len(y))), 5, 10, 0),
+         ValueError, r"f returned 20 values for 10 points \(shape \(2, 1, 10\)\)"),
+    "class rows that change between steps":
+        (lambda: sequence_value_means(
+            SPEC, lambda X, y, calls=itertools.count(1): np.zeros((next(calls), len(y))),
+            5, 10, 0), ValueError, r"f returned shape \(2, 10\) at step 2, \(10,\) before"),
+    "class rows from one member":
+        (lambda: FunctionClass(evaluators=(lambda X, y: np.zeros((2, len(y))),)).evaluate(
+            np.zeros((3, 1)), [1, 1, 1]), ValueError, "member 0 returned 2 rows"),
+    "class rows for the tail validator":
+        (lambda: validate_mcdiarmid(SPEC, lambda X, y: np.zeros((2, len(y))), 5, 10, 0),
+         ValueError, "f returned 2 rows"),
 }
 
 

@@ -8,12 +8,14 @@ from mixcert import (
     DimensionMismatch,
     LayerNorms,
     NetworkParams,
+    NoConvergenceWarning,
     ZeroSpectralNorm,
     complexity_from_norms,
     norm_2_1_of_transpose,
     require_positive_spectral,
     spectral_norm,
 )
+from mixcert import norms
 
 from svd_reference import jacobi_singular_values, jacobi_spectral_norm
 
@@ -86,6 +88,14 @@ class TestSpectralNorm:
         rng = np.random.default_rng(3)
         A = rng.normal(size=(12, 12))
         assert spectral_norm(A) == spectral_norm(A)
+
+
+    def test_iteration_cap_warns_and_returns_the_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(norms, "_MAX_ITER", 1)
+        with pytest.warns(NoConvergenceWarning, match="iteration cap"):
+            s = spectral_norm([[1, 2], [3, 4]])
+        assert s == pytest.approx(4.34735560053648, rel=1e-12)
+        assert s <= jacobi_spectral_norm(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 class TestTwoOneNorm:

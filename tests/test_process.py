@@ -22,6 +22,7 @@ from mixcert import (
     BadLabel,
     EmissionSpec,
     EmptyDataset,
+    FunctionClass,
     LabeledDataset,
     MarkovSpec,
     MixingProfile,
@@ -1255,6 +1256,13 @@ class TestOneDraw:
                 return (np.abs(inputs).sum(axis=1) * labels) % 1.0
             self.assert_same(sequence_value_means(spec, f, n, trials, seed),
                              self.reference_callable_means(spec, f, n, trials, seed))
+            # one walk for a class: row m has the bits of member m's walk alone
+            members = (f, lambda X, y: 1.0 - f(X, y), lambda X, y: np.full(len(y), 0.25))
+            rows = sequence_value_means(spec, FunctionClass(evaluators=members).evaluate,
+                                        n, trials, seed)
+            assert rows.shape == (len(members), trials)
+            for row, member in zip(rows, members):
+                self.assert_same(row, sequence_value_means(spec, member, n, trials, seed))
             if mode == "discrete":
                 f_table = rng.random((spec.emission.alphabet.shape[0], spec.num_classes))
                 self.assert_same(sequence_value_means(spec, f_table, n, trials, seed),
