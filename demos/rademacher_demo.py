@@ -50,7 +50,7 @@ for trials in (100, 1000, 10000, 100000):
 # the certificate never enumerates; it uses the covering-number route
 print()
 print("covering-number bound for a two-layer network class, n = 1000:")
-norms = LayerNorms(spectral=(2.0, 1.5), two_one=(4.0, 3.0), lipschitz=(1.0, 1.0))
+norms = LayerNorms(spectral=(2.0, 1.5), two_one=(4.0, 3.0))
 for gamma in (2.0, 1.0, 0.5, 0.25):
     first, second = covering_bound_terms(B=30.0, gamma=gamma, W=64, n=1000,
                                          norms=norms)

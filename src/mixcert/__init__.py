@@ -29,7 +29,6 @@ from .errors import (
     NotDiscrete,
     TooLarge,
     WrongKind,
-    ZeroSpectralNorm,
 )
 from .harness import ExperimentConfig, builtin_class, main
 from .network import (
@@ -47,9 +46,7 @@ from .network import (
 )
 from .norms import (
     LayerNorms,
-    complexity_from_norms,
     norm_2_1_of_transpose,
-    require_positive_spectral,
     spectral_norm,
 )
 from .process import (

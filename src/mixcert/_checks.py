@@ -1,6 +1,8 @@
 """The input rules, one per kind of value a caller, a config or a file
 passes in: integers, reals, arrays of numbers, laws, labels, the values a
-caller's function returns, class members, config sections and text fields."""
+caller's function returns, objects and class members, config sections and
+text fields. Also the one rule for a closed form whose checked arguments
+reach the ends of the float range (`_normal`, `_in_logs`)."""
 from __future__ import annotations
 
 import math
@@ -14,6 +16,7 @@ from .errors import BadLabel, DimensionMismatch
 _ATOL = 1e-12
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)  # an integer is finite iff |x| <= this
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)  # the smallest normal float64
 
 
 def _as_int(value, key: str, low: int, error=ValueError) -> int:
@@ -22,6 +25,27 @@ def _as_int(value, key: str, low: int, error=ValueError) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
         return int(value)
     raise error(f"{key!r} must be an integer >= {low}, not {value!r}")
+
+
+def _normal(*values: float) -> bool:
+    """Whether every value is a normal float (no zero, subnormal, infinity
+    or NaN). A bound helper evaluates its closed form as written only while
+    the powers and products in it are normal, so the form lost no range and
+    keeps its bits; otherwise it takes `_in_logs`."""
+    return all(_NORMAL_MIN <= abs(v) <= _FLOAT_MAX for v in values)
+
+
+def _in_logs(coef: float, *powers: tuple) -> float:
+    """coef * prod(x ** p) over (x, p) pairs, for coef > 0 and x >= 0 of any
+    size (an int may exceed every float), computed from logs: 0.0 if some x
+    is 0 (its p is > 0), else the value, which rounds to 0.0 or inf where it
+    leaves the float range. Never an arithmetic error."""
+    if any(x == 0 for x, _ in powers):
+        return 0.0
+    try:
+        return math.exp(math.log(coef) + math.fsum(p * math.log(x) for x, p in powers))
+    except OverflowError:
+        return math.inf
 
 
 def _as_times(times, key: str) -> np.ndarray:
@@ -167,16 +191,21 @@ def _one_function(vals: np.ndarray, name: str) -> np.ndarray:
     return vals
 
 
+def _instance(value, key: str, kind: type):
+    """`value` itself if it is a `kind` instance; else TypeError naming
+    `key`, so a wrong object fails where it is passed."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{key} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _instances(values, key: str, kind: type) -> tuple:
-    """`values` as a tuple of `kind` instances; TypeError naming `key` and the
-    first entry that is not one, so a wrong object fails where it is passed."""
+    """`values` as a tuple of `kind` instances (`_instance`); TypeError
+    naming `key` if it is not a sequence, and `key[i]` for the first entry
+    that is not one."""
     if not isinstance(values, Iterable):
         raise TypeError(f"{key} must be a sequence, not {type(values).__name__}")
-    values = tuple(values)
-    for i, value in enumerate(values):
-        if not isinstance(value, kind):
-            raise TypeError(f"{key}[{i}] must be a {kind.__name__}, not {type(value).__name__}")
-    return values
+    return tuple(_instance(value, f"{key}[{i}]", kind) for i, value in enumerate(values))
 
 
 def _field_names(cls) -> tuple:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import _as_float, _as_floats, _as_int, _one_function
+from ._checks import _as_float, _as_floats, _as_int, _in_logs, _normal, _one_function
 from .errors import BadDelta, DimensionMismatch, EmptyDataset, NonpositiveGamma, WrongKind
 from .network import (
     Architecture,
@@ -68,7 +68,6 @@ from .seeding import combine_seeds, substream
 
 SOURCE_COVERING = "covering_bound"
 
-_CONSISTENCY_RTOL = 1e-12
 _EXACT_SIGN_LIMIT = 12  # symmetrization enumerates all signs up to this n
 _MC_SIGNS = 256  # sign draws per path beyond it
 _MAX_CLASSES = 5  # the ramp-dominance sweep draws K from 2.._MAX_CLASSES
@@ -82,11 +81,25 @@ def _check_delta(delta: float) -> float:
 
 
 def concentration_term(n: int, delta: float, delta_inf: float) -> float:
-    """3 * delta_inf * sqrt(ln(2/delta) / (2n))."""
+    """3 * delta_inf * sqrt(ln(2/delta) / (2n)).
+
+    No arithmetic error for any arguments the checks accept, the rule of
+    every bound helper: the form is evaluated as written while the powers
+    and products in it are normal floats (`_normal`), and in logs otherwise
+    (`_in_logs`), so the result is the value, rounded to 0.0 or inf only
+    where it leaves the float range."""
     delta = _check_delta(delta)
     n = _as_int(n, "n", 1)
     delta_inf = _as_float(delta_inf, "delta_inf", 1.0, closed=True)
-    return 3.0 * delta_inf * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+    try:
+        scale, ratio, twice_n = 3.0 * delta_inf, 2.0 / delta, 2.0 * n
+        quotient = math.log(ratio) / twice_n
+        if _normal(scale, ratio, twice_n, quotient):
+            return scale * math.sqrt(quotient)
+    except OverflowError:  # n past every float
+        pass
+    return _in_logs(3.0, (delta_inf, 1.0), (math.log(2.0) - math.log(delta), 0.5),
+                    (2.0, -0.5), (n, -0.5))
 
 
 def _theorem1_sum(empirical: float, mu_mean: float, concentration: float,
@@ -114,11 +127,25 @@ def theorem1_bound(empirical: float, rademacher: float, profile: MixingProfile,
 
 def mcdiarmid_tail_bound(epsilon: float, n: int, c: float, delta_inf: float) -> float:
     """Two-sided dependent-data bounded-differences tail:
-    2 * exp(-2 eps**2 / (n c**2 delta_inf**2)) for per-coordinate range c."""
+    2 * exp(-2 eps**2 / (n c**2 delta_inf**2)) for per-coordinate range c.
+
+    No arithmetic error for any arguments the checks accept, by the rule of
+    `concentration_term`: the exponent is evaluated as written while its
+    squares and products are normal floats, and in logs otherwise, so the
+    result is the value, rounded to its limit 0.0 or 2.0 at the ends of the
+    float range."""
     epsilon, c, delta_inf = (_as_float(value, key, 0.0) for key, value in (
         ("epsilon", epsilon), ("c", c), ("delta_inf", delta_inf)))
     n = _as_int(n, "n", 1)
-    return 2.0 * math.exp(-2.0 * epsilon ** 2 / (n * c ** 2 * delta_inf ** 2))
+    try:
+        num, c2, d2 = -2.0 * epsilon ** 2, c ** 2, delta_inf ** 2
+        den = n * c2 * d2
+        if _normal(num, c2, d2, den):
+            return 2.0 * math.exp(num / den)
+    except OverflowError:  # a square past the float range, or n past every float
+        pass
+    return 2.0 * math.exp(-_in_logs(2.0, (epsilon, 2.0), (n, -1.0), (c, -2.0),
+                                    (delta_inf, -2.0)))
 
 
 class _Report:
@@ -178,15 +205,15 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gammas,
 
     Only the ramp losses and the covering terms depend on gamma, so the
     layer norms, B, the concentration term and the margins are computed once.
-    The complexity terms instantiate the covering bound with B = the total
-    input energy sqrt(sum ||x_i||^2), W = the largest layer axis, and the
-    layer norm aggregate; they equal exactly twice the two covering-bound
-    addends, which is asserted. A layer with spectral norm zero makes the
-    network constant, so the certificate degenerates to the non-complexity
-    terms. When `target`, an iid target sample, is given, plug-in stationary
-    losses on it are attached with the two-sided Hoeffding half-width
-    sqrt(ln(2/_DELTA_EST) / (2m)), and bound_holds records whether the
-    certificate clears the plug-in zero-one estimate minus that half-width.
+    The capacity term is `covering_bound_terms` at B = the total input
+    energy sqrt(sum ||x_i||^2), W = the largest layer axis, and the layer
+    norms: small_term and complexity_term are its two addends doubled
+    (exactly), rademacher_term is the addends' sum, and a network with a
+    zero layer gets complexity_term 0. When `target`, an iid target sample,
+    is given, plug-in stationary losses on it are attached with the
+    two-sided Hoeffding half-width sqrt(ln(2/_DELTA_EST) / (2m)), and
+    bound_holds records whether the certificate clears the plug-in zero-one
+    estimate minus that half-width.
     """
     if data.kind != KIND_SEQUENCE:
         raise WrongKind("certificates are issued for sequence datasets")
@@ -205,7 +232,6 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gammas,
         target_zero_one = error_rate(target_margins)
         halfwidth = math.sqrt(math.log(2.0 / _DELTA_EST) / (2.0 * m))
     norms = LayerNorms.from_params(params)
-    constant = any(s == 0.0 for s in norms.spectral)
     B = float(np.sqrt((data.inputs ** 2).sum()))
     conc = concentration_term(n, delta, profile.delta_inf)
     train_margins = dataset_margins(params, data)
@@ -213,16 +239,10 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gammas,
     mu_mean = float(profile.mu.mean())
     reports = []
     for gamma in gammas:
-        if constant:
-            first, second = 4.0 / n ** 1.5, 0.0
-        else:
-            first, second = covering_bound_terms(B, gamma, params.width, n, norms)
+        first, second = covering_bound_terms(B, gamma, params.width, n, norms)
         small = 2.0 * first
         complexity = 2.0 * second
         rademacher_term = first + second
-        if abs(small + complexity - 2.0 * rademacher_term) > _CONSISTENCY_RTOL * max(
-                1.0, 2.0 * rademacher_term):
-            raise AssertionError("certificate terms disagree with the covering bound")
         empirical = mean_ramp_loss(train_margins, gamma)
         total = _theorem1_sum(empirical, mu_mean, conc, small, complexity)
         report = BoundReport(

@@ -39,10 +39,6 @@ class DivergedLoss(RuntimeError):
     """The training loss became non-finite."""
 
 
-class ZeroSpectralNorm(ValueError):
-    """A layer has spectral norm zero where the bound needs s_i > 0."""
-
-
 class BadDelta(ValueError):
     """Confidence level delta is outside (0, 1)."""
 

@@ -60,10 +60,6 @@ class Activation:
             return f"leaky_relu:{repr(self.slope)}"
         return self.kind
 
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
-
     def apply(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "relu":
             return np.maximum(z, 0.0)

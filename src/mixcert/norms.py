@@ -1,16 +1,16 @@
-"""Layer norms feeding the capacity term.
+"""The spectral and (2,1) norms of a network's layers.
 
 spectral_norm runs power iteration on the Gram operator with a Rayleigh
 estimate, which converges to the top singular value from below, so the
 reported value never exceeds the truth. norm_2_1_of_transpose sums the
-Euclidean row norms of the matrix (the (2,1) norm of its transpose). The
-scale-sensitive aggregate
+Euclidean row norms of the matrix (the (2,1) norm of its transpose).
+LayerNorms holds both per layer; the capacity term built from them,
 
-    T = prod_i (p_i * s_i) * (sum_i (b_i / s_i)**(2/3)) ** (3/2)
+    T = prod_i s_i * (sum_i (b_i / s_i)**(2/3)) ** (3/2),
 
-with per-layer spectral norms s_i, row-norm sums b_i, and activation
-Lipschitz constants p_i, is positively homogeneous of degree L in the
-weights and defined as 0 when any layer has spectral norm 0.
+lives in `rademacher.covering_bound_terms`. Its activation Lipschitz
+constants p_i are all 1, since every activation the package accepts is
+1-Lipschitz, so T carries no p_i.
 """
 from __future__ import annotations
 
@@ -19,25 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_array, _as_float
-from .errors import DimensionMismatch, NoConvergenceWarning, ZeroSpectralNorm
+from ._checks import _as_array, _as_float, _instance
+from .errors import DimensionMismatch, NoConvergenceWarning
 from .network import NetworkParams
 from .seeding import substream
 
 _RESTART_TAGS = (101, 211)
 _MAX_ITER = 10000  # power-iteration steps per start before NoConvergenceWarning
+_TOL = 1e-10  # relative change of successive estimates at which the iteration stops
 
 
-def spectral_norm(A: np.ndarray, tol: float = 1e-10) -> float:
+def spectral_norm(A: np.ndarray) -> float:
     """Largest singular value by seeded power iteration.
 
-    Stops when successive Rayleigh estimates differ by less than tol
+    Stops when successive Rayleigh estimates differ by at most _TOL
     relative; restarts once from a fresh seeded vector if the iterate lands
     in the null space, and returns 0.0 for the zero matrix. If the cap is
     hit, warns NoConvergenceWarning and returns the best estimate.
     """
     A = _as_array(A, "A", 2)
-    _as_float(tol, "tol", 0.0)
     if A.size == 0 or not np.any(A):
         return 0.0
     for tag in _RESTART_TAGS:
@@ -50,7 +50,7 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10) -> float:
             s = float(np.linalg.norm(w))
             if s == 0.0:
                 break  # the iterate is in the null space: restart
-            if abs(s - prev) <= tol * s:
+            if abs(s - prev) <= _TOL * s:
                 return s
             prev = s
             z = A.T @ w
@@ -70,48 +70,20 @@ def norm_2_1_of_transpose(A: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LayerNorms:
-    """Per-layer (spectral, row-norm-sum, Lipschitz) triples."""
+    """Per-layer (spectral, row-norm-sum) pairs."""
 
     spectral: tuple
     two_one: tuple
-    lipschitz: tuple
 
     def __post_init__(self):
-        if not len(self.spectral) == len(self.two_one) == len(self.lipschitz):
+        if len(self.spectral) != len(self.two_one):
             raise DimensionMismatch("per-layer tuples must have equal length")
-        for key in ("spectral", "two_one", "lipschitz"):
+        for key in ("spectral", "two_one"):
             object.__setattr__(self, key, tuple(_as_float(v, key, 0.0, closed=True)
                                                 for v in getattr(self, key)))
 
     @classmethod
-    def from_params(cls, params: NetworkParams, tol: float = 1e-10) -> "LayerNorms":
-        return cls(
-            spectral=tuple(spectral_norm(W, tol=tol) for W in params.layers),
-            two_one=tuple(norm_2_1_of_transpose(W) for W in params.layers),
-            lipschitz=tuple(a.lipschitz for a in params.activations),
-        )
-
-
-def norm_factors(norms: LayerNorms) -> tuple[float, float]:
-    """The two factors of T: (ratio, prod) with ratio = (sum_i (b_i /
-    s_i)**(2/3))**(3/2) and prod = prod_i (p_i * s_i). Needs every s_i > 0.
-    Callers multiply them in their own order; the orders can differ in the
-    last bit."""
-    s = np.asarray(norms.spectral)
-    ratio = float(((np.asarray(norms.two_one) / s) ** (2.0 / 3.0)).sum() ** 1.5)
-    return ratio, float(np.prod(np.asarray(norms.lipschitz) * s))
-
-
-def complexity_from_norms(norms: LayerNorms) -> float:
-    """The aggregate T from precomputed layer norms; 0 if any s_i is 0."""
-    if any(s == 0.0 for s in norms.spectral):
-        return 0.0
-    ratio, prod = norm_factors(norms)
-    return prod * ratio
-
-
-def require_positive_spectral(norms: LayerNorms) -> None:
-    """Raise ZeroSpectralNorm when the capacity term is undefined."""
-    for i, s in enumerate(norms.spectral):
-        if s <= 0.0:
-            raise ZeroSpectralNorm(f"layer {i} has spectral norm {s}")
+    def from_params(cls, params: NetworkParams) -> "LayerNorms":
+        layers = _instance(params, "params", NetworkParams).layers
+        return cls(spectral=tuple(spectral_norm(W) for W in layers),
+                   two_one=tuple(norm_2_1_of_transpose(W) for W in layers))

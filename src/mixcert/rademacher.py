@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import (_as_array, _as_float, _as_floats, _as_int, _as_labels, _instances,
-                      _numbers, _one_function, _unit_values)
+from ._checks import (_as_array, _as_float, _as_floats, _as_int, _as_labels, _in_logs,
+                      _instance, _instances, _normal, _numbers, _one_function, _unit_values)
 from .errors import DimensionMismatch, EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
-from .norms import LayerNorms, norm_factors, require_positive_spectral
+from .norms import LayerNorms
 from .process import LabeledDataset, _bit_groups, _value_table
 from .seeding import substream
 
@@ -216,17 +216,38 @@ def empirical_rademacher_mc(fclass: FunctionClass, data: LabeledDataset,
 
 def covering_bound_terms(B: float, gamma: float, W: int, n: int,
                          norms: LayerNorms) -> tuple[float, float]:
-    """The two addends of the covering bound, separately.
+    """The two addends of the covering bound, the certificate's one
+    capacity term: 4 / n**(3/2), and lead * T with lead = 36 * B * ln(2W) *
+    ln(n) / (gamma * n) and the norm aggregate T = (sum_i (b_i /
+    s_i)**(2/3))**(3/2) * prod_i s_i. A network with a zero layer (some
+    s_i = 0) is the constant 0, whose class has complexity 0: its second
+    term is 0.0. The certificate consumes both terms scaled by 2.
 
-    First term 4 / n**(3/2); second term
-    (36 * B * ln(2W) * ln(n) / (gamma * n)) * (sum (b_i/s_i)**(2/3))**(3/2)
-    * prod(s_i * p_i). The certificate consumes both scaled by 2.
+    No arithmetic error for any arguments the checks accept: 4 / n**(3/2)
+    and lead are evaluated as written while the powers and products in them
+    are normal floats (`_normal`), else in logs (`_in_logs`), so each is its
+    value, rounded to 0.0 or inf only past the float range.
     """
     gamma = _as_float(gamma, "gamma", 0.0, error=NonpositiveGamma)
     n = _as_int(n, "n", 2)
     B = _as_float(B, "B", 0.0, closed=True)
     W = _as_int(W, "W", 1)
-    require_positive_spectral(norms)
-    ratio, prod = norm_factors(norms)
-    lead = 36.0 * B * math.log(2.0 * W) * math.log(n) / (gamma * n)
-    return 4.0 / n ** 1.5, lead * ratio * prod
+    norms = _instance(norms, "norms", LayerNorms)
+    try:
+        first = 4.0 / n ** 1.5
+    except OverflowError:  # n ** 1.5 past the float range
+        first = _in_logs(4.0, (n, -1.5))
+    if 0.0 in norms.spectral:
+        return first, 0.0
+    try:
+        scale, rate = 36.0 * B, gamma * n
+        num = scale * math.log(2.0 * W) * math.log(n)
+        direct = _normal(scale, num, rate)
+    except OverflowError:  # W or n past every float
+        direct = False
+    lead = num / rate if direct else _in_logs(
+        36.0, (B, 1.0), (math.log(2.0) + math.log(W), 1.0), (math.log(n), 1.0),
+        (gamma, -1.0), (n, -1.0))
+    s = np.asarray(norms.spectral)
+    ratio = float(((np.asarray(norms.two_one) / s) ** (2.0 / 3.0)).sum() ** 1.5)
+    return first, lead * ratio * float(np.prod(s))

@@ -21,7 +21,7 @@ from mixcert import (
     TrainConfig,
     brute_force_phi,
     certification_run,
-    complexity_from_norms,
+    covering_bound_terms,
     empirical_rademacher_exact,
     empirical_rademacher_mc,
     mixing_profile,
@@ -38,6 +38,7 @@ from mixcert import (
     validate_ramp_dominance,
     validate_symmetrization,
 )
+from mixcert import norms
 from mixcert.harness import ExperimentConfig, builtin_class, cmd_certify, cmd_generate, file_digest
 
 from svd_reference import jacobi_singular_values
@@ -216,15 +217,16 @@ def test_c06_monte_carlo_complexity_tracks_exact_enumeration():
             f"{name}: exact {exact.value} mc {mc.value} stderr {mc.stderr}"
 
 
-def test_c07_power_iteration_matches_jacobi_oracle():
+def test_c07_power_iteration_matches_jacobi_oracle(monkeypatch):
     """Largest singular value agrees with the one-sided Jacobi oracle to
     1e-9 relative on a hundred matrices per size, and scaling one layer
-    rescales the complexity functional exactly."""
+    rescales the capacity term's complexity exactly."""
+    monkeypatch.setattr(norms, "_TOL", 1e-13)
     rng = np.random.default_rng(77)
     for size in (4, 16, 64):
         for _ in range(100):
             A = rng.normal(size=(size, size))
-            ours = spectral_norm(A, tol=1e-13)
+            ours = spectral_norm(A)
             oracle = jacobi_singular_values(A)[0]
             assert abs(ours - oracle) <= 1e-9 * oracle
 
@@ -232,14 +234,14 @@ def test_c07_power_iteration_matches_jacobi_oracle():
         for trial in range(10):
             layers = [rng.normal(size=(5, 4)), rng.normal(size=(3, 5)),
                       rng.normal(size=(2, 3))]
-            base = complexity_from_norms(LayerNorms.from_params(
+            base = covering_bound_terms(1.0, 1.0, 1, 2, LayerNorms.from_params(
                 NetworkParams(layers=tuple(layers),
-                              activations=("relu", "relu", "identity"))))
+                              activations=("relu", "relu", "identity"))))[1]
             scaled_layers = list(layers)
             scaled_layers[trial % 3] = c * scaled_layers[trial % 3]
-            scaled = complexity_from_norms(LayerNorms.from_params(
+            scaled = covering_bound_terms(1.0, 1.0, 1, 2, LayerNorms.from_params(
                 NetworkParams(layers=tuple(scaled_layers),
-                              activations=("relu", "relu", "identity"))))
+                              activations=("relu", "relu", "identity"))))[1]
             assert abs(scaled - c * base) <= 1e-9 * abs(c * base)
 
 

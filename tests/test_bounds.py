@@ -148,6 +148,21 @@ class TestMcDiarmidTailBound:
             v = mcdiarmid_tail_bound(eps, 50, 0.02, 1.5)
             assert 0.0 <= v <= 2.0
 
+    @pytest.mark.parametrize("args, want", [
+        ((0.1, 10, 1e-200, 1.0), 0.0),  # c ** 2 underflows to 0
+        ((1e200, 10, 0.1, 1.0), 0.0),  # epsilon ** 2 overflows
+        ((1e200, 10, 1e200, 1.0), 2.0 * math.exp(-0.2)),  # both do; the ratio is 0.2
+        ((1e154, 10, 1e154, 1.0), 2.0 * math.exp(-0.2)),  # the denominator overflows
+        ((1e-200, 10, 1e-200, 1.0), 2.0 * math.exp(-0.2)),  # both squares underflow
+        ((0.1, 10 ** 400, 0.1, 1.0), 2.0),  # n is past every float
+        ((0.1, 10, 1e-155, 1e155), 2.0 * math.exp(-0.002)),  # delta_inf ** 2 overflows
+        ((1e-10, 10, 1e-160, 1e150), 2.0 * math.exp(-0.2))])  # c ** 2 is subnormal
+    def test_ends_of_the_float_range(self, args, want):
+        """No arithmetic error and no NaN at the ends of the float range:
+        the value, rounded to its limit 0.0 or 2.0 where the exponent
+        leaves the float range."""
+        assert mcdiarmid_tail_bound(*args) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("key", ["epsilon", "c", "delta_inf"])
     def test_rejects_nan(self, key):
         args = dict(epsilon=0.1, n=100, c=0.01, delta_inf=1.0)
@@ -168,6 +183,16 @@ class TestConcentrationTerm:
         with pytest.raises(ValueError, match="'delta_inf' must be a finite number >= 1"):
             concentration_term(10, 0.05, math.nan)
 
+    @pytest.mark.parametrize("args, want", [
+        ((10 ** 400, 0.05, 1.0), 3.0 * math.sqrt(math.log(40.0) / 2.0) * 1e-200),
+        ((10, 0.05, 1e308), 3.0 * math.sqrt(math.log(40.0) / 20.0) * 1e308),
+        ((10, 5e-324, 1.0), 3.0 * math.sqrt((math.log(2.0) - math.log(5e-324)) / 20.0)),
+        ((1, 0.05, 1e308), math.inf)])
+    def test_ends_of_the_float_range(self, args, want):
+        """No arithmetic error at the ends of the float range: the value,
+        and inf only where the value itself is past the float range."""
+        assert concentration_term(*args) == pytest.approx(want, rel=1e-12)
+
 
 NARROW_CALLS = {
     "concentration_term": (concentration_term, (np.int64(10), np.float32(0.05),
@@ -178,7 +203,7 @@ NARROW_CALLS = {
                                         np.float32(0.05), np.int64(10))),
     "covering_bound_terms": (covering_bound_terms, (
         np.float32(3.0), np.float32(0.7), np.int16(4), np.uint8(10),
-        LayerNorms(spectral=(2.0, 0.5), two_one=(1.5, 0.25), lipschitz=(1.0, 1.0)))),
+        LayerNorms(spectral=(2.0, 0.5), two_one=(1.5, 0.25)))),
 }
 
 
@@ -236,7 +261,7 @@ class TestNetworkCertificate:
         from mixcert import covering_bound_terms, LayerNorms
         rep = network_certificate(self.crafted(), self.one_layer(), gammas=(1.0,),
                                   profile=flat_profile(100), delta=0.05)[0]
-        norms = LayerNorms(spectral=(2.0,), two_one=(4.0,), lipschitz=(1.0,))
+        norms = LayerNorms(spectral=(2.0,), two_one=(4.0,))
         first, second = covering_bound_terms(B=10.0, gamma=1.0, W=rep_width(self.one_layer()),
                                              n=100, norms=norms)
         assert rep.small_term == 2 * first
@@ -260,6 +285,29 @@ class TestNetworkCertificate:
                                   profile=flat_profile(64), delta=0.05)[0]
         assert rep.complexity_term == 0.0
         assert rep.small_term == pytest.approx(8 / 64 ** 1.5, rel=1e-15)
+
+    def test_zero_layer_certificate(self):
+        """A network with a zero layer is the constant 0: its capacity term
+        is the covering bound's first term alone. Every report value is
+        pinned."""
+        params = NetworkParams(
+            layers=(np.array([[2.0, 0.0], [0.0, 2.0]]), np.zeros((3, 2)), np.ones((2, 3))),
+            activations=("relu", "tanh", "identity"))
+        target = LabeledDataset(inputs=np.ones((10, 2)), labels=np.ones(10, dtype=np.int64),
+                                num_classes=2, kind="target_iid", seed=0)
+        profile = MixingProfile(horizon=64, phi=np.zeros(64), mu=np.full(64, 0.01),
+                                delta_inf=1.5, phi_exact=True, mu_exact=False)
+        reports = network_certificate(self.crafted(64), params, (0.5, 2.0), profile, 0.05,
+                                      target=target, seed=3)
+        assert [r.to_json_dict() for r in reports] == [{
+            "seed": 3, "gamma": gamma, "n": 64, "delta": 0.05, "empirical_ramp_loss": 1.0,
+            "empirical_zero_one": 1.0, "rademacher_term": 0.0078125,
+            "rademacher_source": "covering_bound", "mu_mean": 0.01,
+            "concentration_term": 0.7639321026040985, "small_term": 0.015625,
+            "complexity_term": 0.0, "total_bound": 1.7895571026040984,
+            "population_ramp_estimate": 1.0, "population_zero_one_estimate": 1.0,
+            "population_halfwidth": 0.5146997846583985, "bound_holds": True,
+            "phi_exact": True, "mu_exact": False} for gamma in (0.5, 2.0)]
 
     def test_zero_weights_degenerate(self):
         params = NetworkParams(layers=(np.zeros((2, 2)),),

@@ -18,6 +18,7 @@ from mixcert import (
     EmissionSpec,
     FunctionClass,
     LabeledDataset,
+    LayerNorms,
     MarkovSpec,
     MixingProfile,
     NetworkParams,
@@ -27,6 +28,7 @@ from mixcert import (
     combine_seeds,
     concentration_term,
     constant_class,
+    covering_bound_terms,
     forward_batch,
     loss_class,
     margins_batch,
@@ -168,6 +170,11 @@ CASES = {
                                "params_list must be a sequence, not int"),
     "FunctionClass of a string": (lambda: FunctionClass(evaluators=("x",)), TypeError,
                                   r"evaluators\[0\] must be a Callable, not str"),
+    # the objects the capacity term is computed from
+    "covering bound of no norms": (lambda: covering_bound_terms(1.0, 0.5, 2, 10, None),
+                                   TypeError, "norms must be a LayerNorms, not NoneType"),
+    "layer norms of a weight list": (lambda: LayerNorms.from_params([np.eye(2)]), TypeError,
+                                     "params must be a NetworkParams, not list"),
     # points looked up in a table class's alphabet: matched bitwise, never rounded
     "evaluate point off the alphabet": (lambda: TABLES.evaluate([[0.5]], [1]),
                                         ValueError, OFF_ALPHABET),

@@ -98,8 +98,12 @@ class TestActivation:
             Activation("sigmoid")
 
     def test_lipschitz_is_one(self):
+        """Every activation is 1-Lipschitz, which the capacity term assumes
+        when it leaves the activations out of T."""
+        z = np.linspace(-4.0, 4.0, 8001)
         for name in ("relu", "tanh", "identity", "leaky_relu:0.5"):
-            assert Activation.parse(name).lipschitz == 1.0
+            slopes = np.abs(np.diff(Activation.parse(name).apply(z)) / np.diff(z))
+            assert slopes.max() <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("name", ["relu", "leaky_relu:0.25", "tanh", "identity"])
     def test_saved_forward_keeps_the_bits_of_the_chain_rule_in_z(self, name):

@@ -1,5 +1,7 @@
 """Matrix norm tests, checked against an independent Jacobi SVD oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,25 @@ from mixcert import (
     LayerNorms,
     NetworkParams,
     NoConvergenceWarning,
-    ZeroSpectralNorm,
-    complexity_from_norms,
+    covering_bound_terms,
     norm_2_1_of_transpose,
-    require_positive_spectral,
     spectral_norm,
 )
 from mixcert import norms
 
 from svd_reference import jacobi_singular_values, jacobi_spectral_norm
+
+
+def aggregate(layer_norms):
+    """The aggregate T, read off the covering bound's second term at B = 1,
+    gamma = 1, W = 1, n = 2, whose leading factor is 36 ln(2) ln(2) / 2."""
+    return covering_bound_terms(1.0, 1.0, 1, 2, layer_norms)[1] / (18.0 * math.log(2.0) ** 2)
+
+
+@pytest.fixture
+def tight(monkeypatch):
+    """Power iteration stopped at a relative change of 1e-13."""
+    monkeypatch.setattr(norms, "_TOL", 1e-13)
 
 
 class TestJacobiOracle:
@@ -51,38 +63,30 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
 
-    def test_scaling_homogeneity(self):
+    def test_scaling_homogeneity(self, tight):
         rng = np.random.default_rng(15)
         A = rng.normal(size=(6, 6))
-        base = spectral_norm(A, tol=1e-13)
+        base = spectral_norm(A)
         for c in (0.5, 3.0):
-            assert spectral_norm(c * A, tol=1e-13) == pytest.approx(c * base, rel=1e-9)
+            assert spectral_norm(c * A) == pytest.approx(c * base, rel=1e-9)
 
-    def test_against_oracle(self):
+    def test_against_oracle(self, tight):
         rng = np.random.default_rng(90210)
         for size in (4, 16):
             for _ in range(25):
                 A = rng.normal(size=(size, size))
                 ref = jacobi_spectral_norm(A)
-                assert spectral_norm(A, tol=1e-13) == pytest.approx(ref, rel=1e-9)
+                assert spectral_norm(A) == pytest.approx(ref, rel=1e-9)
 
-    def test_rank_one(self):
+    def test_rank_one(self, tight):
         u = np.array([3.0, 4.0])
         v = np.array([1.0, 0.0, 0.0])
         A = np.outer(u, v)
-        assert spectral_norm(A, tol=1e-13) == pytest.approx(5.0, rel=1e-12)
+        assert spectral_norm(A) == pytest.approx(5.0, rel=1e-12)
 
     def test_rejects_vector(self):
         with pytest.raises(DimensionMismatch):
             spectral_norm(np.zeros(3))
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            spectral_norm(np.eye(2), tol=0.0)
-
-    def test_rejects_nan_tol(self):
-        with pytest.raises(ValueError, match="'tol' must be a finite number > 0"):
-            spectral_norm(np.eye(2), tol=float("nan"))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -103,11 +107,12 @@ class TestTwoOneNorm:
         A = np.array([[3.0, 4.0], [0.0, 0.0]])
         assert norm_2_1_of_transpose(A) == 5.0
 
-    def test_upper_bounds_spectral(self):
+    def test_upper_bounds_spectral(self, monkeypatch):
+        monkeypatch.setattr(norms, "_TOL", 1e-12)
         rng = np.random.default_rng(44)
         for _ in range(20):
             A = rng.normal(size=(5, 7))
-            assert norm_2_1_of_transpose(A) >= spectral_norm(A, tol=1e-12) - 1e-9
+            assert norm_2_1_of_transpose(A) >= spectral_norm(A) - 1e-9
 
     def test_rejects_vector(self):
         with pytest.raises(DimensionMismatch):
@@ -129,50 +134,45 @@ class TestLayerNorms:
         norms = LayerNorms.from_params(p)
         assert norms.spectral[0] == pytest.approx(2.0, rel=1e-12)
         assert norms.two_one[0] == pytest.approx(4.0, rel=1e-15)
-        assert norms.lipschitz == (1.0,)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            LayerNorms(spectral=(1.0, 2.0), two_one=(1.0,), lipschitz=(1.0, 1.0))
+            LayerNorms(spectral=(1.0, 2.0), two_one=(1.0,))
 
-    @pytest.mark.parametrize("key", ["spectral", "two_one", "lipschitz"])
+    @pytest.mark.parametrize("key", ["spectral", "two_one"])
     def test_rejects_nan(self, key):
-        entries = dict(spectral=(1.0,), two_one=(1.0,), lipschitz=(1.0,))
+        entries = dict(spectral=(1.0,), two_one=(1.0,))
         with pytest.raises(ValueError, match=f"'{key}' must be a finite number >= 0"):
             LayerNorms(**{**entries, key: (float("nan"),)})
 
 
 class TestSpectralComplexity:
+    """The aggregate T through the one capacity term, `covering_bound_terms`."""
+
     def test_frozen_single_layer(self):
-        """s=2, b=4, p=1: aggregate is prod(p*s) * ((b/s)**(2/3))**(3/2) = 4."""
-        norms = LayerNorms(spectral=(2.0,), two_one=(4.0,), lipschitz=(1.0,))
-        assert complexity_from_norms(norms) == pytest.approx(4.0, rel=1e-12)
+        """s=2, b=4: aggregate is s * ((b/s)**(2/3))**(3/2) = 4."""
+        norms = LayerNorms(spectral=(2.0,), two_one=(4.0,))
+        assert aggregate(norms) == pytest.approx(4.0, rel=1e-12)
 
     def test_frozen_identity_layer(self):
         """The 2x2 identity has s=1, b=2, giving aggregate exactly 2."""
         p = NetworkParams(layers=(np.eye(2),), activations=(Activation("identity"),))
-        assert complexity_from_norms(LayerNorms.from_params(p)) == pytest.approx(2.0, rel=1e-10)
+        assert aggregate(LayerNorms.from_params(p)) == pytest.approx(2.0, rel=1e-10)
 
     def test_zero_layer_gives_zero(self):
-        norms = LayerNorms(spectral=(0.0, 1.0), two_one=(0.0, 2.0), lipschitz=(1.0, 1.0))
-        assert complexity_from_norms(norms) == 0.0
+        norms = LayerNorms(spectral=(0.0, 1.0), two_one=(0.0, 2.0))
+        assert covering_bound_terms(1.0, 1.0, 1, 2, norms) == (4.0 / 2 ** 1.5, 0.0)
 
-    def test_positive_homogeneity(self):
+    def test_positive_homogeneity(self, tight):
         """Scaling one layer by c scales the aggregate by c: the ratio term
         is scale invariant and the product picks up one factor."""
         rng = np.random.default_rng(99)
         layers = (rng.normal(size=(5, 3)), rng.normal(size=(4, 5)), rng.normal(size=(2, 4)))
         acts = (Activation("relu"), Activation("relu"), Activation("identity"))
         p = NetworkParams(layers=layers, activations=acts)
-        base = complexity_from_norms(LayerNorms.from_params(p, tol=1e-13))
+        base = aggregate(LayerNorms.from_params(p))
         for c in (0.5, 3.0):
             for k in range(3):
                 scaled = tuple(c * W if i == k else W for i, W in enumerate(layers))
                 q = NetworkParams(layers=scaled, activations=acts)
-                scaled_norms = LayerNorms.from_params(q, tol=1e-13)
-                assert complexity_from_norms(scaled_norms) == pytest.approx(c * base, rel=1e-9)
-
-    def test_require_positive_spectral(self):
-        norms = LayerNorms(spectral=(1.0, 0.0), two_one=(2.0, 0.0), lipschitz=(1.0, 1.0))
-        with pytest.raises(ZeroSpectralNorm):
-            require_positive_spectral(norms)
+                assert aggregate(LayerNorms.from_params(q)) == pytest.approx(c * base, rel=1e-9)

@@ -16,7 +16,6 @@ from mixcert import (
     NetworkParams,
     NonpositiveGamma,
     TooLarge,
-    ZeroSpectralNorm,
     constant_class,
     covering_bound_terms,
     empirical_rademacher_exact,
@@ -26,11 +25,11 @@ from mixcert import (
 )
 from mixcert.rademacher import _draw_signs, _exact_rademacher, _sign_sups
 
-# One-layer reference terms at n=100, B=10, gamma=1, W=16, s=2, b=4, p=1,
+# One-layer reference terms at n=100, B=10, gamma=1, W=16, s=2, b=4,
 # frozen from an arbitrary-precision evaluation of the displayed formula.
 COVERING_FIRST = 0.004
 COVERING_SECOND = 229.82837258997824328
-ONE_LAYER = LayerNorms(spectral=(2.0,), two_one=(4.0,), lipschitz=(1.0,))
+ONE_LAYER = LayerNorms(spectral=(2.0,), two_one=(4.0,))
 
 
 def points(n, d=1, seed=0):
@@ -319,9 +318,26 @@ class TestCoveringBound:
             covering_bound_terms(B=10.0, gamma=1.0, W=0, n=100, norms=ONE_LAYER)
         with pytest.raises(ValueError):
             covering_bound_terms(B=10.0, gamma=1.0, W=16, n=1, norms=ONE_LAYER)
-        zero = LayerNorms(spectral=(0.0,), two_one=(0.0,), lipschitz=(1.0,))
-        with pytest.raises(ZeroSpectralNorm):
-            covering_bound_terms(B=10.0, gamma=1.0, W=16, n=100, norms=zero)
+
+    def test_zero_layer_has_no_complexity_term(self):
+        """A zero layer makes the network the constant 0, whose class has
+        complexity 0: the first term stays, the second is 0."""
+        for zero in (LayerNorms(spectral=(0.0,), two_one=(0.0,)),
+                     LayerNorms(spectral=(2.0, 0.0, 1.5), two_one=(4.0, 0.0, 3.0))):
+            first, second = covering_bound_terms(B=10.0, gamma=1.0, W=16, n=100, norms=zero)
+            assert (first, second) == (4.0 / 100 ** 1.5, 0.0)
+            assert first == pytest.approx(COVERING_FIRST, rel=1e-15)
+
+    @pytest.mark.parametrize("W, n, first, second", [
+        # n ** 1.5 overflows: the first term is 4 n**(-3/2), subnormal
+        (2, 10 ** 210, 4e-315, 36.0 * math.log(4.0) * 210 * math.log(10.0) / 0.5e210 * 4.0),
+        # n and W past every float: both terms underflow to 0
+        (10 ** 400, 10 ** 400, 0.0, 0.0)])
+    def test_ends_of_the_float_range(self, W, n, first, second):
+        """No arithmetic error where n or W leave the float range: each term
+        is its value, rounded to 0.0 only where it underflows."""
+        got = covering_bound_terms(1.0, 0.5, W, n, ONE_LAYER)
+        assert got == (pytest.approx(first, rel=1e-6), pytest.approx(second, rel=1e-12))
 
     def test_rejects_nan_gamma(self):
         with pytest.raises(NonpositiveGamma):

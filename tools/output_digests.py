@@ -24,8 +24,14 @@ and 1 sum exactly in any order, so only these lines see a last-bit change
 in it. The last of them, "signs/table-lookup-n20000", is the digest of
 `table_class(...).evaluate` on 20,000 points over that alphabet with its
 first point repeated, the one line that covers a lookup of a repeated
-alphabet point. `--signs` prints these lines alone. Two source trees write the same bytes
-exactly when their listings are equal:
+alphabet point. `--signs` prints these lines alone. The last line,
+"sha256  capacity/covering-and-zero-layer", is the digest of the repr of
+`covering_bound_terms` on fixed random networks of depth 1 to 3 and weight
+scales 1e-3 to 1e3, and of the certificates of a network with a zero layer
+on configs/small.json: the shipped configs reach the capacity term only on
+trained networks and never reach a zero layer. `--capacity` prints it
+alone. Two source trees write the same bytes exactly when their listings
+are equal:
 
     python tools/output_digests.py /path/to/parent/src /tmp/a > a.txt
     python tools/output_digests.py src /tmp/b > b.txt
@@ -45,6 +51,7 @@ RING_STATES = (16, 32, 64)
 RING_N = 800
 SIGN_MEMBERS = 5
 LOOKUP_POINTS = 20000
+CAPACITY_NETWORKS = 300
 
 
 def ring_digests() -> int:
@@ -99,11 +106,49 @@ def sign_digests() -> int:
     return 0
 
 
+def capacity_digest() -> int:
+    """Print the "sha256  capacity/covering-and-zero-layer" line: the
+    covering terms of CAPACITY_NETWORKS random networks at random B, gamma,
+    W and n, then each report of a two-layer network whose second layer is
+    zero and whose first is random, certified on configs/small.json's first
+    seed."""
+    import numpy as np
+    from mixcert import (ExperimentConfig, LayerNorms, NetworkParams, covering_bound_terms,
+                         mixing_profile, network_certificate, sample_sequence,
+                         sample_target)
+
+    rng = np.random.default_rng(2026)
+    parts = []
+    for _ in range(CAPACITY_NETWORKS):
+        dims = rng.integers(1, 9, size=rng.integers(2, 5))
+        layers = tuple(10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal((b, a))
+                       for a, b in zip(dims[:-1], dims[1:]))
+        norms = LayerNorms.from_params(NetworkParams(layers, ("relu",) * len(layers)))
+        parts.append(covering_bound_terms(
+            float(10.0 ** rng.uniform(-2.0, 3.0)), float(10.0 ** rng.uniform(-2.0, 1.0)),
+            int(rng.integers(1, 100)), int(rng.integers(2, 10 ** 6)), norms))
+    config = ExperimentConfig.load(os.path.join(CONFIG_DIR, "small.json"))
+    spec, seed = config.process, config.seeds[0]
+    dims = config.arch.dims
+    params = NetworkParams((rng.standard_normal((dims[1], dims[0])),
+                            np.zeros((dims[2], dims[1]))), config.arch.activations)
+    data = sample_sequence(spec, config.n_train, seed)
+    reports = network_certificate(data, params, config.gamma_list,
+                                  mixing_profile(spec, config.n_train), config.delta,
+                                  target=sample_target(spec, config.m_target, seed), seed=seed)
+    parts.extend(report.to_json_dict() for report in reports)
+    digest = hashlib.sha256(repr(parts).encode("ascii")).hexdigest()
+    print(f"{digest}  capacity/covering-and-zero-layer")
+    return 0
+
+
 def main(argv) -> int:
     if argv == ["--rings"]:
         return ring_digests()
     if argv == ["--signs"]:
         return sign_digests()
+    if argv == ["--capacity"]:
+        return capacity_digest()
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -128,7 +173,7 @@ def main(argv) -> int:
                                 check=True, stdout=subprocess.PIPE).stdout
         print(f"{hashlib.sha256(stdout).hexdigest()}  demos/{name}")
     sys.stdout.flush()
-    for section in ("--rings", "--signs"):
+    for section in ("--rings", "--signs", "--capacity"):
         subprocess.run([sys.executable, os.path.abspath(__file__), section], env=env,
                        check=True)
     return 0
