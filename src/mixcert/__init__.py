@@ -37,9 +37,7 @@ from .network import (
     NetworkParams,
     TrainConfig,
     TrainResult,
-    forward,
     forward_batch,
-    margin,
     margins_batch,
     ramp_loss,
     train_sgd,

@@ -5,7 +5,9 @@ text fields. Also the one rule for a closed form whose checked arguments
 reach the ends of the float range (`_normal`, `_in_logs`)."""
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import MISSING, fields
 
@@ -17,6 +19,7 @@ _ATOL = 1e-12
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)  # an integer is finite iff |x| <= this
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+_AXIS_MAX = sys.maxsize // 8  # numpy's limit on an axis of 8-byte entries
 
 
 def _as_int(value, key: str, low: int, error=ValueError) -> int:
@@ -158,7 +161,8 @@ def _as_labels(labels, n: int, K: float = math.inf, name: str = "labels") -> np.
         raise DimensionMismatch(f"{name} must be ({n},), got shape {raw.shape}")
     if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
         raise BadLabel(f"{name} must be integers")
-    if raw.size and (raw.min() < 1 or raw.max() > K):
+    # a Python float against K: an exact comparison, whatever the size of K
+    if raw.size and (raw.min() < 1 or float(raw.max()) > K):
         raise BadLabel(f"{name} must lie in 1..{K}")
     y = raw.astype(np.int64)
     y.setflags(write=False)
@@ -236,27 +240,38 @@ def _check_keys(section: dict, cls, name: str, allowed=None) -> dict:
     return section
 
 
-def _count(text: str) -> int:
-    """A text field of decimal digits as an int; ValueError for any other
-    text, a sign included."""
-    if not text.isdigit():
-        raise ValueError("not an integer >= 0")
+def _count(text: str, low: int = 0, high: float = math.inf) -> int:
+    """A text field of decimal digits as an int in low..high; ValueError
+    for any other text, a sign included."""
+    if not (text.isdigit() and low <= int(text) <= high):
+        raise ValueError(f"not an integer >= {low}" if high == math.inf
+                         else f"not an integer in {low}..{high}")
     return int(text)
 
 
-def _fields(raw: list, i: int, fields: tuple) -> list:
-    """raw[i], line i + 1 of a text file, read as one whitespace-separated
-    field per (name, read) pair of `fields`. ValueError naming the line if
-    the file ends before it or the line holds another number of fields, and
-    naming the field too if `read` rejects its text."""
+def _length(text: str) -> int:
+    """A text field that counts rows or fields of a file: `_count` up to
+    _AXIS_MAX, the longest axis a float64 array can have."""
+    return _count(text, high=_AXIS_MAX)
+
+
+def _fields(raw: list, i: int, fields: tuple, each: tuple | None = None, count: int = 0) -> list:
+    """raw[i], line i + 1 of a text file, read as `count` whitespace-separated
+    fields of the (name, read) pair `each`, then one field per (name, read)
+    pair of `fields`. ValueError naming the line if the file ends before it
+    or the line holds another number of fields, and naming the field too if
+    `read` rejects its text. The number of fields is compared before any
+    is read, so a count far past the line's costs nothing."""
     if i >= len(raw):
         raise ValueError(f"missing line {i + 1}: the file ends at line {len(raw)}")
     parts = raw[i].split()
-    if len(parts) != len(fields):
-        names = " ".join(dict.fromkeys(name for name, _ in fields))
-        raise ValueError(f"line {i + 1} has {len(parts)} fields, wanted {len(fields)} ({names})")
+    if len(parts) != count + len(fields):
+        named = ((each,) if count else ()) + fields
+        names = " ".join(dict.fromkeys(name for name, _ in named))
+        raise ValueError(f"line {i + 1} has {len(parts)} fields, wanted {count + len(fields)} "
+                         f"({names})")
     out = []
-    for (name, read), text in zip(fields, parts):
+    for (name, read), text in zip(itertools.chain(itertools.repeat(each, count), fields), parts):
         try:
             out.append(read(text))
         except ValueError as err:

@@ -282,10 +282,6 @@ class TailReport(_Report):
     bounds: tuple
     violations: tuple
 
-    @property
-    def any_violation(self) -> bool:
-        return any(self.violations)
-
 
 def validate_mcdiarmid(spec: ProcessSpec, f, n: int, trials: int, seed: int,
                        epsilons: tuple = _MCDIARMID_EPSILONS,

@@ -30,6 +30,7 @@ from .bounds import (
     validate_ramp_dominance,
     validate_symmetrization,
 )
+from .errors import DimensionMismatch
 from .network import Architecture, TrainConfig
 from .process import ProcessSpec, mixing_profile, sample_sequence, sample_target
 from .rademacher import (
@@ -85,6 +86,11 @@ class ExperimentConfig:
     validators: tuple = ()
 
     def __post_init__(self):
+        dims, process = self.arch.dims, self.process
+        if (dims[0], dims[-1]) != (process.input_dim, process.num_classes):
+            raise DimensionMismatch(
+                f"'arch.dims' must run from 'process.input_dim' {process.input_dim} to "
+                f"'process.num_classes' {process.num_classes}, not {list(dims)}")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"'out_dir' must be a string, not {self.out_dir!r}")
         for key, value in (
@@ -147,7 +153,7 @@ def _normalize_validator(entry) -> tuple:
         name = params.pop("name", None)
     else:
         name, params = None, {}
-    if name not in _VALIDATORS:
+    if not isinstance(name, str) or name not in _VALIDATORS:
         raise ValueError(f"unknown validator {name!r}")
     defaults, lows, _ = _VALIDATORS[name]
     for key in params:

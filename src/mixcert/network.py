@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import (_as_array, _as_float, _as_int, _as_labels, _count, _fields, _numbers,
+from ._checks import (_as_array, _as_float, _as_int, _as_labels, _fields, _length, _numbers,
                       _reject_trailing)
 from .errors import (
     BadLabel,
@@ -36,8 +36,9 @@ class Activation:
     slope: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _ACTIVATION_KINDS:
-            raise ValueError(f"unknown activation {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _ACTIVATION_KINDS:
+            raise ValueError(f"'activations' must be activation names "
+                             f"({', '.join(_ACTIVATION_KINDS)}), not {self.kind!r}")
         if self.kind == "leaky_relu":
             object.__setattr__(self, "slope", _as_float(self.slope, "slope", 0.0, 1.0))
 
@@ -124,10 +125,6 @@ class NetworkParams:
         return self.layers[0].shape[1]
 
     @property
-    def output_dim(self) -> int:
-        return self.layers[-1].shape[0]
-
-    @property
     def width(self) -> int:
         """Largest axis length over every weight matrix (inputs included)."""
         return max(max(W.shape) for W in self.layers)
@@ -149,15 +146,15 @@ class NetworkParams:
     def load(cls, path) -> "NetworkParams":
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read().split("\n")
-        (L,) = _fields(raw, 0, (("layer count", _count),))
+        (L,) = _fields(raw, 0, (("layer count", _length),))
         layers = []
         pos = 1
         for _ in range(L):
-            rows, cols = _fields(raw, pos, (("rows", _count), ("cols", _count)))
-            layers.append(np.reshape([_fields(raw, pos + 1 + r, (("weight", float),) * cols)
+            rows, cols = _fields(raw, pos, (("rows", _length), ("cols", _length)))
+            layers.append(np.reshape([_fields(raw, pos + 1 + r, (), ("weight", float), cols)
                                       for r in range(rows)], (rows, cols)))
             pos += 1 + rows
-        acts = _fields(raw, pos, (("activation", Activation.parse),) * L)
+        acts = _fields(raw, pos, (), ("activation", Activation.parse), L)
         _reject_trailing(raw, pos + 1)
         return cls(layers=tuple(layers), activations=acts)
 
@@ -175,7 +172,8 @@ class Architecture:
             raise ValueError("dims must list at least input and output sizes")
         acts = tuple(self.activations)
         if len(acts) != len(dims) - 1:
-            raise DimensionMismatch("one activation per layer")
+            raise DimensionMismatch(f"'activations' must name one per layer, len('dims') - 1 = "
+                                    f"{len(dims) - 1}, not {len(acts)}")
         for a in acts:
             Activation.parse(a)
         object.__setattr__(self, "dims", dims)
@@ -208,11 +206,6 @@ class TrainResult:
     epoch_losses: tuple
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Network output for a single input vector: one row of forward_batch."""
-    return forward_batch(params, _numbers(x, "x", 1)[None])[0]
-
-
 def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     Z = _numbers(X, "inputs", 2)
     if Z.shape[1] != params.input_dim:
@@ -220,12 +213,6 @@ def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     for W, act in zip(params.layers, params.activations):
         Z = act.apply(Z @ W.T)
     return Z
-
-
-def margin(v: np.ndarray, j: int) -> float:
-    """Score gap v_j - max_{i != j} v_i for 1-indexed class j: one row of
-    margins_batch."""
-    return float(margins_batch(_numbers(v, "v", 1)[None], [j])[0])
 
 
 def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

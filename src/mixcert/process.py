@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import (_ATOL, _as_array, _as_float, _as_int, _as_labels, _as_times,
-                      _check_keys, _check_stochastic, _count, _field_names, _fields,
+                      _check_keys, _check_stochastic, _count, _field_names, _fields, _length,
                       _reject_trailing, _unit_values)
 from .errors import (BadLabel, DimensionMismatch, EmptyDataset, NonUniqueStationary, NotDiscrete,
                      TooLarge)
@@ -62,10 +62,11 @@ class MarkovSpec:
         S = _as_int(self.num_states, "num_states", 1)
         P = _check_stochastic(self.transition, "transition", 2)
         if P.shape != (S, S):
-            raise DimensionMismatch(f"transition must be ({S}, {S}), got {P.shape}")
+            raise DimensionMismatch(f"transition must be (num_states, num_states) = ({S}, {S}), "
+                                   f"got {P.shape}")
         p0 = _check_stochastic(self.initial, "initial", 1)
         if p0.shape != (S,):
-            raise DimensionMismatch(f"initial must have length {S}")
+            raise DimensionMismatch(f"initial must have length num_states = {S}")
         object.__setattr__(self, "num_states", S)
         object.__setattr__(self, "transition", P)
         object.__setattr__(self, "initial", p0)
@@ -177,13 +178,9 @@ class EmissionSpec:
     def has_drift(self) -> bool:
         return self.drift_amplitude != 0.0 and self.drift_rows is not None
 
-    def drift_weight(self, t: int) -> float:
-        """Mixture weight w_t = amplitude * t**(-exponent) at an integer
-        time t >= 1; 0 without drift."""
-        return self._weights([_as_int(t, "t", 1)])[0]
-
     def _weights(self, times: list) -> list:
-        """drift_weight of each of a list of checked times, in Python floats."""
+        """The mixture weight w_t = amplitude * t**(-exponent) of each of a
+        list of checked times, in Python floats; 0 without drift."""
         if not self.has_drift():
             return [0.0] * len(times)
         a, e = self.drift_amplitude, -self.drift_exponent
@@ -340,9 +337,10 @@ class LabeledDataset:
     def load(cls, path) -> "LabeledDataset":
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read().split("\n")
-        n, d, K, kind, seed = _fields(raw, 0, (("n", _count), ("d", _count), ("K", _count),
+        n, d, K, kind, seed = _fields(raw, 0, (("n", _length), ("d", _length),
+                                               ("K", lambda text: _count(text, 2)),
                                                ("kind", str), ("seed", _count)))
-        rows = [_fields(raw, 1 + i, (("input", float),) * d + (("label", _count),))
+        rows = [_fields(raw, 1 + i, (("label", _count),), ("input", float), d)
                 for i in range(n)]
         _reject_trailing(raw, 1 + n)
         return cls(inputs=np.reshape([r[:d] for r in rows], (n, d)),
@@ -419,13 +417,6 @@ def _fixed_point(M: np.ndarray) -> int:
     return int(repeats[0]) if repeats.size else len(M)
 
 
-def _stationary_or_none(markov: MarkovSpec) -> np.ndarray | None:
-    try:
-        return stationary_distribution(markov)
-    except NonUniqueStationary:
-        return None
-
-
 def deterministic_injective(spec: ProcessSpec) -> bool:
     """True when each state emits a single point and states are identifiable
     from the observed pair (point, label)."""
@@ -452,9 +443,10 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
         max over n in {0..horizon}, states b with m_n(b) > 0 of
             TV(delta_b @ P**k, m_{n+k})
 
-    plus, when the stationary law pi* is certified unique, the limit point
-    TV(delta_b @ P**k, pi*) over every state (all are reachable eventually
-    for a primitive chain). For a hidden-to-observed map that is not
+    plus the limit point TV(delta_b @ P**k, pi*) over every state (all are
+    reachable eventually for a primitive chain). Like mixing_profile, it
+    raises NonUniqueStationary on a chain whose stationary law pi* is not
+    certified unique. For a hidden-to-observed map that is not
     deterministic and injective this value upper-bounds the observed
     coefficient (conditioning on less cannot increase the sup, and the
     future event algebra is a coarsening).
@@ -462,14 +454,14 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
     _as_int(k, "k", 1)
     _as_int(horizon, "horizon", 1)
     markov = spec.markov
+    pistar = stationary_distribution(markov)
     M = _marginals(markov, horizon + k)
     # the running product of mixing_profile, so both give the same bits
     rows = np.eye(markov.num_states)
     for _ in range(k):
         rows = rows @ markov.transition
-    pistar = _stationary_or_none(markov)
-    bound = None if pistar is None else _limit_gap_bound(M[k:], pistar)
-    return _phi_lag(rows, M[k:], (M[: horizon + 1] > 0.0).T, pistar, bound)
+    return _phi_lag(rows, M[k:], (M[: horizon + 1] > 0.0).T, pistar,
+                    _limit_gap_bound(M[k:], pistar))
 
 
 def _limit_gap_bound(M: np.ndarray, pistar: np.ndarray) -> np.ndarray:
@@ -480,26 +472,25 @@ def _limit_gap_bound(M: np.ndarray, pistar: np.ndarray) -> np.ndarray:
 
 
 def _phi_lag(rows: np.ndarray, future: np.ndarray, reach: np.ndarray,
-             pistar: np.ndarray | None, bound: np.ndarray | None) -> float:
+             pistar: np.ndarray, bound: np.ndarray) -> float:
     """Gap-k coefficient from the k-step rows delta_b @ P**k: the largest TV
     of rows[b] to future[t], the marginal k steps after t, over reach[b, t],
-    and to pistar over every b when pistar is given; capped at 1.
+    and to the stationary law pistar over every b; capped at 1.
 
     The columns t are reduced in increasing order, _PHI_BLOCK at a time, so
-    the one temporary is an (S, _PHI_BLOCK, S) difference. With pistar, and
+    the one temporary is an (S, _PHI_BLOCK, S) difference. With
     bound[t] >= TV(future[s], pistar) for all s >= t (`_limit_gap_bound`),
     the triangle inequality of the L1 norm (which needs no exact pistar)
     gives TV(rows[b], future[s]) <= limit + bound[t] for
     limit = max_b TV(rows[b], pistar). So the loop stops before the
     block at t once limit + bound[t] + _tv_slack(S) < best: every column left
     is strictly below a value already taken, and since the max of floats is
-    exact the result keeps the bits of the reduction over every column.
-    Without pistar every column is reduced."""
-    limit = 0.0 if pistar is None else float(_tv(rows, pistar).max())
+    exact the result keeps the bits of the reduction over every column."""
+    limit = float(_tv(rows, pistar).max())
     slack = _tv_slack(rows.shape[1])
     best = limit
     for start in range(0, future.shape[0], _PHI_BLOCK):
-        if bound is not None and limit + bound[start] + slack < best:
+        if limit + bound[start] + slack < best:
             break
         stop = start + _PHI_BLOCK
         tv = _tv(rows[:, None, :], future[None, start:stop, :])

@@ -224,9 +224,10 @@ def covering_bound_terms(B: float, gamma: float, W: int, n: int,
     term is 0.0. The certificate consumes both terms scaled by 2.
 
     No arithmetic error for any arguments the checks accept: 4 / n**(3/2)
-    and lead are evaluated as written while the powers and products in them
-    are normal floats (`_normal`), else in logs (`_in_logs`), so each is its
-    value, rounded to 0.0 or inf only past the float range.
+    and lead * T are evaluated as written while the powers, quotients, sums
+    and products in them are normal floats (`_normal`), else in logs
+    (`_in_logs`, where a zero factor gives 0.0), so each is its value,
+    rounded to 0.0 or inf only past the float range.
     """
     gamma = _as_float(gamma, "gamma", 0.0, error=NonpositiveGamma)
     n = _as_int(n, "n", 2)
@@ -245,9 +246,27 @@ def covering_bound_terms(B: float, gamma: float, W: int, n: int,
         direct = _normal(scale, num, rate)
     except OverflowError:  # W or n past every float
         direct = False
-    lead = num / rate if direct else _in_logs(
+    if direct:
+        b, s = np.asarray(norms.two_one), np.asarray(norms.spectral)
+        with np.errstate(all="ignore"):  # a lost range fails _normal below
+            quotients = b / s
+            powers = quotients ** (2.0 / 3.0)
+            total = powers.sum()
+            ratio = float(total ** 1.5)
+            partial = np.cumprod(s)  # the products np.prod forms, in its order
+            lead = num / rate
+            second = lead * ratio * float(partial[-1])
+        if _normal(*quotients, *powers, total, ratio, *partial, lead, lead * ratio, second):
+            return first, second
+    # T = q_j * (sum_i (q_i / q_j)**(2/3))**(3/2) * prod_i s_i for the largest
+    # quotient q_j = b_j / s_j, whose scaled sum lies in [1, layers]
+    logs = [math.log(bi) - math.log(si) if bi else -math.inf
+            for bi, si in zip(norms.two_one, norms.spectral)]
+    j = logs.index(max(logs))
+    if not norms.two_one[j]:  # every b_i is 0
+        return first, 0.0
+    spread = math.fsum(math.exp(2.0 / 3.0 * (v - logs[j])) for v in logs)
+    return first, _in_logs(
         36.0, (B, 1.0), (math.log(2.0) + math.log(W), 1.0), (math.log(n), 1.0),
-        (gamma, -1.0), (n, -1.0))
-    s = np.asarray(norms.spectral)
-    ratio = float(((np.asarray(norms.two_one) / s) ** (2.0 / 3.0)).sum() ** 1.5)
-    return first, lead * ratio * float(np.prod(s))
+        (gamma, -1.0), (n, -1.0), (spread, 1.5), (norms.two_one[j], 1.0),
+        (norms.spectral[j], -1.0), *((si, 1.0) for si in norms.spectral))

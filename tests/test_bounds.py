@@ -383,7 +383,7 @@ class TestValidateMcdiarmid:
     def test_no_violations_on_mixing_chain(self):
         spec = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [1.0, 0.0], 2)
         rep = validate_mcdiarmid(spec, self.state_indicator(), n=50, trials=20000, seed=7)
-        assert not rep.any_violation
+        assert not any(rep.violations)
         assert np.all(np.asarray(rep.bounds) > 0.0)
         assert np.all(np.asarray(rep.bounds) <= 2.0)
 
@@ -391,7 +391,7 @@ class TestValidateMcdiarmid:
         spec = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [1.0, 0.0], 2)
         rep = validate_mcdiarmid(spec, self.state_indicator(), n=50, trials=20000,
                                  seed=7, delta_inf=0.1)
-        assert rep.any_violation
+        assert any(rep.violations)
 
     def test_constant_statistic_has_zero_tails(self):
         spec = discrete_spec([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], 2)
@@ -401,7 +401,7 @@ class TestValidateMcdiarmid:
 
         rep = validate_mcdiarmid(spec, const, n=20, trials=10000, seed=3)
         np.testing.assert_array_equal(rep.frequencies, 0.0)
-        assert not rep.any_violation
+        assert not any(rep.violations)
 
     def test_deterministic(self):
         spec = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], 2)

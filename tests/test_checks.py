@@ -111,11 +111,6 @@ CASES = {
     "rows_at negative time": (lambda: DRIFT.rows_at([-1]), ValueError, TIMES),
     "rows_at float time": (lambda: DRIFT.rows_at([2.5]), ValueError, TIMES),
     "rows_at boolean time": (lambda: DRIFT.rows_at([True, 2]), ValueError, TIMES),
-    "drift_weight string time": (lambda: DRIFT.drift_weight("4"), ValueError, "'t' must be"),
-    "drift_weight time 0": (lambda: DRIFT.drift_weight(0), ValueError, "'t' must be"),
-    "drift_weight negative time": (lambda: DRIFT.drift_weight(-1), ValueError, "'t' must be"),
-    "drift_weight float time": (lambda: DRIFT.drift_weight(2.5), ValueError, "'t' must be"),
-    "drift_weight boolean time": (lambda: DRIFT.drift_weight(True), ValueError, "'t' must be"),
     # the margin scales of a certificate: a non-empty 1-d array of positive numbers
     "certificate of no gammas": (lambda: certificate(0, ()), ValueError, "'gammas' must be"),
     "certificate of a scalar gamma":

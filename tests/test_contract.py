@@ -1,15 +1,28 @@
-"""The input contract of the public entry points, as one property.
+"""The input contract of the public entry points, config documents and
+data files, as three properties.
 
 Every scalar or array argument of every exported function (and of
 `FunctionClass.evaluate`), given a value of any of seventeen odd kinds while
 its other arguments stay valid, is either accepted or rejected with a
 ValueError subclass whose message names that argument. Object arguments
-(spec, params, dataset, class) are not varied. No count is ever large: a
-valid huge count, such as `validate_ramp_dominance(10**30, 0)`, runs without
-end, so every number drawn here is small.
+(spec, params, dataset, class) are not varied. No count passed to a function
+is ever large: a valid huge count, such as `validate_ramp_dominance(10**30,
+0)`, runs without end, so every number drawn for a call is small.
+
+Every leaf of every shipped config, given a value of each odd kind or
+deleted, either loads or is rejected with a ValueError or TypeError that
+names its key; loading runs nothing, so a huge count is one of the kinds
+there. Every cut, header-token swap, dropped line and duplicated line of a
+data file and a weights file either loads or is rejected with a ValueError
+that names a line.
 """
 
+import copy
+import itertools
+import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +32,8 @@ from mixcert import (
     Activation,
     Architecture,
     EmissionSpec,
+    ExperimentConfig,
+    LabeledDataset,
     LayerNorms,
     MarkovSpec,
     NetworkParams,
@@ -31,10 +46,9 @@ from mixcert import (
     constant_class,
     covering_bound_terms,
     empirical_rademacher_mc,
-    forward,
     forward_batch,
     loss_class,
-    margin,
+    main,
     margins_batch,
     mcdiarmid_tail_bound,
     mixing_profile,
@@ -96,9 +110,9 @@ KINDS = {
 }
 
 # entry point -> (call, its valid arguments, {varied argument: other names
-# its error may use}). An argument passed on to an inner function, or to the
-# batch form of a one-row view, may be named by that function's name for it;
-# a count that disagrees with another argument's may be named by that one.
+# its error may use}). An argument passed on to an inner function may be
+# named by that function's name for it; a count that disagrees with another
+# argument's may be named by that one.
 ENTRIES = {
     "brute_force_phi": (brute_force_phi, dict(spec=SPEC, k=1, n_max=3, future_len=1), {}),
     "certification_run": (
@@ -115,10 +129,8 @@ ENTRIES = {
         dict(B=1.0, gamma=0.5, W=2, n=10, norms=LayerNorms.from_params(NET)), {}),
     "empirical_rademacher_mc": (
         empirical_rademacher_mc, dict(fclass=CONSTANTS, data=DATA, trials=100, seed=0), {}),
-    "forward": (forward, dict(params=NET, x=[0.5, 0.5]), {"x": ("inputs",)}),
     "forward_batch": (forward_batch, dict(params=NET, X=[[0.5, 0.5]]), {"X": ("inputs",)}),
     "loss_class": (loss_class, dict(params_list=[NET], gamma=0.5), {}),
-    "margin": (margin, dict(v=[0.1, 0.2], j=1), {"v": ("logits",), "j": ("labels",)}),
     "margins_batch": (margins_batch, dict(logits=[[1.0, 2.0]], labels=[1]),
                       {"logits": ("labels",)}),
     "mcdiarmid_tail_bound": (
@@ -184,3 +196,137 @@ def test_a_rejected_value_raises_a_value_error_naming_its_argument(entry, data):
             except ValueError as exc:
                 names = (key,) + aliases.get(key, ())
                 assert any(name in str(exc) for name in names), (key, kind, str(exc))
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
+DELETED = object()  # the kind that removes the leaf
+
+
+def config_document(name: str) -> dict:
+    with open(os.path.join(CONFIG_DIR, name), encoding="ascii") as fh:
+        return json.load(fh)
+
+
+def leaf_paths(doc, path=()):
+    """The path (keys and indices) to every leaf of a JSON document: each
+    scalar, and each empty array or object."""
+    if not isinstance(doc, (dict, list)) or not doc:
+        yield path
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield from leaf_paths(value, path + (key,))
+
+
+def edited(doc: dict, path: tuple, value) -> dict:
+    """A deep copy of doc whose leaf at path is value, or is removed."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def key_names(path: tuple) -> tuple:
+    """What a rejection of the leaf at path may name: its innermost key, and
+    for a validator entry the word "validator" (each validator error names
+    its validator, as in "unknown validator 'x'")."""
+    key = next(k for k in reversed(path) if isinstance(k, str))
+    return (key, "validator") if path[0] == "validators" else (key,)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+@settings(max_examples=2, deadline=None, derandomize=True, phases=[Phase.generate],
+          report_multiple_bugs=False, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_config_leaf_loads_or_is_rejected_naming_its_key(name, data):
+    base = config_document(name)
+    kinds = dict(KINDS, huge=st.just(10 ** 400), deleted=st.just(DELETED))
+    for path in leaf_paths(base):
+        for kind, values in kinds.items():
+            value = data.draw(values, label=f"{'.'.join(map(str, path))} <- {kind}")
+            try:
+                ExperimentConfig.from_json_dict(edited(base, path, value))
+            except (ValueError, TypeError) as exc:
+                assert any(key in str(exc) for key in key_names(path)), (path, kind, str(exc))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("path, value, message", [
+    (("arch", "dims"), DELETED, "missing key 'dims'"),
+    # a network that does not fit the process fails at load, not in training
+    (("arch", "dims", 0), 5, "'arch.dims' must run from 'process.input_dim'"),
+    (("arch", "dims", -1), 3, "'process.num_classes' 2, not"),
+    # a count past every float is compared exactly, then fails the fit
+    (("process", "num_classes"), 10 ** 400, "'arch.dims' must run from"),
+    (("process", "markov", "num_states"), 10 ** 400, "num_states"),
+    (("arch", "activations", 0), "x", "'activations' must be activation names"),
+    (("arch", "activations", 0), DELETED, "'activations' must name one per layer"),
+    (("validators",), [{"name": []}], "unknown validator []"),
+    (("validators",), [{"name": {}}], "unknown validator {}"),
+], ids=["no-dims", "dims-input", "dims-output", "huge-num_classes", "huge-num_states",
+        "bad-activation", "one-activation-short", "list-validator-name", "dict-validator-name"])
+def test_the_cli_ends_a_rejected_config_with_exit_2(tmp_path, capsys, name, path, value,
+                                                    message):
+    """The CLI exits 2 with the config error that names the key, and writes
+    nothing."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(edited(config_document(name), path, value)), encoding="ascii")
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("config error: ") and message in out, out
+    assert not (tmp_path / "out").exists()
+
+
+def file_variants(text: str, headers: tuple):
+    """(kind, text) for every cut of text, every swap of two tokens of a
+    header line (line indices in `headers`), and every dropped and every
+    duplicated line."""
+    lines = text.split("\n")
+    for i in range(len(text)):
+        yield "cut", text[:i]
+    for h in headers:
+        for a, b in itertools.combinations(range(len(lines[h].split())), 2):
+            tokens = lines[h].split()
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            yield "swap", "\n".join(lines[:h] + [" ".join(tokens)] + lines[h + 1:])
+    for i, line in enumerate(lines):
+        kind = "line" if line.strip() else "blank line"
+        yield f"dropped {kind}", "\n".join(lines[:i] + lines[i + 1:])
+        yield f"duplicated {kind}", "\n".join(lines[:i + 1] + lines[i:])
+
+
+DATA_SPEC = ProcessSpec(
+    markov=MarkovSpec(num_states=2, transition=[[0.4, 0.6], [0.5, 0.5]], initial=[1.0, 0.0]),
+    emission=EmissionSpec.discrete(alphabet=[[0.0, 0.5], [1.0, 0.25]], table=np.eye(2)),
+    label_map=(1, 2), num_classes=2, input_dim=2)
+FILES = {
+    # a 4-row path over both points; its header is line 1
+    "dataset": (sample_sequence(DATA_SPEC, 4, 1), LabeledDataset.load, (0,)),
+    # two layers and a slope; its headers are the layer count and each "rows cols"
+    "weights": (NetworkParams(layers=(np.full((2, 2), 0.5), np.eye(2)),
+                              activations=("relu", "leaky_relu:0.5")),
+                NetworkParams.load, (0, 1, 4)),
+}
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_a_damaged_file_loads_or_is_rejected_naming_a_line(tmp_path, name):
+    """A dropped or duplicated line that is not blank is always rejected;
+    a cut (inside the last number, say) or a swap (of equal tokens) may
+    leave a file that loads."""
+    obj, load, headers = FILES[name]
+    path = tmp_path / "file.txt"
+    obj.save(path)
+    for kind, text in file_variants(path.read_text(encoding="ascii"), headers):
+        path.write_text(text, encoding="ascii")
+        try:
+            load(path)
+        except ValueError as exc:
+            assert re.search(r"line \d+", str(exc)), (kind, text, str(exc))
+        else:
+            assert kind in ("cut", "swap") or "blank" in kind, (kind, text)

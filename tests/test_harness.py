@@ -148,11 +148,10 @@ def gaussian_process():
 
 
 def small_config(out_dir, process=None, validators=(), seeds=(3, 4)):
+    process = process if process is not None else discrete_process()
     return ExperimentConfig(
-        process=process if process is not None else discrete_process(),
-        arch=Architecture(dims=(1, 4, 2), activations=("relu", "identity"))
-        if process is None else
-        Architecture(dims=(2, 4, 2), activations=("relu", "identity")),
+        process=process,
+        arch=Architecture(dims=(process.input_dim, 4, 2), activations=("relu", "identity")),
         train=TrainConfig(learning_rate=0.05, epochs=2, batch_size=16, seed=11),
         n_train=40, m_target=200, gamma_list=(1.0,), delta=0.05,
         seeds=seeds, out_dir=str(out_dir), validators=validators)
@@ -434,7 +433,7 @@ class TestPipelineCommands:
             "losses_seed3.json", "losses_seed4.json",
             "params_seed3.txt", "params_seed4.txt"]
         params = NetworkParams.load(tmp_path / "params_seed3.txt")
-        assert params.input_dim == 1 and params.output_dim == 2
+        assert params.input_dim == 1 and params.layers[-1].shape[0] == 2
         doc = json.loads((tmp_path / "losses_seed3.json").read_text())
         assert doc["seed"] == 3
         assert len(doc["epoch_losses"]) == 2

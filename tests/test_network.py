@@ -21,9 +21,7 @@ from mixcert import (
     NonpositiveGamma,
     TrainConfig,
     WrongKind,
-    forward,
     forward_batch,
-    margin,
     margins_batch,
     network_certificate,
     ramp_loss,
@@ -51,6 +49,11 @@ def reference_margin(v, j):
     """Per-vector oracle: the true score minus the largest other score."""
     v = np.asarray(v, dtype=np.float64)
     return float(v[j - 1] - np.delete(v, j - 1).max())
+
+
+def row_margin(v, j):
+    """The margin of score vector v at label j: the one row of margins_batch."""
+    return float(margins_batch(np.asarray(v)[None], [j])[0])
 
 
 def certify_with_target(params, target, gamma):
@@ -183,7 +186,9 @@ class TestNetworkParams:
         ("1\n-2 2\n0.5 0.5\n0.5 0.5\nrelu\n", "line 2: rows '-2'"),
         ("1\n1 2\n0.5 x\nrelu\n", "line 3: weight 'x'"),
         ("1\n1 1\n0.5\nleaky_relu:abc\n", "line 4: activation 'leaky_relu:abc'"),
-    ], ids=["empty-file", "negative-rows", "letter-weight", "letter-slope"])
+        # past any array axis: named, never turned into an index
+        (f"1\n1 {10 ** 100}\n0.5\nrelu\n", f"line 2: cols '{10 ** 100}': not an integer in"),
+    ], ids=["empty-file", "negative-rows", "letter-weight", "letter-slope", "huge-cols"])
     def test_load_names_the_line_and_field(self, tmp_path, text, message):
         path = tmp_path / "w.txt"
         path.write_text(text, encoding="ascii")
@@ -201,23 +206,23 @@ class TestNetworkParams:
 class TestMargin:
     def test_frozen_value(self):
         v = np.array([0.2, 0.9, -0.1])
-        assert margin(v, 2) == pytest.approx(0.7, abs=1e-15)
-        assert margin(v, 1) == pytest.approx(-0.7, abs=1e-15)
+        assert row_margin(v, 2) == pytest.approx(0.7, abs=1e-15)
+        assert row_margin(v, 1) == pytest.approx(-0.7, abs=1e-15)
 
     def test_tie_gives_zero(self):
-        assert margin(np.array([1.0, 1.0]), 1) == 0.0
+        assert row_margin(np.array([1.0, 1.0]), 1) == 0.0
 
     def test_labels_are_one_indexed(self):
         with pytest.raises(BadLabel):
-            margin(np.array([1.0, 2.0]), 0)
+            row_margin(np.array([1.0, 2.0]), 0)
         with pytest.raises(BadLabel):
-            margin(np.array([1.0, 2.0]), 3)
+            row_margin(np.array([1.0, 2.0]), 3)
 
     def test_labels_must_be_integers(self):
         v = np.array([1.0, 2.0, 0.5])
         for j in (1.5, 2.9, np.nan, np.inf):
             with pytest.raises(BadLabel):
-                margin(v, j)
+                row_margin(v, j)
         with pytest.raises(BadLabel):
             margins_batch(np.vstack([v, v]), np.array([1.0, 2.5]))
         # integral floats are accepted as their integer values
@@ -225,8 +230,8 @@ class TestMargin:
                               margins_batch(np.vstack([v, v]), [1, 3]))
 
     def test_batch_matches_scalar(self):
-        """Both margin forms equal the per-vector oracle bit for bit, ties
-        included."""
+        """margins_batch equals the per-vector oracle bit for bit, ties
+        included, on whole batches and on one-row batches."""
         rng = np.random.default_rng(5)
         for K in range(2, 7):
             V = rng.normal(size=(200, K)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
@@ -234,7 +239,7 @@ class TestMargin:
             V[::4, 0] = V[::4].max(axis=1)
             oracle = np.array([reference_margin(V[i], int(y[i])) for i in range(200)])
             assert np.array_equal(margins_batch(V, y), oracle)
-            assert np.array_equal([margin(V[i], int(y[i])) for i in range(200)], oracle)
+            assert np.array_equal([row_margin(V[i], int(y[i])) for i in range(200)], oracle)
 
     def test_batch_matches_the_reduction_along_the_class_axis(self):
         """margins_batch equals its earlier form, the true score less
@@ -341,14 +346,15 @@ class TestLosses:
 
 class TestForward:
     def test_batch_matches_single(self):
-        """forward equals the per-vector oracle bit for bit on random
-        networks, and forward_batch agrees with it row by row."""
+        """A one-row forward_batch equals the per-vector oracle bit for bit
+        on random networks, and a batch of rows agrees with it row by row."""
         rng = np.random.default_rng(8)
         for _ in range(200):
             p = random_params(rng)
             X = rng.normal(size=(5, p.input_dim)) * 10.0 ** rng.uniform(-3, 3)
             oracle = np.array([reference_forward(p, x) for x in X])
-            assert all(np.array_equal(forward(p, x), o) for x, o in zip(X, oracle))
+            assert all(np.array_equal(forward_batch(p, x[None])[0], o)
+                       for x, o in zip(X, oracle))
             # A multi-row product may round differently from a matrix-vector
             # one. Each pass errs by at most (sum of the layers' input dims +
             # one activation rounding per layer) * eps/2 * scale, where scale
@@ -373,14 +379,14 @@ class TestForward:
         lip = float(np.prod(norms.spectral))
         rng = np.random.default_rng(41)
         for _ in range(50):
-            x, dx = rng.normal(size=3), rng.normal(size=3)
-            lhs = np.linalg.norm(forward(p, x + dx) - forward(p, x))
+            x, dx = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
+            lhs = np.linalg.norm(forward_batch(p, x + dx) - forward_batch(p, x))
             assert lhs <= lip * np.linalg.norm(dx) + 1e-9
 
     def test_dimension_check(self):
         p = tiny_params()
         with pytest.raises(DimensionMismatch):
-            forward(p, np.zeros(4))
+            forward_batch(p, np.zeros((1, 4)))
 
 
 class TestGradient:

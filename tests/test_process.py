@@ -95,6 +95,15 @@ def default_chain():
         return ProcessSpec.from_json_dict(json.load(fh)["process"])
 
 
+def drift_weight(em, t):
+    """The mixture weight of the law at time t, amplitude * t**(-exponent),
+    and 0 without drift: the schedule written out here, not read from the
+    library."""
+    if not em.has_drift():
+        return 0.0
+    return em.drift_amplitude * float(t) ** -em.drift_exponent
+
+
 def reference_joint(h, table, alphabet, label_map, K):
     """Law of (point, label), flattened over (distinct point, label), given
     hidden law h and emission table: one np.add.at per state, in state
@@ -150,12 +159,12 @@ def reference_profile(spec, n):
         law = (em.alphabet, spec.label_map, spec.num_classes)
         J_inf = reference_joint(pistar, em.table, *law)
         for i in range(1, n + 1):
-            w = em.drift_weight(i)
+            w = drift_weight(em, i)
             table = em.table if w == 0.0 else (1.0 - w) * em.table + w * em.drift_table
             mu[i - 1] = 0.5 * np.abs(reference_joint(M[i], table, *law) - J_inf).sum()
     else:
         for i in range(1, n + 1):
-            w = em.drift_weight(i)
+            w = drift_weight(em, i)
             emission = 0.0
             if w != 0.0:
                 gaps = np.linalg.norm(w * (em.drift_means - em.means), axis=1)
@@ -436,13 +445,20 @@ class TestPhiCoefficient:
             assert phi_coefficient(spec, k, horizon=6) == 0.0
 
     def test_capped_at_one(self):
-        spec = discrete_spec([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 2)
-        assert phi_coefficient(spec, 1, horizon=4) <= 1.0
+        """A near-deterministic 3-cycle started at one state: the one-step
+        law of a state is almost disjoint from the marginal, yet no value
+        passes 1."""
+        P = 0.01 * np.eye(3) + 0.99 * np.roll(np.eye(3), 1, axis=1)
+        spec = discrete_spec(P, [1.0, 0.0, 0.0], 3)
+        assert 0.98 < phi_coefficient(spec, 1, horizon=4) <= 1.0
 
-    def test_non_primitive_chain_skips_the_limit_point(self):
-        """Identity kernel: conditional law never moves, value is 0.5."""
-        spec = discrete_spec([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 2)
-        assert phi_coefficient(spec, 1, horizon=4) == pytest.approx(0.5, abs=1e-15)
+    def test_non_primitive_chain_is_rejected(self):
+        """The identity and the period-2 kernel have no certified unique
+        stationary law, so no phi, as in mixing_profile and mu_at."""
+        for P in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
+            spec = discrete_spec(P, [0.5, 0.5], 2)
+            with pytest.raises(NonUniqueStationary):
+                phi_coefficient(spec, 1, horizon=4)
 
     def test_rejects_bad_arguments(self):
         spec = discrete_spec(SYM09, [0.5, 0.5], 2)
@@ -801,9 +817,10 @@ class TestEmissionDrift:
         em = EmissionSpec.gaussian(means=np.array([[1.0], [-1.0]]), sigma=0.5,
                                    drift_means=np.array([[0.0], [0.0]]),
                                    drift_amplitude=0.5, drift_exponent=0.5)
-        assert em.drift_weight(1) == 0.5
-        assert em.drift_weight(4) == 0.25
-        assert em.drift_weight(100) == pytest.approx(0.05, abs=1e-15)
+        # toward zero means the time-t rows are (1 - w_t) * means
+        weights = 1.0 - em.rows_at([1, 4, 100])[:, 0, 0]
+        assert weights[0] == 0.5 and weights[1] == 0.25
+        assert weights[2] == pytest.approx(0.05, abs=1e-15)
 
     def test_drifted_means_interpolate(self):
         em = EmissionSpec.gaussian(means=np.array([[1.0], [-1.0]]), sigma=0.5,
@@ -842,7 +859,7 @@ class TestEmissionDrift:
         assert all(np.array_equal(stack[i], em.rows_at([int(t)])[0])
                    for i, t in enumerate(times))
         if exponent == 400.0:
-            assert em.drift_weight(6) > 0.0 and em.drift_weight(7) == 0.0
+            assert drift_weight(em, 6) > 0.0 and drift_weight(em, 7) == 0.0
             assert not np.array_equal(stack[0], means)
             assert all(np.array_equal(rows, means) for rows in stack[6:])
 
@@ -1145,7 +1162,7 @@ class TestOneDraw:
             rows, drift = em.table, em.drift_table
         else:
             rows, drift = em.means, em.drift_means
-        w = em.drift_weight(t)
+        w = drift_weight(em, t)
         return rows if w == 0.0 else (1.0 - w) * rows + w * drift
 
     def reference_sequence(self, spec, n, seed):
@@ -1460,7 +1477,9 @@ class TestLabeledDatasetIO:
         ("-1 1 2 sequence 0\n", "line 1: n '-1'"),
         ("2 1 2 sequence 0\n0.5 1\nabc 2\n", "line 3: input 'abc'"),
         ("2 1 2 sequence 0\n0.5 1\n0.25 1.5\n", "line 3: label '1.5'"),
-    ], ids=["letter-d", "negative-n", "letter-input", "fractional-label"])
+        # past any array axis: named, never turned into an index
+        (f"1 {10 ** 100} 2 sequence 0\n0.5 1\n", f"line 1: d '{10 ** 100}': not an integer in"),
+    ], ids=["letter-d", "negative-n", "letter-input", "fractional-label", "huge-d"])
     def test_load_names_the_line_and_field(self, tmp_path, text, message):
         path = tmp_path / "data.txt"
         path.write_text(text, encoding="ascii")

@@ -339,6 +339,22 @@ class TestCoveringBound:
         got = covering_bound_terms(1.0, 0.5, W, n, ONE_LAYER)
         assert got == (pytest.approx(first, rel=1e-6), pytest.approx(second, rel=1e-12))
 
+    @pytest.mark.parametrize("B, spectral, two_one, second", [
+        # the quotient b / s overflows; T = 1e10
+        (1.0, (1e-300,), (1e10,), 1e10),
+        # the product of the spectral norms overflows; with B = 0 the term is 0
+        (0.0, (1e300, 1e300), (1e300, 1e300), 0.0),
+        # a partial product overflows, the whole product is 1e300
+        (1.0, (1e300, 1e300, 1e-300), (1e300, 1e300, 1e-300), 3.0 ** 1.5 * 1e300)])
+    def test_ends_of_the_norm_range(self, B, spectral, two_one, second):
+        """No overflow where the norm aggregate T leaves the float range on
+        the way: the second term is lead * T, here lead = 36 ln(2)**2 / 2 * B,
+        and exactly 0.0 where B is 0."""
+        lead = 36.0 * math.log(2.0) ** 2 / 2.0 * B
+        got = covering_bound_terms(B, 1.0, 1, 2, LayerNorms(spectral=spectral, two_one=two_one))
+        assert got == (4.0 / 2 ** 1.5, pytest.approx(lead * second, rel=1e-12))
+        assert B or got[1] == 0.0
+
     def test_rejects_nan_gamma(self):
         with pytest.raises(NonpositiveGamma):
             covering_bound_terms(B=10.0, gamma=math.nan, W=16, n=100, norms=ONE_LAYER)
