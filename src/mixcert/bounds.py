@@ -27,7 +27,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import _as_float, _as_floats, _as_int, _in_logs, _normal, _one_function
+from ._checks import (_as_float, _as_floats, _as_int, _in_logs, _instance, _normal,
+                      _one_function)
 from .errors import BadDelta, DimensionMismatch, EmptyDataset, NonpositiveGamma, WrongKind
 from .network import (
     Architecture,
@@ -469,7 +470,13 @@ def train_seed(spec: ProcessSpec, arch: Architecture, train_config: TrainConfig,
 def certification_run(spec: ProcessSpec, arch: Architecture, train_config: TrainConfig,
                       profile: MixingProfile, n_train: int, m_target: int,
                       gamma_list, delta: float, seed: int) -> list:
-    """Sample, train, and certify one seed across every gamma."""
+    """Sample, train, and certify one seed across every gamma. A wrong
+    object in the spec, arch, train_config or profile slot is a TypeError
+    naming that slot."""
+    spec = _instance(spec, "spec", ProcessSpec)
+    arch = _instance(arch, "arch", Architecture)
+    train_config = _instance(train_config, "train_config", TrainConfig)
+    profile = _instance(profile, "profile", MixingProfile)
     data, result = train_seed(spec, arch, train_config, n_train, seed)
     target = sample_target(spec, m_target, seed)
     return network_certificate(data, result.params, gamma_list, profile, delta,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import (_as_array, _as_float, _as_int, _as_labels, _fields, _length, _numbers,
-                      _reject_trailing)
+from ._checks import (_as_array, _as_float, _as_int, _as_labels, _fields, _instance, _length,
+                      _numbers, _reject_trailing)
 from .errors import (
     BadLabel,
     DimensionMismatch,
@@ -268,25 +268,29 @@ def error_rate(margins: np.ndarray) -> float:
     return float(np.mean(margins <= 0.0))
 
 
-def _ce_forward(layers, acts, X, y, flat=None):
+def _ce_forward(layers, acts, X, y, flat=None, onehot=None):
     """What each layer's activation saved for its backward pass
     (`Activation._forward`), layer outputs, the softmax probabilities less the
     one-hot labels y (the batch size times the loss's gradient in the
     logits), and the mean softmax cross-entropy of labels y.
 
     `flat` holds each label's position in the row-major (m, K) scores,
-    i * K + y_i - 1; the trainer passes it precomputed, otherwise it is
-    computed from y."""
+    i * K + y_i - 1, and `onehot` the (m, K) rows of 1.0 at each label and
+    0.0 elsewhere; the trainer passes both precomputed, otherwise they are
+    computed from y. Products are `np.dot`, which has the bits of `@` on
+    matrices at a smaller cost per call."""
     saved = []
     post = [X]
     for W, act in zip(layers, acts):
-        out, keep = act._forward(post[-1] @ W.T)
+        out, keep = act._forward(np.dot(post[-1], W.T))
         saved.append(keep)
         post.append(out)
     logits = post[-1]
     m, K = logits.shape
     if flat is None:
         flat = np.arange(m) * K + (y - 1)
+    if onehot is None:
+        onehot = np.eye(K)[y - 1]
     # only the sign of a zero row maximum may differ from max(axis=1), which
     # changes no exp and no loss
     shift = logits - _row_max(logits)[:, None]
@@ -295,22 +299,31 @@ def _ce_forward(layers, acts, X, y, flat=None):
     # sum / m is np.mean's arithmetic, without its Python wrapper
     loss = float(np.add.reduce(np.log(total[:, 0]) - shift.take(flat))) / m
     expv /= total
-    expv.ravel()[flat] -= 1.0
+    expv -= onehot  # p - 0.0 is p, so only each label's entry changes
     return saved, post, expv, loss
 
 
-def _loss_and_grads(layers, acts, X, y, flat=None):
+def _loss_and_grads(layers, acts, X, y, flat=None, onehot=None, grads=None):
     """Mean softmax cross-entropy and its exact gradient, one array per
-    layer. Takes raw layer lists so the trainer never rebuilds params."""
-    saved, post, d_post, loss = _ce_forward(layers, acts, X, y, flat)
+    layer, written into `grads` when given (C-ordered arrays of the layers'
+    shapes). Takes raw layer lists so the trainer never rebuilds params."""
+    saved, post, d_post, loss = _ce_forward(layers, acts, X, y, flat, onehot)
     d_post /= X.shape[0]
-    grads: list = [None] * len(layers)
+    if grads is None:
+        grads = [np.empty(W.shape) for W in layers]
     for i in range(len(layers) - 1, -1, -1):
         d_pre = acts[i].backward(saved[i], d_post)
-        grads[i] = d_pre.T @ post[i]
+        np.dot(d_pre.T, post[i], out=grads[i])
         if i:
-            d_post = d_pre @ layers[i]
+            d_post = np.dot(d_pre, layers[i])
     return loss, grads
+
+
+def _layer_views(flat: np.ndarray, shapes) -> list:
+    """(rows, cols) views of consecutive stretches of the 1-d array `flat`,
+    one per shape."""
+    ends = np.cumsum([r * c for r, c in shapes]).tolist()
+    return [flat[end - r * c:end].reshape(r, c) for (r, c), end in zip(shapes, ends)]
 
 
 def train_sgd(train_data: LabeledDataset, arch: Architecture,
@@ -320,8 +333,12 @@ def train_sgd(train_data: LabeledDataset, arch: Architecture,
     Weights start uniform in [-a, a] with a = init_scale, or 1/sqrt(fan_in)
     per layer when init_scale is None. Batch order is drawn from the config
     seed, so identical configs give bit-identical weights. Raises
-    DivergedLoss the moment any batch loss stops being finite.
+    DivergedLoss the moment any batch loss stops being finite, naming the
+    epoch, the batch and the config's training seed.
     """
+    train_data = _instance(train_data, "train_data", LabeledDataset)
+    arch = _instance(arch, "arch", Architecture)
+    config = _instance(config, "config", TrainConfig)
     n = _as_int(train_data.n, "n", 1, EmptyDataset)
     dims = arch.dims
     if dims[0] != train_data.input_dim:
@@ -331,33 +348,38 @@ def train_sgd(train_data: LabeledDataset, arch: Architecture,
         raise DimensionMismatch(
             f"architecture emits {dims[-1]} scores, data has {train_data.num_classes} classes")
     acts = tuple(Activation.parse(a) for a in arch.activations)
+    # the layers are views of one buffer and their gradients of another, so
+    # a step's W - lr * g is two calls for all layers at once
+    shapes = list(zip(dims[1:], dims[:-1]))
+    size = sum(r * c for r, c in shapes)
+    weights, step = np.empty(size), np.empty(size)
+    layers, grads = _layer_views(weights, shapes), _layer_views(step, shapes)
     rng = substream(config.seed, 0)
-    layers = []
-    for d_in, d_out in zip(dims, dims[1:]):
+    for W, d_in in zip(layers, dims):
         a = config.init_scale if config.init_scale is not None else 1.0 / math.sqrt(d_in)
-        layers.append(rng.uniform(-a, a, size=(d_out, d_in)))
+        W[...] = rng.uniform(-a, a, size=W.shape)
 
     bs, lr = config.batch_size, config.learning_rate
     rows = np.arange(n) % bs * dims[-1]  # sample i is row i % bs of its batch
+    onehot = np.eye(dims[-1])[train_data.labels - 1]
     epoch_losses = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         # one gather per epoch; each batch is then a contiguous slice
-        X, y = train_data.inputs[order], train_data.labels[order]
+        X, y, Y = train_data.inputs[order], train_data.labels[order], onehot[order]
         flat = rows + (y - 1)  # each label's place in its batch's row-major scores
         total = 0.0
         for start in range(0, n, bs):
             stop = min(start + bs, n)
-            batch_loss, grads = _loss_and_grads(layers, acts, X[start:stop], y[start:stop],
-                                                flat[start:stop])
+            batch_loss, _ = _loss_and_grads(layers, acts, X[start:stop], y[start:stop],
+                                            flat[start:stop], Y[start:stop], grads)
             if not math.isfinite(batch_loss):
                 raise DivergedLoss(f"surrogate loss became {batch_loss} in epoch {epoch} of "
                                    f"{config.epochs}, in the batch from sample {start} of "
-                                   f"that epoch's shuffled order")
+                                   f"that epoch's shuffled order, training seed {config.seed}")
             total += batch_loss * (stop - start)
-            for W, g in zip(layers, grads):  # W - lr * g, in place
-                g *= lr
-                W -= g
+            step *= lr  # W - lr * g for every layer, in place
+            weights -= step
         epoch_losses.append(total / n)
     params = NetworkParams(layers=tuple(layers), activations=acts)
     return TrainResult(params=params, epoch_losses=tuple(epoch_losses))

@@ -5,7 +5,9 @@ Every scalar or array argument of every exported function (and of
 `FunctionClass.evaluate`), given a value of any of seventeen odd kinds while
 its other arguments stay valid, is either accepted or rejected with a
 ValueError subclass whose message names that argument. Object arguments
-(spec, params, dataset, class) are not varied. No count passed to a function
+(spec, params, dataset, class) are not varied there; instead each object
+slot of `train_sgd` and of `certification_run`, given a wrong object,
+raises a TypeError that names the slot. No count passed to a function
 is ever large: a valid huge count, such as `validate_ramp_dominance(10**30,
 0)`, runs without end, so every number drawn for a call is small.
 
@@ -67,6 +69,7 @@ from mixcert import (
     substream,
     table_class,
     theorem1_bound,
+    train_sgd,
     validate_lemma3,
     validate_mcdiarmid,
     validate_ramp_dominance,
@@ -84,6 +87,8 @@ DATA = sample_sequence(SPEC, 5, 0)
 PROFILE = mixing_profile(SPEC, 5)
 TABLES = table_class([[0.0], [1.0]], [np.eye(2)])
 CONSTANTS = constant_class([0.0, 1.0])
+ARCH = Architecture(dims=(1, 2), activations=("identity",))
+TRAIN = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, seed=0)
 
 # The odd value kinds. Each is a strategy whose simplest value is the one
 # named; the others are of the same kind and as small.
@@ -117,9 +122,8 @@ ENTRIES = {
     "brute_force_phi": (brute_force_phi, dict(spec=SPEC, k=1, n_max=3, future_len=1), {}),
     "certification_run": (
         certification_run,
-        dict(spec=SPEC, arch=Architecture(dims=(1, 2), activations=("identity",)),
-             train_config=TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, seed=0),
-             profile=PROFILE, n_train=5, m_target=4, gamma_list=(0.5,), delta=0.05, seed=0),
+        dict(spec=SPEC, arch=ARCH, train_config=TRAIN, profile=PROFILE, n_train=5, m_target=4,
+             gamma_list=(0.5,), delta=0.05, seed=0),
         {"n_train": ("n",), "m_target": ("m", "n"), "gamma_list": ("gammas",)}),
     "combine_seeds": (combine_seeds, dict(a=1, b=2), {"a": ("seed",), "b": ("seed",)}),
     "concentration_term": (concentration_term, dict(n=10, delta=0.05, delta_inf=1.5), {}),
@@ -159,6 +163,7 @@ ENTRIES = {
     "theorem1_bound": (
         theorem1_bound,
         dict(empirical=0.1, rademacher=0.1, profile=PROFILE, delta=0.05, n=5), {}),
+    "train_sgd": (train_sgd, dict(train_data=DATA, arch=ARCH, config=TRAIN), {}),
     "validate_lemma3": (validate_lemma3, dict(spec=SPEC, f_table=F_TABLE, n=3), {}),
     "validate_mcdiarmid": (
         validate_mcdiarmid,
@@ -172,6 +177,12 @@ ENTRIES = {
 }
 OBJECTS = (ProcessSpec, NetworkParams, LayerNorms, Architecture, TrainConfig,
            type(DATA), type(PROFILE), type(CONSTANTS))
+# entry point -> its object slots, each of which a wrong object fails with a
+# TypeError naming the slot
+SLOTS = {
+    "certification_run": ("spec", "arch", "train_config", "profile"),
+    "train_sgd": ("train_data", "arch", "config"),
+}
 
 
 def varied(args: dict) -> list:
@@ -196,6 +207,17 @@ def test_a_rejected_value_raises_a_value_error_naming_its_argument(entry, data):
             except ValueError as exc:
                 names = (key,) + aliases.get(key, ())
                 assert any(name in str(exc) for name in names), (key, kind, str(exc))
+
+
+@pytest.mark.parametrize("entry, slot", [(entry, slot) for entry, slots in SLOTS.items()
+                                         for slot in slots])
+def test_a_wrong_object_raises_a_type_error_naming_its_slot(entry, slot):
+    """None, a number, or another class's object in an object slot."""
+    call, args, _ = ENTRIES[entry]
+    for wrong in (None, 0, NET):
+        with pytest.raises(TypeError) as exc:
+            call(**dict(args, **{slot: wrong}))
+        assert str(exc.value).startswith(f"{slot} must be a"), (wrong, str(exc.value))
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

@@ -31,6 +31,7 @@ from mixcert import (
 from mixcert.network import (
     _ce_forward,
     _loss_and_grads,
+    _row_max,
     dataset_margins,
     error_rate,
     mean_ramp_loss,
@@ -422,6 +423,47 @@ class TestGradient:
         want = float(np.mean(np.log(np.exp(shift).sum(axis=1)) - shift[np.arange(n), y - 1]))
         assert _ce_forward(p.layers, p.activations, X, y)[3] == want
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_step_has_the_bits_of_a_matmul_backprop(self, seed):
+        """The loss and gradients, fresh or written into given buffers, equal
+        backprop written with `@` and a scatter of -1 at each label, bit for
+        bit: `np.dot` and the one-hot rows change only the cost. Random
+        depths, activations and widths (one unit included), K >= 2, and
+        batches of one row."""
+        rng = np.random.default_rng(seed)
+        p = random_params(rng)
+        while p.layers[-1].shape[0] < 2:
+            p = random_params(rng)
+        m, K = int(rng.choice([1, 2, 7, 64])), p.layers[-1].shape[0]
+        X = rng.normal(size=(m, p.input_dim))
+        y = rng.integers(1, K + 1, size=m)
+
+        saved, post = [], [X]
+        for W, act in zip(p.layers, p.activations):
+            out, keep = act._forward(post[-1] @ W.T)
+            saved.append(keep)
+            post.append(out)
+        shift = post[-1] - _row_max(post[-1])[:, None]
+        expv = np.exp(shift)
+        total = expv.sum(axis=1, keepdims=True)
+        flat = np.arange(m) * K + (y - 1)
+        loss = float(np.mean(np.log(total[:, 0]) - shift.ravel()[flat]))
+        d_post = expv / total
+        d_post.ravel()[flat] -= 1.0
+        d_post /= m
+        want = [None] * p.num_layers
+        for i in range(p.num_layers - 1, -1, -1):
+            d_pre = p.activations[i].backward(saved[i], d_post)
+            want[i] = d_pre.T @ post[i]
+            d_post = d_pre @ p.layers[i]
+
+        buffers = [np.full(W.shape, np.nan) for W in p.layers]
+        for grads in (None, buffers):
+            got_loss, got = _loss_and_grads(p.layers, p.activations, X, y, grads=grads)
+            assert got_loss == loss
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(g is b for g, b in zip(got, buffers))
+
     def test_zero_gradient_at_symmetric_point(self):
         """All-zero weights score every class equally on every input, a
         stationary point of the averaged cross entropy for balanced labels."""
@@ -525,6 +567,16 @@ class TestTrainSGD:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedLoss, match=r"became nan in epoch 1 of 5, in the batch "
                                                    r"from sample 16 of that epoch's shuffled"):
+                train_sgd(data, arch, cfg)
+
+    def test_diverging_rate_names_the_training_seed(self):
+        """The error ends with the config's training seed, so a run that
+        trains many seeds says which one diverged."""
+        data = self.spec_data(n=60)
+        arch = Architecture(dims=(2, 8, 2), activations=("identity", "identity"))
+        cfg = TrainConfig(learning_rate=1e200, epochs=5, batch_size=16, seed=37)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedLoss, match=r"shuffled order, training seed 37$"):
                 train_sgd(data, arch, cfg)
 
     def test_init_scale_zero_epochs(self):
