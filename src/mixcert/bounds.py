@@ -50,6 +50,7 @@ from .process import (
     LabeledDataset,
     MixingProfile,
     ProcessSpec,
+    _bit_groups,
     mixing_profile,
     sample_sequence,
     sample_sequences_batch,
@@ -71,6 +72,7 @@ SOURCE_COVERING = "covering_bound"
 
 _EXACT_SIGN_LIMIT = 12  # symmetrization enumerates all signs up to this n
 _MC_SIGNS = 256  # sign draws per path beyond it
+_SYMMETRIZATION_BLOCK = 4096  # sampled paths per block of class values
 _MAX_CLASSES = 5  # the ramp-dominance sweep draws K from 2.._MAX_CLASSES
 _MCDIARMID_EPSILONS = (0.02, 0.05, 0.1, 0.2, 0.3)  # tail deviations validate_mcdiarmid checks
 _LEMMA3_TOL = 1e-12  # rounding validate_lemma3 forgives in its exact comparison
@@ -216,6 +218,9 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gammas,
     bound_holds records whether the certificate clears the plug-in zero-one
     estimate minus that half-width.
     """
+    data = _instance(data, "data", LabeledDataset)
+    params = _instance(params, "params", NetworkParams)
+    profile = _instance(profile, "profile", MixingProfile)
     if data.kind != KIND_SEQUENCE:
         raise WrongKind("certificates are issued for sequence datasets")
     n = data.n
@@ -336,6 +341,7 @@ def validate_lemma3(spec: ProcessSpec, f_table, n: int) -> Lemma3Report:
     """Check |E f(Z_i) - E_stationary f| <= mu_i for every i <= n, and the
     averaged version, with both sides computed exactly (discrete emissions
     only). The slack reported is max_i (gap_i - mu_i)."""
+    spec = _instance(spec, "spec", ProcessSpec)
     per_step = step_expectations(spec, f_table, n)
     limit = stationary_expectation(spec, f_table)
     profile = mixing_profile(spec, n)
@@ -393,24 +399,56 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
     signs enumerated exactly when n <= _EXACT_SIGN_LIMIT and _MC_SIGNS sign
     vectors sampled independently per path otherwise. Flags a violation
     when the lhs exceeds the rhs beyond combined 3-stderr bands.
+
+    The class is evaluated on _SYMMETRIZATION_BLOCK paths at a time, and
+    Monte Carlo signs are drawn per path, in path order. For exact signs
+    each block keeps only its distinct paths (`_bit_groups`; a one-member
+    class keeps all, as `_exact_rademacher` does not group it), and one
+    `_exact_rademacher` call on their concatenation, once the paths are
+    freed, gives every path its value: the concatenation lists each
+    distinct path first at its earliest trial, so the sign kernel
+    enumerates the distinct paths of the whole sample in the same order,
+    and gives the same bits, as on all paths at once. So a sample with few
+    distinct paths never holds the class values of all paths; where every
+    path is distinct (values that vary with continuous inputs) the kept
+    values are all of them, held beside the paths by the end of the loop
+    and twice while the blocks are joined.
     """
+    fclass = _instance(fclass, "fclass", FunctionClass)
+    spec = _instance(spec, "spec", ProcessSpec)
     _as_int(trials, "trials", 2)
     X, Y = sample_sequences_batch(spec, n, trials, seed)
-    F = fclass.evaluate(X.reshape(-1, spec.input_dim), Y.reshape(-1))
-    F = F.reshape(fclass.size, trials, n)
-    del X, Y  # the paths are no longer needed once F holds their values
     centers = _class_step_means(fclass, spec, n, seed, trials)
-    lhs_vals = (F.mean(axis=2) - centers[:, None]).max(axis=0)
-
-    if n <= _EXACT_SIGN_LIMIT:
-        method = "exact"
-        rhat = _exact_rademacher(F)
-    else:
-        method = "monte_carlo"
-        rng = substream(seed, 3)
-        rhat = np.array([
-            float(_sign_sups(F[:, t:t + 1], _draw_signs(rng, _MC_SIGNS, n))[0].mean()) / n
-            for t in range(trials)])
+    exact = n <= _EXACT_SIGN_LIMIT
+    rng = substream(seed, 3)
+    lhs_vals = np.empty(trials)
+    rhat = np.empty(trials)  # filled per path with Monte Carlo signs
+    column = np.empty(trials, dtype=np.int64)  # each path's place among the kept paths
+    kept, count = [], 0
+    for start in range(0, trials, _SYMMETRIZATION_BLOCK):
+        stop = min(start + _SYMMETRIZATION_BLOCK, trials)
+        F = fclass.evaluate(X[start:stop].reshape(-1, spec.input_dim), Y[start:stop].reshape(-1))
+        F = F.reshape(fclass.size, stop - start, n)
+        lhs_vals[start:stop] = (F.mean(axis=2) - centers[:, None]).max(axis=0)
+        if not exact:
+            for t in range(stop - start):
+                sups = _sign_sups(F[:, t:t + 1], _draw_signs(rng, _MC_SIGNS, n))
+                rhat[start + t] = float(sups[0].mean()) / n
+        elif fclass.size > 1:
+            group, first = _bit_groups(F[m, :, i] for m in range(fclass.size) for i in range(n))
+            kept.append(F[:, first])
+            column[start:stop] = count + group
+            count += first.size
+        else:  # every path: `_exact_rademacher` does not group a one-member class
+            kept.append(F)
+            column[start:stop] = np.arange(count, count + stop - start)
+            count += stop - start
+        del F  # before the next block's values are made
+    del X, Y  # the enumeration needs only the kept paths' values
+    if exact:
+        F = np.concatenate(kept, axis=1)
+        del kept
+        rhat = _exact_rademacher(F)[column]
     rhs_vals = 2.0 * rhat
 
     lhs_mean = float(lhs_vals.mean())
@@ -421,7 +459,8 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
     return SymmetrizationReport(n=n, trials=trials, class_size=fclass.size,
                                 lhs_mean=lhs_mean, lhs_stderr=lhs_stderr,
                                 rhs_mean=rhs_mean, rhs_stderr=rhs_stderr,
-                                signs_method=method, violation=violation)
+                                signs_method="exact" if exact else "monte_carlo",
+                                violation=violation)
 
 
 @dataclass

@@ -207,6 +207,7 @@ class TrainResult:
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
+    params = _instance(params, "params", NetworkParams)
     Z = _numbers(X, "inputs", 2)
     if Z.shape[1] != params.input_dim:
         raise DimensionMismatch("inputs must be (n, input_dim)")

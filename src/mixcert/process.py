@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import (_ATOL, _as_array, _as_float, _as_int, _as_labels, _as_times,
-                      _check_keys, _check_stochastic, _count, _field_names, _fields, _length,
-                      _reject_trailing, _unit_values)
+                      _check_keys, _check_stochastic, _count, _field_names, _fields, _instance,
+                      _length, _reject_trailing, _unit_values)
 from .errors import (BadLabel, DimensionMismatch, EmptyDataset, NonUniqueStationary, NotDiscrete,
                      TooLarge)
 from .seeding import substream
@@ -675,6 +675,7 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     column. On a slow 16-state ring at n = 800, with no fixed point inside
     2n, about 4% of the columns are reduced.
     """
+    spec = _instance(spec, "spec", ProcessSpec)
     _as_int(n, "n", 1)
     markov = spec.markov
     pistar = stationary_distribution(markov)
@@ -759,6 +760,7 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
     The hidden state starts at the initial law and takes n kernel steps;
     X_i is emitted from the time-i law of state H_i. Deterministic in seed.
     """
+    spec = _instance(spec, "spec", ProcessSpec)
     _as_int(n, "n", 1, EmptyDataset)
     rng = substream(seed, _STREAM_SEQUENCE)
     em = spec.emission
@@ -787,7 +789,11 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     """Vectorized trials x n observed paths for Monte Carlo validators.
 
     Returns (inputs (trials, n, d), labels (trials, n)). Single Philox
-    stream with a fixed draw order, so results depend only on the seed.
+    stream with a fixed draw order, so results depend only on the seed: all
+    hidden states H_1..H_n of every chain first, then the emissions time by
+    time. The states are walked into the (trials, n) label array, and each
+    time's column is mapped to labels in place once its points are drawn,
+    so besides the two results only one column's temporaries are held.
     """
     _as_int(n, "n", 1)
     _as_int(trials, "trials", 1)
@@ -795,13 +801,15 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     em = spec.emission
     walk = _walk(spec.markov, trials, rng)
     next(walk)
-    states = np.stack([next(walk) for _ in range(n)], axis=1)
+    labels = np.empty((trials, n), dtype=np.int64)  # H_1..H_n, mapped to labels once emitted
+    for t in range(n):
+        labels[:, t] = next(walk)
     label_arr = np.asarray(spec.label_map, dtype=np.int64)
-    labels = label_arr[states]
     stack = em.rows_at(range(1, n + 1))
     X = np.empty((trials, n, spec.input_dim))
     for t in range(n):
-        X[:, t] = em.emit(stack[t], states[:, t], rng)
+        X[:, t] = em.emit(stack[t], labels[:, t], rng)
+        labels[:, t] = label_arr[labels[:, t]]
     return X, labels
 
 

@@ -9,15 +9,17 @@ caller: `_sign_sups` reduces a (members, paths, n) value array against sign
 rows, `_exact_rademacher` enumerates all 2**n sign vectors through it once
 per distinct path (`process._bit_groups`), `_draw_signs` is the one sign
 draw. `empirical_rademacher_exact` and `empirical_rademacher_mc` run the
-kernel on one path; the symmetrization validator in `bounds` runs it on many.
+kernel on one path; the symmetrization validator in `bounds` runs it on many,
+in one `_exact_rademacher` call on the distinct paths of all its blocks.
 
 `_sign_sups` folds the sup over members into a running maximum, one
 (paths, k) product per member, so it never holds all members' sums at once:
 a block of the exact enumeration holds 2 x _PATH_BLOCK x min(2**n,
-_SIGN_CHUNK) floats whatever the class size. A product with one path or one
-sign row keeps the stacked form, in which every member's sums come from one
-product, because numpy sends a product with a single row or column through
-matrix-vector code whose last bits can differ.
+_SIGN_CHUNK) floats (2 x 32 x 65536 at most, 32 MiB) whatever the class
+size. A product with one path or one sign row keeps the stacked form, in
+which every member's sums come from one product, because numpy sends a
+product with a single row or column through matrix-vector code whose last
+bits can differ.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .seeding import substream
 
 _EXACT_MAX_N = 20
 _SIGN_CHUNK = 65536  # sign vectors per block of the exact enumeration
-_PATH_BLOCK = 128  # paths per block of the exact enumeration
+_PATH_BLOCK = 32  # paths per block of the exact enumeration
 
 
 @dataclass(frozen=True)
@@ -162,14 +164,17 @@ def _exact_rademacher(F: np.ndarray) -> np.ndarray:
     complexity, so with two or more members the enumeration runs once per
     distinct path (`_bit_groups`, on one strided column per member and
     point: no (paths, members * n) copy of F) and the results are scattered
-    back. A one-member class is not grouped: there a block of one path goes
+    back; when every path is distinct F itself is enumerated, not a copy of
+    it. A one-member class is not grouped: there a block of one path goes
     through a matrix-vector product, whose last bits can differ from the
     matrix-matrix product of a larger block."""
     members, paths, n = F.shape
     if members < 2 or paths < 2:
         return _enumerate_signs(F)
     group, first = _bit_groups(F[m, :, i] for m in range(members) for i in range(n))
-    return _enumerate_signs(F[:, first])[group]
+    if first.size < paths:
+        F = F[:, first]
+    return _enumerate_signs(F)[group]
 
 
 def _enumerate_signs(F: np.ndarray) -> np.ndarray:
@@ -177,7 +182,11 @@ def _enumerate_signs(F: np.ndarray) -> np.ndarray:
     vector c has theta_i = +1 where bit i of c is set; the loops take blocks
     of _SIGN_CHUNK sign vectors and _PATH_BLOCK paths, and `_sign_sups`
     keeps each block at 2 x _PATH_BLOCK x min(2**n, _SIGN_CHUNK) floats
-    besides the signs, whatever the number of members."""
+    besides the signs, whatever the number of members. A value depends on
+    where its path falls only through the block's size: a last block of one
+    path (a path count of 1 mod _PATH_BLOCK) is a matrix-vector product,
+    which for a one-member class, never grouped, can change the last bits of
+    that path's value, a rounding residue of an exact 0."""
     paths, n = F.shape[1], F.shape[2]
     count = 1 << n
     total = np.zeros(paths)

@@ -16,6 +16,7 @@ from mixcert import (
     Architecture,
     BadDelta,
     EmissionSpec,
+    FunctionClass,
     LabeledDataset,
     LayerNorms,
     MarkovSpec,
@@ -37,6 +38,7 @@ from mixcert import (
     sample_sequence,
     sample_sequences_batch,
     sample_target,
+    table_class,
     theorem1_bound,
     train_sgd,
     validate_lemma3,
@@ -44,8 +46,12 @@ from mixcert import (
     validate_ramp_dominance,
     validate_symmetrization,
 )
-from mixcert.bounds import _class_step_means, train_seed
+from mixcert import bounds
+from mixcert.bounds import (_EXACT_SIGN_LIMIT, _MC_SIGNS, SymmetrizationReport,
+                            _class_step_means, train_seed)
 from mixcert.harness import builtin_class
+from mixcert.rademacher import _draw_signs, _exact_rademacher, _sign_sups
+from mixcert.seeding import substream
 
 # empirical 0.2, complexity 0.05, mean drift 0.01, unit dependence factor,
 # delta 0.05, n = 200
@@ -508,6 +514,121 @@ class TestValidateSymmetrization:
             inputs=X[t], labels=Y[t], num_classes=2, kind="sequence", seed=seed)).value
             for t in range(trials)]
         assert abs(rep.rhs_mean - 2.0 * float(np.mean(exact))) <= 3.0 * rep.rhs_stderr
+
+
+def whole_array_symmetrization(fclass, spec, n, trials, seed):
+    """The symmetrization validator with every path's class values held at
+    once: one `evaluate` over all paths, then `_exact_rademacher` on all of
+    them or the per-path Monte Carlo loop."""
+    X, Y = sample_sequences_batch(spec, n, trials, seed)
+    F = fclass.evaluate(X.reshape(-1, spec.input_dim), Y.reshape(-1))
+    F = F.reshape(fclass.size, trials, n)
+    centers = _class_step_means(fclass, spec, n, seed, trials)
+    lhs_vals = (F.mean(axis=2) - centers[:, None]).max(axis=0)
+    if n <= _EXACT_SIGN_LIMIT:
+        method, rhat = "exact", _exact_rademacher(F)
+    else:
+        rng = substream(seed, 3)
+        method, rhat = "monte_carlo", np.array([
+            float(_sign_sups(F[:, t:t + 1], _draw_signs(rng, _MC_SIGNS, n))[0].mean()) / n
+            for t in range(trials)])
+    rhs_vals = 2.0 * rhat
+    lhs_mean, rhs_mean = float(lhs_vals.mean()), float(rhs_vals.mean())
+    lhs_stderr = float(lhs_vals.std(ddof=1) / math.sqrt(trials))
+    rhs_stderr = float(rhs_vals.std(ddof=1) / math.sqrt(trials))
+    return SymmetrizationReport(
+        n=n, trials=trials, class_size=fclass.size, lhs_mean=lhs_mean,
+        lhs_stderr=lhs_stderr, rhs_mean=rhs_mean, rhs_stderr=rhs_stderr,
+        signs_method=method,
+        violation=bool(lhs_mean - 3.0 * lhs_stderr > rhs_mean + 3.0 * rhs_stderr))
+
+
+class TestSymmetrizationBlocks:
+    """The validator evaluates the class one block of paths at a time and
+    enumerates the blocks' distinct paths in one call; every field of its
+    report equals the whole-array validator's."""
+
+    @staticmethod
+    def random_case(rng, mode, members):
+        """A random 2-4 state spec of the given emission mode with 2-3
+        labels, and a class of `members` random [0, 1]-valued functions on
+        it: random float value tables over the alphabet (`table_class`) for
+        a discrete spec, elementwise functions of the point and label for a
+        Gaussian one."""
+        S, K, d = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 3))
+
+        def law(rows, cols):
+            t = rng.random((rows, cols)) + 0.05
+            return t / t.sum(axis=1, keepdims=True)
+        if mode == "discrete":
+            M = int(rng.integers(2, 5))
+            emission = EmissionSpec.discrete(rng.normal(size=(M, d)), law(S, M))
+        else:
+            emission = EmissionSpec.gaussian(rng.normal(size=(S, d)), float(rng.uniform(0.1, 2.0)))
+        spec = ProcessSpec(
+            markov=MarkovSpec(num_states=S, transition=law(S, S), initial=law(1, S)[0]),
+            emission=emission, label_map=tuple(int(v) for v in rng.integers(1, K + 1, size=S)),
+            num_classes=K, input_dim=d)
+        if mode == "discrete":
+            return spec, table_class(emission.alphabet, [rng.random((M, K)) for _ in range(members)])
+
+        def make(a, b):
+            return lambda X, y: (np.abs(X).sum(axis=1) * a + y * b) % 1.0
+        return spec, FunctionClass(evaluators=tuple(
+            make(*rng.uniform(0.1, 3.0, size=2)) for _ in range(members)))
+
+    @pytest.mark.parametrize("mode", ["discrete", "gaussian"])
+    @pytest.mark.parametrize("block", [1, 2, 3, None])
+    def test_blocks_equal_the_whole_array(self, monkeypatch, block, mode):
+        """n in {1, 6, 12} (exact signs) and {13, 14} (Monte Carlo signs),
+        classes of 1, 2 and 6 members, and trial counts on both sides of one
+        and of several blocks. The default block runs each trial count at
+        one n, cycled over the five, to keep its 12,000-path runs short."""
+        if block is not None:
+            monkeypatch.setattr(bounds, "_SYMMETRIZATION_BLOCK", block)
+        b = bounds._SYMMETRIZATION_BLOCK
+        ns = (1, 6, 12, 13, 14)
+        rng = np.random.default_rng([b, mode == "gaussian"])
+        cases = 0
+        for i, trials in enumerate((2, 3, b - 1, b, b + 1, 3 * b + 5)):
+            if trials < 2:
+                continue
+            for j, members in enumerate((1, 2, 6)):
+                spec, fclass = self.random_case(rng, mode, members)
+                seed = int(rng.integers(0, 2 ** 31))
+                for n in ns if block is not None else (ns[(i + j) % len(ns)],):
+                    got = validate_symmetrization(fclass, spec, n, trials, seed)
+                    want = whole_array_symmetrization(fclass, spec, n, trials, seed)
+                    assert got.to_json_dict() == want.to_json_dict(), (trials, members, n)
+                    cases += 1
+        assert cases >= 18
+
+    def test_memory_is_bounded_in_trials_and_members(self):
+        """Beyond the paths X and Y, the validator holds a few floats per
+        path, one block of class values with the temporaries of `evaluate`,
+        and one block of the sign enumeration, never the class values of
+        every path. On a chain with at most 2**6 distinct paths each block
+        keeps few of them, so the peak above X and Y stays under one budget
+        from 2 to 8 members and from 20,000 to 80,000 trials (three blocks
+        of 8 members' values and four floats per path at 80,000), and below
+        one copy of all class values."""
+        spec = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [1.0, 0.0], 2)
+        n = 6
+        validate_symmetrization(constant_class([0.0, 1.0]), spec, n, 2, 0)  # lazy imports
+        budget = (3 * 8 * bounds._SYMMETRIZATION_BLOCK * n + 4 * 80_000) * 8
+        for members in (2, 8):
+            fclass = constant_class(np.linspace(0.0, 1.0, members))
+            for trials in (20_000, 80_000):
+                X, Y = sample_sequences_batch(spec, n, trials, 0)
+                tracemalloc.start()
+                try:
+                    validate_symmetrization(fclass, spec, n, trials, 0)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                above = peak - X.nbytes - Y.nbytes
+                assert above < budget, (members, trials, above / budget)
+                assert above < members * trials * n * 8, (members, trials)
 
 
 class TestClassStepMeans:

@@ -6,7 +6,9 @@ Every scalar or array argument of every exported function (and of
 its other arguments stay valid, is either accepted or rejected with a
 ValueError subclass whose message names that argument. Object arguments
 (spec, params, dataset, class) are not varied there; instead each object
-slot of `train_sgd` and of `certification_run`, given a wrong object,
+slot of `train_sgd`, `certification_run`, `mixing_profile`,
+`sample_sequence`, `network_certificate`, `forward_batch`,
+`validate_lemma3` and `validate_symmetrization`, given a wrong object,
 raises a TypeError that names the slot. No count passed to a function
 is ever large: a valid huge count, such as `validate_ramp_dominance(10**30,
 0)`, runs without end, so every number drawn for a call is small.
@@ -181,7 +183,13 @@ OBJECTS = (ProcessSpec, NetworkParams, LayerNorms, Architecture, TrainConfig,
 # TypeError naming the slot
 SLOTS = {
     "certification_run": ("spec", "arch", "train_config", "profile"),
+    "forward_batch": ("params",),
+    "mixing_profile": ("spec",),
+    "network_certificate": ("data", "params", "profile"),
+    "sample_sequence": ("spec",),
     "train_sgd": ("train_data", "arch", "config"),
+    "validate_lemma3": ("spec",),
+    "validate_symmetrization": ("fclass", "spec"),
 }
 
 
@@ -214,7 +222,8 @@ def test_a_rejected_value_raises_a_value_error_naming_its_argument(entry, data):
 def test_a_wrong_object_raises_a_type_error_naming_its_slot(entry, slot):
     """None, a number, or another class's object in an object slot."""
     call, args, _ = ENTRIES[entry]
-    for wrong in (None, 0, NET):
+    other = SPEC if isinstance(args[slot], NetworkParams) else NET
+    for wrong in (None, 0, other):
         with pytest.raises(TypeError) as exc:
             call(**dict(args, **{slot: wrong}))
         assert str(exc.value).startswith(f"{slot} must be a"), (wrong, str(exc.value))

@@ -23,7 +23,7 @@ from mixcert import (
     loss_class,
     table_class,
 )
-from mixcert.rademacher import _draw_signs, _exact_rademacher, _sign_sups
+from mixcert.rademacher import _PATH_BLOCK, _draw_signs, _exact_rademacher, _sign_sups
 
 # One-layer reference terms at n=100, B=10, gamma=1, W=16, s=2, b=4,
 # frozen from an arbitrary-precision evaluation of the displayed formula.
@@ -127,8 +127,9 @@ class TestFunctionClass:
 
 def reference_exact(F):
     """Exact conditional complexity of every path of F (members, paths, n),
-    path blocks of 128 and sign blocks of 65536 enumerated in order, with no
-    grouping of repeated paths: the block loop the kernel runs per group."""
+    path blocks of _PATH_BLOCK and sign blocks of 65536 enumerated in order,
+    with no grouping of repeated paths: the block loop the kernel runs per
+    group."""
     paths, n = F.shape[1], F.shape[2]
     count = 1 << n
     total = np.zeros(paths)
@@ -136,32 +137,36 @@ def reference_exact(F):
         codes = np.arange(start, min(start + 65536, count), dtype=np.uint64)[:, None]
         bits = (codes >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
         signs = bits.astype(np.float64) * 2.0 - 1.0
-        for p in range(0, paths, 128):
-            sups = np.tensordot(F[:, p:p + 128], signs, axes=([2], [1])).max(axis=0)
-            total[p:p + 128] += sups.sum(axis=1)
+        for p in range(0, paths, _PATH_BLOCK):
+            sups = np.tensordot(F[:, p:p + _PATH_BLOCK], signs, axes=([2], [1])).max(axis=0)
+            total[p:p + _PATH_BLOCK] += sups.sum(axis=1)
     return total / count / n
 
 
 class TestExactKernel:
     @pytest.mark.parametrize("n", [1, 6, 12])
     def test_matches_the_block_loop(self, n):
-        """Random float values with repeated paths, so that grouping by
-        distinct path changes the block boundaries: the kernel must return the
-        oracle's bits for every class size and count of distinct paths,
-        including paths that differ only in -0.0 versus 0.0."""
+        """Random float values with and without repeated paths, so that
+        grouping by distinct path changes the block boundaries: the kernel
+        must return the oracle's bits for every class size and count of
+        distinct paths, including counts one either side of a multiple of
+        _PATH_BLOCK, where a one-member class's last block may hold one path,
+        and paths that differ only in -0.0 versus 0.0."""
         rng = np.random.default_rng(n)
         for members in range(1, 9):
-            for unique in (1, 2, 129, 130):
-                base = rng.random((members, unique, n))
-                if unique >= 2:
-                    base[:, 1] = base[:, 0]
-                    base[0, 0, 0], base[0, 1, 0] = -0.0, 0.0
-                pick = np.concatenate([np.arange(unique),
-                                       rng.integers(0, unique, size=int(rng.integers(1, 200)))])
-                rng.shuffle(pick)
-                F = base[:, pick]
-                got, want = _exact_rademacher(F), reference_exact(F)
-                assert got.shape == want.shape and np.array_equal(got, want), (members, unique)
+            for unique in (1, 2, 31, 32, 33, 34, 63, 64, 65, 66, 129, 130):
+                for repeats in (0, int(rng.integers(1, 200))):
+                    base = rng.random((members, unique, n))
+                    if unique >= 2:
+                        base[:, 1] = base[:, 0]
+                        base[0, 0, 0], base[0, 1, 0] = -0.0, 0.0
+                    pick = np.concatenate([np.arange(unique),
+                                           rng.integers(0, unique, size=repeats)])
+                    rng.shuffle(pick)
+                    F = base[:, pick]
+                    got, want = _exact_rademacher(F), reference_exact(F)
+                    assert got.shape == want.shape and np.array_equal(got, want), (
+                        members, unique, repeats)
 
 
 class TestSignKernel:
@@ -188,18 +193,22 @@ class TestSignKernel:
 
     def test_memory_does_not_grow_with_the_class(self):
         """The exact enumeration never holds all members' sums at once: beyond
-        F itself (its copy in distinct-path order), its peak is a fixed number
-        of (_PATH_BLOCK, 2**10) float blocks for 2 and for 32 members."""
-        block = 128 * 1024 * 8
+        one copy of F's values (the sort keys of the grouping, and the copy in
+        distinct-path order when a path repeats), its peak is a fixed number
+        of (_PATH_BLOCK, 2**10) float blocks for 2 and for 32 members, with
+        every path distinct and with one path repeated."""
+        block = _PATH_BLOCK * 1024 * 8
         for members in (2, 32):
             F = np.random.default_rng(members).random((members, 256, 10))
-            tracemalloc.start()
-            try:
-                _exact_rademacher(F)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - F.nbytes < 3 * block, (members, (peak - F.nbytes) / block)
+            for values in (F, np.concatenate([F, F[:, :1]], axis=1)):
+                tracemalloc.start()
+                try:
+                    _exact_rademacher(values)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak - F.nbytes < 3 * block, (members, values.shape,
+                                                     (peak - F.nbytes) / block)
 
 
 class TestExactEnumeration:
