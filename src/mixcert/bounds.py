@@ -216,7 +216,9 @@ def network_certificate(data: LabeledDataset, params: NetworkParams, gammas,
     is given, plug-in stationary losses on it are attached with the
     two-sided Hoeffding half-width sqrt(ln(2/_DELTA_EST) / (2m)), and
     bound_holds records whether the certificate clears the plug-in zero-one
-    estimate minus that half-width.
+    estimate minus that half-width. Memory: each margin pass holds its
+    (m, d_L) scores and a few floats per point, plus one `forward_batch`
+    row block of 2 x 4096 x width floats, whatever m is.
     """
     data = _instance(data, "data", LabeledDataset)
     params = _instance(params, "params", NetworkParams)

@@ -26,6 +26,7 @@ from .process import LabeledDataset
 from .seeding import substream
 
 _ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "identity")
+_ROW_BLOCK = 4096  # rows forward_batch runs through the layers at a time
 
 
 @dataclass(frozen=True)
@@ -207,13 +208,36 @@ class TrainResult:
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
+    """The (n, d_L) last-layer outputs of the network on the rows of X.
+
+    The layers run over _ROW_BLOCK rows at a time, and each block's outputs
+    are written into one (n, d_L) array. The rows after the last whole
+    block, more than one block and at most two, are cut in two at a multiple
+    of 8 near their middle. So no product but that of an input of fewer rows
+    has fewer than _ROW_BLOCK / 2 - 7 rows: numpy sends a one-row product
+    through matrix-vector code, and OpenBLAS a product of few rows through
+    its small-matrix kernels, and either can round a row differently from a
+    product of many rows. Cuts at multiples of 8 keep the row groups in
+    which matrix-vector kernels take the rows of a one-unit layer. Memory:
+    the (n, d_L) output plus one block's product and activation,
+    2 x _ROW_BLOCK x width floats at most (a leaky_relu adds a mask and a
+    scaled copy), whatever n is."""
     params = _instance(params, "params", NetworkParams)
     Z = _numbers(X, "inputs", 2)
     if Z.shape[1] != params.input_dim:
         raise DimensionMismatch("inputs must be (n, input_dim)")
-    for W, act in zip(params.layers, params.activations):
-        Z = act.apply(Z @ W.T)
-    return Z
+    n = Z.shape[0]
+    whole = max(-(-n // _ROW_BLOCK) - 2, 0) * _ROW_BLOCK  # rows in whole blocks
+    cuts = [*range(0, whole, _ROW_BLOCK), whole]
+    if n - whole > _ROW_BLOCK:
+        cuts.append(whole + -(-(n - whole) // 16) * 8)
+    out = np.empty((n, params.layers[-1].shape[0]))
+    for start, stop in zip(cuts, [*cuts[1:], n]):
+        A = Z[start:stop]
+        for W, act in zip(params.layers, params.activations):
+            A = act.apply(A @ W.T)
+        out[start:stop] = A
+    return out
 
 
 def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

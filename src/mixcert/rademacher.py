@@ -81,23 +81,35 @@ def table_class(alphabet: np.ndarray, tables) -> FunctionClass:
 
     Inputs are matched to alphabet rows bitwise (`_bit_groups`), which is
     how discrete processes emit them; each member takes labels 1..K for its
-    own table's K columns.
+    own table's K columns. The members share the rows of the last inputs
+    they looked up, kept with a copy of those inputs' bits, so the members
+    of one `FunctionClass.evaluate` call run one lookup; inputs whose bits
+    differ in any place (-0.0 is not 0.0) are looked up afresh.
     """
     alphabet = _as_array(alphabet, "alphabet", 2)
     size, dim = alphabet.shape
     if not dim:
         raise DimensionMismatch("alphabet points need at least one coordinate")
+    last = [None, None]  # bits of the last inputs looked up, and their rows
+
+    def rows(X: np.ndarray) -> np.ndarray:
+        if X.shape[1] != dim:
+            raise ValueError("input point is not an alphabet point")
+        bits = X.view(np.uint64)
+        if last[0] is not None and np.array_equal(last[0], bits):
+            return last[1]
+        ids, first = _bit_groups(map(np.concatenate, zip(alphabet.T, X.T)))
+        idx = first[ids[size:]]  # alphabet rows first: a group holding one starts at one
+        if np.any(idx >= size):
+            raise ValueError("input point is not an alphabet point")
+        last[:] = bits.copy(), idx
+        return idx
 
     def make(tab: np.ndarray) -> Callable:
         def f(X: np.ndarray, y: np.ndarray, tab=tab) -> np.ndarray:
+            X = _numbers(X, "inputs", 2)
             y = _as_labels(y, X.shape[0], tab.shape[1])
-            if X.shape[1] != dim:
-                raise ValueError("input point is not an alphabet point")
-            ids, first = _bit_groups(map(np.concatenate, zip(alphabet.T, X.T)))
-            idx = first[ids[size:]]  # alphabet rows first: a group holding one starts at one
-            if np.any(idx >= size):
-                raise ValueError("input point is not an alphabet point")
-            return tab[idx, y - 1]
+            return tab[rows(X), y - 1]
         return f
 
     checked = [_value_table(tab, "table", alphabet)

@@ -1,7 +1,11 @@
 """Feed-forward network tests: margins, losses, gradients, training."""
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from mixcert import (
     train_sgd,
 )
 from mixcert.network import (
+    _ROW_BLOCK,
     _ce_forward,
     _loss_and_grads,
     _row_max,
@@ -76,6 +81,45 @@ def random_params(rng, max_layers=3, max_dim=6):
         layers=tuple(rng.normal(size=(dims[i + 1], dims[i])) * rng.uniform(0.1, 3.0)
                      for i in range(L)),
         activations=tuple(Activation.parse(names[int(rng.integers(4))]) for _ in range(L)))
+
+
+BLOCK_ACTIVATIONS = ("relu", "leaky_relu", "leaky_relu:0.3", "tanh", "identity")
+# one-unit layers fed by many units: products that OpenBLAS runs as
+# matrix-vector code, which rounds the last rows of each thread's share
+BLOCK_EDGE_DIMS = ((64, 1), (64, 1, 2), (1, 64, 1), (2, 64, 64, 1))
+
+
+def unblocked_forward(params, X):
+    """The chain forward_batch runs, over all rows at once."""
+    Z = X
+    for W, act in zip(params.layers, params.activations):
+        Z = act.apply(Z @ W.T)
+    return Z
+
+
+def block_cases(n):
+    """(network, inputs) pairs on n rows: every activation at depths 1-3
+    with widths drawn from 1..64, the chains of BLOCK_EDGE_DIMS, and for
+    each network C-ordered inputs, their columns reversed and a transposed
+    (Fortran-ordered) view."""
+    rng = np.random.default_rng(n)
+    chains = [(tuple(int(d) for d in rng.integers(1, 65, size=depth + 1)), (act,) * depth)
+              for depth in (1, 2, 3) for act in BLOCK_ACTIVATIONS]
+    chains += [(dims, tuple(BLOCK_ACTIVATIONS[i % 5] for i in range(len(dims) - 1)))
+               for dims in BLOCK_EDGE_DIMS]
+    for dims, acts in chains:
+        p = NetworkParams(layers=tuple(rng.normal(size=(b, a)) for a, b in zip(dims, dims[1:])),
+                          activations=acts)
+        X = rng.normal(size=(n, dims[0]))
+        for view in (X, X[:, ::-1], np.ascontiguousarray(X.T).T):
+            yield p, view
+
+
+def block_mismatches(n):
+    """The cases of block_cases(n) where forward_batch and the unblocked
+    chain differ in any bit."""
+    return [(p, X) for p, X in block_cases(n)
+            if not np.array_equal(forward_batch(p, X), unblocked_forward(p, X))]
 
 
 def tiny_params(seed=77, dims=(3, 5, 4, 3), acts=("tanh", "leaky_relu:0.1", "identity")):
@@ -389,6 +433,54 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             forward_batch(p, np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                   3 * _ROW_BLOCK + 5])
+    def test_blocks_keep_the_bits_of_the_unblocked_chain(self, n):
+        """Row blocks change no bit of a product of many rows. The one
+        exception is a one-unit layer over more than one block: it is a
+        matrix-vector product, which OpenBLAS splits among its threads at a
+        row that depends on the row count and rounds the last rows of each
+        share differently, so neither form has bits independent of the
+        thread count there (test_blocks_keep_every_bit_on_one_blas_thread)."""
+        for p, X in block_mismatches(n):
+            assert n >= 2 * _ROW_BLOCK and min(W.shape[0] for W in p.layers) == 1
+            np.testing.assert_allclose(forward_batch(p, X), unblocked_forward(p, X),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_blocks_keep_every_bit_on_one_blas_thread(self):
+        """With one BLAS thread no product is split, and every case of
+        several blocks, one-unit layers of 64 inputs included, keeps every
+        bit."""
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            (str(tests.parent / "src"), str(tests))))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_network as t; "
+             "print(len(t.block_mismatches(3 * t._ROW_BLOCK + 5)))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "0"
+
+    def test_memory_is_one_block_whatever_n(self):
+        """Beyond its output, forward_batch holds one block of products and
+        activations, so its peak above the output is the same, within one
+        block, at 100,000 and 200,000 rows."""
+        p = tiny_params(dims=(2, 64, 64, 2), acts=("relu", "tanh", "identity"))
+        block = 2 * _ROW_BLOCK * 64 * 8  # one block's product and activation
+        rng = np.random.default_rng(12)
+        forward_batch(p, rng.normal(size=(3, 2)))
+        above = []
+        for n in (100_000, 200_000):
+            X = rng.normal(size=(n, 2))
+            tracemalloc.start()
+            try:
+                out = forward_batch(p, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above.append(peak - out.nbytes)
+        assert abs(above[1] - above[0]) <= block, above
+        assert max(above) <= 3 * block, above
+
 
 class TestGradient:
     def test_finite_difference_agreement(self):
@@ -612,6 +704,21 @@ class TestPopulationEstimate:
                            num_classes=2, kind="sequence", seed=0)
         with pytest.raises(WrongKind):
             certify_with_target(p, d, gamma=1.0)
+
+    def test_memory_at_a_large_target(self):
+        """The plug-in losses on 200,000 target points hold one block of
+        hidden activations, not the (m, 16) products of the default
+        architecture (48.8 MiB when unblocked)."""
+        p = tiny_params(dims=(2, 16, 2), acts=("relu", "identity"))
+        target = self.target(200_000)
+        certify_with_target(p, self.target(10), gamma=0.5)
+        tracemalloc.start()
+        try:
+            certify_with_target(p, target, gamma=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, peak / 2 ** 20
 
     def test_losses_in_range(self):
         p = tiny_params(dims=(2, 5, 2), acts=("relu", "identity"))

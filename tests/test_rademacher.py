@@ -23,6 +23,7 @@ from mixcert import (
     loss_class,
     table_class,
 )
+from mixcert import rademacher
 from mixcert.rademacher import _PATH_BLOCK, _draw_signs, _exact_rademacher, _sign_sups
 
 # One-layer reference terms at n=100, B=10, gamma=1, W=16, s=2, b=4,
@@ -102,6 +103,31 @@ class TestFunctionClass:
             y = rng.integers(1, 4, size=500)
             want = [[tab[lookup[x.tobytes()], k - 1] for x, k in zip(X, y)] for tab in tables]
             assert np.array_equal(table_class(alphabet, tables).evaluate(X, y), want)
+
+    def test_table_class_looks_up_once_per_evaluate(self, monkeypatch):
+        """Five members of one evaluate call share one lookup; inputs edited
+        in place, a 0.0 made -0.0 included, are looked up afresh."""
+        calls, lookup = [], rademacher._bit_groups
+
+        def counted(cols):
+            calls.append(1)
+            return lookup(cols)
+
+        monkeypatch.setattr(rademacher, "_bit_groups", counted)
+        rng = np.random.default_rng(9)
+        alphabet = np.array([[0.0], [1.0], [2.0]])
+        tables = [rng.random((3, 2)) for _ in range(5)]
+        c = table_class(alphabet, tables)
+        X, y = np.array([[0.0], [2.0], [1.0]]), np.array([1, 2, 2])
+        first = c.evaluate(X, y)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(first, [t[[0, 2, 1], y - 1] for t in tables])
+        X[1, 0] = 0.0
+        np.testing.assert_array_equal(c.evaluate(X, y), [t[[0, 0, 1], y - 1] for t in tables])
+        assert len(calls) == 2
+        X[0, 0] = -0.0
+        with pytest.raises(ValueError, match="not an alphabet point"):
+            c.evaluate(X, y)
 
     def test_empty_input_has_no_values(self):
         c = table_class([[0.0], [1.0]], [np.eye(2), np.full((2, 2), 0.5)])

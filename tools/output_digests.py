@@ -24,14 +24,23 @@ and 1 sum exactly in any order, so only these lines see a last-bit change
 in it. The last of them, "signs/table-lookup-n20000", is the digest of
 `table_class(...).evaluate` on 20,000 points over that alphabet with its
 first point repeated, the one line that covers a lookup of a repeated
-alphabet point. `--signs` prints these lines alone. The last line,
+alphabet point. `--signs` prints these lines alone. The next line,
 "sha256  capacity/covering-and-zero-layer", is the digest of the repr of
 `covering_bound_terms` on fixed random networks of depth 1 to 3 and weight
 scales 1e-3 to 1e3, and of the certificates of a network with a zero layer
 on configs/small.json: the shipped configs reach the capacity term only on
 trained networks and never reach a zero layer. `--capacity` prints it
-alone. Two source trees write the same bytes exactly when their listings
-are equal:
+alone. Last come the "sha256  forward/<activation>-n<rows>" lines, one per
+activation: the digest of `forward_batch` on FORWARD_ROWS random rows for
+fixed random networks of that activation at depths 1 to 3 and widths 1 to
+64. The shipped configs run only relu and identity at width 16, and
+FORWARD_ROWS, three row blocks and five rows, ends in a cut block. The
+relu line's first network has a one-unit layer of 41 inputs: a
+matrix-vector product, which OpenBLAS splits among its threads when it
+spans all 12,293 rows, so a tree that runs the layers over all rows at
+once reads the same there only on one BLAS thread
+(OPENBLAS_NUM_THREADS=1). `--forward` prints these lines alone. Two source trees write the same
+bytes exactly when their listings are equal:
 
     python tools/output_digests.py /path/to/parent/src /tmp/a > a.txt
     python tools/output_digests.py src /tmp/b > b.txt
@@ -52,6 +61,8 @@ RING_N = 800
 SIGN_MEMBERS = 5
 LOOKUP_POINTS = 20000
 CAPACITY_NETWORKS = 300
+FORWARD_ACTIVATIONS = ("relu", "leaky_relu", "leaky_relu:0.3", "tanh", "identity")
+FORWARD_ROWS = 3 * 4096 + 5
 
 
 def ring_digests() -> int:
@@ -142,6 +153,26 @@ def capacity_digest() -> int:
     return 0
 
 
+def forward_digests() -> int:
+    """Print the "sha256  forward/<activation>-n<rows>" lines: per
+    activation, networks of depth 1, 2 and 3 with standard normal weights
+    and layer sizes drawn uniformly from 1..64, on standard normal rows."""
+    import numpy as np
+    from mixcert import NetworkParams, forward_batch
+
+    rng = np.random.default_rng(2027)
+    for act in FORWARD_ACTIVATIONS:
+        digest = hashlib.sha256()
+        for depth in (1, 2, 3):
+            dims = rng.integers(1, 65, size=depth + 1)
+            params = NetworkParams(tuple(rng.standard_normal((b, a))
+                                         for a, b in zip(dims[:-1], dims[1:])), (act,) * depth)
+            digest.update(forward_batch(params, rng.standard_normal((FORWARD_ROWS, dims[0])))
+                          .tobytes())
+        print(f"{digest.hexdigest()}  forward/{act}-n{FORWARD_ROWS}")
+    return 0
+
+
 def main(argv) -> int:
     if argv == ["--rings"]:
         return ring_digests()
@@ -149,6 +180,8 @@ def main(argv) -> int:
         return sign_digests()
     if argv == ["--capacity"]:
         return capacity_digest()
+    if argv == ["--forward"]:
+        return forward_digests()
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -173,7 +206,7 @@ def main(argv) -> int:
                                 check=True, stdout=subprocess.PIPE).stdout
         print(f"{hashlib.sha256(stdout).hexdigest()}  demos/{name}")
     sys.stdout.flush()
-    for section in ("--rings", "--signs", "--capacity"):
+    for section in ("--rings", "--signs", "--capacity", "--forward"):
         subprocess.run([sys.executable, os.path.abspath(__file__), section], env=env,
                        check=True)
     return 0
