@@ -244,11 +244,17 @@ def margins_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     logits = _numbers(logits, "logits", 2)
     K = _as_int(logits.shape[1], "logits columns", 2, BadLabel)
     labels = _as_labels(labels, logits.shape[0], K)
-    masked = logits.copy()  # row-major: the score of label i sits at flat[i]
-    flat = np.arange(logits.shape[0]) * K + (labels - 1)
-    true = masked.take(flat)
-    masked.ravel()[flat] = -np.inf
-    return true - _row_max(masked)
+    # _ROW_BLOCK rows at a time, so the masked copy is one block's, not all m
+    # rows': a few (m,) arrays in all, at a masked copy's speed per element
+    out = np.empty(logits.shape[0])
+    for start in range(0, logits.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        masked = logits[rows].copy()  # row-major: the score of label i sits at flat[i]
+        flat = np.arange(masked.shape[0]) * K + (labels[rows] - 1)
+        true = masked.take(flat)
+        masked.ravel()[flat] = -np.inf
+        np.subtract(true, _row_max(masked), out=out[rows])
+    return out
 
 
 def _row_max(A: np.ndarray) -> np.ndarray:
@@ -271,7 +277,10 @@ def ramp_loss(r, gamma: float):
     arr = _numbers(r, "r")
     if np.isnan(arr).any():
         raise ValueError("r must not be NaN")
-    out = np.clip(1.0 + np.minimum(arr, 0.0) / gamma, 0.0, 1.0)
+    out = np.minimum(arr, 0.0, out=np.empty_like(arr))  # the one array made
+    out /= gamma
+    out += 1.0
+    np.clip(out, 0.0, 1.0, out=out)
     if arr.ndim == 0:
         return float(out)
     return out

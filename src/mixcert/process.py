@@ -40,7 +40,8 @@ from .seeding import substream
 
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
 
-_PHI_BLOCK = 32  # conditioning times _phi_lag reduces per block
+_PHI_BLOCK = 32  # conditioning times _phi_lags reduces per block
+_LAG_FLOATS = 1 << 16  # floats of the (lags, S, _PHI_BLOCK, S) difference of a lag block
 
 _STREAM_SEQUENCE = 0
 _STREAM_TARGET = 1
@@ -399,13 +400,16 @@ def _marginals(markov: MarkovSpec, tmax: int) -> np.ndarray:
 
     Once a step returns its input bit for bit, every later step does too, so
     the rows after that first exact float fixed point are filled, not stepped.
+    Rows are stepped 64 at a time and each block compared with one test.
     """
     out = np.empty((tmax + 1, markov.num_states))
     out[0] = markov.initial
-    for t in range(1, tmax + 1):
-        out[t] = out[t - 1] @ markov.transition
-        if np.array_equal(out[t], out[t - 1]):
-            out[t + 1:] = out[t]
+    for start in range(1, tmax + 1, 64):
+        for t in range(start, min(start + 64, tmax + 1)):
+            out[t] = out[t - 1] @ markov.transition
+        repeats = np.flatnonzero((out[start:t + 1] == out[start - 1:t]).all(axis=1))
+        if repeats.size:
+            out[start + repeats[0] + 1:] = out[start + repeats[0]]
             break
     return out
 
@@ -444,7 +448,8 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
             TV(delta_b @ P**k, m_{n+k})
 
     plus the limit point TV(delta_b @ P**k, pi*) over every state (all are
-    reachable eventually for a primitive chain). Like mixing_profile, it
+    reachable eventually for a primitive chain): the one-lag call of the
+    mixing_profile kernel, `_phi_lags`. Like mixing_profile, it
     raises NonUniqueStationary on a chain whose stationary law pi* is not
     certified unique. For a hidden-to-observed map that is not
     deterministic and injective this value upper-bounds the observed
@@ -453,15 +458,22 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
     """
     _as_int(k, "k", 1)
     _as_int(horizon, "horizon", 1)
-    markov = spec.markov
-    pistar = stationary_distribution(markov)
-    M = _marginals(markov, horizon + k)
     # the running product of mixing_profile, so both give the same bits
-    rows = np.eye(markov.num_states)
+    rows = np.eye(spec.markov.num_states)
     for _ in range(k):
-        rows = rows @ markov.transition
-    return _phi_lag(rows, M[k:], (M[: horizon + 1] > 0.0).T, pistar,
-                    _limit_gap_bound(M[k:], pistar))
+        rows = rows @ spec.markov.transition
+    return float(_phi_lags(rows[None], k, *_futures(spec.markov, horizon, horizon + k))[0])
+
+
+def _futures(markov: MarkovSpec, n: int, tmax: int) -> tuple:
+    """What _phi_lags reads for conditioning times 0..n: the marginals M up
+    to tmax, reach[b, t] = M[t, b] > 0, tail[:, c] = reach[:, c:].any(axis=1),
+    the fixed point T of M (`_fixed_point`), pi* and the limit gap bound."""
+    pistar = stationary_distribution(markov)
+    M = _marginals(markov, tmax)
+    reach = (M[: n + 1] > 0.0).T
+    tail = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
+    return M, reach, tail, _fixed_point(M), pistar, _limit_gap_bound(M, pistar)
 
 
 def _limit_gap_bound(M: np.ndarray, pistar: np.ndarray) -> np.ndarray:
@@ -471,35 +483,45 @@ def _limit_gap_bound(M: np.ndarray, pistar: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(_tv(M, pistar)[::-1])[::-1]
 
 
-def _phi_lag(rows: np.ndarray, future: np.ndarray, reach: np.ndarray,
-             pistar: np.ndarray, bound: np.ndarray) -> float:
-    """Gap-k coefficient from the k-step rows delta_b @ P**k: the largest TV
-    of rows[b] to future[t], the marginal k steps after t, over reach[b, t],
-    and to the stationary law pistar over every b; capped at 1.
-
-    The columns t are reduced in increasing order, _PHI_BLOCK at a time, so
-    the one temporary is an (S, _PHI_BLOCK, S) difference. With
-    bound[t] >= TV(future[s], pistar) for all s >= t (`_limit_gap_bound`),
-    the triangle inequality of the L1 norm (which needs no exact pistar)
-    gives TV(rows[b], future[s]) <= limit + bound[t] for
-    limit = max_b TV(rows[b], pistar). So the loop stops before the
-    block at t once limit + bound[t] + _tv_slack(S) < best: every column left
-    is strictly below a value already taken, and since the max of floats is
-    exact the result keeps the bits of the reduction over every column."""
-    limit = float(_tv(rows, pistar).max())
-    slack = _tv_slack(rows.shape[1])
-    best = limit
-    for start in range(0, future.shape[0], _PHI_BLOCK):
-        if limit + bound[start] + slack < best:
-            break
-        stop = start + _PHI_BLOCK
-        tv = _tv(rows[:, None, :], future[None, start:stop, :])
-        best = max(best, float(tv[reach[:, start:stop]].max()))
-    return min(best, 1.0)
+def _phi_lags(rows: np.ndarray, k: int, M: np.ndarray, reach: np.ndarray, tail: np.ndarray,
+              T: int, pistar: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """phi at the lags k, k + 1, ... of the (L, S, S) stack of their k-step
+    rows delta_b @ P**k, from `_futures`: per lag, the largest TV of rows[b]
+    to M[k + t] over reach[b, t] for t < c = min(n + 1, max(0, T - k)) and
+    over tail[b, c] at t = c <= n (the times t >= c share the future M[T]),
+    and to pistar over every b; capped at 1. The first min(_PHI_BLOCK, n + 1)
+    times of every lag are one (L, S, block, S) difference; a lag takes its
+    later blocks one at a time until the triangle bound of mixing_profile's
+    docstring leaves only columns below its best, which keeps every bit."""
+    L, S, _ = rows.shape
+    n = reach.shape[1] - 1
+    lags = np.arange(k, k + L)
+    c = np.minimum(np.maximum(T - lags, 0), n + 1)  # decreasing in the lag
+    limit = _tv(rows, pistar).max(axis=1)
+    slack = _tv_slack(S)
+    t = np.arange(min(_PHI_BLOCK, n + 1))
+    mask = reach[:, :t.size]
+    if c[-1] < t.size:  # a lag's shared column is in the first block
+        mask = (mask & (t < c[:, None])[:, None, :]
+                | tail[:, np.minimum(c, n)].T[:, :, None] & (t == c[:, None])[:, None, :])
+    tv = _tv(rows[:, :, None, :], M[lags[:, None] + t][:, None])
+    best = np.maximum(limit, np.where(mask, tv, 0.0).max(axis=(1, 2)))  # every TV >= 0.0
+    ahead = limit + bound[np.minimum(lags + t.size, len(bound) - 1)] + slack
+    # the lags with times past the first block that the bound does not stop
+    for i in np.flatnonzero((np.minimum(c, n) >= t.size) & ~(ahead < best)):
+        ki, ci = k + i, c[i]
+        cols = reach if ci > n else np.concatenate([reach[:, :ci], tail[:, ci, None]], axis=1)
+        for start in range(t.size, cols.shape[1], _PHI_BLOCK):
+            if limit[i] + bound[ki + start] + slack < best[i]:
+                break
+            stop = min(start + _PHI_BLOCK, cols.shape[1])
+            tv = _tv(rows[i, :, None, :], M[None, ki + start:ki + stop, :])
+            best[i] = max(best[i], tv[cols[:, start:stop]].max())
+    return np.minimum(best, 1.0)
 
 
 def _tv_slack(S: int) -> float:
-    """Absolute slack covering the rounding of limit + bound[t] in _phi_lag.
+    """Absolute slack covering the rounding of limit + bound[t] in _phi_lags.
 
     With u = eps / 2, one _tv of S-vectors rounds each difference (relative
     error u, the absolute value is exact) and sums S nonnegative terms
@@ -647,14 +669,17 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
 
     Cost: at most O(T**2 S**2 + n S**2) time for S states, plus S**3 per
     lag for the k-step rows until they repeat; the pruning below usually
-    takes far less. Memory: O(_PHI_BLOCK S**2) for the one (S, block, S)
-    difference a block of conditioning times takes its absolute value of in
-    place, plus O(n S) for the marginals and their limit bound. Discrete mu
-    costs S np.add.at calls over an (n, G K) array of joint (point, label)
-    laws for G distinct points and K labels, plus O(n S M) for the drifted
-    (S, M) emission tables when the law drifts; Gaussian mu in d dimensions
-    costs O(n S d) for the mean gaps at every time and one erf per time, of
-    that time's largest gap.
+    takes far less. The lags go in blocks of L = max(1, 2**16 // (S**2
+    _PHI_BLOCK)) (`_LAG_FLOATS`): 512 at S = 2, 8 at S = 16, 1 from S = 46
+    on. A block pays its fixed Python work, about 30 numpy calls, once for
+    all its lags. Memory: the one (L, S, _PHI_BLOCK, S) difference, at most
+    2**16 floats up to S = 45 and S**2 _PHI_BLOCK above, whose absolute
+    value is taken in place, plus O(n S) for the marginals and their limit
+    bound. Discrete mu costs S np.add.at calls over an (n, G K) array of
+    joint (point, label) laws for G distinct points and K labels, plus
+    O(n S M) for the drifted (S, M) emission tables when the law drifts;
+    Gaussian mu in d dimensions costs O(n S d) for the mean gaps at every
+    time and one erf per time, of that time's largest gap.
 
     T is the first time from which the marginals initial @ P**t repeat
     exactly, 2n + 1 when they do not within 2n. The shortcut is exact
@@ -664,8 +689,9 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     and the k-step rows delta_b @ P**k also repeat exactly, every later
     phi(k) is the same float.
 
-    Within a lag, `_phi_lag` reduces the columns in increasing t, 32
-    (_PHI_BLOCK) at a time, and stops before a block once
+    `_phi_lags` reduces the first 32 (_PHI_BLOCK) times of every lag of a
+    block at once; a lag then takes its later times in increasing t, 32 at
+    a time, and stops before a block once
     max_b TV(delta_b @ P**k, pi*) + E[t + k] + slack is strictly below the
     best value taken. E is the suffix max of TV(M[t], pi*), computed once per
     profile (`_limit_gap_bound`), and the slack, 4 (S + 2) eps, covers the
@@ -677,25 +703,24 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     """
     spec = _instance(spec, "spec", ProcessSpec)
     _as_int(n, "n", 1)
-    markov = spec.markov
-    pistar = stationary_distribution(markov)
-    M = _marginals(markov, 2 * n)
-    T = _fixed_point(M)
-    reach = (M[: n + 1] > 0.0).T
-    # tail[:, c] = reach[:, c:].any(axis=1): the states reachable at any t >= c
-    tail = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
-    bound = _limit_gap_bound(M, pistar)
-
+    markov, S = spec.markov, spec.markov.num_states
+    futures = _futures(markov, n, 2 * n)
+    M, T, pistar = futures[0], futures[3], futures[4]
     phi = np.empty(n)
-    rows = np.eye(markov.num_states)
-    for k in range(1, n + 1):
-        prev, rows = rows, rows @ markov.transition
-        c = min(n + 1, max(0, T - k))  # times t < c have distinct futures
-        mask = reach if c > n else np.concatenate([reach[:, :c], tail[:, c, None]], axis=1)
-        cols = slice(k, k + mask.shape[1])
-        phi[k - 1] = _phi_lag(rows, M[cols], mask, pistar, bound[cols])
-        if c == 0 and np.array_equal(rows, prev):
-            phi[k:] = phi[k - 1]
+    rows = np.empty((max(1, _LAG_FLOATS // (S * S * _PHI_BLOCK)) + 1, S, S))
+    rows[0] = np.eye(S)
+    k = 1
+    while k <= n:
+        for m in range(1, min(len(rows), n + 2 - k)):
+            rows[m] = rows[m - 1] @ markov.transition
+            repeat = k + m > T and np.array_equal(rows[m], rows[m - 1])
+            if repeat:
+                break
+        phi[k - 1:k - 1 + m] = _phi_lags(rows[1:m + 1], k, *futures)
+        k += m
+        rows[0] = rows[m]
+        if repeat:
+            phi[k - 1:] = phi[k - 2]
             break
     mu = _mu(spec, pistar, M, range(1, n + 1))
     delta_inf = 1.0 + 2.0 * float(phi.sum())

@@ -57,6 +57,21 @@ def reference_margin(v, j):
     return float(v[j - 1] - np.delete(v, j - 1).max())
 
 
+def masked_copy_margins(logits, labels):
+    """The earlier body of margins_batch: a masked copy of the scores with
+    each label's entry set to -inf, the row maxima taken column by column,
+    subtracted from the label scores."""
+    K = logits.shape[1]
+    masked = logits.copy()
+    flat = np.arange(logits.shape[0]) * K + (labels - 1)
+    true = masked.take(flat)
+    masked.ravel()[flat] = -np.inf
+    top = masked[:, 0]
+    for k in range(1, K):
+        top = np.maximum(top, masked[:, k])
+    return true - top
+
+
 def row_margin(v, j):
     """The margin of score vector v at label j: the one row of margins_batch."""
     return float(margins_batch(np.asarray(v)[None], [j])[0])
@@ -311,6 +326,41 @@ class TestMargin:
             assert set(y) == set(range(1, K + 1))
             assert np.any(got == 0.0) and np.any(np.isnan(got)) and np.any(np.isinf(got))
 
+    def test_bits_match_the_masked_copy(self):
+        """Every bit of the masked-copy form over all rows at once, the sign
+        of zero and NaN payloads included, on ties, +-0.0, +-inf and NaN
+        scores, in one row block and across several with a cut last one."""
+        rng = np.random.default_rng(29)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+        B = _ROW_BLOCK
+        sizes = [int(m) for m in rng.integers(0, 40, size=294)] + [B - 1, B, B + 1, 3 * B + 5] * 2
+        for case, m in enumerate(sizes):
+            K = int(rng.integers(2, 7))
+            V = rng.normal(size=(m, K))
+            hit = rng.random(V.shape) < rng.uniform(0.0, 0.6)
+            V[hit] = rng.choice(specials, size=int(hit.sum()))
+            y = rng.integers(1, K + 1, size=m)
+            with np.errstate(invalid="ignore"):
+                want = masked_copy_margins(V, y)
+                got = margins_batch(V, y)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case
+
+    def test_memory_is_a_few_vectors(self):
+        """Above its (m, 2) scores margins_batch holds its (m,) margins and
+        one row block's masked copy, not a masked copy of all scores: the
+        form over all rows at once peaks at about seven (m,) arrays."""
+        m = 200_000
+        rng = np.random.default_rng(3)
+        V, y = rng.normal(size=(m, 2)), rng.integers(1, 3, size=m)
+        margins_batch(V[:10], y[:10])
+        tracemalloc.start()
+        try:
+            margins_batch(V, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m * 8
+
 
 class TestRampLoss:
     def test_anchor_values(self):
@@ -376,6 +426,23 @@ class TestLosses:
         margins = dataset_margins(p, d)
         for gamma in (0.1, 0.5, 2.0):
             assert mean_ramp_loss(margins, gamma) >= error_rate(margins) - 1e-15
+
+    def test_ramp_is_taken_in_place(self):
+        """mean_ramp_loss holds the negated margins and one ramp array: the
+        ramp is the same floats as 1 + min(r, 0) / gamma clipped to [0, 1]."""
+        m = 200_000
+        margins = np.random.default_rng(4).normal(size=m)
+        r = -margins
+        want = np.clip(1.0 + np.minimum(r, 0.0) / 0.3, 0.0, 1.0)
+        assert np.array_equal(ramp_loss(r, 0.3), want)
+        assert mean_ramp_loss(margins, 0.3) == float(np.mean(want))
+        tracemalloc.start()
+        try:
+            mean_ramp_loss(margins, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * m * 8
 
     def test_empty_dataset_rejected(self):
         def empty(kind):

@@ -50,15 +50,17 @@ from mixcert.process import (
     _STREAM_TARGET,
     _bit_groups,
     _fixed_point,
+    _futures,
     _inverse_cdf,
     _limit_gap_bound,
     _marginals,
-    _phi_lag,
+    _phi_lags,
     _tv,
     _tv_slack,
     _walk,
     _walk_path,
 )
+from mixcert import process
 from mixcert.seeding import substream
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -173,9 +175,11 @@ def reference_profile(spec, n):
     return phi, mu, 1.0 + 2.0 * float(phi.sum())
 
 
-def assert_matches_reference(spec, n):
+def assert_matches_reference(spec, n, reference=None):
+    """mixing_profile(spec, n) has the bits of reference_profile(spec, n),
+    or of `reference` when the caller computed it already."""
     prof = mixing_profile(spec, n)
-    phi, mu, delta_inf = reference_profile(spec, n)
+    phi, mu, delta_inf = reference or reference_profile(spec, n)
     assert np.array_equal(prof.phi, phi)
     assert np.array_equal(prof.mu, mu)
     assert repr(prof.delta_inf) == repr(delta_inf)
@@ -729,7 +733,7 @@ class TestOneKernel:
 
 
 class TestPrunedPhi:
-    """_phi_lag reduces the conditioning times in blocks of _PHI_BLOCK and
+    """_phi_lags reduces the conditioning times in blocks of _PHI_BLOCK and
     stops once the triangle bound through pi* is strictly below the best
     value taken: every profile keeps the bits of the reduction over every
     time."""
@@ -770,13 +774,16 @@ class TestPrunedPhi:
 
     def test_ring_reduces_few_times(self, monkeypatch):
         """On the 16-state ring at n = 800 under 10% of the lag-time columns
-        are reduced."""
+        are reduced: L lags times the first block of times in one (L, S, B, S)
+        difference, then one lag's (S, B, S) block at a time."""
         columns = []
 
         def counting_tv(p, q):
             gap = np.broadcast_shapes(p.shape, q.shape)
-            if len(gap) == 3:
+            if q.ndim == 3:
                 columns.append(gap[1])
+            elif q.ndim == 4:
+                columns.append(gap[0] * gap[2])
             return _tv(p, q)
 
         monkeypatch.setattr("mixcert.process._tv", counting_tv)
@@ -799,18 +806,98 @@ class TestPrunedPhi:
         below the best value taken. Here it ties exactly before the second
         time, so that time is still reduced and its larger TV found."""
         monkeypatch.setattr("mixcert.process._PHI_BLOCK", 1)
-        rows = np.array([[0.75, 0.25], [0.25, 0.75]])
+        rows = np.array([[[0.75, 0.25], [0.25, 0.75]]])  # one lag, k = 1
         pistar = np.array([0.5, 0.5])
-        future = np.array([[0.25, 0.75], [0.0, 1.0]])
-        limit, best = 0.25, 0.5  # max_b TV(rows[b], pistar); TV(rows[0], future[0])
+        M = np.array([pistar, [0.25, 0.75], [0.0, 1.0]])  # futures M[1], M[2]
+        limit, best = 0.25, 0.5  # max_b TV(rows[b], pistar); TV(rows[0], M[1])
         slack = _tv_slack(2)
-        bound = np.array([0.5, best - slack - limit])
-        assert limit + bound[1] + slack == best
-        reach = np.ones((2, 2), dtype=bool)
-        assert _phi_lag(rows, future, reach, pistar, bound) == 0.75
-        bound[1] -= slack
-        assert _phi_lag(rows, future, reach, pistar, bound) == best
+        bound = np.array([1.0, 0.5, best - slack - limit])
+        assert limit + bound[2] + slack == best
+        reach = np.ones((2, 2), dtype=bool)  # also its own tail; no fixed point: T = 3
+        assert _phi_lags(rows, 1, M, reach, reach, 3, pistar, bound) == [0.75]
+        bound[2] -= slack
+        assert _phi_lags(rows, 1, M, reach, reach, 3, pistar, bound) == [best]
 
+
+class TestLagBlocks:
+    """mixing_profile takes its lags in blocks of L = max(1, _LAG_FLOATS //
+    (S * S * _PHI_BLOCK)): one _tv covers the first _PHI_BLOCK times of
+    every lag of a block. Blocks of 1, 2 and 3 lags and the default keep the
+    bits of the loop over every lag and time."""
+
+    BLOCKS = (1, 2, 3, None)  # lags per block; None keeps the default _LAG_FLOATS
+    DEFAULT_FLOATS = process._LAG_FLOATS
+
+    @classmethod
+    def set_lags(cls, monkeypatch, spec, lags):
+        S = spec.markov.num_states
+        floats = cls.DEFAULT_FLOATS if lags is None else lags * S * S * process._PHI_BLOCK
+        monkeypatch.setattr("mixcert.process._LAG_FLOATS", floats)
+
+    @pytest.mark.parametrize("chain, n", [("default", 4000), ("ring", 1000), ("ring", 800)])
+    def test_fixed_point_regimes(self, monkeypatch, chain, n):
+        """The three regimes of test_fixed_point_shortcut_is_exact: the
+        k-step rows repeat before n, the marginals repeat between n and 2n,
+        and no fixed point up to 2n."""
+        spec = default_chain() if chain == "default" else lazy_ring(0.65)
+        reference = reference_profile(spec, n)
+        for lags in self.BLOCKS:
+            self.set_lags(monkeypatch, spec, lags)
+            assert_matches_reference(spec, n, reference)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 32])
+    def test_random_chains(self, monkeypatch, block):
+        """Chains of 1-6 states, both emission modes, with and without drift,
+        at n from 1 to 40; the one-lag view phi_coefficient reads the
+        profile's floats at k = 1, n // 2 and n."""
+        monkeypatch.setattr("mixcert.process._PHI_BLOCK", block)
+        rng = np.random.default_rng(300 + block)
+        for S, mode, drift in itertools.product(range(1, 7), ("discrete", "gaussian"),
+                                                (False, True)):
+            spec = TestOneKernel.random_spec(rng, S, mode, drift)
+            for n in (1, 2, int(rng.integers(3, 41)), 40):
+                reference = reference_profile(spec, n)
+                for lags in self.BLOCKS:
+                    self.set_lags(monkeypatch, spec, lags)
+                    prof = assert_matches_reference(spec, n, reference)
+                    for k in sorted({1, max(1, n // 2), n}):
+                        assert phi_coefficient(spec, k, n) == prof.phi[k - 1], (S, n, lags, k)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 32])
+    def test_shared_column_only_inside_the_horizon(self, monkeypatch, block):
+        """At n = 2 no marginal repeats up to 2n (T = 5), so lag 1 has
+        c = n + 1 and no shared column. The column a block of more than
+        n + 1 times would give it, TV(delta_b @ P, M[4]) over the states
+        reachable from time 2 on, is larger than phi(1) here."""
+        P = np.array([[3.0, 0.0, 2.0], [3.0, 4.0, 0.0], [0.0, 1.0, 4.0]])
+        spec = discrete_spec(P / P.sum(axis=1, keepdims=True), [2 / 3, 1 / 3, 0.0], 3)
+        M, _, tail, T, _, _ = _futures(spec.markov, 2, 4)
+        assert T == 5
+        monkeypatch.setattr("mixcert.process._PHI_BLOCK", block)
+        reference = reference_profile(spec, 2)
+        assert _tv(spec.markov.transition, M[4])[tail[:, 2]].max() > reference[0][0]
+        for lags in self.BLOCKS:
+            self.set_lags(monkeypatch, spec, lags)
+            prof = assert_matches_reference(spec, 2, reference)
+            assert phi_coefficient(spec, 1, 2) == prof.phi[0]
+
+    def test_memory_is_one_lag_block(self):
+        """On the 64-state ring a block is one lag, whose first block of
+        times is an (S, _PHI_BLOCK, S) difference. Above its marginals the
+        profile holds that difference and O(S**2 + n S) floats, whatever n."""
+        S = 64
+        spec = lazy_ring(np.random.default_rng(0).uniform(0.5, 0.8, size=S), S)
+        mixing_profile(spec, 3)
+        block = max(process._LAG_FLOATS, S * S * process._PHI_BLOCK)
+        for n in (100, 200):
+            tracemalloc.start()
+            try:
+                mixing_profile(spec, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            marginals = (2 * n + 1) * S
+            assert peak < 8 * (marginals + block + 8 * S * S + 4 * n * S), n
 
 class TestEmissionDrift:
     def test_weight_schedule(self):
