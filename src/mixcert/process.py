@@ -41,7 +41,8 @@ from .seeding import substream
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
 
 _PHI_BLOCK = 32  # conditioning times _phi_lags reduces per block
-_LAG_FLOATS = 1 << 16  # floats of the (lags, S, _PHI_BLOCK, S) difference of a lag block
+_LAG_FLOATS = 1 << 16  # floats of a lag block's (lags, S, _PHI_BLOCK, S) difference, and
+# of a time block's (times, S, C) drifting law in mu
 
 _STREAM_SEQUENCE = 0
 _STREAM_TARGET = 1
@@ -179,20 +180,23 @@ class EmissionSpec:
     def has_drift(self) -> bool:
         return self.drift_amplitude != 0.0 and self.drift_rows is not None
 
-    def _weights(self, times: list) -> list:
-        """The mixture weight w_t = amplitude * t**(-exponent) of each of a
-        list of checked times, in Python floats; 0 without drift."""
+    def _weights(self, times: np.ndarray) -> np.ndarray:
+        """The mixture weight w_t = amplitude * t**(-exponent) of each of an
+        array of checked times; 0 without drift. The power is Python's, one
+        call per time through `map` (np.power rounds some last bits
+        differently); the product by the amplitude rounds alike in numpy."""
         if not self.has_drift():
-            return [0.0] * len(times)
-        a, e = self.drift_amplitude, -self.drift_exponent
-        return [a * float(t) ** e for t in times]
+            return np.zeros(len(times))
+        e = -self.drift_exponent
+        powers = map(pow, times.astype(np.float64).tolist(), itertools.repeat(e))
+        return self.drift_amplitude * np.fromiter(powers, np.float64, len(times))
 
     def rows_at(self, times) -> np.ndarray:
         """The (times, S, C) stack of per-state rows of the law at each of a
         sequence of integer times >= 1: (1 - w_t) * rows + w_t * drift_rows,
         and `rows` itself where w_t is 0. A read-only broadcast of `rows`
         when every weight is 0."""
-        w = np.array(self._weights(_as_times(times, "times").tolist()))
+        w = self._weights(_as_times(times, "times"))
         stack = np.broadcast_to(self.rows, (len(w), *self.rows.shape))
         mix = w != 0.0
         if not mix.any():
@@ -395,12 +399,14 @@ def stationary_distribution(markov: MarkovSpec) -> np.ndarray:
     return pi
 
 
-def _marginals(markov: MarkovSpec, tmax: int) -> np.ndarray:
-    """Rows t = 0..tmax of the hidden marginal initial @ P**t.
+def _marginals(markov: MarkovSpec, tmax: int) -> tuple[np.ndarray, int]:
+    """Rows t = 0..tmax of the hidden marginal initial @ P**t, and their
+    fixed point T: the first time with every row t >= T equal to row T,
+    tmax + 1 when none is within tmax.
 
-    Once a step returns its input bit for bit, every later step does too, so
-    the rows after that first exact float fixed point are filled, not stepped.
-    Rows are stepped 64 at a time and each block compared with one test.
+    Once a step returns its input (row T + 1 equals row T), every later step
+    does too, so the rows after T + 1 are filled, not stepped. Rows are
+    stepped 64 at a time and each block compared with one test.
     """
     out = np.empty((tmax + 1, markov.num_states))
     out[0] = markov.initial
@@ -409,16 +415,17 @@ def _marginals(markov: MarkovSpec, tmax: int) -> np.ndarray:
             out[t] = out[t - 1] @ markov.transition
         repeats = np.flatnonzero((out[start:t + 1] == out[start - 1:t]).all(axis=1))
         if repeats.size:
-            out[start + repeats[0] + 1:] = out[start + repeats[0]]
-            break
-    return out
+            T = start - 1 + int(repeats[0])
+            out[T + 2:] = out[T + 1]
+            return out, T
+    return out, tmax + 1
 
 
-def _fixed_point(M: np.ndarray) -> int:
-    """The first T with every row t >= T of the marginals M equal to row T,
-    len(M) when none is; _marginals fills from the first repeated row on."""
-    repeats = np.flatnonzero((M[1:] == M[:-1]).all(axis=1))
-    return int(repeats[0]) if repeats.size else len(M)
+def _held(head: np.ndarray, size: int) -> np.ndarray:
+    """`head`, a per-time value reduced on the times up to the marginals'
+    fixed point T, continued to `size` times by holding its last entry:
+    every later marginal row equals row T, and equal rows give equal bits."""
+    return np.concatenate((head, np.full(size - len(head), head[-1])))
 
 
 def deterministic_injective(spec: ProcessSpec) -> bool:
@@ -468,19 +475,21 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
 def _futures(markov: MarkovSpec, n: int, tmax: int) -> tuple:
     """What _phi_lags reads for conditioning times 0..n: the marginals M up
     to tmax, reach[b, t] = M[t, b] > 0, tail[:, c] = reach[:, c:].any(axis=1),
-    the fixed point T of M (`_fixed_point`), pi* and the limit gap bound."""
+    the fixed point T of M (`_marginals`), pi* and the limit gap bound."""
     pistar = stationary_distribution(markov)
-    M = _marginals(markov, tmax)
+    M, T = _marginals(markov, tmax)
     reach = (M[: n + 1] > 0.0).T
     tail = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
-    return M, reach, tail, _fixed_point(M), pistar, _limit_gap_bound(M, pistar)
+    return M, reach, tail, T, pistar, _limit_gap_bound(M, T, pistar)
 
 
-def _limit_gap_bound(M: np.ndarray, pistar: np.ndarray) -> np.ndarray:
+def _limit_gap_bound(M: np.ndarray, T: int, pistar: np.ndarray) -> np.ndarray:
     """E[t] = max over s >= t of TV(M[s], pistar): an upper bound on every
     later marginal's distance to the limit that does not increase in t by
-    construction, so no float monotonicity of TV(M[t], pistar) is assumed."""
-    return np.maximum.accumulate(_tv(M, pistar)[::-1])[::-1]
+    construction, so no float monotonicity of TV(M[t], pistar) is assumed.
+    Reduced on the rows up to the fixed point T of M and held from there."""
+    head = _tv(M[:T + 1], pistar)
+    return _held(np.maximum.accumulate(head[::-1])[::-1], len(M))
 
 
 def _phi_lags(rows: np.ndarray, k: int, M: np.ndarray, reach: np.ndarray, tail: np.ndarray,
@@ -597,9 +606,14 @@ def _bit_groups(cols) -> tuple[np.ndarray, np.ndarray]:
     """The one "same point" rule: rows of the float64 columns `cols`, viewed
     as uint64 without a copy, are the same point when every column has the
     same bits, so -0.0 is not 0.0. Returns each row's group id, numbered in
-    order of first appearance, and the first row of each group in id order."""
+    order of first appearance, and the first row of each group in id order.
+    The rows are sorted by one stable argsort per column, first column
+    first, which is np.lexsort's order (its last key is the primary one);
+    each pass holds one gathered column, not a stack of them all."""
     cols = [col.view(np.uint64) for col in cols]
-    order = np.lexsort(cols)  # stable: each group's rows in row order
+    order = np.argsort(cols[0], kind="stable")  # stable: each group's rows in row order
+    for col in cols[1:]:
+        order = order[np.argsort(col[order], kind="stable")]
     starts = np.zeros(order.size, dtype=bool)
     starts[:1] = True
     for col in cols:
@@ -611,30 +625,52 @@ def _bit_groups(cols) -> tuple[np.ndarray, np.ndarray]:
     return (np.cumsum(is_first) - 1)[head], np.flatnonzero(is_first)
 
 
-def _joint_table(h: np.ndarray, tables: np.ndarray, groups: np.ndarray,
-                 first: np.ndarray, label_map: tuple, K: int) -> np.ndarray:
+def _joint_columns(spec: ProcessSpec) -> tuple[np.ndarray, int]:
+    """Where _joint_table adds each term: cols[s, m] is the flattened
+    (group, label) column of alphabet point m emitted by state s, for the
+    alphabet's `_bit_groups` groups and K labels, of G K columns in all."""
+    groups, first = _bit_groups(spec.emission.alphabet.T)
+    K = spec.num_classes
+    return groups * K + (np.asarray(spec.label_map) - 1)[:, None], first.size * K
+
+
+def _joint_table(h: np.ndarray, tables: np.ndarray, cols: np.ndarray,
+                 width: int) -> np.ndarray:
     """Laws of (point, label), one flattened (group, label) row per hidden
-    law h[t] and (S, M) emission table tables[t], for the alphabet's
-    `_bit_groups` (groups, first). Each entry adds its terms state by state,
-    then alphabet point by point."""
-    J = np.zeros((h.shape[0], first.size * K))
-    for s in range(tables.shape[1]):
-        np.add.at(J, (slice(None), groups * K + label_map[s] - 1),
-                  h[:, s, None] * tables[:, s])
+    law h[t] and (S, M) emission table tables[t], at the `_joint_columns`
+    (cols, width). Each entry adds its terms state by state, then alphabet
+    point by point."""
+    J = np.zeros((h.shape[0], width))
+    for s, col in enumerate(cols):
+        np.add.at(J, (slice(None), col), h[:, s, None] * tables[:, s])
     return J
 
 
-def _gaussian_emission_tv(em: EmissionSpec, w: np.ndarray) -> np.ndarray:
-    """For each drift weight w_t, the max over states of TV between the
-    time-t and limit Gaussian of that state; erf(||mean gap|| / (2 sqrt(2)
-    sigma)) exactly for isotropic equal covariances, 0 where w_t is 0."""
+def _time_blocks(em: EmissionSpec, times: np.ndarray):
+    """`times` in consecutive slices whose (times, S, C) stack of a drifting
+    law's rows holds at most _LAG_FLOATS floats, one time at least."""
+    step = max(1, _LAG_FLOATS // em.rows.size)
+    return (times[lo:lo + step] for lo in range(0, len(times), step))
+
+
+def _gaussian_emission_tv(em: EmissionSpec, times: np.ndarray) -> np.ndarray:
+    """For each time t, the max over states of TV between the time-t and
+    limit Gaussian of that state; erf(||w_t mean gap|| / (2 sqrt(2) sigma))
+    exactly for isotropic equal covariances, 0 where w_t is 0. The mean
+    gaps, S d floats per time, are formed one `_time_blocks` slice at a
+    time; erf is Python's, one call per time through `map`, and the numpy
+    division rounds alike."""
     if not em.has_drift():
-        return np.zeros(len(w))
-    gaps = np.linalg.norm(w[:, None, None] * (em.drift_means - em.means), axis=2)
-    scale = 2.0 * math.sqrt(2.0) * em.sigma
+        return np.zeros(len(times))
+    delta = em.drift_means - em.means
     # erf is increasing, so the erf of each time's largest gap is its largest
-    # erf; a zero weight gives a zero gap and erf(0.0) = 0.0
-    return np.array([math.erf(g / scale) for g in gaps.max(axis=1).tolist()])
+    # erf; a zero weight gives a zero gap and erf(0.0) = 0.0. The gaps are
+    # laid out (S, times, d), so the max over states runs across rows of times
+    gaps = np.concatenate([np.linalg.norm(em._weights(block)[:, None] * delta[:, None],
+                                          axis=2).max(axis=0)
+                           for block in _time_blocks(em, times)])
+    gaps /= 2.0 * math.sqrt(2.0) * em.sigma
+    return np.fromiter(map(math.erf, gaps.tolist()), np.float64, len(gaps))
 
 
 def mu_at(spec: ProcessSpec, i: int) -> float:
@@ -643,21 +679,31 @@ def mu_at(spec: ProcessSpec, i: int) -> float:
     certified upper bound TV(hidden_i, pi*) + max-state emission TV."""
     _as_int(i, "i", 1)
     pistar = stationary_distribution(spec.markov)
-    return float(_mu(spec, pistar, _marginals(spec.markov, i), (i,))[0])
+    return float(_mu(spec, pistar, *_marginals(spec.markov, i), range(i, i + 1))[0])
 
 
-def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, times) -> np.ndarray:
-    """Drift mu_i for each i in times, from the hidden marginals M[i]: the
-    joint (point, label) TV for discrete emissions, the hidden TV plus the
-    max-state emission TV, capped at 1, for Gaussian ones."""
+def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, T: int,
+        times: range) -> np.ndarray:
+    """Drift mu_t for each t of the nonempty range `times`, from the hidden
+    marginals M (rows up to times.stop - 1 at least) and their fixed point
+    T: the joint (point, label) TV for discrete emissions, the hidden TV
+    plus the max-state emission TV, capped at 1, for Gaussian ones.
+
+    Rows t >= T of M equal row T, so what depends on the marginals alone,
+    the hidden TV and a driftless joint table, is reduced on the times up
+    to T and held from there. A drifting law's terms are reduced at every
+    time, one `_time_blocks` slice at a time."""
     em = spec.emission
-    times = np.asarray(times)
+    times = np.arange(times.start, times.stop)
+    moving = times[:max(1, T + 1 - times[0])]  # up to T: the times whose marginals differ
     if em.mode == "discrete":
-        law = (*_bit_groups(em.alphabet.T), spec.label_map, spec.num_classes)
+        law = _joint_columns(spec)
         J_inf = _joint_table(pistar[None], em.table[None], *law)[0]
-        return _tv(_joint_table(M[times], em.rows_at(times), *law), J_inf)
-    w = np.array(em._weights(times.tolist()))
-    return np.minimum(1.0, _tv(M[times], pistar) + _gaussian_emission_tv(em, w))
+        mu = [_tv(_joint_table(M[block[0]:block[-1] + 1], em.rows_at(block), *law), J_inf)
+              for block in (_time_blocks(em, times) if em.has_drift() else (moving,))]
+        return _held(np.concatenate(mu), len(times))
+    hidden = _held(_tv(M[moving[0]:moving[-1] + 1], pistar), len(times))
+    return np.minimum(1.0, hidden + _gaussian_emission_tv(em, times))
 
 
 def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
@@ -675,11 +721,21 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     all its lags. Memory: the one (L, S, _PHI_BLOCK, S) difference, at most
     2**16 floats up to S = 45 and S**2 _PHI_BLOCK above, whose absolute
     value is taken in place, plus O(n S) for the marginals and their limit
-    bound. Discrete mu costs S np.add.at calls over an (n, G K) array of
-    joint (point, label) laws for G distinct points and K labels, plus
-    O(n S M) for the drifted (S, M) emission tables when the law drifts;
-    Gaussian mu in d dimensions costs O(n S d) for the mean gaps at every
-    time and one erf per time, of that time's largest gap.
+    bound.
+
+    mu (`_mu`) reads the marginals only up to T. What depends on them
+    alone, the hidden TV and a driftless law's joint table, is reduced on
+    times 1..min(n, T) and held from there, like the limit bound E. A
+    drifting law changes at every time, so its terms are reduced at all n
+    times, in blocks of max(1, 2**16 // (S C)) times (`_time_blocks`) whose
+    (times, S, C) stack of drifted rows, C alphabet points or d dimensions,
+    holds at most 2**16 floats (`_LAG_FLOATS`); a driftless law is one
+    block. Discrete mu costs S np.add.at calls per block over a (times,
+    G K) array of joint (point, label) laws, for G distinct points and K
+    labels. Gaussian mu's per-time work left is the drift weight's float
+    power and one erf, of the time's largest mean gap: both Python's,
+    through `map`, since np.power would move last bits. Memory: mu holds one
+    time block besides O(n) per-time values and the O(n S) marginals.
 
     T is the first time from which the marginals initial @ P**t repeat
     exactly, 2n + 1 when they do not within 2n. The shortcut is exact
@@ -722,7 +778,7 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
         if repeat:
             phi[k - 1:] = phi[k - 2]
             break
-    mu = _mu(spec, pistar, M, range(1, n + 1))
+    mu = _mu(spec, pistar, M, T, range(1, n + 1))
     delta_inf = 1.0 + 2.0 * float(phi.sum())
     return MixingProfile(horizon=n, phi=phi, mu=mu, delta_inf=delta_inf,
                          phi_exact=deterministic_injective(spec),
@@ -865,7 +921,7 @@ def step_expectations(spec: ProcessSpec, f_table, n: int) -> np.ndarray:
     """Exact E[f(X_i, Y_i)] for i = 1..n on a discrete-emission process."""
     _as_int(n, "n", 0)
     f = _check_f_table(spec, f_table)
-    return _expectations(spec, f, _marginals(spec.markov, n)[1:],
+    return _expectations(spec, f, _marginals(spec.markov, n)[0][1:],
                          spec.emission.rows_at(range(1, n + 1)))
 
 

@@ -6,6 +6,7 @@ envelopes.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from mixcert import (
     Architecture,
     BadDelta,
     EmissionSpec,
+    ExperimentConfig,
     FunctionClass,
     LabeledDataset,
     LayerNorms,
@@ -50,8 +52,11 @@ from mixcert import bounds
 from mixcert.bounds import (_EXACT_SIGN_LIMIT, _MC_SIGNS, SymmetrizationReport,
                             _class_step_means, train_seed)
 from mixcert.harness import builtin_class
+from mixcert.network import dataset_margins, mean_ramp_loss
 from mixcert.rademacher import _draw_signs, _exact_rademacher, _sign_sups
 from mixcert.seeding import substream
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 # empirical 0.2, complexity 0.05, mean drift 0.01, unit dependence factor,
 # delta 0.05, n = 200
@@ -256,6 +261,45 @@ class TestNetworkCertificate:
                  + rep.small_term + rep.complexity_term)
         assert rep.total_bound == pytest.approx(parts, rel=1e-12)
 
+    def test_each_term_from_independent_pieces(self):
+        """On configs/small.json's first seed, for a random network of its
+        architecture, every term of each report equals the same quantity
+        computed apart: mu_mean from a fresh profile's mu.mean(), the
+        concentration and covering terms from their functions, the empirical
+        ramp loss from the data's margins, and the total from the sum in its
+        documented order, which theorem1_bound matches up to regrouping the
+        two capacity addends."""
+        config = ExperimentConfig.load(os.path.join(CONFIG_DIR, "small.json"))
+        spec, seed, n, delta = config.process, config.seeds[0], config.n_train, config.delta
+        rng = np.random.default_rng(18)
+        dims = config.arch.dims
+        params = NetworkParams(tuple(rng.standard_normal((b, a))
+                                     for a, b in zip(dims[:-1], dims[1:])),
+                               config.arch.activations)
+        data = sample_sequence(spec, n, seed)
+        reports = network_certificate(data, params, config.gamma_list, mixing_profile(spec, n),
+                                      delta, seed=seed)
+        profile = mixing_profile(spec, n)
+        assert profile.mu.min() < profile.mu.mean() < profile.mu.max()
+        mu_mean = float(profile.mu.mean())
+        conc = concentration_term(n, delta, profile.delta_inf)
+        norms = LayerNorms.from_params(params)
+        B = float(np.sqrt((data.inputs ** 2).sum()))
+        margins = dataset_margins(params, data)
+        assert len(reports) == len(config.gamma_list)
+        for gamma, rep in zip(config.gamma_list, reports):
+            first, second = covering_bound_terms(B, gamma, params.width, n, norms)
+            empirical = mean_ramp_loss(margins, gamma)
+            assert rep.gamma == gamma and rep.n == n and rep.delta == delta
+            assert rep.mu_mean == mu_mean
+            assert rep.concentration_term == conc
+            assert rep.small_term == 2.0 * first and rep.complexity_term == 2.0 * second
+            assert rep.rademacher_term == first + second
+            assert rep.empirical_ramp_loss == empirical
+            assert rep.total_bound == empirical + mu_mean + conc + 2.0 * first + 2.0 * second
+            assert rep.total_bound == pytest.approx(
+                theorem1_bound(empirical, first + second, profile, delta, n), rel=1e-15)
+
     def test_all_terms_nonnegative(self):
         rep = network_certificate(self.crafted(), self.one_layer(), gammas=(1.0,),
                                   profile=flat_profile(100), delta=0.05)[0]
@@ -398,6 +442,30 @@ class TestValidateMcdiarmid:
         rep = validate_mcdiarmid(spec, self.state_indicator(), n=50, trials=20000,
                                  seed=7, delta_inf=0.1)
         assert any(rep.violations)
+
+    def test_flags_at_three_standard_errors(self, monkeypatch):
+        """A violation is a tail frequency more than 3 standard errors above
+        the bound. With path means fixed by hand (a tenth of them at +-0.1
+        around a center of 0, stderr 0.003) and delta_inf solved so that the
+        bound at eps = 0.1 is 10 stderr below the frequency, exactly that eps
+        is flagged: the frequency clears the bound by more than 3 stderr and
+        by less than 30."""
+        trials, n, eps = 10000, 300, 0.1
+        means = np.zeros(trials)
+        means[:500], means[500:1000] = 0.1, -0.1
+        hit, stderr = 0.1, math.sqrt(0.1 * 0.9 / trials)
+        target = hit - 10.0 * stderr
+        # 2 exp(-2 eps**2 n / delta_inf**2) = target
+        delta_inf = eps * math.sqrt(2.0 * n / math.log(2.0 / target))
+        monkeypatch.setattr(bounds, "sequence_value_means", lambda *args: means)
+        spec = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [1.0, 0.0], 2)
+        rep = validate_mcdiarmid(spec, self.state_indicator(), n=n, trials=trials, seed=0,
+                                 epsilons=(1e-3, eps, 0.2), delta_inf=delta_inf)
+        assert rep.frequencies == (hit, hit, 0.0)
+        assert rep.stderrs[1] == stderr
+        assert hit - 30.0 * stderr < rep.bounds[1] < hit - 3.0 * stderr
+        assert rep.bounds[0] > hit
+        assert rep.violations == (False, True, False)
 
     def test_constant_statistic_has_zero_tails(self):
         spec = discrete_spec([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], 2)

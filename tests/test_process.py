@@ -49,11 +49,11 @@ from mixcert.process import (
     _STREAM_SEQUENCE,
     _STREAM_TARGET,
     _bit_groups,
-    _fixed_point,
     _futures,
     _inverse_cdf,
     _limit_gap_bound,
     _marginals,
+    _mu,
     _phi_lags,
     _tv,
     _tv_slack,
@@ -228,7 +228,58 @@ def reference_groups(rows):
     return np.array(ids, dtype=np.intp), np.array([i for _, i in keys.values()], dtype=np.intp)
 
 
+def lexsort_groups(cols):
+    """_bit_groups' results by one np.lexsort of every column's bits at once,
+    the form that stacked a copy of all the columns."""
+    cols = [col.view(np.uint64) for col in cols]
+    order = np.lexsort(cols)
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for col in cols:
+        starts[1:] |= col[order][1:] != col[order][:-1]
+    head = np.empty_like(order)
+    head[order] = order[starts][np.cumsum(starts) - 1]
+    is_first = head == np.arange(order.size)
+    return (np.cumsum(is_first) - 1)[head], np.flatnonzero(is_first)
+
+
 class TestBitGroups:
+    # +0.0, -0.0, 1.0, the default quiet NaN, a NaN with payload 1, the
+    # negative quiet NaN, and a signalling NaN: equal as values or not, each
+    # is its own point
+    BIT_POOL = np.array([0, 1 << 63, 0x3FF0000000000000, 0x7FF8000000000000,
+                         0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (100, 1), (100, 4), (5000, 3)])
+    def test_matches_np_lexsort(self, rows, cols):
+        """One stable argsort per column, first column first, groups the rows
+        as np.lexsort of all the columns did, on columns drawn with ties from
+        a pool of bit patterns that float comparison would merge or split."""
+        rng = np.random.default_rng(rows + cols)
+        for pool_size in (1, 2, len(self.BIT_POOL)):
+            table = self.BIT_POOL[rng.integers(0, pool_size, size=(rows, cols))]
+            ids, first = _bit_groups(table.T)
+            want_ids, want_first = lexsort_groups(table.T)
+            assert np.array_equal(ids, want_ids) and np.array_equal(first, want_first)
+            want_ids, want_first = reference_groups(table)
+            assert np.array_equal(ids, want_ids) and np.array_equal(first, want_first)
+
+    def test_memory_holds_one_column(self):
+        """Grouping the paths of a (members, paths, n) block of class values
+        by its members * n strided columns, as the sign enumeration does,
+        holds a few columns' worth of bits, not a copy of all 640 KB."""
+        F = np.random.default_rng(5).integers(0, 2, size=(32, 256, 10)).astype(float)
+        want = lexsort_groups([F[m, :, i] for m in range(32) for i in range(10)])
+        tracemalloc.start()
+        try:
+            got = _bit_groups(F[m, :, i] for m in range(32) for i in range(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert peak < F.nbytes / 4
+
     @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 4), (50, 1), (50, 3), (3000, 6)])
     def test_matches_a_byte_key_dict(self, rows, cols):
         """Random float rows drawn with repeats from a small pool: rows in the
@@ -419,14 +470,14 @@ class TestStationaryDistribution:
 class TestMarginals:
     def test_frozen_t3(self):
         spec = discrete_spec(SYM09, [1.0, 0.0], 2)
-        np.testing.assert_allclose(_marginals(spec.markov, 3)[3], [0.756, 0.244],
+        np.testing.assert_allclose(_marginals(spec.markov, 3)[0][3], [0.756, 0.244],
                                    rtol=0, atol=1e-15)
 
     def test_closed_form_decay(self):
         spec = discrete_spec(SYM09, [1.0, 0.0], 2)
         for t in range(1, 12):
             expect = 0.5 + 0.5 * 0.8 ** t
-            np.testing.assert_allclose(_marginals(spec.markov, t)[t][0], expect,
+            np.testing.assert_allclose(_marginals(spec.markov, t)[0][t][0], expect,
                                        rtol=0, atol=1e-13)
 
 
@@ -635,7 +686,7 @@ class TestMixingProfile:
         """The shortcut's three regimes, each equal bit for bit to the loop
         over every lag and time."""
         spec = default_chain() if chain == "default" else lazy_ring(0.65)
-        assert t_lo <= _fixed_point(_marginals(spec.markov, 2 * n)) <= t_hi
+        assert t_lo <= _marginals(spec.markov, 2 * n)[1] <= t_hi
         assert_matches_reference(spec, n)
 
     @pytest.mark.parametrize("field, value", [
@@ -745,7 +796,7 @@ class TestPrunedPhi:
         the pruning cuts the work; the reference is taken at about 40 lags
         of each, the views at three."""
         spec = lazy_ring(np.random.default_rng(seed).uniform(0.5, 0.8, size=S), S)
-        assert _fixed_point(_marginals(spec.markov, 2 * n)) == 2 * n + 1
+        assert _marginals(spec.markov, 2 * n)[1] == 2 * n + 1
         prof = mixing_profile(spec, n)
         lags = sorted({1, n // 2, n, *range(1, n + 1, n // 40)})
         assert np.array_equal(prof.phi[np.array(lags) - 1], reference_phi(spec, n, lags))
@@ -795,11 +846,11 @@ class TestPrunedPhi:
         """TV(M[t], pi*) rises in floats on this chain; the bound the pruning
         reads is its suffix max, so it never rises and never falls below."""
         spec = discrete_spec([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 2)
-        M = _marginals(spec.markov, 200)
+        M, T = _marginals(spec.markov, 200)
         pistar = stationary_distribution(spec.markov)
         e = _tv(M, pistar)
         assert np.any(np.diff(e) > 0.0)
-        assert np.array_equal(_limit_gap_bound(M, pistar), [e[t:].max() for t in range(len(e))])
+        assert np.array_equal(_limit_gap_bound(M, T, pistar), [e[t:].max() for t in range(len(e))])
 
     def test_a_tie_does_not_prune(self, monkeypatch):
         """A block is skipped only when limit + bound + slack is strictly
@@ -898,6 +949,150 @@ class TestLagBlocks:
                 tracemalloc.stop()
             marginals = (2 * n + 1) * S
             assert peak < 8 * (marginals + block + 8 * S * S + 4 * n * S), n
+
+def stacked_rows(em, n):
+    """The (n, S, C) rows of the law at times 1..n, the drift mixture
+    written out from this file's drift_weight over one stack."""
+    rows = np.broadcast_to(em.rows, (n, *em.rows.shape))
+    if not em.has_drift():
+        return rows
+    w = np.array([drift_weight(em, t) for t in range(1, n + 1)])[:, None, None]
+    return np.where(w != 0.0, (1.0 - w) * em.rows + w * em.drift_rows, rows)
+
+
+def stacked_mu(spec, n):
+    """mu(1..n) with every time in one stack, the form before the
+    fixed-point hold and the time blocks: every marginal stepped and its
+    hidden TV taken, the stacked_rows law, one np.add.at per state over all n
+    times for discrete emissions, and one erf per time over a list of the
+    largest mean gaps for Gaussian ones."""
+    markov, em = spec.markov, spec.emission
+    pistar = stationary_distribution(markov)
+    M = reference_marginals(markov, n)[1:]
+    if em.mode == "discrete":
+        ids, first = reference_groups(em.alphabet)
+        K = spec.num_classes
+
+        def joint(h, tables):
+            J = np.zeros((len(h), first.size * K))
+            for s in range(markov.num_states):
+                np.add.at(J, (slice(None), ids * K + spec.label_map[s] - 1),
+                          h[:, s, None] * tables[:, s])
+            return J
+        return _tv(joint(M, stacked_rows(em, n)), joint(pistar[None], em.table[None])[0])
+    emission = np.zeros(n)
+    if em.has_drift():
+        w = np.array([drift_weight(em, t) for t in range(1, n + 1)])
+        gaps = np.linalg.norm(w[:, None, None] * (em.drift_means - em.means), axis=2)
+        scale = 2.0 * math.sqrt(2.0) * em.sigma
+        emission = np.array([math.erf(g / scale) for g in gaps.max(axis=1).tolist()])
+    return np.minimum(1.0, _tv(M, pistar) + emission)
+
+
+def drifting_ring(S=64):
+    """The lazy ring of tools/output_digests.py whose table drifts toward
+    the next state's point, amplitude 0.5 and exponent 0.5."""
+    ring = lazy_ring(np.random.default_rng(S).uniform(0.5, 0.8, size=S), S)
+    em = EmissionSpec.discrete(ring.emission.alphabet, np.eye(S),
+                               np.roll(np.eye(S), 1, axis=1), 0.5, 0.5)
+    return ProcessSpec(markov=ring.markov, emission=em, label_map=ring.label_map,
+                       num_classes=2, input_dim=1)
+
+
+class TestMuTimeBlocks:
+    """mu reduces what depends on the marginals alone on the times up to
+    their fixed point T and holds it from there, and takes a drifting law's
+    times in blocks of max(1, _LAG_FLOATS // (S * C)). Blocks of 1, 2 and 3
+    times and the default keep the bits of the stacked form, for the
+    profile, its one-time view mu_at and step_expectations."""
+
+    BLOCKS = (1, 2, 3, None)  # times per block; None keeps the default _LAG_FLOATS
+    DEFAULT_FLOATS = process._LAG_FLOATS
+
+    @staticmethod
+    def with_duplicate_point(spec, rng):
+        """The spec with its last alphabet point a copy of its first, and a
+        value table over (point, label) that agrees on the two copies."""
+        em = spec.emission
+        alphabet = em.alphabet.copy()
+        alphabet[-1] = alphabet[0]
+        f = rng.random((len(alphabet), spec.num_classes))
+        f[-1] = f[0]
+        emission = EmissionSpec.discrete(alphabet, em.table, em.drift_table,
+                                         em.drift_amplitude, em.drift_exponent)
+        return ProcessSpec(markov=spec.markov, emission=emission, label_map=spec.label_map,
+                           num_classes=spec.num_classes, input_dim=spec.input_dim), f
+
+    @pytest.mark.parametrize("drift", ["none", "normal", "underflow"])
+    @pytest.mark.parametrize("mode", ["discrete", "gaussian"])
+    def test_random_specs_match_the_stacked_form(self, monkeypatch, mode, drift):
+        """Dense random chains of 1-6 states in 1-3 dimensions, whose
+        marginals repeat well inside n = 300, at n = 1, 5 and 300; exponent
+        400 makes the weight underflow to 0 from t = 7 on."""
+        rng = np.random.default_rng({"discrete": 90, "gaussian": 91}[mode]
+                                    + {"none": 0, "normal": 2, "underflow": 4}[drift])
+        for S in (1, 2, 4, 6):
+            spec = TestOneDraw.random_spec(rng, S, mode, drift)
+            f = None
+            if mode == "discrete":
+                spec, f = self.with_duplicate_point(spec, rng)
+            assert _marginals(spec.markov, 600)[1] < 300
+            for n in (1, 5, 300):
+                mu = stacked_mu(spec, n)
+                values = f is not None and np.einsum(
+                    "ts,tsm,ms->t", reference_marginals(spec.markov, n)[1:],
+                    stacked_rows(spec.emission, n), f[:, np.asarray(spec.label_map) - 1])
+                for times in self.BLOCKS:
+                    floats = (self.DEFAULT_FLOATS if times is None
+                              else times * spec.emission.rows.size)
+                    monkeypatch.setattr("mixcert.process._LAG_FLOATS", floats)
+                    assert np.array_equal(mixing_profile(spec, n).mu, mu), (S, n, times)
+                    for i in sorted({1, max(1, n // 2), n}):
+                        assert mu_at(spec, i) == mu[i - 1], (S, n, times, i)
+                    if f is not None:
+                        assert np.array_equal(step_expectations(spec, f, n), values)
+
+    @pytest.mark.parametrize("chain, n", [("default", 4000), ("validators", 1500)])
+    def test_tv_reads_the_marginals_up_to_the_fixed_point(self, monkeypatch, chain, n):
+        """On chains whose marginals repeat from T far below n, every TV
+        against a limit law (the hidden TV of the limit bound and of
+        Gaussian mu, the joint-table TV of driftless discrete mu) reads at
+        most T + 1 rows; the profile keeps its bits."""
+        spec = default_chain() if chain == "default" else discrete_spec(SYM09, [1.0, 0.0], 2)
+        T = _marginals(spec.markov, 2 * n)[1]
+        assert T < n // 8
+        want = stacked_mu(spec, n)
+        rows = []
+
+        def counting_tv(p, q):
+            if p.ndim == 2 and q.ndim == 1:
+                rows.append(p.shape[0])
+            return _tv(p, q)
+
+        monkeypatch.setattr("mixcert.process._tv", counting_tv)
+        assert np.array_equal(mixing_profile(spec, n).mu, want)
+        assert mu_at(spec, n) == want[-1]
+        assert rows and max(rows) <= T + 1
+
+    def test_memory_is_one_time_block(self):
+        """On the 64-state ring with a drifting table, a block is 16 times
+        of (S, C) = (64, 64) rows. _mu holds that block's law, its drift
+        mixture temporaries and joint tables, and O(n S) floats per call,
+        not the (n, S, C) stack of every time (75 MiB at n = 800)."""
+        spec, S, n = drifting_ring(), 64, 800
+        pistar = stationary_distribution(spec.markov)
+        M, T = _marginals(spec.markov, 2 * n)
+        assert T > 2 * n
+        _mu(spec, pistar, M, T, range(1, 3))
+        tracemalloc.start()
+        try:
+            mu = _mu(spec, pistar, M, T, range(1, n + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (4 * process._LAG_FLOATS + 2 * n * S) < 4 * 2 ** 20
+        assert np.array_equal(mu, stacked_mu(spec, n))
+
 
 class TestEmissionDrift:
     def test_weight_schedule(self):
@@ -1070,7 +1265,7 @@ class TestSampling:
         n, trials = 10, 4000
         X, Y = sample_sequences_batch(self.spec(), n, trials, seed=21)
         assert X.shape == (trials, n, 1) and Y.shape == (trials, n)
-        exact = np.mean([_marginals(self.spec().markov, t)[t][0] for t in range(1, n + 1)])
+        exact = np.mean([_marginals(self.spec().markov, t)[0][t][0] for t in range(1, n + 1)])
         freq = float(np.mean(X[..., 0] == 0.0))
         sigma = np.sqrt(0.25 / (n * trials))
         assert abs(freq - exact) < 5 * sigma
@@ -1434,7 +1629,8 @@ class TestStepExpectations:
         f_table = np.array([[1.0, 1.0], [0.0, 0.0]])
         exact = step_expectations(spec, f_table, 4)
         for i in range(4):
-            assert exact[i] == pytest.approx(_marginals(spec.markov, i + 1)[i + 1][0], abs=1e-14)
+            assert exact[i] == pytest.approx(_marginals(spec.markov, i + 1)[0][i + 1][0],
+                                             abs=1e-14)
 
     def test_stationary_expectation(self):
         spec = discrete_spec(SYM09, [1.0, 0.0], 2)

@@ -14,8 +14,14 @@ the digest of its stdout run with the same PYTHONPATH, and then one
 32 and 64 states: the digest of phi, mu and repr(delta_inf) of its
 `mixing_profile` at n = 800. No marginal fixed point falls inside 2n there,
 so these lines cover the reduction over conditioning times that the shipped
-configs skip. `python tools/output_digests.py --rings` prints them alone,
-importing mixcert from PYTHONPATH. Last come the "sha256  signs/<call>"
+configs skip. Two more lines of the same digest cover mu where no shipped
+config does: "rings/validators-n1500", the driftless 2-state discrete
+chain of configs/validators.json at n = 1500, whose marginals repeat from
+T = 158 on, inside n; and "rings/S64-drift-n800", the 64-state ring with
+a table drifting toward the next state's point (amplitude 0.5, exponent
+0.5), whose law spans many of mu's time blocks.
+`python tools/output_digests.py --rings` prints them alone, importing
+mixcert from PYTHONPATH. Last come the "sha256  signs/<call>"
 lines: the repr of `validate_symmetrization` (exact and Monte Carlo signs)
 and of exact and Monte Carlo `empirical_rademacher_*` for a class of fixed
 random value tables on the chain of configs/validators.json. The shipped
@@ -58,6 +64,7 @@ RUNS = {"generate": (), "train": (), "certify-jobs1": ("--jobs", "1"),
         "certify-jobs2": ("--jobs", "2"), "validate": (), "rademacher": ()}
 RING_STATES = (16, 32, 64)
 RING_N = 800
+FIXED_POINT_N = 1500
 SIGN_MEMBERS = 5
 LOOKUP_POINTS = 20000
 CAPACITY_NETWORKS = 300
@@ -66,23 +73,32 @@ FORWARD_ROWS = 3 * 4096 + 5
 
 
 def ring_digests() -> int:
-    """Print the "sha256  rings/S<S>-n<n>" lines: lazy directed rings that
-    stay put with probabilities drawn uniformly from [0.5, 0.8], started at
-    state 0, with state-revealing emissions."""
+    """Print the "sha256  rings/<chain>-n<n>" lines: lazy directed rings
+    that stay put with probabilities drawn uniformly from [0.5, 0.8],
+    started at state 0, with state-revealing emissions; then the chain of
+    configs/validators.json and the drifting 64-state ring."""
     import numpy as np
-    from mixcert import EmissionSpec, MarkovSpec, ProcessSpec, mixing_profile
+    from mixcert import (EmissionSpec, ExperimentConfig, MarkovSpec, ProcessSpec,
+                         mixing_profile)
 
-    for S in RING_STATES:
+    def ring(S, drift_table=None):
         stay = np.random.default_rng(S).uniform(0.5, 0.8, size=S)
-        spec = ProcessSpec(
+        return ProcessSpec(
             markov=MarkovSpec(S, np.diag(stay) + np.roll(np.diag(1.0 - stay), 1, axis=1),
                               np.eye(S)[0]),
-            emission=EmissionSpec.discrete(np.arange(S, dtype=np.float64)[:, None], np.eye(S)),
+            emission=EmissionSpec.discrete(np.arange(S, dtype=np.float64)[:, None], np.eye(S),
+                                           drift_table, 0.0 if drift_table is None else 0.5),
             label_map=tuple(1 + s % 2 for s in range(S)), num_classes=2, input_dim=1)
-        prof = mixing_profile(spec, RING_N)
+
+    validators = ExperimentConfig.load(os.path.join(CONFIG_DIR, "validators.json")).process
+    chains = [(f"S{S}-n{RING_N}", ring(S), RING_N) for S in RING_STATES]
+    chains += [(f"validators-n{FIXED_POINT_N}", validators, FIXED_POINT_N),
+               (f"S64-drift-n{RING_N}", ring(64, np.roll(np.eye(64), 1, axis=1)), RING_N)]
+    for name, spec, n in chains:
+        prof = mixing_profile(spec, n)
         digest = hashlib.sha256(prof.phi.tobytes() + prof.mu.tobytes()
                                 + repr(prof.delta_inf).encode("ascii"))
-        print(f"{digest.hexdigest()}  rings/S{S}-n{RING_N}")
+        print(f"{digest.hexdigest()}  rings/{name}")
     return 0
 
 
