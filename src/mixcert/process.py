@@ -39,10 +39,13 @@ from .errors import (BadLabel, DimensionMismatch, EmptyDataset, NonUniqueStation
 from .seeding import substream
 
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
+_SORT_KEYS = 16  # key columns _bit_groups sorts by in one np.lexsort
 
-_PHI_BLOCK = 32  # conditioning times _phi_lags reduces per block
-_LAG_FLOATS = 1 << 16  # floats of a lag block's (lags, S, _PHI_BLOCK, S) difference, and
-# of a time block's (times, S, C) drifting law in mu
+_PHI_BLOCK = 8  # conditioning times _phi_lags reduces per block
+_PHI_FIRST = 24  # times every lag reduces before _phi_lags reads its bound
+_LAG_FLOATS = 1 << 16  # floats of a lag block's (lags, S, _PHI_BLOCK, S) difference, so
+# L = max(1, 2**16 // (8 S**2)) lags: 2048 at S = 2, 32 at S = 16, 1 from S = 91 on; and of a
+# time block's (times, S, C) drifting law in mu
 
 _STREAM_SEQUENCE = 0
 _STREAM_TARGET = 1
@@ -498,34 +501,39 @@ def _phi_lags(rows: np.ndarray, k: int, M: np.ndarray, reach: np.ndarray, tail: 
     rows delta_b @ P**k, from `_futures`: per lag, the largest TV of rows[b]
     to M[k + t] over reach[b, t] for t < c = min(n + 1, max(0, T - k)) and
     over tail[b, c] at t = c <= n (the times t >= c share the future M[T]),
-    and to pistar over every b; capped at 1. The first min(_PHI_BLOCK, n + 1)
-    times of every lag are one (L, S, block, S) difference; a lag takes its
-    later blocks one at a time until the triangle bound of mixing_profile's
-    docstring leaves only columns below its best, which keeps every bit."""
+    and to pistar over every b; capped at 1. Each block of _PHI_BLOCK times,
+    in increasing t, is one (lags, S, block, S) difference for the lags still
+    open: those with columns left (t <= c, a prefix of the lags, since c
+    decreases) whose triangle bound of mixing_profile's docstring, at the
+    block's first time, is not strictly below their best. The bound is read
+    from time _PHI_FIRST on, so every lag reduces its first _PHI_FIRST times.
+    A closed lag stays closed, and it skips only columns below its best, so
+    every bit is kept."""
     L, S, _ = rows.shape
     n = reach.shape[1] - 1
     lags = np.arange(k, k + L)
     c = np.minimum(np.maximum(T - lags, 0), n + 1)  # decreasing in the lag
+    width = np.minimum(c, n) + 1  # each lag's columns, shared one included
     limit = _tv(rows, pistar).max(axis=1)
+    best = limit.copy()
     slack = _tv_slack(S)
-    t = np.arange(min(_PHI_BLOCK, n + 1))
-    mask = reach[:, :t.size]
-    if c[-1] < t.size:  # a lag's shared column is in the first block
-        mask = (mask & (t < c[:, None])[:, None, :]
-                | tail[:, np.minimum(c, n)].T[:, :, None] & (t == c[:, None])[:, None, :])
-    tv = _tv(rows[:, :, None, :], M[lags[:, None] + t][:, None])
-    best = np.maximum(limit, np.where(mask, tv, 0.0).max(axis=(1, 2)))  # every TV >= 0.0
-    ahead = limit + bound[np.minimum(lags + t.size, len(bound) - 1)] + slack
-    # the lags with times past the first block that the bound does not stop
-    for i in np.flatnonzero((np.minimum(c, n) >= t.size) & ~(ahead < best)):
-        ki, ci = k + i, c[i]
-        cols = reach if ci > n else np.concatenate([reach[:, :ci], tail[:, ci, None]], axis=1)
-        for start in range(t.size, cols.shape[1], _PHI_BLOCK):
-            if limit[i] + bound[ki + start] + slack < best[i]:
-                break
-            stop = min(start + _PHI_BLOCK, cols.shape[1])
-            tv = _tv(rows[i, :, None, :], M[None, ki + start:ki + stop, :])
-            best[i] = max(best[i], tv[cols[:, start:stop]].max())
+    for start in range(0, width[0], _PHI_BLOCK):
+        live = np.count_nonzero(width > start)  # a prefix, since width decreases
+        if start < _PHI_FIRST:
+            i = np.arange(live)
+        else:  # the lags whose bound at this block's first time is not below their best
+            i = np.flatnonzero(~(limit[:live] + bound[lags[:live] + start] + slack < best[:live]))
+        if not i.size:
+            break
+        stop = min(start + _PHI_BLOCK, width[i[0]])
+        t = np.arange(start, stop)
+        mask = reach[:, start:stop]
+        if c[i[-1]] < stop:  # an open lag's shared column, or its end, is in the block
+            ci = c[i, None]
+            mask = (mask & (t < ci)[:, None, :]
+                    | tail[:, np.minimum(ci[:, 0], n)].T[:, :, None] & (t == ci)[:, None, :])
+        tv = _tv(rows[i, :, None, :], M[lags[i, None] + t][:, None])
+        best[i] = np.maximum(best[i], np.where(mask, tv, 0.0).max(axis=(1, 2)))  # TV >= 0.0
     return np.minimum(best, 1.0)
 
 
@@ -607,13 +615,16 @@ def _bit_groups(cols) -> tuple[np.ndarray, np.ndarray]:
     as uint64 without a copy, are the same point when every column has the
     same bits, so -0.0 is not 0.0. Returns each row's group id, numbered in
     order of first appearance, and the first row of each group in id order.
-    The rows are sorted by one stable argsort per column, first column
-    first, which is np.lexsort's order (its last key is the primary one);
-    each pass holds one gathered column, not a stack of them all."""
+    The rows are sorted by one np.lexsort per chunk of _SORT_KEYS columns,
+    each chunk's columns gathered through the order so far, so a later chunk
+    is more significant: the order of one np.lexsort of every column (its
+    last key is the primary one). Both sorts are stable, so each group's rows
+    stay in row order. A pass holds one chunk's gathered columns and
+    lexsort's stack of them, about 2 _SORT_KEYS columns, not all the keys."""
     cols = [col.view(np.uint64) for col in cols]
-    order = np.argsort(cols[0], kind="stable")  # stable: each group's rows in row order
-    for col in cols[1:]:
-        order = order[np.argsort(col[order], kind="stable")]
+    order = np.lexsort(cols[:_SORT_KEYS])
+    for lo in range(_SORT_KEYS, len(cols), _SORT_KEYS):
+        order = order[np.lexsort([col[order] for col in cols[lo:lo + _SORT_KEYS]])]
     starts = np.zeros(order.size, dtype=bool)
     starts[:1] = True
     for col in cols:
@@ -716,10 +727,11 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     Cost: at most O(T**2 S**2 + n S**2) time for S states, plus S**3 per
     lag for the k-step rows until they repeat; the pruning below usually
     takes far less. The lags go in blocks of L = max(1, 2**16 // (S**2
-    _PHI_BLOCK)) (`_LAG_FLOATS`): 512 at S = 2, 8 at S = 16, 1 from S = 46
-    on. A block pays its fixed Python work, about 30 numpy calls, once for
-    all its lags. Memory: the one (L, S, _PHI_BLOCK, S) difference, at most
-    2**16 floats up to S = 45 and S**2 _PHI_BLOCK above, whose absolute
+    _PHI_BLOCK)) (`_LAG_FLOATS`): 2048 at S = 2, 32 at S = 16, 1 from
+    S = 91 on. A block's loop over blocks of times pays its fixed Python
+    work, about 20 numpy calls, once per block of times for all the lags
+    still open. Memory: one (lags, S, _PHI_BLOCK, S) difference, at most
+    2**16 floats up to S = 90 and S**2 _PHI_BLOCK above, whose absolute
     value is taken in place, plus O(n S) for the marginals and their limit
     bound.
 
@@ -745,17 +757,22 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     and the k-step rows delta_b @ P**k also repeat exactly, every later
     phi(k) is the same float.
 
-    `_phi_lags` reduces the first 32 (_PHI_BLOCK) times of every lag of a
-    block at once; a lag then takes its later times in increasing t, 32 at
-    a time, and stops before a block once
+    `_phi_lags` takes the times of a block of lags in increasing t, 8
+    (_PHI_BLOCK) at a time, each block of times at once for every lag still
+    open. Every lag reduces its first 24 times (_PHI_FIRST); from there a
+    lag closes before the block starting at time t once
     max_b TV(delta_b @ P**k, pi*) + E[t + k] + slack is strictly below the
     best value taken. E is the suffix max of TV(M[t], pi*), computed once per
     profile (`_limit_gap_bound`), and the slack, 4 (S + 2) eps, covers the
     rounding of the three S-term TV sums and the two additions (`_tv_slack`).
     By the triangle inequality every column skipped is strictly below a
     value already taken, so phi(k) keeps the bits of the reduction over every
-    column. On a slow 16-state ring at n = 800, with no fixed point inside
-    2n, about 4% of the columns are reduced.
+    column. On slow 16-state rings at n = 800, with no fixed point inside
+    2n, the bound alone would close most lags at a time between 13 and 26
+    that depends on the stay probabilities, and the profile's cost with it
+    (13k to 20k lag-time columns over 40 draws of them). Past the first 24
+    times only the few lags whose bound closes later are reduced, so 3.0-3.1%
+    of the columns are, on every draw.
     """
     spec = _instance(spec, "spec", ProcessSpec)
     _as_int(n, "n", 1)

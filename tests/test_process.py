@@ -147,6 +147,16 @@ def reference_phi(spec, n, lags):
     return np.array(phi)
 
 
+def kstep_rows(P, count):
+    """The (count, S, S) stack P, P**2, ..., P**count, as the running
+    product mixing_profile steps."""
+    rows = np.empty((count, *P.shape))
+    rows[0] = P
+    for i in range(1, count):
+        rows[i] = rows[i - 1] @ P
+    return rows
+
+
 def reference_profile(spec, n):
     """(phi, mu, delta_inf) by the O(n**2 S**2) loop with no fixed-point
     shortcut: every marginal stepped, every lag taken over all n + 1
@@ -251,11 +261,13 @@ class TestBitGroups:
                          0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
                         dtype=np.uint64).view(np.float64)
 
-    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (100, 1), (100, 4), (5000, 3)])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (100, 1), (100, 4), (5000, 3),
+                                            (300, 16), (300, 17), (300, 40), (2, 33)])
     def test_matches_np_lexsort(self, rows, cols):
-        """One stable argsort per column, first column first, groups the rows
-        as np.lexsort of all the columns did, on columns drawn with ties from
-        a pool of bit patterns that float comparison would merge or split."""
+        """One np.lexsort per chunk of 16 columns, each chunk more significant
+        than the one before, groups the rows as np.lexsort of all the columns
+        did, on columns drawn with ties from a pool of bit patterns that
+        float comparison would merge or split."""
         rng = np.random.default_rng(rows + cols)
         for pool_size in (1, 2, len(self.BIT_POOL)):
             table = self.BIT_POOL[rng.integers(0, pool_size, size=(rows, cols))]
@@ -268,7 +280,8 @@ class TestBitGroups:
     def test_memory_holds_one_column(self):
         """Grouping the paths of a (members, paths, n) block of class values
         by its members * n strided columns, as the sign enumeration does,
-        holds a few columns' worth of bits, not a copy of all 640 KB."""
+        holds one chunk of gathered columns and lexsort's stack of it, about
+        32 columns' worth of bits, not a copy of all 640 KB."""
         F = np.random.default_rng(5).integers(0, 2, size=(32, 256, 10)).astype(float)
         want = lexsort_groups([F[m, :, i] for m in range(32) for i in range(10)])
         tracemalloc.start()
@@ -784,10 +797,11 @@ class TestOneKernel:
 
 
 class TestPrunedPhi:
-    """_phi_lags reduces the conditioning times in blocks of _PHI_BLOCK and
-    stops once the triangle bound through pi* is strictly below the best
-    value taken: every profile keeps the bits of the reduction over every
-    time."""
+    """_phi_lags reduces the conditioning times in blocks of _PHI_BLOCK and,
+    from time _PHI_FIRST on, stops once the triangle bound through pi* is
+    strictly below the best value taken: every profile keeps the bits of the
+    reduction over every time. The tests of the pruning itself read the
+    bound from the first time on (_PHI_FIRST = 0)."""
 
     @pytest.mark.parametrize("S, n, seed", [(16, 800, 0), (16, 800, 1), (32, 800, 0),
                                             (32, 800, 1), (64, 200, 0)])
@@ -808,6 +822,7 @@ class TestPrunedPhi:
         """Blocks of 1-3 times make the pruning act at n < 60, on sparse
         starts, lazy chains and point-mass starts of 1-8 states."""
         monkeypatch.setattr("mixcert.process._PHI_BLOCK", block)
+        monkeypatch.setattr("mixcert.process._PHI_FIRST", 0)
         rng = np.random.default_rng(70 + block)
         for S, kind in itertools.product(range(1, 9), ("sparse", "lazy", "point")):
             spec = TestOneKernel.random_spec(rng, S, "discrete", False)
@@ -823,24 +838,87 @@ class TestPrunedPhi:
             for k in (1, n // 2, n):
                 assert phi_coefficient(spec, k, n) == prof.phi[k - 1], (S, kind, k)
 
-    def test_ring_reduces_few_times(self, monkeypatch):
-        """On the 16-state ring at n = 800 under 10% of the lag-time columns
-        are reduced: L lags times the first block of times in one (L, S, B, S)
-        difference, then one lag's (S, B, S) block at a time."""
+    @staticmethod
+    def ring_columns(monkeypatch, seed, first=None):
+        """Lag-time columns the 16-state ring of this seed reduces at n = 800:
+        each block of B times of the lags still open is one (open lags, S,
+        B, S) difference."""
+        if first is not None:
+            monkeypatch.setattr("mixcert.process._PHI_FIRST", first)
         columns = []
 
         def counting_tv(p, q):
-            gap = np.broadcast_shapes(p.shape, q.shape)
-            if q.ndim == 3:
-                columns.append(gap[1])
-            elif q.ndim == 4:
-                columns.append(gap[0] * gap[2])
+            if q.ndim == 4:
+                columns.append(p.shape[0] * q.shape[2])
             return _tv(p, q)
 
         monkeypatch.setattr("mixcert.process._tv", counting_tv)
+        mixing_profile(lazy_ring(np.random.default_rng(seed).uniform(0.5, 0.8, size=16)), 800)
+        return sum(columns)
+
+    def test_ring_reduces_few_times(self, monkeypatch):
+        """On the 16-state ring at n = 800 every lag reduces its first
+        _PHI_FIRST times and, on the mean, fewer than two more: about 3% of
+        the 800 * 801 lag-time columns."""
+        columns = self.ring_columns(monkeypatch, 0)
+        assert 800 * process._PHI_FIRST <= columns < 800 * (process._PHI_FIRST + 2)
+
+    def test_ring_cost_does_not_follow_its_closing_time(self, monkeypatch):
+        """The bound alone closes most lags of ring 12 by time 16 and of
+        ring 3 only by time 24, so it reduces half as many columns again on
+        ring 3. With the first 24 times of every lag reduced, the two rings
+        reduce the same columns to within 1%."""
+        bound_only = [self.ring_columns(monkeypatch, seed, 0) for seed in (12, 3)]
+        assert bound_only[1] > 1.4 * bound_only[0]
+        steady = [self.ring_columns(monkeypatch, seed, 24) for seed in (12, 3)]
+        assert abs(steady[1] - steady[0]) < 0.01 * steady[0]
+
+    def test_lags_close_after_different_column_blocks(self, monkeypatch):
+        """One block of the 16-state ring's first L lags: every lag is open
+        for the first block of times, and the bound closes the lags after
+        different blocks, so later blocks reduce fewer of them, never more.
+        The block keeps the bits of the reduction over every time."""
         spec = lazy_ring(np.random.default_rng(0).uniform(0.5, 0.8, size=16))
-        mixing_profile(spec, 800)
-        assert 800 <= sum(columns) < 0.1 * 800 * 801
+        S, n = 16, 800
+        L = process._LAG_FLOATS // (S * S * process._PHI_BLOCK)
+        futures = _futures(spec.markov, n, 2 * n)
+        assert futures[3] > 2 * n
+        open_lags = []
+
+        def counting_tv(p, q):
+            if q.ndim == 4:
+                open_lags.append(p.shape[0])
+            return _tv(p, q)
+
+        monkeypatch.setattr("mixcert.process._tv", counting_tv)
+        phi = _phi_lags(kstep_rows(spec.markov.transition, L), 1, *futures)
+        assert open_lags[0] == L and len(set(open_lags)) > 2
+        assert all(a >= b for a, b in zip(open_lags, open_lags[1:]))
+        assert np.array_equal(phi, reference_phi(spec, n, range(1, L + 1)))
+
+    def test_no_lag_reduces_past_its_columns(self, monkeypatch):
+        """A lag with a fixed point inside the horizon has c + 1 columns, c
+        distinct times and the shared one. Blocks of one time on a block of
+        every lag reduce at most that many of each lag's columns, though the
+        bound leaves the lags past T open (their one column is within the
+        slack of their limit)."""
+        monkeypatch.setattr("mixcert.process._PHI_BLOCK", 1)
+        spec, n = discrete_spec(SYM09, [1.0, 0.0], 2), 300
+        futures = _futures(spec.markov, n, 2 * n)
+        T = futures[3]
+        assert T < n
+        columns = []
+
+        def counting_tv(p, q):
+            if q.ndim == 4:
+                columns.append(p.shape[0] * q.shape[2])
+            return _tv(p, q)
+
+        monkeypatch.setattr("mixcert.process._tv", counting_tv)
+        phi = _phi_lags(kstep_rows(spec.markov.transition, n), 1, *futures)
+        lags = np.arange(1, n + 1)
+        assert sum(columns) <= (np.minimum(np.maximum(T - lags, 0), n) + 1).sum()
+        assert np.array_equal(phi, reference_phi(spec, n, lags))
 
     def test_limit_bound_is_a_suffix_max(self):
         """TV(M[t], pi*) rises in floats on this chain; the bound the pruning
@@ -857,6 +935,7 @@ class TestPrunedPhi:
         below the best value taken. Here it ties exactly before the second
         time, so that time is still reduced and its larger TV found."""
         monkeypatch.setattr("mixcert.process._PHI_BLOCK", 1)
+        monkeypatch.setattr("mixcert.process._PHI_FIRST", 0)
         rows = np.array([[[0.75, 0.25], [0.25, 0.75]]])  # one lag, k = 1
         pistar = np.array([0.5, 0.5])
         M = np.array([pistar, [0.25, 0.75], [0.0, 1.0]])  # futures M[1], M[2]
@@ -872,9 +951,9 @@ class TestPrunedPhi:
 
 class TestLagBlocks:
     """mixing_profile takes its lags in blocks of L = max(1, _LAG_FLOATS //
-    (S * S * _PHI_BLOCK)): one _tv covers the first _PHI_BLOCK times of
-    every lag of a block. Blocks of 1, 2 and 3 lags and the default keep the
-    bits of the loop over every lag and time."""
+    (S * S * _PHI_BLOCK)): one _tv covers a block of _PHI_BLOCK times of
+    every lag of a block still open. Blocks of 1, 2 and 3 lags and the
+    default keep the bits of the loop over every lag and time."""
 
     BLOCKS = (1, 2, 3, None)  # lags per block; None keeps the default _LAG_FLOATS
     DEFAULT_FLOATS = process._LAG_FLOATS
@@ -896,12 +975,14 @@ class TestLagBlocks:
             self.set_lags(monkeypatch, spec, lags)
             assert_matches_reference(spec, n, reference)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 32])
+    @pytest.mark.parametrize("block", [1, 2, 3, 8, 32])
     def test_random_chains(self, monkeypatch, block):
         """Chains of 1-6 states, both emission modes, with and without drift,
-        at n from 1 to 40; the one-lag view phi_coefficient reads the
-        profile's floats at k = 1, n // 2 and n."""
+        at n from 1 to 40, the bound read from the first time on; the
+        one-lag view phi_coefficient reads the profile's floats at k = 1,
+        n // 2 and n."""
         monkeypatch.setattr("mixcert.process._PHI_BLOCK", block)
+        monkeypatch.setattr("mixcert.process._PHI_FIRST", 0)
         rng = np.random.default_rng(300 + block)
         for S, mode, drift in itertools.product(range(1, 7), ("discrete", "gaussian"),
                                                 (False, True)):
@@ -914,7 +995,35 @@ class TestLagBlocks:
                     for k in sorted({1, max(1, n // 2), n}):
                         assert phi_coefficient(spec, k, n) == prof.phi[k - 1], (S, n, lags, k)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 32])
+    @pytest.mark.parametrize("block", [1, 2, 3, 8, 32])
+    def test_shared_column_in_a_later_block(self, monkeypatch, block):
+        """A sparse lazy chain whose marginals repeat from T = 139 < 2n: at
+        lag 64 its shared column, t = c = 75, lies past the first block of
+        times at every block size here, and it holds phi(64), above the
+        limit and every distinct time."""
+        rng = np.random.default_rng(93)
+        S = int(rng.integers(2, 7))
+        P = rng.random((S, S)) * (rng.random((S, S)) < 0.5)
+        P[np.arange(S), (np.arange(S) + 1) % S] += rng.random(S)
+        lazy = rng.uniform(0.0, 0.9)
+        P = P / P.sum(axis=1, keepdims=True)
+        P = lazy * np.eye(S) + (1 - lazy) * P
+        spec, n, k = discrete_spec(P, np.eye(S)[0], S), 118, 64
+        M, reach, _, T, pistar, _ = _futures(spec.markov, n, 2 * n)
+        c = T - k
+        assert T == 139 and c == 75
+        rows = kstep_rows(P, k)[-1]
+        distinct = max(_tv(rows, pistar).max(),
+                       _tv(rows[:, None], M[None, k:T])[reach[:, :c]].max())
+        monkeypatch.setattr("mixcert.process._PHI_BLOCK", block)
+        reference = reference_profile(spec, n)
+        assert reference[0][k - 1] > distinct
+        for lags in self.BLOCKS:
+            self.set_lags(monkeypatch, spec, lags)
+            prof = assert_matches_reference(spec, n, reference)
+            assert phi_coefficient(spec, k, n) == prof.phi[k - 1]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 8, 32])
     def test_shared_column_only_inside_the_horizon(self, monkeypatch, block):
         """At n = 2 no marginal repeats up to 2n (T = 5), so lag 1 has
         c = n + 1 and no shared column. The column a block of more than
@@ -933,9 +1042,10 @@ class TestLagBlocks:
             assert phi_coefficient(spec, 1, 2) == prof.phi[0]
 
     def test_memory_is_one_lag_block(self):
-        """On the 64-state ring a block is one lag, whose first block of
-        times is an (S, _PHI_BLOCK, S) difference. Above its marginals the
-        profile holds that difference and O(S**2 + n S) floats, whatever n."""
+        """On the 64-state ring a block is two lags, and a block of times of
+        its open lags is one (lags, S, _PHI_BLOCK, S) difference of at most
+        2**16 floats. Above its marginals the profile holds that difference
+        and O(S**2 + n S) floats, whatever n."""
         S = 64
         spec = lazy_ring(np.random.default_rng(0).uniform(0.5, 0.8, size=S), S)
         mixing_profile(spec, 3)
