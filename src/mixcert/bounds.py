@@ -50,7 +50,6 @@ from .process import (
     LabeledDataset,
     MixingProfile,
     ProcessSpec,
-    _bit_groups,
     mixing_profile,
     sample_sequence,
     sample_sequences_batch,
@@ -61,6 +60,7 @@ from .process import (
 )
 from .rademacher import (
     FunctionClass,
+    _distinct_paths,
     _draw_signs,
     _exact_rademacher,
     _sign_sups,
@@ -404,17 +404,17 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
 
     The class is evaluated on _SYMMETRIZATION_BLOCK paths at a time, and
     Monte Carlo signs are drawn per path, in path order. For exact signs
-    each block keeps only its distinct paths (`_bit_groups`; a one-member
-    class keeps all, as `_exact_rademacher` does not group it), and one
-    `_exact_rademacher` call on their concatenation, once the paths are
-    freed, gives every path its value: the concatenation lists each
-    distinct path first at its earliest trial, so the sign kernel
-    enumerates the distinct paths of the whole sample in the same order,
-    and gives the same bits, as on all paths at once. So a sample with few
-    distinct paths never holds the class values of all paths; where every
-    path is distinct (values that vary with continuous inputs) the kept
-    values are all of them, held beside the paths by the end of the loop
-    and twice while the blocks are joined.
+    each block keeps only its distinct paths (`_distinct_paths`, the
+    grouping `_exact_rademacher` uses; the block itself when none
+    repeats), and one `_exact_rademacher` call on their concatenation, once
+    the paths are freed, gives every path its value: the concatenation
+    lists each distinct path first at its earliest trial, so the sign
+    kernel enumerates the distinct paths of the whole sample in the same
+    order, and gives the same bits, as on all paths at once. So a sample
+    with few distinct paths never holds the class values of all paths;
+    where every path is distinct (values that vary with continuous inputs)
+    the kept values are all of them, held beside the paths by the end of
+    the loop and twice while the blocks are joined.
     """
     fclass = _instance(fclass, "fclass", FunctionClass)
     spec = _instance(spec, "spec", ProcessSpec)
@@ -432,19 +432,15 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
         F = fclass.evaluate(X[start:stop].reshape(-1, spec.input_dim), Y[start:stop].reshape(-1))
         F = F.reshape(fclass.size, stop - start, n)
         lhs_vals[start:stop] = (F.mean(axis=2) - centers[:, None]).max(axis=0)
-        if not exact:
+        if exact:
+            group, first = _distinct_paths(F)
+            kept.append(F if first.size == stop - start else F[:, first])
+            column[start:stop] = count + group
+            count += first.size
+        else:
             for t in range(stop - start):
                 sups = _sign_sups(F[:, t:t + 1], _draw_signs(rng, _MC_SIGNS, n))
                 rhat[start + t] = float(sups[0].mean()) / n
-        elif fclass.size > 1:
-            group, first = _bit_groups(F[m, :, i] for m in range(fclass.size) for i in range(n))
-            kept.append(F[:, first])
-            column[start:stop] = count + group
-            count += first.size
-        else:  # every path: `_exact_rademacher` does not group a one-member class
-            kept.append(F)
-            column[start:stop] = np.arange(count, count + stop - start)
-            count += stop - start
         del F  # before the next block's values are made
     del X, Y  # the enumeration needs only the kept paths' values
     if exact:

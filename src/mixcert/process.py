@@ -45,7 +45,7 @@ _PHI_BLOCK = 8  # conditioning times _phi_lags reduces per block
 _PHI_FIRST = 24  # times every lag reduces before _phi_lags reads its bound
 _LAG_FLOATS = 1 << 16  # floats of a lag block's (lags, S, _PHI_BLOCK, S) difference, so
 # L = max(1, 2**16 // (8 S**2)) lags: 2048 at S = 2, 32 at S = 16, 1 from S = 91 on; and of a
-# time block's (times, S, C) drifting law in mu
+# time block's three (times, S, C) arrays in mu, so max(1, 2**16 // (3 S C)) times
 
 _STREAM_SEQUENCE = 0
 _STREAM_TARGET = 1
@@ -649,18 +649,23 @@ def _joint_table(h: np.ndarray, tables: np.ndarray, cols: np.ndarray,
                  width: int) -> np.ndarray:
     """Laws of (point, label), one flattened (group, label) row per hidden
     law h[t] and (S, M) emission table tables[t], at the `_joint_columns`
-    (cols, width). Each entry adds its terms state by state, then alphabet
-    point by point."""
-    J = np.zeros((h.shape[0], width))
-    for s, col in enumerate(cols):
-        np.add.at(J, (slice(None), col), h[:, s, None] * tables[:, s])
-    return J
+    (cols, width). One np.bincount scatters every term h[t, s] tables[t, s,
+    m] in (time, state, alphabet point) order, so each entry adds its terms
+    state by state, then alphabet point by alphabet point, from 0.0."""
+    at = cols + width * np.arange(len(h))[:, None, None]
+    terms = h[:, :, None] * tables
+    return np.bincount(at.ravel(), terms.ravel(), len(h) * width).reshape(len(h), width)
 
 
 def _time_blocks(em: EmissionSpec, times: np.ndarray):
-    """`times` in consecutive slices whose (times, S, C) stack of a drifting
-    law's rows holds at most _LAG_FLOATS floats, one time at least."""
-    step = max(1, _LAG_FLOATS // em.rows.size)
+    """`times` in consecutive slices of max(1, _LAG_FLOATS // (3 S C))
+    times, one at least, so that a block's three (times, S, C) arrays, a
+    discrete law's drifted rows, their products with the marginals and the
+    int64 indices they are scattered at, hold at most _LAG_FLOATS values
+    together; `rows_at` briefly holds up to three more while it mixes a
+    drifting law. A Gaussian block holds two: its mean gaps and their
+    squares."""
+    step = max(1, _LAG_FLOATS // (3 * em.rows.size))
     return (times[lo:lo + step] for lo in range(0, len(times), step))
 
 
@@ -702,8 +707,10 @@ def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, T: int,
 
     Rows t >= T of M equal row T, so what depends on the marginals alone,
     the hidden TV and a driftless joint table, is reduced on the times up
-    to T and held from there. A drifting law's terms are reduced at every
-    time, one `_time_blocks` slice at a time."""
+    to T and held from there; a drifting law's terms are reduced at every
+    time. Either way the times a law changes at go one `_time_blocks`
+    slice at a time, a discrete slice's joint tables one `_joint_table`
+    scatter."""
     em = spec.emission
     times = np.arange(times.start, times.stop)
     moving = times[:max(1, T + 1 - times[0])]  # up to T: the times whose marginals differ
@@ -711,7 +718,7 @@ def _mu(spec: ProcessSpec, pistar: np.ndarray, M: np.ndarray, T: int,
         law = _joint_columns(spec)
         J_inf = _joint_table(pistar[None], em.table[None], *law)[0]
         mu = [_tv(_joint_table(M[block[0]:block[-1] + 1], em.rows_at(block), *law), J_inf)
-              for block in (_time_blocks(em, times) if em.has_drift() else (moving,))]
+              for block in _time_blocks(em, times if em.has_drift() else moving)]
         return _held(np.concatenate(mu), len(times))
     hidden = _held(_tv(M[moving[0]:moving[-1] + 1], pistar), len(times))
     return np.minimum(1.0, hidden + _gaussian_emission_tv(em, times))
@@ -739,15 +746,17 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     alone, the hidden TV and a driftless law's joint table, is reduced on
     times 1..min(n, T) and held from there, like the limit bound E. A
     drifting law changes at every time, so its terms are reduced at all n
-    times, in blocks of max(1, 2**16 // (S C)) times (`_time_blocks`) whose
-    (times, S, C) stack of drifted rows, C alphabet points or d dimensions,
-    holds at most 2**16 floats (`_LAG_FLOATS`); a driftless law is one
-    block. Discrete mu costs S np.add.at calls per block over a (times,
-    G K) array of joint (point, label) laws, for G distinct points and K
-    labels. Gaussian mu's per-time work left is the drift weight's float
-    power and one erf, of the time's largest mean gap: both Python's,
-    through `map`, since np.power would move last bits. Memory: mu holds one
-    time block besides O(n) per-time values and the O(n S) marginals.
+    times. The times a law changes at go in blocks of max(1, 2**16 // (3 S
+    C)) times (`_time_blocks`), C alphabet points or d dimensions, so a
+    block's three (times, S, C) arrays, the drifted rows, their products
+    with the marginals and the int64 scatter indices, hold at most 2**16
+    values together (`_LAG_FLOATS`). Discrete mu costs one np.bincount per
+    block into a (times, G K) array of joint (point, label) laws, for G
+    distinct points and K labels. Gaussian mu's per-time work left is the
+    drift weight's float power and one erf, of the time's largest mean gap:
+    both Python's, through `map`, since np.power would move last bits.
+    Memory: mu holds one time block besides O(n) per-time values and the
+    O(n S) marginals, whatever n.
 
     T is the first time from which the marginals initial @ P**t repeat
     exactly, 2n + 1 when they do not within 2n. The shortcut is exact

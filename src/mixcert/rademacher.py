@@ -168,23 +168,28 @@ def _sign_sups(F: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return sups
 
 
-def _exact_rademacher(F: np.ndarray) -> np.ndarray:
-    """Exact conditional complexity of every path of F (members, paths, n):
-    the mean sup over all 2**n sign vectors, divided by n.
-
-    Paths whose (members, n) values have the same bits have the same
-    complexity, so with two or more members the enumeration runs once per
-    distinct path (`_bit_groups`, on one strided column per member and
-    point: no (paths, members * n) copy of F) and the results are scattered
-    back; when every path is distinct F itself is enumerated, not a copy of
-    it. A one-member class is not grouped: there a block of one path goes
+def _distinct_paths(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each path's group and each group's first path, for F (members,
+    paths, n): paths whose (members, n) values have the same bits share a
+    group (`_bit_groups`, on one strided column per member and point: no
+    (paths, members * n) copy of F). A one-member class or a single path is
+    not grouped, every path its own group: there a block of one path goes
     through a matrix-vector product, whose last bits can differ from the
     matrix-matrix product of a larger block."""
     members, paths, n = F.shape
     if members < 2 or paths < 2:
-        return _enumerate_signs(F)
-    group, first = _bit_groups(F[m, :, i] for m in range(members) for i in range(n))
-    if first.size < paths:
+        return np.arange(paths), np.arange(paths)
+    return _bit_groups(F[m, :, i] for m in range(members) for i in range(n))
+
+
+def _exact_rademacher(F: np.ndarray) -> np.ndarray:
+    """Exact conditional complexity of every path of F (members, paths, n):
+    the mean sup over all 2**n sign vectors, divided by n. Paths of one
+    `_distinct_paths` group have the same complexity, so the enumeration
+    runs once per group and the results are scattered back; when every path
+    is its own group F itself is enumerated, not a copy of it."""
+    group, first = _distinct_paths(F)
+    if first.size < F.shape[1]:
         F = F[:, first]
     return _enumerate_signs(F)[group]
 

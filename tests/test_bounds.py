@@ -300,6 +300,28 @@ class TestNetworkCertificate:
             assert rep.total_bound == pytest.approx(
                 theorem1_bound(empirical, first + second, profile, delta, n), rel=1e-15)
 
+    def test_bound_holds_within_one_halfwidth(self, monkeypatch):
+        """bound_holds is total >= plug-in zero-one - halfwidth: with the
+        total pinned at 0.25 and m = 1000 target points (halfwidth
+        sqrt(ln(200) / 2000) = 0.0515), a target risk of 0.28 or 0.30 is
+        cleared, and one of 0.33, within two halfwidths, or 0.40 is not."""
+        total, m = 0.25, 1000
+        monkeypatch.setattr("mixcert.bounds._theorem1_sum", lambda *terms: total)
+        halfwidth = math.sqrt(math.log(2.0 / bounds._DELTA_EST) / (2.0 * m))
+        inputs = np.zeros((m, 2))
+        inputs[:, 0] = 1.0  # scored (2, 0): label 1 is right, label 2 wrong
+        for errors, holds in ((280, True), (300, True), (330, False), (400, False)):
+            assert (errors / m <= total + halfwidth) == holds
+            labels = np.where(np.arange(m) < errors, 2, 1)
+            target = LabeledDataset(inputs=inputs, labels=labels, num_classes=2,
+                                    kind="target_iid", seed=0)
+            rep = network_certificate(self.crafted(), self.one_layer(), gammas=(1.0,),
+                                      profile=flat_profile(100), delta=0.05, target=target)[0]
+            assert rep.total_bound == total
+            assert rep.population_zero_one_estimate == errors / m
+            assert rep.population_halfwidth == halfwidth
+            assert rep.bound_holds is holds, errors
+
     def test_all_terms_nonnegative(self):
         rep = network_certificate(self.crafted(), self.one_layer(), gammas=(1.0,),
                                   profile=flat_profile(100), delta=0.05)[0]

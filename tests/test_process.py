@@ -1111,10 +1111,10 @@ def drifting_ring(S=64):
 
 class TestMuTimeBlocks:
     """mu reduces what depends on the marginals alone on the times up to
-    their fixed point T and holds it from there, and takes a drifting law's
-    times in blocks of max(1, _LAG_FLOATS // (S * C)). Blocks of 1, 2 and 3
-    times and the default keep the bits of the stacked form, for the
-    profile, its one-time view mu_at and step_expectations."""
+    their fixed point T and holds it from there, and takes the times a law
+    changes at in blocks of max(1, _LAG_FLOATS // (3 * S * C)). Blocks of
+    1, 2 and 3 times and the default keep the bits of the stacked form, for
+    the profile, its one-time view mu_at and step_expectations."""
 
     BLOCKS = (1, 2, 3, None)  # times per block; None keeps the default _LAG_FLOATS
     DEFAULT_FLOATS = process._LAG_FLOATS
@@ -1154,7 +1154,7 @@ class TestMuTimeBlocks:
                     stacked_rows(spec.emission, n), f[:, np.asarray(spec.label_map) - 1])
                 for times in self.BLOCKS:
                     floats = (self.DEFAULT_FLOATS if times is None
-                              else times * spec.emission.rows.size)
+                              else times * 3 * spec.emission.rows.size)
                     monkeypatch.setattr("mixcert.process._LAG_FLOATS", floats)
                     assert np.array_equal(mixing_profile(spec, n).mu, mu), (S, n, times)
                     for i in sorted({1, max(1, n // 2), n}):
@@ -1184,24 +1184,34 @@ class TestMuTimeBlocks:
         assert mu_at(spec, n) == want[-1]
         assert rows and max(rows) <= T + 1
 
-    def test_memory_is_one_time_block(self):
-        """On the 64-state ring with a drifting table, a block is 16 times
-        of (S, C) = (64, 64) rows. _mu holds that block's law, its drift
-        mixture temporaries and joint tables, and O(n S) floats per call,
-        not the (n, S, C) stack of every time (75 MiB at n = 800)."""
-        spec, S, n = drifting_ring(), 64, 800
+    @pytest.mark.parametrize("drift", [True, False], ids=["drifting", "driftless"])
+    def test_memory_is_one_time_block(self, drift):
+        """On the 64-state ring, with a table drifting toward the next
+        state's point or driftless, a block is 5 times of (S, C) = (64, 64)
+        rows. _mu holds that block's law, its drift mixture temporaries,
+        products and scatter indices, and O(n S) floats per call, not the
+        (n, S, C) stack of every time (75 MiB at n = 800). The marginals do
+        not repeat within 2n, so both laws change at every time, and at 4n
+        the peak grows by at most 8 floats per time added."""
+        S, n = 64, 800
+        spec = drifting_ring() if drift else lazy_ring(
+            np.random.default_rng(S).uniform(0.5, 0.8, size=S), S)
         pistar = stationary_distribution(spec.markov)
-        M, T = _marginals(spec.markov, 2 * n)
-        assert T > 2 * n
-        _mu(spec, pistar, M, T, range(1, 3))
-        tracemalloc.start()
-        try:
-            mu = _mu(spec, pistar, M, T, range(1, n + 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * (4 * process._LAG_FLOATS + 2 * n * S) < 4 * 2 ** 20
-        assert np.array_equal(mu, stacked_mu(spec, n))
+        peaks = []
+        for size in (n, 4 * n):
+            M, T = _marginals(spec.markov, 2 * size)
+            assert T > 2 * size
+            _mu(spec, pistar, M, T, range(1, 3))
+            tracemalloc.start()
+            try:
+                mu = _mu(spec, pistar, M, T, range(1, size + 1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            if size == n:
+                assert np.array_equal(mu, stacked_mu(spec, n))
+        assert peaks[0] < 8 * (4 * process._LAG_FLOATS + 2 * n * S) < 4 * 2 ** 20
+        assert peaks[1] - peaks[0] < 8 * 8 * 3 * n, peaks
 
 
 class TestEmissionDrift:
