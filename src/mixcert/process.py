@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +41,7 @@ from .seeding import substream
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
 _SORT_KEYS = 16  # key columns _bit_groups sorts by in one np.lexsort
 
+_STEP_ROWS = 16  # rows _step writes between its tests for an exact repeat
 _PHI_BLOCK = 8  # conditioning times _phi_lags reduces per block
 _PHI_FIRST = 24  # times every lag reduces before _phi_lags reads its bound
 _LAG_FLOATS = 1 << 16  # floats of a lag block's (lags, S, _PHI_BLOCK, S) difference, so
@@ -197,16 +198,16 @@ class EmissionSpec:
     def rows_at(self, times) -> np.ndarray:
         """The (times, S, C) stack of per-state rows of the law at each of a
         sequence of integer times >= 1: (1 - w_t) * rows + w_t * drift_rows,
-        and `rows` itself where w_t is 0. A read-only broadcast of `rows`
-        when every weight is 0."""
+        and `rows` itself where w_t is 0 (1.0 * rows keeps every bit). A
+        read-only broadcast of `rows` when every weight is 0. The mixture is
+        taken in place in the result, so it holds one temporary of its size,
+        the products w_t * drift_rows."""
         w = self._weights(_as_times(times, "times"))
-        stack = np.broadcast_to(self.rows, (len(w), *self.rows.shape))
-        mix = w != 0.0
-        if not mix.any():
-            return stack
-        stack = stack.copy()
-        w = w[mix, None, None]
-        stack[mix] = (1.0 - w) * self.rows + w * self.drift_rows
+        if not w.any():
+            return np.broadcast_to(self.rows, (len(w), *self.rows.shape))
+        w = w[:, None, None]
+        stack = self.rows * (1.0 - w)
+        np.add(stack, w * self.drift_rows, out=stack, where=w != 0.0)
         return stack
 
     def emit(self, rows: np.ndarray, states: np.ndarray,
@@ -392,14 +393,32 @@ def stationary_distribution(markov: MarkovSpec) -> np.ndarray:
     pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum()
     # Polish toward an exact float fixed point of pi @ P when one is
-    # reachable; leaves the least-squares answer untouched otherwise.
-    cur = pi
-    for _ in range(100):
-        nxt = cur @ markov.transition
-        if np.array_equal(nxt, cur):
-            return cur
-        cur = nxt
-    return pi
+    # reachable within 100 steps; leaves the least-squares answer untouched
+    # otherwise.
+    steps = np.empty((101, S))
+    steps[0] = pi
+    t = _step(markov.transition, steps)
+    return steps[t - 1].copy() if t < len(steps) else pi
+
+
+def _step(P: np.ndarray, rows: np.ndarray, first: int = 1) -> int:
+    """Steps rows[t] = rows[t - 1] @ P in place for t = 1, 2, ... through the
+    buffer `rows` of row vectors or matrices, each product written by np.dot
+    into its row (the bits of `@`), and returns the first t >= first with
+    rows[t] == rows[t - 1], len(rows) when there is none. It tests once per
+    block of _STEP_ROWS rows, so it may step up to _STEP_ROWS - 1 rows past
+    that t: each equals rows[t], since a step that returns its input does so
+    again. Rows before `first` are not tested."""
+    for lo in range(1, len(rows), _STEP_ROWS):
+        hi = min(lo + _STEP_ROWS, len(rows))
+        for t in range(lo, hi):
+            np.dot(rows[t - 1], P, out=rows[t])
+        start = max(lo, first)
+        if start < hi:
+            same = (rows[start:hi] == rows[start - 1:hi - 1]).reshape(hi - start, -1).all(1)
+            if same.any():
+                return start + int(same.argmax())
+    return len(rows)
 
 
 def _marginals(markov: MarkovSpec, tmax: int) -> tuple[np.ndarray, int]:
@@ -408,20 +427,16 @@ def _marginals(markov: MarkovSpec, tmax: int) -> tuple[np.ndarray, int]:
     tmax + 1 when none is within tmax.
 
     Once a step returns its input (row T + 1 equals row T), every later step
-    does too, so the rows after T + 1 are filled, not stepped. Rows are
-    stepped 64 at a time and each block compared with one test.
+    does too, so the rows after the block of `_step` that holds T + 1 are
+    filled, not stepped.
     """
     out = np.empty((tmax + 1, markov.num_states))
     out[0] = markov.initial
-    for start in range(1, tmax + 1, 64):
-        for t in range(start, min(start + 64, tmax + 1)):
-            out[t] = out[t - 1] @ markov.transition
-        repeats = np.flatnonzero((out[start:t + 1] == out[start - 1:t]).all(axis=1))
-        if repeats.size:
-            T = start - 1 + int(repeats[0])
-            out[T + 2:] = out[T + 1]
-            return out, T
-    return out, tmax + 1
+    t = _step(markov.transition, out)
+    if t > tmax:
+        return out, tmax + 1
+    out[t + 1:] = out[t]
+    return out, t - 1
 
 
 def _held(head: np.ndarray, size: int) -> np.ndarray:
@@ -468,11 +483,19 @@ def phi_coefficient(spec: ProcessSpec, k: int, horizon: int) -> float:
     """
     _as_int(k, "k", 1)
     _as_int(horizon, "horizon", 1)
-    # the running product of mixing_profile, so both give the same bits
-    rows = np.eye(spec.markov.num_states)
-    for _ in range(k):
-        rows = rows @ spec.markov.transition
-    return float(_phi_lags(rows[None], k, *_futures(spec.markov, horizon, horizon + k))[0])
+    # the running product of mixing_profile, so both give the same bits, one
+    # _step block at a time; once a step returns its input, every later
+    # power equals the block's last row
+    P = spec.markov.transition
+    rows = np.empty((_STEP_ROWS + 1, *P.shape))
+    rows[0] = np.eye(len(P))
+    left = k
+    while left:
+        steps = min(left, _STEP_ROWS)
+        repeat = _step(P, rows[:steps + 1]) <= steps
+        rows[0] = rows[steps]
+        left = 0 if repeat else left - steps
+    return float(_phi_lags(rows[:1], k, *_futures(spec.markov, horizon, horizon + k))[0])
 
 
 def _futures(markov: MarkovSpec, n: int, tmax: int) -> tuple:
@@ -662,9 +685,8 @@ def _time_blocks(em: EmissionSpec, times: np.ndarray):
     times, one at least, so that a block's three (times, S, C) arrays, a
     discrete law's drifted rows, their products with the marginals and the
     int64 indices they are scattered at, hold at most _LAG_FLOATS values
-    together; `rows_at` briefly holds up to three more while it mixes a
-    drifting law. A Gaussian block holds two: its mean gaps and their
-    squares."""
+    together; `rows_at` briefly holds one more while it mixes a drifting
+    law. A Gaussian block holds one: its mean gaps, squared in place."""
     step = max(1, _LAG_FLOATS // (3 * em.rows.size))
     return (times[lo:lo + step] for lo in range(0, len(times), step))
 
@@ -674,19 +696,52 @@ def _gaussian_emission_tv(em: EmissionSpec, times: np.ndarray) -> np.ndarray:
     limit Gaussian of that state; erf(||w_t mean gap|| / (2 sqrt(2) sigma))
     exactly for isotropic equal covariances, 0 where w_t is 0. The mean
     gaps, S d floats per time, are formed one `_time_blocks` slice at a
-    time; erf is Python's, one call per time through `map`, and the numpy
-    division rounds alike."""
+    time, laid out (d, S, times), and squared in place; their sums over d
+    (`_pairwise_sum`), square roots and max over states are slab
+    operations. erf is Python's, one call per time through `map`, and the
+    numpy division rounds alike."""
     if not em.has_drift():
         return np.zeros(len(times))
-    delta = em.drift_means - em.means
+    delta = (em.drift_means - em.means).T[:, :, None]
     # erf is increasing, so the erf of each time's largest gap is its largest
-    # erf; a zero weight gives a zero gap and erf(0.0) = 0.0. The gaps are
-    # laid out (S, times, d), so the max over states runs across rows of times
-    gaps = np.concatenate([np.linalg.norm(em._weights(block)[:, None] * delta[:, None],
-                                          axis=2).max(axis=0)
-                           for block in _time_blocks(em, times)])
+    # erf; a zero weight gives a zero gap and erf(0.0) = 0.0
+    gaps = []
+    for block in _time_blocks(em, times):
+        sq = delta * em._weights(block)
+        gaps.append(np.sqrt(_pairwise_sum(np.multiply(sq, sq, out=sq))).max(axis=0))
+    gaps = np.concatenate(gaps)
     gaps /= 2.0 * math.sqrt(2.0) * em.sigma
     return np.fromiter(map(math.erf, gaps.tolist()), np.float64, len(gaps))
+
+
+def _pairwise_sum(slabs: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of `slabs`, added in place into its
+    slabs and returned as a view of one, in the order np.add.reduce takes
+    along a contiguous axis (numpy's pairwise sum), so each entry has the
+    bits of that reduction, and of np.linalg.norm's: below 8 terms in
+    sequence; up to 128 into 8 accumulators, one per term index mod 8, joined
+    as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)) before the terms past the
+    last multiple of 8 are added in sequence; above 128 as two halves, the
+    first cut to a multiple of 8."""
+    n = len(slabs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(slabs[:half])
+        total += _pairwise_sum(slabs[half:])
+        return total
+    if n < 8:
+        for i in range(1, n):
+            slabs[0] += slabs[i]
+        return slabs[0]
+    acc = slabs[:8]
+    end = n - n % 8
+    for lo in range(8, end, 8):
+        acc += slabs[lo:lo + 8]
+    for step in (1, 2, 4):
+        acc[::2 * step] += acc[step::2 * step]
+    for i in range(end, n):
+        acc[0] += slabs[i]
+    return acc[0]
 
 
 def mu_at(spec: ProcessSpec, i: int) -> float:
@@ -740,7 +795,10 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     still open. Memory: one (lags, S, _PHI_BLOCK, S) difference, at most
     2**16 floats up to S = 90 and S**2 _PHI_BLOCK above, whose absolute
     value is taken in place, plus O(n S) for the marginals and their limit
-    bound.
+    bound. The marginals, the k-step rows of a lag block and the stationary
+    law's polish are stepped in place by one kernel (`_step`): one np.dot
+    per row into a preallocated buffer, and one test for an exact repeat
+    per _STEP_ROWS = 16 rows, so at most 15 rows are stepped past it.
 
     mu (`_mu`) reads the marginals only up to T. What depends on them
     alone, the hidden TV and a driftless law's joint table, is reduced on
@@ -752,11 +810,14 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     with the marginals and the int64 scatter indices, hold at most 2**16
     values together (`_LAG_FLOATS`). Discrete mu costs one np.bincount per
     block into a (times, G K) array of joint (point, label) laws, for G
-    distinct points and K labels. Gaussian mu's per-time work left is the
-    drift weight's float power and one erf, of the time's largest mean gap:
-    both Python's, through `map`, since np.power would move last bits.
-    Memory: mu holds one time block besides O(n) per-time values and the
-    O(n S) marginals, whatever n.
+    distinct points and K labels. Gaussian mu forms a block's mean gaps as
+    (d, S, times) slabs and squares them in place; the sum over d, in
+    numpy's pairwise order, the square root and the max over states are
+    whole-slab operations (`_pairwise_sum`), not one reduction per (state,
+    time). What is left per time is the drift weight's float power and one
+    erf of the time's largest mean gap: both Python's, through `map`, since
+    np.power would move last bits. Memory: mu holds one time block besides
+    O(n) per-time values and the O(n S) marginals, whatever n.
 
     T is the first time from which the marginals initial @ P**t repeat
     exactly, 2n + 1 when they do not within 2n. The shortcut is exact
@@ -793,11 +854,11 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     rows[0] = np.eye(S)
     k = 1
     while k <= n:
-        for m in range(1, min(len(rows), n + 2 - k)):
-            rows[m] = rows[m - 1] @ markov.transition
-            repeat = k + m > T and np.array_equal(rows[m], rows[m - 1])
-            if repeat:
-                break
+        # rows[m] is P**(k - 1 + m); a repeat counts from lag T on
+        stop = min(len(rows), n + 2 - k)
+        m = _step(markov.transition, rows[:stop], T + 1 - k)
+        repeat = m < stop
+        m = min(m, stop - 1)
         phi[k - 1:k - 1 + m] = _phi_lags(rows[1:m + 1], k, *futures)
         k += m
         rows[0] = rows[m]
@@ -812,14 +873,16 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
 
 
 def _inverse_cdf(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """First column of row cum[states[i]] whose cumulative mass reaches u[i],
+    """First column of row cum[states[i]] whose cumulative mass exceeds u[i],
     capped at the last column: the count of columns j < C - 1 with
-    cum[states[i], j] < u[i]. On nondecreasing rows (cumulative sums of
-    nonnegative laws) that is min(sum_j (cum[states[i], j] < u[i]), C - 1).
-    One 1-d gather and comparison per column; no (draws, C) block."""
+    cum[states[i], j] <= u[i]. On nondecreasing rows (cumulative sums of
+    nonnegative laws) that is min(sum_j (cum[states[i], j] <= u[i]), C - 1),
+    and a column of zero mass is never drawn for u below the row's total,
+    u = 0.0 included. One 1-d gather and comparison per column; no (draws,
+    C) block."""
     idx = np.zeros(len(u), dtype=np.int64)
     for j in range(cum.shape[1] - 1):
-        idx += cum[:, j].take(states) < u
+        idx += cum[:, j].take(states) <= u
     return idx
 
 
@@ -845,18 +908,18 @@ def _walk(markov: MarkovSpec, trials: int, rng: np.random.Generator):
 
 def _walk_path(markov: MarkovSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """H_0..H_n of one chain: the states _walk(markov, 1, rng) yields, from
-    the same n + 1 uniforms drawn as one block. Each step is `bisect_left`
+    the same n + 1 uniforms drawn as one block. Each step is `bisect_right`
     over the first C - 1 entries of a cumulative row, the count of entries
-    below u that `_inverse_cdf` takes, in Python floats, without a numpy call
-    per step."""
+    at or below u that `_inverse_cdf` takes, in Python floats, without a
+    numpy call per step."""
     last = markov.num_states - 1
     start = np.cumsum(markov.initial)[:last].tolist()
     rows = [row[:last] for row in np.cumsum(markov.transition, axis=1).tolist()]
     u = rng.random(n + 1).tolist()
-    cur = bisect_left(start, u[0])
+    cur = bisect_right(start, u[0])
     states = [cur]
     for x in u[1:]:
-        cur = bisect_left(rows[cur], x)
+        cur = bisect_right(rows[cur], x)
         states.append(cur)
     return np.array(states, dtype=np.int64)
 

@@ -50,6 +50,7 @@ from mixcert.process import (
     _STREAM_TARGET,
     _bit_groups,
     _futures,
+    _gaussian_emission_tv,
     _inverse_cdf,
     _limit_gap_bound,
     _marginals,
@@ -1060,6 +1061,127 @@ class TestLagBlocks:
             marginals = (2 * n + 1) * S
             assert peak < 8 * (marginals + block + 8 * S * S + 4 * n * S), n
 
+
+def reference_fixed_point(markov, tmax):
+    """(rows, T) of `_marginals` by the plain `@` loop: every row stepped,
+    T the first t < tmax with row t + 1 == row t (tmax + 1 when there is
+    none), and the rows after T + 1 held at row T + 1."""
+    M = reference_marginals(markov, tmax)
+    same = [t for t in range(tmax) if np.array_equal(M[t + 1], M[t])]
+    if not same:
+        return M, tmax + 1
+    M[same[0] + 2:] = M[same[0] + 1]
+    return M, same[0]
+
+
+def reference_stationary(markov):
+    """stationary_distribution's value by its least-squares solve and a
+    polish of at most 100 plain `@` steps: the input of the first step that
+    returns it, the least-squares law when none does."""
+    S = markov.num_states
+    A = np.vstack([markov.transition.T - np.eye(S), np.ones((1, S))])
+    b = np.zeros(S + 1)
+    b[-1] = 1.0
+    pi = np.maximum(np.linalg.lstsq(A, b, rcond=None)[0], 0.0)
+    pi = pi / pi.sum()
+    cur = pi
+    for _ in range(100):
+        nxt = cur @ markov.transition
+        if np.array_equal(nxt, cur):
+            return cur
+        cur = nxt
+    return pi
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStepKernel:
+    """`_step`, the one in-place stepping kernel of `_marginals`, the
+    profile's k-step rows, phi_coefficient and the stationary polish, keeps
+    the bits of a plain `@` loop and finds the same first repeat, wherever
+    it falls in a block of _STEP_ROWS rows."""
+
+    STATES = (1, 2, 3, 15, 16, 17, 46, 64, 91)
+    OFFSETS = (0, 15, 16, 17)  # fixed points T: a block's first and last rows, the next's first two
+
+    @staticmethod
+    def random_chain(rng, S):
+        """Sparse random rows plus a self-loop and a cycle through every
+        state (so primitive), started from a law with zeros."""
+        P = rng.random((S, S)) * (rng.random((S, S)) < 0.5)
+        P[np.arange(S), np.arange(S)] += 0.01
+        P[np.arange(S), (np.arange(S) + 1) % S] += rng.random(S) + 0.01
+        p0 = rng.random(S) * (rng.random(S) < 0.5)
+        p0[0] += 0.1
+        return MarkovSpec(num_states=S, transition=P / P.sum(axis=1, keepdims=True),
+                          initial=p0 / p0.sum())
+
+    @classmethod
+    def offset_chains(cls, S):
+        """For each T in OFFSETS, a random chain started from its own
+        marginal T0 - T steps before its fixed point T0, so that its
+        marginals repeat from exactly T on (S = 1 repeats from 0 alone)."""
+        rng = np.random.default_rng(500 + S)
+        while True:
+            markov = cls.random_chain(rng, S)
+            M, T0 = reference_fixed_point(markov, 400)
+            if S == 1 or max(cls.OFFSETS) <= T0 <= 400:
+                break
+        for T in cls.OFFSETS[:1] if S == 1 else cls.OFFSETS:
+            yield T, MarkovSpec(num_states=S, transition=markov.transition,
+                                initial=M[T0 - T])
+
+    @pytest.mark.parametrize("rows_per_test", [1, 2, 3, None])
+    @pytest.mark.parametrize("S", STATES)
+    def test_marginals_match_the_plain_loop(self, monkeypatch, S, rows_per_test):
+        """Rows and T of `_marginals` at tmax 0, 1, 16, 17 and 60, on random
+        chains and on chains whose fixed point is at each of OFFSETS, and
+        at 1, 2 and 3 rows per test as well as the default."""
+        if rows_per_test is not None:
+            monkeypatch.setattr("mixcert.process._STEP_ROWS", rows_per_test)
+        rng = np.random.default_rng(S)
+        chains = [(None, self.random_chain(rng, S)) for _ in range(3)]
+        for T, markov in chains + list(self.offset_chains(S)):
+            for tmax in (0, 1, 16, 17, 60):
+                M, fixed = _marginals(markov, tmax)
+                want, want_fixed = reference_fixed_point(markov, tmax)
+                assert same_bits(M, want) and fixed == want_fixed, (T, tmax)
+                if T is not None:
+                    assert fixed == (T if T < tmax else tmax + 1), (T, tmax)
+
+    @pytest.mark.parametrize("S", STATES)
+    def test_profile_matches_the_plain_loop(self, S):
+        """phi, mu and delta_inf of the profile, and phi_coefficient at k = 1,
+        n // 2 and n, on the offset chains and a random chain: at n = 8 (no
+        fixed point T >= 15 within 2n = 16 but T = 0), at n = 40 and, up to
+        S = 16, at n = 70, where the k-step rows of most of them repeat from
+        a lag past T inside n."""
+        rng = np.random.default_rng(700 + S)
+        chains = [markov for _, markov in self.offset_chains(S)] + [self.random_chain(rng, S)]
+        for markov in chains:
+            spec = discrete_spec(markov.transition, markov.initial, S)
+            for n in (8, 40, 70) if S <= 16 else (8, 40):
+                reference = reference_profile(spec, n)
+                assert_matches_reference(spec, n, reference)
+                for k in (1, n // 2, n):
+                    assert phi_coefficient(spec, k, n) == reference[0][k - 1], (n, k)
+
+    @pytest.mark.parametrize("S", STATES)
+    def test_stationary_polish_matches_the_plain_loop(self, S):
+        """stationary_distribution on random chains, on the iid kernel of
+        the uniform law, whose polish stops within a step or two, and on the
+        offset chains."""
+        rng = np.random.default_rng(900 + S)
+        chains = [self.random_chain(rng, S) for _ in range(3)]
+        chains += [MarkovSpec(num_states=S, transition=np.full((S, S), 1.0 / S),
+                              initial=np.eye(S)[0])]
+        chains += [markov for _, markov in self.offset_chains(S)]
+        for markov in chains:
+            assert same_bits(stationary_distribution(markov), reference_stationary(markov))
+
+
 def stacked_rows(em, n):
     """The (n, S, C) rows of the law at times 1..n, the drift mixture
     written out from this file's drift_weight over one stack."""
@@ -1214,6 +1336,53 @@ class TestMuTimeBlocks:
         assert peaks[1] - peaks[0] < 8 * 8 * 3 * n, peaks
 
 
+def reference_gaussian_tv(em, times):
+    """`_gaussian_emission_tv` in its form before the slabs: the
+    np.linalg.norm over d of the (S, times, d) mean gaps of this file's
+    drift_weight schedule, the max over states, and one erf per time."""
+    if not em.has_drift():
+        return np.zeros(len(times))
+    w = np.array([drift_weight(em, t) for t in times])
+    gaps = np.linalg.norm(w[:, None] * (em.drift_means - em.means)[:, None], axis=2).max(axis=0)
+    gaps /= 2.0 * math.sqrt(2.0) * em.sigma
+    return np.array([math.erf(g) for g in gaps.tolist()])
+
+
+class TestGaussianSlabs:
+    """`_gaussian_emission_tv` sums the squared mean gaps over d as (S,
+    times) slabs in numpy's pairwise order: sequential below 8 terms, 8
+    accumulators up to 128, halves above. It keeps the bits of
+    np.linalg.norm's per-(state, time) reduction at every d, in blocks of 1,
+    2 and 3 times and the default."""
+
+    DIMS = (*range(1, 10), 16, 17, 128, 129, 257)
+    BLOCKS = (1, 2, 3, None)  # times per block; None keeps the default _LAG_FLOATS
+    DEFAULT_FLOATS = process._LAG_FLOATS
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.3, 400.0])
+    def test_slabs_match_the_norm_form(self, monkeypatch, exponent):
+        """Standard normal gap entries, none of which outweighs the rest, so
+        the order of the sum over d moves last bits, at scales over six
+        decades, with sigma set so that erf runs where its value follows
+        them. At exponent 400 the weight underflows to 0 from t = 7 on."""
+        rng = np.random.default_rng(int(10 * exponent))
+        times = np.arange(1, 40)
+        for d in self.DIMS:
+            for S in (1, 2, 5):
+                means = rng.normal(size=(S, d))
+                delta = rng.normal(size=(S, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+                sigma = float(np.linalg.norm(delta, axis=1).max())
+                em = EmissionSpec.gaussian(means, sigma, means + delta,
+                                           float(rng.uniform(0.2, 1.0)), exponent)
+                want = reference_gaussian_tv(em, times)
+                assert 0.0 < want.max() < 0.5
+                for block in self.BLOCKS:
+                    floats = self.DEFAULT_FLOATS if block is None else block * 3 * S * d
+                    monkeypatch.setattr("mixcert.process._LAG_FLOATS", floats)
+                    got = _gaussian_emission_tv(em, times)
+                    assert np.array_equal(got, want), (d, S, block)
+
+
 class TestEmissionDrift:
     def test_weight_schedule(self):
         em = EmissionSpec.gaussian(means=np.array([[1.0], [-1.0]]), sigma=0.5,
@@ -1264,6 +1433,38 @@ class TestEmissionDrift:
             assert drift_weight(em, 6) > 0.0 and drift_weight(em, 7) == 0.0
             assert not np.array_equal(stack[0], means)
             assert all(np.array_equal(rows, means) for rows in stack[6:])
+
+    @pytest.mark.parametrize("mode", ["discrete", "gaussian"])
+    def test_rows_at_mixes_in_place(self, mode):
+        """rows_at keeps the bits of the mixture taken on a copy, (1 - w) *
+        rows + w * drift where w is not 0 and rows, -0.0 included, where it
+        underflows (exponent 400, t >= 7); a block of the drifting 64-state
+        ring, 5 times of (64, 64) rows, peaks at two arrays of its size
+        (tracemalloc), the result and the products w * drift, and 10 KiB that
+        do not grow with it (the masked add's buffer, per-time weights)."""
+        rows = np.eye(3)
+        rows[0, 1] = -0.0
+        em = (EmissionSpec.discrete(np.eye(3), rows, np.roll(np.eye(3), 1, axis=1), 0.5, 400.0)
+              if mode == "discrete" else
+              EmissionSpec.gaussian(rows, 0.5, np.roll(np.eye(3), 1, axis=1), 0.5, 400.0))
+        times = np.arange(1, 12)
+        w = np.array([drift_weight(em, t) for t in times])
+        stack = np.broadcast_to(em.rows, (len(times), 3, 3)).copy()
+        mix = w != 0.0
+        stack[mix] = (1.0 - w[mix, None, None]) * em.rows + w[mix, None, None] * em.drift_rows
+        assert mix[:6].all() and not mix[6:].any()
+        assert same_bits(em.rows_at(times), stack)
+        assert np.signbit(em.rows_at(times)[6:, 0, 1]).all()
+        em = drifting_ring().emission
+        block = range(1, 6)
+        em.rows_at(block)
+        tracemalloc.start()
+        try:
+            em.rows_at(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 5 * 64 * 64 + 16 * 1024, peak
 
     @pytest.mark.parametrize("mode, foreign", [
         ("discrete", {"sigma": 0.5}),
@@ -1407,9 +1608,10 @@ class TestSampling:
 
 
 def reference_inverse_cdf(cum_rows, u):
-    """First index whose cumulative mass reaches u, rowwise, on gathered rows
-    (draws, C): the count of entries below u, capped at the last column."""
-    idx = (cum_rows < u[:, None]).sum(axis=1)
+    """First index whose cumulative mass exceeds u, rowwise, on gathered rows
+    (draws, C): the count of entries at or below u, capped at the last
+    column. An index of zero mass is never the first to exceed u."""
+    idx = (cum_rows <= u[:, None]).sum(axis=1)
     return np.minimum(idx, cum_rows.shape[1] - 1)
 
 
@@ -1441,7 +1643,8 @@ class TestChainStepping:
         rng = np.random.default_rng(S)
         for _ in range(25):
             R = int(rng.integers(1, 6))
-            cum = np.cumsum(random_law(rng, R, S), axis=1)
+            law = random_law(rng, R, S)
+            cum = np.cumsum(law, axis=1)
             states = rng.integers(0, R, size=300)
             u = rng.random(300)
             u[:30] = 0.0
@@ -1452,6 +1655,9 @@ class TestChainStepping:
             got = _inverse_cdf(cum, states, u)
             want = reference_inverse_cdf(cum[states], u)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+            # every u in [0, row total) draws an index of positive mass
+            below = u < cum[states, -1]
+            assert below[:30].all() and (law[states[below], got[below]] > 0.0).all()
 
     def test_walk_path_matches_walk(self):
         rng = np.random.default_rng(41)
@@ -1493,6 +1699,27 @@ class TestChainStepping:
             for walk in (_walk(markov, 1, Scripted(u)), reference_walk(markov, 1, Scripted(u))):
                 want = np.concatenate([next(walk) for _ in range(n + 1)])
                 assert np.array_equal(got, want)
+            # each u in [0, row total) moves to a state of positive mass
+            laws = np.vstack([markov.initial[None], markov.transition[got[:-1]]])
+            rows = np.concatenate([[0], 1 + got[:-1]])
+            below = u < cum[rows, -1]
+            assert (laws[np.arange(n + 1), got][below] > 0.0).all()
+
+    def test_a_zero_uniform_draws_no_zero_mass(self):
+        """random() may return exactly 0.0. With row [0, 1] that draws index
+        1, for the start state, each chain step and each emitted point, in
+        every sampler's stepping rule."""
+        class Zeros:
+            def random(self, size):
+                return np.zeros(size)
+
+        markov = MarkovSpec(num_states=2, transition=[[0.0, 1.0], [0.5, 0.5]],
+                            initial=[0.0, 1.0])
+        assert _walk_path(markov, 5, Zeros()).tolist() == [1, 0, 1, 0, 1, 0]
+        walk = _walk(markov, 3, Zeros())
+        assert [next(walk).tolist() for _ in range(3)] == [[1, 1, 1], [0, 0, 0], [1, 1, 1]]
+        em = EmissionSpec.discrete(np.array([[0.0], [1.0]]), [[0.0, 1.0], [0.0, 1.0]])
+        assert em.emit(em.table, np.array([0, 1]), Zeros()).tolist() == [[1.0], [1.0]]
 
     @pytest.mark.parametrize("row, bad, u", [
         ([0.5, 0.5, -1e-13], 2, 0.99999999999995),

@@ -19,7 +19,12 @@ config does: "rings/validators-n1500", the driftless 2-state discrete
 chain of configs/validators.json at n = 1500, whose marginals repeat from
 T = 158 on, inside n; and "rings/S64-drift-n800", the 64-state ring with
 a table drifting toward the next state's point (amplitude 0.5, exponent
-0.5), whose law spans many of mu's time blocks.
+0.5), whose law spans many of mu's time blocks. Two more cover Gaussian
+mu: "rings/long-n4000", the drifting 2-state chain of configs/default.json
+at n = 4000, whose marginals repeat inside n while its emission term moves
+at every time; and "rings/gauss-d9-n800", a drifting 3-state Gaussian
+spec in d = 9 dimensions, the first d whose sum of squared mean gaps
+numpy adds in pairwise order, not in sequence.
 `python tools/output_digests.py --rings` prints them alone, importing
 mixcert from PYTHONPATH. Last come the "sha256  signs/<call>"
 lines: the repr of `validate_symmetrization` (exact and Monte Carlo signs)
@@ -65,6 +70,8 @@ RUNS = {"generate": (), "train": (), "certify-jobs1": ("--jobs", "1"),
 RING_STATES = (16, 32, 64)
 RING_N = 800
 FIXED_POINT_N = 1500
+LONG_N = 4000
+GAUSS_DIM = 9
 SIGN_MEMBERS = 5
 LOOKUP_POINTS = 20000
 CAPACITY_NETWORKS = 300
@@ -76,10 +83,24 @@ def ring_digests() -> int:
     """Print the "sha256  rings/<chain>-n<n>" lines: lazy directed rings
     that stay put with probabilities drawn uniformly from [0.5, 0.8],
     started at state 0, with state-revealing emissions; then the chain of
-    configs/validators.json and the drifting 64-state ring."""
+    configs/validators.json, the drifting 64-state ring, the chain of
+    configs/default.json and a random drifting Gaussian spec in GAUSS_DIM
+    dimensions, whose standard normal mean gaps give sums of squares that
+    the order of the sum moves in their last bits at about one time in six."""
     import numpy as np
     from mixcert import (EmissionSpec, ExperimentConfig, MarkovSpec, ProcessSpec,
                          mixing_profile)
+
+    def gaussian(S, d):
+        rng = np.random.default_rng(d)
+        P = rng.uniform(0.1, 1.0, size=(S, S))
+        means = rng.normal(size=(S, d))
+        gaps = rng.normal(size=(S, d))
+        return ProcessSpec(
+            markov=MarkovSpec(S, P / P.sum(axis=1, keepdims=True), np.eye(S)[0]),
+            emission=EmissionSpec.gaussian(means, float(np.abs(gaps).max()), means + gaps,
+                                           0.5, 0.5),
+            label_map=tuple(1 + s % 2 for s in range(S)), num_classes=2, input_dim=d)
 
     def ring(S, drift_table=None):
         stay = np.random.default_rng(S).uniform(0.5, 0.8, size=S)
@@ -91,9 +112,12 @@ def ring_digests() -> int:
             label_map=tuple(1 + s % 2 for s in range(S)), num_classes=2, input_dim=1)
 
     validators = ExperimentConfig.load(os.path.join(CONFIG_DIR, "validators.json")).process
+    default = ExperimentConfig.load(os.path.join(CONFIG_DIR, "default.json")).process
     chains = [(f"S{S}-n{RING_N}", ring(S), RING_N) for S in RING_STATES]
     chains += [(f"validators-n{FIXED_POINT_N}", validators, FIXED_POINT_N),
-               (f"S64-drift-n{RING_N}", ring(64, np.roll(np.eye(64), 1, axis=1)), RING_N)]
+               (f"S64-drift-n{RING_N}", ring(64, np.roll(np.eye(64), 1, axis=1)), RING_N),
+               (f"long-n{LONG_N}", default, LONG_N),
+               (f"gauss-d{GAUSS_DIM}-n{RING_N}", gaussian(3, GAUSS_DIM), RING_N)]
     for name, spec, n in chains:
         prof = mixing_profile(spec, n)
         digest = hashlib.sha256(prof.phi.tobytes() + prof.mu.tobytes()
