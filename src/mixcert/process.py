@@ -36,7 +36,7 @@ from ._checks import (_ATOL, _as_array, _as_float, _as_int, _as_labels, _as_time
                       _length, _reject_trailing, _unit_values)
 from .errors import (BadLabel, DimensionMismatch, EmptyDataset, NonUniqueStationary, NotDiscrete,
                      TooLarge)
-from .seeding import substream
+from .seeding import _skip, substream
 
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
 _SORT_KEYS = 16  # key columns _bit_groups sorts by in one np.lexsort
@@ -216,7 +216,9 @@ class EmissionSpec:
         `rows`, an (R, C) array of rows of this law (such as `rows`, one time
         of rows_at, or one gathered row per draw): an alphabet point by
         inverse CDF on one uniform each, or the row's mean plus `sigma` times
-        d standard normals each."""
+        d standard normals each. Where every row of `rows` draws one point
+        whatever its uniform, the uniforms are consumed without being
+        generated (`_cdf_draw`)."""
         if self.mode == "discrete":
             return self.alphabet[_draw_points(rows, states, rng)]
         return rows[states] + self.sigma * rng.standard_normal((len(states), rows.shape[1]))
@@ -886,24 +888,47 @@ def _inverse_cdf(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarr
     return idx
 
 
+def _cdf_draw(cum: np.ndarray):
+    """The draw `_inverse_cdf` makes on the cumulative table `cum`, as a
+    function of (states, rng) that consumes one uniform of `rng` per state.
+    When every entry of `cum` before its last column is <= 0.0 or >= 1.0,
+    every u in [0, 1) draws what u = 0.0 draws, the row's count of entries
+    <= 0.0. Such a certain draw reads that count per state and moves `rng`
+    past its uniforms with `_skip`, without generating them, so every later
+    draw keeps its bits. The test runs once per table, here."""
+    head = cum[:, :-1]
+    if np.all((head <= 0.0) | (head >= 1.0)):
+        certain = np.count_nonzero(head <= 0.0, axis=1).astype(np.int64)
+
+        def draw(states, rng):
+            _skip(rng, len(states))
+            return certain.take(states)
+    else:
+        def draw(states, rng):
+            return _inverse_cdf(cum, states, rng.random(len(states)))
+    return draw
+
+
 def _draw_points(table: np.ndarray, states: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """Alphabet indices drawn from the table rows of `states`, one uniform
-    each, by the column rule of `_inverse_cdf` on the accumulated table."""
-    return _inverse_cdf(np.cumsum(table, axis=1), states, rng.random(len(states)))
+    each, by the column rule of `_inverse_cdf` on the accumulated table. On
+    a table whose every row draws one index whatever the uniform, the
+    uniforms are consumed without being generated (`_cdf_draw`)."""
+    return _cdf_draw(np.cumsum(table, axis=1))(states, rng)
 
 
 def _walk(markov: MarkovSpec, trials: int, rng: np.random.Generator):
     """Hidden states of `trials` independent chains, lazily: the start state
     H_0 from the initial law, then H_1, H_2, ... one kernel step per next().
     Each state costs one uniform per chain, drawn when it is produced, so a
-    caller can interleave its own draws between steps. A step is one
-    `_inverse_cdf` over the accumulated kernel, indexed by the current states."""
-    cum_P = np.cumsum(markov.transition, axis=1)
+    caller can interleave its own draws between steps. A step is the
+    `_cdf_draw` of the accumulated kernel, indexed by the current states."""
+    step = _cdf_draw(np.cumsum(markov.transition, axis=1))
     cur = _draw_points(markov.initial[None, :], np.zeros(trials, dtype=np.int64), rng)
     while True:
         yield cur
-        cur = _inverse_cdf(cum_P, cur, rng.random(trials))
+        cur = step(cur, rng)
 
 
 def _walk_path(markov: MarkovSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -963,7 +988,10 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     hidden states H_1..H_n of every chain first, then the emissions time by
     time. The states are walked into the (trials, n) label array, and each
     time's column is mapped to labels in place once its points are drawn,
-    so besides the two results only one column's temporaries are held.
+    so besides the two results only one column's temporaries are held. A
+    certain draw (a start law, kernel or time's emission table whose every
+    row draws one index whatever the uniform) consumes its uniforms without
+    generating them, with the bits of drawing them.
     """
     _as_int(n, "n", 1)
     _as_int(trials, "trials", 1)
@@ -1048,7 +1076,10 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
     `trials` of each; a value table reads the values of the drawn alphabet
     indices. On discrete emissions both consume the same uniforms, so a
     callable and its equal value table give the same bits, and each row of
-    a class's result has the bits of that row's function alone.
+    a class's result has the bits of that row's function alone. A certain
+    draw, such as the emission of a state-revealing table, consumes its
+    uniforms without generating them (`_cdf_draw`): the stream moves past
+    them in O(1) time, and the result keeps the bits of drawing them.
     """
     _as_int(n, "n", 1)
     _as_int(trials, "trials", 1)

@@ -49,6 +49,7 @@ from mixcert.process import (
     _STREAM_SEQUENCE,
     _STREAM_TARGET,
     _bit_groups,
+    _draw_points,
     _futures,
     _gaussian_emission_tv,
     _inverse_cdf,
@@ -62,7 +63,7 @@ from mixcert.process import (
     _walk_path,
 )
 from mixcert import process
-from mixcert.seeding import substream
+from mixcert.seeding import _skip, substream
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -1679,12 +1680,21 @@ class TestChainStepping:
         values, and values just above a row's total, fed in order to both
         walks by a stand-in for the generator."""
         class Scripted:
+            """Returns the scripted uniforms in order. A certain draw skips
+            them through `bit_generator`, a Philox whose position counts
+            the uniforms consumed; `random` moves it as well."""
             def __init__(self, u):
-                self.u = list(u)
+                self.u = np.asarray(u)
+                self.bit_generator = np.random.Philox(0)
+
+            def consumed(self):
+                state = self.bit_generator.state
+                return 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
 
             def random(self, size):
-                out, self.u = self.u[:size], self.u[size:]
-                return np.array(out)
+                at = self.consumed()
+                self.bit_generator.random_raw(size)
+                return self.u[at:at + size]
 
         rng = np.random.default_rng(43)
         for _ in range(40):
@@ -1696,9 +1706,13 @@ class TestChainStepping:
             n = int(rng.integers(0, 60))
             u = rng.choice(pool, size=n + 1)
             got = _walk_path(markov, n, Scripted(u))
-            for walk in (_walk(markov, 1, Scripted(u)), reference_walk(markov, 1, Scripted(u))):
+            for walker in (_walk, reference_walk):
+                scripted = Scripted(u)
+                walk = walker(markov, 1, scripted)
                 want = np.concatenate([next(walk) for _ in range(n + 1)])
                 assert np.array_equal(got, want)
+                # one uniform per state, drawn or skipped
+                assert scripted.consumed() == n + 1
             # each u in [0, row total) moves to a state of positive mass
             laws = np.vstack([markov.initial[None], markov.transition[got[:-1]]])
             rows = np.concatenate([[0], 1 + got[:-1]])
@@ -1710,6 +1724,10 @@ class TestChainStepping:
         1, for the start state, each chain step and each emitted point, in
         every sampler's stepping rule."""
         class Zeros:
+            """Returns zeros; a certain draw skips them through a Philox."""
+            def __init__(self):
+                self.bit_generator = np.random.Philox(0)
+
             def random(self, size):
                 return np.zeros(size)
 
@@ -1957,6 +1975,157 @@ class TestOneDraw:
             tracemalloc.stop()
         stack = n * spec.markov.num_states * spec.input_dim * 8
         assert peak < 32 * trials * 8 + stack
+
+
+def always_draw_points(table, states, rng):
+    """`_draw_points` without certain draws: one uniform drawn per state."""
+    return _inverse_cdf(np.cumsum(table, axis=1), states, rng.random(len(states)))
+
+
+def always_walk(markov, trials, rng):
+    """`_walk` without certain draws: one uniform drawn per chain and step."""
+    cum_P = np.cumsum(markov.transition, axis=1)
+    cur = always_draw_points(markov.initial[None, :], np.zeros(trials, dtype=np.int64), rng)
+    while True:
+        yield cur
+        cur = _inverse_cdf(cum_P, cur, rng.random(trials))
+
+
+def mixed_law(rng, rows, cols):
+    """A (rows, cols) law whose rows are each one of: a point mass; a point
+    mass followed by a column of 1e-300, whose cumulative sum reaches 1.0
+    before the last column; or a `random_law` row, which draws. About a
+    third of the tables have certain rows only."""
+    law = random_law(rng, rows, cols)
+    kinds = rng.integers(0, 2 if rng.random() < 0.35 else 3, size=rows)
+    for r in np.flatnonzero(kinds < 2):
+        j = int(rng.integers(0, cols))
+        law[r] = 0.0
+        law[r, j] = 1.0
+        if kinds[r] == 1 and j + 1 < cols:
+            law[r, int(rng.integers(j + 1, cols))] = 1e-300
+    return law
+
+
+class TestCertainDraws:
+    """A draw whose every row picks one index whatever the uniform reads
+    that index and skips its uniforms. Every sampler must keep the bits of
+    `_draw_points` and `_walk` written to draw every uniform
+    (`always_draw_points` and `always_walk`), on tables with certain rows."""
+
+    @staticmethod
+    def random_spec(rng):
+        S, M = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        d = int(rng.integers(1, 3))
+        table = mixed_law(rng, S, M)
+        drift = None if rng.random() < 0.3 else mixed_law(rng, S, M)
+        # amplitude 1: the time-1 law is the drift table alone; exponent 400:
+        # w_t is subnormal by t = 6 and 0 from t = 7, where the table rules
+        amplitude = 1.0 if rng.random() < 0.4 else float(rng.uniform(0.1, 0.9))
+        exponent = 400.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 1.5))
+        initial = mixed_law(rng, 1, S)[0]
+        if rng.random() < 0.5:
+            initial = np.eye(S)[int(rng.integers(0, S))]
+        K = int(rng.integers(2, 4))
+        return ProcessSpec(
+            markov=MarkovSpec(num_states=S, transition=mixed_law(rng, S, S), initial=initial),
+            emission=EmissionSpec.discrete(rng.normal(size=(M, d)), table, drift,
+                                           amplitude, exponent),
+            label_map=tuple(int(v) for v in rng.integers(1, K + 1, size=S)),
+            num_classes=K, input_dim=d)
+
+    @staticmethod
+    def outputs(spec, n, trials, seed, f_table):
+        """Every sampler's result, or the error it raises."""
+        def f(inputs, labels):
+            return (np.abs(inputs).sum(axis=1) * labels) % 1.0
+        calls = (lambda: sample_sequence(spec, n, seed),
+                 lambda: sample_target(spec, 37, seed),
+                 lambda: sample_sequences_batch(spec, n, trials, seed),
+                 lambda: sequence_value_means(spec, f, n, trials, seed),
+                 lambda: sequence_value_means(spec, f_table, n, trials, seed))
+        out = []
+        for call in calls:
+            try:
+                result = call()
+            except NonUniqueStationary as exc:
+                out.append(type(exc))
+                continue
+            if isinstance(result, LabeledDataset):
+                result = (result.inputs, result.labels)
+            out.extend(result if isinstance(result, tuple) else (result,))
+        return out
+
+    def test_samplers_keep_the_bits_of_drawing(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        skipped = 0
+        for _ in range(60):
+            spec = self.random_spec(rng)
+            n, trials = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+            seed = int(rng.integers(0, 2 ** 31))
+            f_table = rng.random((spec.emission.alphabet.shape[0], spec.num_classes))
+            with monkeypatch.context() as patch:
+                patch.setattr(process, "_draw_points", always_draw_points)
+                patch.setattr(process, "_walk", always_walk)
+                want = self.outputs(spec, n, trials, seed, f_table)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(process, "_skip",
+                              lambda rng, count: calls.append(count) or _skip(rng, count))
+                got = self.outputs(spec, n, trials, seed, f_table)
+            skipped += bool(calls)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                if isinstance(b, type):
+                    assert a is b
+                else:
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert skipped > 30
+
+    def test_draw_points_keeps_the_bits_of_drawing(self):
+        rng = np.random.default_rng(36)
+        for _ in range(300):
+            R, C = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            table = mixed_law(rng, R, C)
+            states = rng.integers(0, R, size=int(rng.integers(0, 40)))
+            seed = int(rng.integers(0, 2 ** 31))
+            a, b = substream(seed, 1), substream(seed, 1)
+            got, want = _draw_points(table, states, a), always_draw_points(table, states, b)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(a.random(5), b.random(5))
+
+    def test_a_certain_table_calls_no_random(self):
+        class Counting:
+            """Counts `random` calls; a skip moves the same generator."""
+            def __init__(self, seed):
+                self.rng = substream(seed, 2)
+                self.bit_generator = self.rng.bit_generator
+                self.calls = 0
+
+            def random(self, size):
+                self.calls += 1
+                return self.rng.random(size)
+
+        states = np.array([0, 1, 2, 1, 0])
+        certain = [[0.0, 1.0, 0.0], [1.0, 1e-300, 0.0], [0.0, 0.0, 1.0]]
+        uncertain = [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
+        for table, calls in ((certain, 0), (uncertain, 1), ([[1.0]] * 3, 0)):
+            counting = Counting(3)
+            got = _draw_points(np.array(table), states, counting)
+            assert counting.calls == calls
+            want = always_draw_points(np.array(table), states, substream(3, 2))
+            assert np.array_equal(got, want)
+        assert _draw_points(np.array(certain), states, Counting(3)).tolist() == [1, 0, 2, 0, 1]
+        # a certain kernel and start law: no uniform is generated
+        markov = MarkovSpec(num_states=3, transition=np.roll(np.eye(3), 1, axis=1),
+                            initial=[0.0, 0.0, 1.0])
+        counting = Counting(4)
+        walk = _walk(markov, 4, counting)
+        assert [next(walk)[0] for _ in range(5)] == [2, 0, 1, 2, 0]
+        assert counting.calls == 0
+        reference = substream(4, 2)
+        reference.random(5 * 4)
+        assert counting.rng.random() == reference.random()
 
 
 class TestStepExpectations:

@@ -41,7 +41,7 @@ alphabet point. `--signs` prints these lines alone. The next line,
 scales 1e-3 to 1e3, and of the certificates of a network with a zero layer
 on configs/small.json: the shipped configs reach the capacity term only on
 trained networks and never reach a zero layer. `--capacity` prints it
-alone. Last come the "sha256  forward/<activation>-n<rows>" lines, one per
+alone. Then come the "sha256  forward/<activation>-n<rows>" lines, one per
 activation: the digest of `forward_batch` on FORWARD_ROWS random rows for
 fixed random networks of that activation at depths 1 to 3 and widths 1 to
 64. The shipped configs run only relu and identity at width 16, and
@@ -50,8 +50,17 @@ relu line's first network has a one-unit layer of 41 inputs: a
 matrix-vector product, which OpenBLAS splits among its threads when it
 spans all 12,293 rows, so a tree that runs the layers over all rows at
 once reads the same there only on one BLAS thread
-(OPENBLAS_NUM_THREADS=1). `--forward` prints these lines alone. Two source trees write the same
-bytes exactly when their listings are equal:
+(OPENBLAS_NUM_THREADS=1). `--forward` prints these lines alone. The last
+line, "sha256  draws/certain-n<n>", is the digest of every sampler
+(`sample_sequence`, `sample_target`, `sample_sequences_batch` and
+`sequence_value_means` with a value table and with a callable) on two
+discrete specs whose draws are certain in places: a 3-state chain with a
+point-mass start law, a kernel row that is a point mass and an emission
+table that is certain only once its drift has underflowed to 0 (from
+t = 7 on), and a 1-state chain. Where a draw is certain, its uniforms are
+skipped, not generated; the shipped configs skip only at rows and tables
+that are certain throughout. `--draws` prints it alone. Two source trees
+write the same bytes exactly when their listings are equal:
 
     python tools/output_digests.py /path/to/parent/src /tmp/a > a.txt
     python tools/output_digests.py src /tmp/b > b.txt
@@ -77,6 +86,7 @@ LOOKUP_POINTS = 20000
 CAPACITY_NETWORKS = 300
 FORWARD_ACTIVATIONS = ("relu", "leaky_relu", "leaky_relu:0.3", "tanh", "identity")
 FORWARD_ROWS = 3 * 4096 + 5
+DRAW_N = 40
 
 
 def ring_digests() -> int:
@@ -213,6 +223,40 @@ def forward_digests() -> int:
     return 0
 
 
+def draw_digest() -> int:
+    """Print the "sha256  draws/certain-n<DRAW_N>" line: each sampler's
+    outputs on the two specs, at DRAW_N times and 300 trials."""
+    import numpy as np
+    from mixcert import (EmissionSpec, MarkovSpec, ProcessSpec, sample_sequence,
+                         sample_sequences_batch, sample_target, sequence_value_means)
+
+    alphabet = np.array([[0.0], [1.0], [2.5]])
+    three = ProcessSpec(
+        markov=MarkovSpec(3, [[0.0, 1.0, 0.0], [0.2, 0.5, 0.3], [0.6, 0.0, 0.4]],
+                          [1.0, 0.0, 0.0]),
+        emission=EmissionSpec.discrete(alphabet, np.eye(3), np.full((3, 3), 1.0 / 3.0),
+                                       0.5, 400.0),
+        label_map=(1, 2, 1), num_classes=2, input_dim=1)
+    one = ProcessSpec(markov=MarkovSpec(1, [[1.0]], [1.0]),
+                      emission=EmissionSpec.discrete(alphabet, [[0.25, 0.0, 0.75]]),
+                      label_map=(2,), num_classes=2, input_dim=1)
+    f_table = np.array([[0.1, 0.9], [0.4, 0.35], [0.8, 0.05]])
+
+    def f(inputs, labels):
+        return (inputs[:, 0] * labels) % 1.0
+
+    digest = hashlib.sha256()
+    for spec in (three, one):
+        for data in (sample_sequence(spec, DRAW_N, 3), sample_target(spec, 300, 3)):
+            digest.update(data.inputs.tobytes() + data.labels.tobytes())
+        for array in (*sample_sequences_batch(spec, DRAW_N, 300, 3),
+                      sequence_value_means(spec, f_table, DRAW_N, 300, 3),
+                      sequence_value_means(spec, f, DRAW_N, 300, 3)):
+            digest.update(array.tobytes())
+    print(f"{digest.hexdigest()}  draws/certain-n{DRAW_N}")
+    return 0
+
+
 def main(argv) -> int:
     if argv == ["--rings"]:
         return ring_digests()
@@ -222,6 +266,8 @@ def main(argv) -> int:
         return capacity_digest()
     if argv == ["--forward"]:
         return forward_digests()
+    if argv == ["--draws"]:
+        return draw_digest()
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -246,7 +292,7 @@ def main(argv) -> int:
                                 check=True, stdout=subprocess.PIPE).stdout
         print(f"{hashlib.sha256(stdout).hexdigest()}  demos/{name}")
     sys.stdout.flush()
-    for section in ("--rings", "--signs", "--capacity", "--forward"):
+    for section in ("--rings", "--signs", "--capacity", "--forward", "--draws"):
         subprocess.run([sys.executable, os.path.abspath(__file__), section], env=env,
                        check=True)
     return 0
