@@ -1079,29 +1079,36 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
     a class's result has the bits of that row's function alone. A certain
     draw, such as the emission of a state-revealing table, consumes its
     uniforms without generating them (`_cdf_draw`): the stream moves past
-    them in O(1) time, and the result keeps the bits of drawing them.
+    them in O(1) time, and the result keeps the bits of drawing them. A
+    discrete law's draw is built once per time, and once per walk when the
+    law does not drift.
     """
     _as_int(n, "n", 1)
     _as_int(trials, "trials", 1)
     em = spec.emission
     label_arr = np.asarray(spec.label_map, dtype=np.int64)
+    laws = stack = em.rows_at(range(1, n + 1))
+    if em.mode == "discrete":
+        # a draw of alphabet indices per time; a driftless law has one table, so one draw
+        laws = ([_cdf_draw(np.cumsum(em.table, axis=1))] * n if not em.has_drift()
+                else (_cdf_draw(np.cumsum(rows, axis=1)) for rows in stack))
     if callable(f):
-        def step_values(rows, cur, rng):
-            return _unit_values(f(em.emit(rows, cur, rng), label_arr[cur]), "f", trials)
+        def step_values(law, cur, rng):
+            X = em.alphabet[law(cur, rng)] if em.mode == "discrete" else em.emit(law, cur, rng)
+            return _unit_values(f(X, label_arr[cur]), "f", trials)
     else:
         # values[s, p] = f(point p, label of state s), read by one flat take per step
         values = _check_f_table(spec, f).T[label_arr - 1]
         M = values.shape[1]
 
-        def step_values(rows, cur, rng):
-            return values.take(cur * M + _draw_points(rows, cur, rng))
+        def step_values(draw, cur, rng):
+            return values.take(cur * M + draw(cur, rng))
     rng = substream(seed, _STREAM_BATCH)
     walk = _walk(spec.markov, trials, rng)
     next(walk)
-    stack = em.rows_at(range(1, n + 1))
     total = 0.0  # the first step's sum is a new array of that step's shape
-    for t in range(n):
-        step = step_values(stack[t], next(walk), rng)
+    for t, law in enumerate(laws):
+        step = step_values(law, next(walk), rng)
         if t and step.shape != total.shape:
             raise ValueError(f"f returned shape {step.shape} at step {t + 1}, "
                              f"{total.shape} before")

@@ -15,7 +15,6 @@ from mixcert import (
     EmissionSpec,
     LayerNorms,
     MarkovSpec,
-    MixingProfile,
     NetworkParams,
     ProcessSpec,
     TrainConfig,
@@ -41,27 +40,9 @@ from mixcert import (
 from mixcert import norms
 from mixcert.harness import ExperimentConfig, builtin_class, cmd_certify, cmd_generate, file_digest
 
-from svd_reference import jacobi_singular_values
+from oracles import discrete_spec, flat_profile, jacobi_singular_values
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-
-
-def discrete_spec(P, pi0, S, input_dim=1, alphabet=None, table=None):
-    if alphabet is None:
-        alphabet = np.arange(S, dtype=float).reshape(S, 1)
-        input_dim = 1
-    return ProcessSpec(
-        markov=MarkovSpec(num_states=S, transition=np.asarray(P, dtype=float),
-                          initial=np.asarray(pi0, dtype=float)),
-        emission=EmissionSpec.discrete(alphabet=np.asarray(alphabet, dtype=float),
-                                       table=np.eye(S) if table is None else table),
-        label_map=tuple(1 + (i % 2) for i in range(S)),
-        num_classes=2, input_dim=input_dim)
-
-
-def flat_profile(n):
-    return MixingProfile(horizon=n, phi=np.zeros(n), mu=np.zeros(n),
-                         delta_inf=1.0, phi_exact=True, mu_exact=True)
 
 
 def test_c01_phi_matches_brute_force_enumeration():

@@ -55,6 +55,7 @@ from mixcert.harness import builtin_class
 from mixcert.network import dataset_margins, mean_ramp_loss
 from mixcert.rademacher import _draw_signs, _exact_rademacher, _sign_sups
 from mixcert.seeding import substream
+from oracles import discrete_spec, flat_profile, random_spec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -67,21 +68,6 @@ HOEFFDING_02 = 0.036631277777468360587
 # 3 sqrt(ln(40) / 200) and twice the one-layer covering terms at n=100
 CERT_CONCENTRATION = 0.40743045472218584955
 CERT_COMPLEXITY = 183.8626980719825946268
-
-
-def flat_profile(n, delta_inf=1.0, mu=0.0):
-    return MixingProfile(horizon=n, phi=np.zeros(n), mu=np.full(n, float(mu)),
-                         delta_inf=float(delta_inf), phi_exact=True, mu_exact=True)
-
-
-def discrete_spec(P, pi0, S):
-    return ProcessSpec(
-        markov=MarkovSpec(num_states=S, transition=np.asarray(P, dtype=float),
-                          initial=np.asarray(pi0, dtype=float)),
-        emission=EmissionSpec.discrete(alphabet=np.arange(S, dtype=float).reshape(S, 1),
-                                       table=np.eye(S)),
-        label_map=tuple(1 + (i % 2) for i in range(S)),
-        num_classes=2, input_dim=1)
 
 
 class TestTheorem1Bound:
@@ -640,27 +626,16 @@ class TestSymmetrizationBlocks:
 
     @staticmethod
     def random_case(rng, mode, members):
-        """A random 2-4 state spec of the given emission mode with 2-3
-        labels, and a class of `members` random [0, 1]-valued functions on
-        it: random float value tables over the alphabet (`table_class`) for
-        a discrete spec, elementwise functions of the point and label for a
-        Gaussian one."""
-        S, K, d = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 3))
-
-        def law(rows, cols):
-            t = rng.random((rows, cols)) + 0.05
-            return t / t.sum(axis=1, keepdims=True)
+        """A random 2-4 state spec of the given emission mode without drift
+        (`random_spec`), and a class of `members` random [0, 1]-valued
+        functions on it: random float value tables over the alphabet
+        (`table_class`) for a discrete spec, elementwise functions of the
+        point and label for a Gaussian one."""
+        spec = random_spec(rng, int(rng.integers(2, 5)), mode, "none")
         if mode == "discrete":
-            M = int(rng.integers(2, 5))
-            emission = EmissionSpec.discrete(rng.normal(size=(M, d)), law(S, M))
-        else:
-            emission = EmissionSpec.gaussian(rng.normal(size=(S, d)), float(rng.uniform(0.1, 2.0)))
-        spec = ProcessSpec(
-            markov=MarkovSpec(num_states=S, transition=law(S, S), initial=law(1, S)[0]),
-            emission=emission, label_map=tuple(int(v) for v in rng.integers(1, K + 1, size=S)),
-            num_classes=K, input_dim=d)
-        if mode == "discrete":
-            return spec, table_class(emission.alphabet, [rng.random((M, K)) for _ in range(members)])
+            shape = (spec.emission.alphabet.shape[0], spec.num_classes)
+            return spec, table_class(spec.emission.alphabet,
+                                     [rng.random(shape) for _ in range(members)])
 
         def make(a, b):
             return lambda X, y: (np.abs(X).sum(axis=1) * a + y * b) % 1.0

@@ -19,11 +19,8 @@ from mixcert import (
     FunctionClass,
     LabeledDataset,
     LayerNorms,
-    MarkovSpec,
-    MixingProfile,
     NetworkParams,
     NonpositiveGamma,
-    ProcessSpec,
     brute_force_phi,
     combine_seeds,
     concentration_term,
@@ -49,16 +46,13 @@ from mixcert import (
     validate_ramp_dominance,
 )
 from mixcert._checks import _numbers
+from oracles import discrete_spec, flat_profile
 
-SPEC = ProcessSpec(
-    markov=MarkovSpec(num_states=2, transition=[[0.9, 0.1], [0.1, 0.9]], initial=[1.0, 0.0]),
-    emission=EmissionSpec.discrete(alphabet=[[0.0], [1.0]], table=np.eye(2)),
-    label_map=(1, 2), num_classes=2, input_dim=1)
+SPEC = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [1.0, 0.0], 2)
 F_TABLE = [[1.0, 1.0], [0.0, 0.0]]
 TABLES = table_class([[0.0], [1.0]], [np.eye(2)])
 NET = NetworkParams(layers=(np.eye(2),), activations=(Activation("identity"),))
-PROFILE = MixingProfile(horizon=5, phi=np.zeros(5), mu=np.zeros(5), delta_inf=1.0,
-                        phi_exact=True, mu_exact=True)
+PROFILE = flat_profile(5)
 NUMBERS = "must be a rectangular array of numbers"
 SEED = "'seed' must be an integer >= 0"
 OFF_ALPHABET = "input point is not an alphabet point"

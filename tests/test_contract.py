@@ -77,11 +77,9 @@ from mixcert import (
     validate_ramp_dominance,
     validate_symmetrization,
 )
+from oracles import discrete_spec
 
-SPEC = ProcessSpec(
-    markov=MarkovSpec(num_states=2, transition=[[0.9, 0.1], [0.1, 0.9]], initial=[1.0, 0.0]),
-    emission=EmissionSpec.discrete(alphabet=[[0.0], [1.0]], table=np.eye(2)),
-    label_map=(1, 2), num_classes=2, input_dim=1)
+SPEC = discrete_spec([[0.9, 0.1], [0.1, 0.9]], [1.0, 0.0], 2)
 F_TABLE = [[1.0, 1.0], [0.0, 0.0]]
 NET = NetworkParams(layers=(np.eye(2),), activations=(Activation("identity"),))
 WIDE = NetworkParams(layers=(np.ones((2, 1)),), activations=(Activation("identity"),))

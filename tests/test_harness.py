@@ -38,6 +38,7 @@ from mixcert.harness import (
     main,
     write_json,
 )
+from oracles import discrete_spec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEMO_DIR = CONFIG_DIR.parent / "demos"
@@ -128,13 +129,7 @@ ARRAY_VALUE_CASES = [
 
 
 def discrete_process():
-    return ProcessSpec(
-        markov=MarkovSpec(num_states=2,
-                          transition=np.array([[0.9, 0.1], [0.1, 0.9]]),
-                          initial=np.array([1.0, 0.0])),
-        emission=EmissionSpec.discrete(alphabet=np.array([[0.0], [1.0]]),
-                                       table=np.eye(2)),
-        label_map=(1, 2), num_classes=2, input_dim=1)
+    return discrete_spec([[0.9, 0.1], [0.1, 0.9]], [1.0, 0.0], 2)
 
 
 def gaussian_process():
@@ -536,7 +531,7 @@ class TestPipelineCommands:
     def test_rademacher_report(self, tmp_path):
         cfg = small_config(tmp_path)
         (path,) = cmd_rademacher(cfg, tmp_path)
-        doc = json.loads(open(path, encoding="ascii").read())
+        doc = json.loads(Path(path).read_text(encoding="ascii"))
         assert doc["n"] == 12  # capped below n_train
         assert doc["class_size"] == 5
         assert doc["within_3_stderr"] is True

@@ -20,7 +20,6 @@ from mixcert import (
     DivergedLoss,
     EmptyDataset,
     LabeledDataset,
-    MixingProfile,
     NetworkParams,
     NonpositiveGamma,
     TrainConfig,
@@ -41,20 +40,7 @@ from mixcert.network import (
     error_rate,
     mean_ramp_loss,
 )
-
-
-def reference_forward(params, x):
-    """Per-vector oracle: one matrix-vector product per layer."""
-    v = np.asarray(x, dtype=np.float64)
-    for W, act in zip(params.layers, params.activations):
-        v = act.apply(W @ v)
-    return v
-
-
-def reference_margin(v, j):
-    """Per-vector oracle: the true score minus the largest other score."""
-    v = np.asarray(v, dtype=np.float64)
-    return float(v[j - 1] - np.delete(v, j - 1).max())
+from oracles import flat_profile, reference_forward, reference_margin
 
 
 def masked_copy_margins(logits, labels):
@@ -82,9 +68,7 @@ def certify_with_target(params, target, gamma):
     carries the plug-in losses of `params` on `target`."""
     data = LabeledDataset(inputs=np.ones((4, 2)), labels=np.array([1, 2, 1, 2]),
                           num_classes=2, kind="sequence", seed=0)
-    profile = MixingProfile(horizon=4, phi=np.zeros(4), mu=np.zeros(4), delta_inf=1.0,
-                            phi_exact=True, mu_exact=True)
-    return network_certificate(data, params, (gamma,), profile, 0.05, target=target)[0]
+    return network_certificate(data, params, (gamma,), flat_profile(4), 0.05, target=target)[0]
 
 
 def random_params(rng, max_layers=3, max_dim=6):

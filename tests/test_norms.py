@@ -17,7 +17,7 @@ from mixcert import (
 )
 from mixcert import norms
 
-from svd_reference import jacobi_singular_values, jacobi_spectral_norm
+from oracles import jacobi_singular_values, jacobi_spectral_norm
 
 
 def aggregate(layer_norms):

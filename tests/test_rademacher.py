@@ -25,6 +25,7 @@ from mixcert import (
 )
 from mixcert import rademacher
 from mixcert.rademacher import _PATH_BLOCK, _draw_signs, _exact_rademacher, _sign_sups
+from oracles import reference_exact
 
 # One-layer reference terms at n=100, B=10, gamma=1, W=16, s=2, b=4,
 # frozen from an arbitrary-precision evaluation of the displayed formula.
@@ -151,24 +152,6 @@ class TestFunctionClass:
             loss_class([net], gamma=math.nan)
 
 
-def reference_exact(F):
-    """Exact conditional complexity of every path of F (members, paths, n),
-    path blocks of _PATH_BLOCK and sign blocks of 65536 enumerated in order,
-    with no grouping of repeated paths: the block loop the kernel runs per
-    group."""
-    paths, n = F.shape[1], F.shape[2]
-    count = 1 << n
-    total = np.zeros(paths)
-    for start in range(0, count, 65536):
-        codes = np.arange(start, min(start + 65536, count), dtype=np.uint64)[:, None]
-        bits = (codes >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-        signs = bits.astype(np.float64) * 2.0 - 1.0
-        for p in range(0, paths, _PATH_BLOCK):
-            sups = np.tensordot(F[:, p:p + _PATH_BLOCK], signs, axes=([2], [1])).max(axis=0)
-            total[p:p + _PATH_BLOCK] += sups.sum(axis=1)
-    return total / count / n
-
-
 class TestExactKernel:
     @pytest.mark.parametrize("n", [1, 6, 12])
     def test_matches_the_block_loop(self, n):
@@ -190,7 +173,7 @@ class TestExactKernel:
                                            rng.integers(0, unique, size=repeats)])
                     rng.shuffle(pick)
                     F = base[:, pick]
-                    got, want = _exact_rademacher(F), reference_exact(F)
+                    got, want = _exact_rademacher(F), reference_exact(F, _PATH_BLOCK)
                     assert got.shape == want.shape and np.array_equal(got, want), (
                         members, unique, repeats)
 
