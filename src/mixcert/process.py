@@ -368,9 +368,22 @@ def _json_fields(spec, names) -> dict:
 def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Total variation along the last axis, broadcasting p against q. The
     absolute value runs in place, so the broadcast difference is the only
-    temporary of its size."""
-    gap = p - q
-    return 0.5 * np.abs(gap, out=gap).sum(axis=-1)
+    temporary of its size.
+
+    When p's last axis has its largest stride (a lag block's rows laid out
+    lags innermost by `_phi_lags`), the difference is made in Fortran order:
+    the summed axis outermost, so each of its entries is one contiguous slab
+    of the other axes. Otherwise it takes the inputs' order. A contiguous
+    last axis is summed by .sum(axis=-1), any other as whole slabs by
+    `_pairwise_sum`. Both add in numpy's pairwise order along a contiguous
+    axis, so the bits do not depend on how p and q are laid out;
+    .sum(axis=-1) along a strided axis adds in sequence, other bits from 8
+    terms on."""
+    gap = np.subtract(p, q, order="F" if p.ndim > 1 and p.strides[-1] == max(p.strides)
+                      else "K")
+    if gap.strides[-1] == gap.itemsize:
+        return 0.5 * np.abs(gap, out=gap).sum(axis=-1)
+    return 0.5 * _pairwise_sum(np.abs(gap, out=gap).transpose(-1, *range(gap.ndim - 1)))
 
 
 def stationary_distribution(markov: MarkovSpec) -> np.ndarray:
@@ -533,12 +546,27 @@ def _phi_lags(rows: np.ndarray, k: int, M: np.ndarray, reach: np.ndarray, tail: 
     block's first time, is not strictly below their best. The bound is read
     from time _PHI_FIRST on, so every lag reduces its first _PHI_FIRST times.
     A closed lag stays closed, and it skips only columns below its best, so
-    every bit is kept."""
+    every bit is kept.
+
+    A block of at least as many lags as states (L >= S, so every S <= 20 at
+    the default L) lays its differences out lags innermost, in the memory
+    order (S, times, S, lags): the rows are copied once in Fortran order,
+    where a prefix of the open lags is a slice, and each block of times
+    gathers its futures with one take from a contiguous M.T. numpy then
+    subtracts in runs of L and `_tv` sums S slabs of L S _PHI_BLOCK floats,
+    in place of L S _PHI_BLOCK sums of S terms. Fewer lags than states make
+    those runs shorter than a row, and the lags-innermost layout was slower
+    there (3x on the 64-state ring, L = 2), so such a block keeps the C
+    layout. `_tv`'s bits do not depend on the layout."""
     L, S, _ = rows.shape
     n = reach.shape[1] - 1
     lags = np.arange(k, k + L)
     c = np.minimum(np.maximum(T - lags, 0), n + 1)  # decreasing in the lag
     width = np.minimum(c, n) + 1  # each lag's columns, shared one included
+    inner = L >= S  # lay the differences out lags innermost
+    if inner:
+        rows_t = np.ascontiguousarray(rows.T)  # (S, S, L): rows in Fortran order
+        futures_t = np.ascontiguousarray(M[k:k + L - 1 + width[0]].T)  # M.T from row k
     limit = _tv(rows, pistar).max(axis=1)
     best = limit.copy()
     slack = _tv_slack(S)
@@ -557,7 +585,11 @@ def _phi_lags(rows: np.ndarray, k: int, M: np.ndarray, reach: np.ndarray, tail: 
             ci = c[i, None]
             mask = (mask & (t < ci)[:, None, :]
                     | tail[:, np.minimum(ci[:, 0], n)].T[:, :, None] & (t == ci)[:, None, :])
-        tv = _tv(rows[i, :, None, :], M[lags[i, None] + t][:, None])
+        if inner:  # a prefix of the lags is a slice of rows_t
+            p = rows_t[:, :, :i.size] if i[-1] < i.size else rows_t.take(i, axis=2)
+            tv = _tv(p.T[:, :, None, :], futures_t.take(i + t[:, None], axis=1).T[:, None])
+        else:
+            tv = _tv(rows[i, :, None, :], M[lags[i, None] + t][:, None])
         best[i] = np.maximum(best[i], np.where(mask, tv, 0.0).max(axis=(1, 2)))  # TV >= 0.0
     return np.minimum(best, 1.0)
 
@@ -794,10 +826,16 @@ def mixing_profile(spec: ProcessSpec, n: int) -> MixingProfile:
     _PHI_BLOCK)) (`_LAG_FLOATS`): 2048 at S = 2, 32 at S = 16, 1 from
     S = 91 on. A block's loop over blocks of times pays its fixed Python
     work, about 20 numpy calls, once per block of times for all the lags
-    still open. Memory: one (lags, S, _PHI_BLOCK, S) difference, at most
-    2**16 floats up to S = 90 and S**2 _PHI_BLOCK above, whose absolute
-    value is taken in place, plus O(n S) for the marginals and their limit
-    bound. The marginals, the k-step rows of a lag block and the stationary
+    still open. A block of L >= S lags, every block up to S = 20, lays its
+    difference out lags innermost and sums it as S slabs (`_phi_lags`):
+    on the 16-state ring at n = 800 a full block of 8 times takes about
+    half the time of the C layout's 4096 sums of 16 terms, and a profile
+    about a quarter less. Memory: one (lags, S, _PHI_BLOCK, S) difference,
+    at most 2**16 floats up to S = 90 and S**2 _PHI_BLOCK above, whose
+    absolute value is taken in place, plus O(n S) for the marginals and
+    their limit bound. A lags-innermost block adds a Fortran copy of its
+    rows, L S**2 floats, and M.T from its first lag on, at most (2n + 1) S
+    floats. The marginals, the k-step rows of a lag block and the stationary
     law's polish are stepped in place by one kernel (`_step`): one np.dot
     per row into a preallocated buffer, and one test for an exact repeat
     per _STEP_ROWS = 16 rows, so at most 15 rows are stepped past it.

@@ -125,6 +125,40 @@ class TestTVDistance:
             assert got.shape == want.shape and np.array_equal(got, want)
             assert np.array_equal(p, p_before) and np.array_equal(q, q_before)
 
+    @pytest.mark.parametrize("S", [1, 7, 8, 9, 16, 17, 129, 200])
+    def test_bits_do_not_depend_on_layout(self, S):
+        """The same operands in C order, in Fortran order, in the lag-block
+        layout of _phi_lags (lags innermost, the summed states outermost) and
+        in a random memory order give the bits of the plain formula on C
+        copies: numpy's pairwise order along a contiguous axis, whose three
+        regimes (below 8 terms, up to 128, above) these S cover. The (L, S, 1,
+        S) and (L, 1, 3, S) blocks take L on both sides of L >= S where the
+        block holds at most 2**20 floats."""
+        rng = np.random.default_rng(S)
+
+        def memory_order(a, order):
+            return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
+
+        cases = [(rng.random((5, S)), rng.random(S)), (rng.random((5, S)), rng.random((5, S)))]
+        for L in (2, S, S + 1):
+            if L * S * S * 3 <= 1 << 20:
+                cases.append((rng.random((L, S, S)), rng.random((L, 3, S))))
+        for p, q in cases:
+            blocks = p.ndim == 3  # a lag block's rows and futures
+            if blocks:
+                p, q = p[:, :, None, :], q[:, None]
+            want = reference_tv(p, q)
+            layouts = [(p, q), (np.asfortranarray(p), np.asfortranarray(q)),
+                       (memory_order(p, rng.permutation(p.ndim)),
+                        memory_order(q, rng.permutation(q.ndim)))]
+            if blocks:
+                layouts.append((np.asfortranarray(p[:, :, 0])[:, :, None, :],
+                                np.asfortranarray(q[:, 0])[:, None]))
+            for a, b in layouts:
+                assert np.array_equal(a, p) and np.array_equal(b, q)
+                got = _tv(a, b)
+                assert got.shape == want.shape and np.array_equal(got, want), (p.shape, q.shape)
+
 
 def lexsort_groups(cols):
     """_bit_groups' results by one np.lexsort of every column's bits at once,
@@ -1555,6 +1589,45 @@ class TestChainStepping:
         assert not any(bad in next(walk) for _ in range(21))
 
 
+def value_of_inputs(inputs, labels):
+    """A value in [0, 1) of each point and label, for sequence_value_means."""
+    return (np.abs(inputs).sum(axis=1) * labels) % 1.0
+
+
+def sampler_outputs(spec, n, trials, seed, f, f_table=None):
+    """The outputs of the four samplers at `seed` and of their oracles on
+    the same substreams, as two lists in the same order: sample_sequence,
+    sample_target of 37 points, sample_sequences_batch, sequence_value_means
+    of the callable f and, when f_table is given, of that value table. Each
+    call adds its arrays, or the NonUniqueStationary type when it raises
+    one."""
+    calls = [
+        (lambda: sample_sequence(spec, n, seed),
+         lambda: reference_sequence(spec, n, substream(seed, _STREAM_SEQUENCE))),
+        (lambda: sample_target(spec, 37, seed),
+         lambda: reference_target(spec, 37, substream(seed, _STREAM_TARGET))),
+        (lambda: sample_sequences_batch(spec, n, trials, seed),
+         lambda: reference_batch(spec, n, trials, substream(seed, _STREAM_BATCH))),
+        (lambda: sequence_value_means(spec, f, n, trials, seed),
+         lambda: reference_means(spec, f, n, trials, substream(seed, _STREAM_BATCH)))]
+    if f_table is not None:
+        calls.append((lambda: sequence_value_means(spec, f_table, n, trials, seed),
+                      lambda: reference_means(spec, f_table, n, trials,
+                                              substream(seed, _STREAM_BATCH))))
+    library, oracle = [], []
+    for pair in calls:
+        for call, out in zip(pair, (library, oracle)):
+            try:
+                result = call()
+            except NonUniqueStationary as exc:
+                out.append(type(exc))
+                continue
+            if isinstance(result, LabeledDataset):
+                result = (result.inputs, result.labels)
+            out.extend(result if isinstance(result, tuple) else (result,))
+    return library, oracle
+
+
 class TestOneDraw:
     """The four samplers draw their points by one inverse-CDF rule or one
     Gaussian step. The oracle samplers of `oracles.py` write them out one
@@ -1578,35 +1651,26 @@ class TestOneDraw:
             spec = random_spec(rng, S, mode, drift)
             n, trials = int(rng.integers(1, 40)), int(rng.integers(1, 25))
             seed = int(rng.integers(0, 2 ** 31))
-            data = sample_sequence(spec, n, seed)
-            for got, want in zip((data.inputs, data.labels),
-                                 reference_sequence(spec, n, substream(seed, _STREAM_SEQUENCE))):
-                self.assert_same(got, want)
-            for m in (0, 37):
-                data = sample_target(spec, m, seed)
-                for got, want in zip((data.inputs, data.labels),
-                                     reference_target(spec, m, substream(seed, _STREAM_TARGET))):
-                    self.assert_same(got, want)
-            for got, want in zip(sample_sequences_batch(spec, n, trials, seed),
-                                 reference_batch(spec, n, trials, substream(seed, _STREAM_BATCH))):
-                self.assert_same(got, want)
-
-            def f(inputs, labels):
-                return (np.abs(inputs).sum(axis=1) * labels) % 1.0
-            self.assert_same(sequence_value_means(spec, f, n, trials, seed),
-                             reference_means(spec, f, n, trials, substream(seed, _STREAM_BATCH)))
+            f_table = None
+            if mode == "discrete":
+                f_table = rng.random((spec.emission.alphabet.shape[0], spec.num_classes))
+            got, want = sampler_outputs(spec, n, trials, seed, value_of_inputs, f_table)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert not isinstance(b, type)  # every random_spec chain is primitive
+                self.assert_same(a, b)
+            data = sample_target(spec, 0, seed)
+            for a, b in zip((data.inputs, data.labels),
+                            reference_target(spec, 0, substream(seed, _STREAM_TARGET))):
+                self.assert_same(a, b)
             # one walk for a class: row m has the bits of member m's walk alone
+            f = value_of_inputs
             members = (f, lambda X, y: 1.0 - f(X, y), lambda X, y: np.full(len(y), 0.25))
             rows = sequence_value_means(spec, FunctionClass(evaluators=members).evaluate,
                                         n, trials, seed)
             assert rows.shape == (len(members), trials)
             for row, member in zip(rows, members):
                 self.assert_same(row, sequence_value_means(spec, member, n, trials, seed))
-            if mode == "discrete":
-                f_table = rng.random((spec.emission.alphabet.shape[0], spec.num_classes))
-                self.assert_same(sequence_value_means(spec, f_table, n, trials, seed),
-                                 reference_means(spec, f_table, n, trials,
-                                                 substream(seed, _STREAM_BATCH)))
 
     def test_a_callable_equals_its_value_table(self):
         """One kernel: a callable that looks its points up in a value table
@@ -1679,21 +1743,6 @@ class TestCertainDraws:
             label_map=tuple(int(v) for v in rng.integers(1, K + 1, size=S)),
             num_classes=K, input_dim=d)
 
-    @staticmethod
-    def outputs(calls):
-        """Each call's arrays, or the error it raises."""
-        out = []
-        for call in calls:
-            try:
-                result = call()
-            except NonUniqueStationary as exc:
-                out.append(type(exc))
-                continue
-            if isinstance(result, LabeledDataset):
-                result = (result.inputs, result.labels)
-            out.extend(result if isinstance(result, tuple) else (result,))
-        return out
-
     def test_samplers_keep_the_bits_of_drawing(self, monkeypatch):
         rng = np.random.default_rng(35)
         skipped = 0
@@ -1702,25 +1751,11 @@ class TestCertainDraws:
             n, trials = int(rng.integers(1, 12)), int(rng.integers(1, 30))
             seed = int(rng.integers(0, 2 ** 31))
             f_table = rng.random((spec.emission.alphabet.shape[0], spec.num_classes))
-
-            def f(inputs, labels):
-                return (np.abs(inputs).sum(axis=1) * labels) % 1.0
-            want = self.outputs((
-                lambda: reference_sequence(spec, n, substream(seed, _STREAM_SEQUENCE)),
-                lambda: reference_target(spec, 37, substream(seed, _STREAM_TARGET)),
-                lambda: reference_batch(spec, n, trials, substream(seed, _STREAM_BATCH)),
-                lambda: reference_means(spec, f, n, trials, substream(seed, _STREAM_BATCH)),
-                lambda: reference_means(spec, f_table, n, trials, substream(seed, _STREAM_BATCH))))
-            calls = []
+            calls = []  # the oracles draw by their own rule, never through process._skip
             with monkeypatch.context() as patch:
                 patch.setattr(process, "_skip",
                               lambda rng, count: calls.append(count) or _skip(rng, count))
-                got = self.outputs((
-                    lambda: sample_sequence(spec, n, seed),
-                    lambda: sample_target(spec, 37, seed),
-                    lambda: sample_sequences_batch(spec, n, trials, seed),
-                    lambda: sequence_value_means(spec, f, n, trials, seed),
-                    lambda: sequence_value_means(spec, f_table, n, trials, seed)))
+                got, want = sampler_outputs(spec, n, trials, seed, value_of_inputs, f_table)
             skipped += bool(calls)
             assert len(got) == len(want)
             for a, b in zip(got, want):

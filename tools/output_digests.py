@@ -1,5 +1,5 @@
 """SHA-256 of every file the mixcert CLI writes on the shipped configs, of
-what each demo prints, and of the mixing profiles of three slow rings.
+what each demo prints, and of the mixing profiles of five slow rings.
 
     python tools/output_digests.py SRC OUT
 
@@ -11,15 +11,17 @@ prints one "sha256  path" line per file, sorted by path relative to OUT,
 then one "sha256  demos/<name>" line per script in demos/ of this checkout,
 the digest of its stdout run with the same PYTHONPATH, and then one
 "sha256  rings/S<S>-n800" line per slow lazy ring of S = 16,
-32 and 64 states: the digest of phi, mu and repr(delta_inf) of its
+20, 21, 32 and 64 states: the digest of phi, mu and repr(delta_inf) of its
 `mixing_profile` at n = 800. No marginal fixed point falls inside 2n there,
 so these lines cover the reduction over conditioning times that the shipped
-configs skip. Two more lines of the same digest cover mu where no shipped
-config does: "rings/validators-n1500", the driftless 2-state discrete
-chain of configs/validators.json at n = 1500, whose marginals repeat from
-T = 158 on, inside n; and "rings/S64-drift-n800", the 64-state ring with
-a table drifting toward the next state's point (amplitude 0.5, exponent
-0.5), whose law spans many of mu's time blocks. Two more cover Gaussian
+configs skip. The 20- and 21-state rings sit on either side of the rule by
+which `_phi_lags` lays a block of L lags out lags innermost, L >= S: L = 20
+at S = 20 and L = 18 at S = 21. Two more lines of the same digest cover mu
+where no shipped config does: "rings/validators-n1500", the driftless
+2-state discrete chain of configs/validators.json at n = 1500, whose
+marginals repeat from T = 158 on, inside n; and "rings/S64-drift-n800",
+the 64-state ring with a table drifting toward the next state's point
+(amplitude 0.5, exponent 0.5), whose law spans many of mu's time blocks. Two more cover Gaussian
 mu: "rings/long-n4000", the drifting 2-state chain of configs/default.json
 at n = 4000, whose marginals repeat inside n while its emission term moves
 at every time; and "rings/gauss-d9-n800", a drifting 3-state Gaussian
@@ -76,7 +78,7 @@ CONFIG_DIR = os.path.join(ROOT, "configs")
 DEMO_DIR = os.path.join(ROOT, "demos")
 RUNS = {"generate": (), "train": (), "certify-jobs1": ("--jobs", "1"),
         "certify-jobs2": ("--jobs", "2"), "validate": (), "rademacher": ()}
-RING_STATES = (16, 32, 64)
+RING_STATES = (16, 20, 21, 32, 64)
 RING_N = 800
 FIXED_POINT_N = 1500
 LONG_N = 4000
