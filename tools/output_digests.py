@@ -1,68 +1,27 @@
 """SHA-256 of every file the mixcert CLI writes on the shipped configs, of
-what each demo prints, and of the mixing profiles of five slow rings.
+what each demo prints, and of library runs that the shipped configs skip.
 
     python tools/output_digests.py SRC OUT
 
-runs `python -m mixcert` generate, train, certify (at --jobs 1 and at
---jobs 2), validate and rademacher on configs/default.json, small.json and
-validators.json of this checkout, importing mixcert from the source tree SRC
-(PYTHONPATH=SRC), with each run's outputs under OUT/<config>/<run>. It then
-prints one "sha256  path" line per file, sorted by path relative to OUT,
-then one "sha256  demos/<name>" line per script in demos/ of this checkout,
-the digest of its stdout run with the same PYTHONPATH, and then one
-"sha256  rings/S<S>-n800" line per slow lazy ring of S = 16,
-20, 21, 32 and 64 states: the digest of phi, mu and repr(delta_inf) of its
-`mixing_profile` at n = 800. No marginal fixed point falls inside 2n there,
-so these lines cover the reduction over conditioning times that the shipped
-configs skip. The 20- and 21-state rings sit on either side of the rule by
-which `_phi_lags` lays a block of L lags out lags innermost, L >= S: L = 20
-at S = 20 and L = 18 at S = 21. Two more lines of the same digest cover mu
-where no shipped config does: "rings/validators-n1500", the driftless
-2-state discrete chain of configs/validators.json at n = 1500, whose
-marginals repeat from T = 158 on, inside n; and "rings/S64-drift-n800",
-the 64-state ring with a table drifting toward the next state's point
-(amplitude 0.5, exponent 0.5), whose law spans many of mu's time blocks. Two more cover Gaussian
-mu: "rings/long-n4000", the drifting 2-state chain of configs/default.json
-at n = 4000, whose marginals repeat inside n while its emission term moves
-at every time; and "rings/gauss-d9-n800", a drifting 3-state Gaussian
-spec in d = 9 dimensions, the first d whose sum of squared mean gaps
-numpy adds in pairwise order, not in sequence.
-`python tools/output_digests.py --rings` prints them alone, importing
-mixcert from PYTHONPATH. Last come the "sha256  signs/<call>"
-lines: the repr of `validate_symmetrization` (exact and Monte Carlo signs)
-and of exact and Monte Carlo `empirical_rademacher_*` for a class of fixed
-random value tables on the chain of configs/validators.json. The shipped
-configs only run the sign kernel on the built-in class, whose values 0, 0.5
-and 1 sum exactly in any order, so only these lines see a last-bit change
-in it. The last of them, "signs/table-lookup-n20000", is the digest of
-`table_class(...).evaluate` on 20,000 points over that alphabet with its
-first point repeated, the one line that covers a lookup of a repeated
-alphabet point. `--signs` prints these lines alone. The next line,
-"sha256  capacity/covering-and-zero-layer", is the digest of the repr of
-`covering_bound_terms` on fixed random networks of depth 1 to 3 and weight
-scales 1e-3 to 1e3, and of the certificates of a network with a zero layer
-on configs/small.json: the shipped configs reach the capacity term only on
-trained networks and never reach a zero layer. `--capacity` prints it
-alone. Then come the "sha256  forward/<activation>-n<rows>" lines, one per
-activation: the digest of `forward_batch` on FORWARD_ROWS random rows for
-fixed random networks of that activation at depths 1 to 3 and widths 1 to
-64. The shipped configs run only relu and identity at width 16, and
-FORWARD_ROWS, three row blocks and five rows, ends in a cut block. The
-relu line's first network has a one-unit layer of 41 inputs: a
-matrix-vector product, which OpenBLAS splits among its threads when it
-spans all 12,293 rows, so a tree that runs the layers over all rows at
-once reads the same there only on one BLAS thread
-(OPENBLAS_NUM_THREADS=1). `--forward` prints these lines alone. The last
-line, "sha256  draws/certain-n<n>", is the digest of every sampler
-(`sample_sequence`, `sample_target`, `sample_sequences_batch` and
-`sequence_value_means` with a value table and with a callable) on two
-discrete specs whose draws are certain in places: a 3-state chain with a
-point-mass start law, a kernel row that is a point mass and an emission
-table that is certain only once its drift has underflowed to 0 (from
-t = 7 on), and a 1-state chain. Where a draw is certain, its uniforms are
-skipped, not generated; the shipped configs skip only at rows and tables
-that are certain throughout. `--draws` prints it alone. Two source trees
-write the same bytes exactly when their listings are equal:
+runs `python -m mixcert` once per argv of `cli_runs` (generate, train,
+certify at --jobs 1 and at --jobs 2, validate and rademacher on each of
+CONFIGS in configs/ of this checkout), importing mixcert from the source
+tree SRC (PYTHONPATH=SRC), with each run's outputs under OUT/<config>/<run>.
+It prints, in this order:
+- one "sha256  <config>/<run>/<file>" line per output file, sorted by path
+  relative to OUT;
+- one "sha256  demos/<name>" line per script in demos/ of this checkout,
+  the digest of its stdout run with the same PYTHONPATH;
+- the lines of each section of SECTIONS, in its order: rings/, signs/,
+  capacity/, forward/ and draws/. Each section's docstring says what its
+  lines cover.
+
+    python tools/output_digests.py --rings [--signs ...]
+
+prints the lines of the named sections alone, in argument order, importing
+mixcert from PYTHONPATH. Run the tool with OPENBLAS_NUM_THREADS=1
+(`forward_digests` says why). Two source trees write the same bytes
+exactly when their listings are equal:
 
     python tools/output_digests.py /path/to/parent/src /tmp/a > a.txt
     python tools/output_digests.py src /tmp/b > b.txt
@@ -76,6 +35,7 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 CONFIG_DIR = os.path.join(ROOT, "configs")
 DEMO_DIR = os.path.join(ROOT, "demos")
+CONFIGS = ("default", "small", "validators")
 RUNS = {"generate": (), "train": (), "certify-jobs1": ("--jobs", "1"),
         "certify-jobs2": ("--jobs", "2"), "validate": (), "rademacher": ()}
 RING_STATES = (16, 20, 21, 32, 64)
@@ -91,14 +51,30 @@ FORWARD_ROWS = 3 * 4096 + 5
 DRAW_N = 40
 
 
-def ring_digests() -> int:
-    """Print the "sha256  rings/<chain>-n<n>" lines: lazy directed rings
-    that stay put with probabilities drawn uniformly from [0.5, 0.8],
-    started at state 0, with state-revealing emissions; then the chain of
-    configs/validators.json, the drifting 64-state ring, the chain of
-    configs/default.json and a random drifting Gaussian spec in GAUSS_DIM
-    dimensions, whose standard normal mean gaps give sums of squares that
-    the order of the sum moves in their last bits at about one time in six."""
+def ring_digests() -> None:
+    """Print the "sha256  rings/<chain>-n<n>" lines: the digest of phi, mu
+    and repr(delta_inf) of each chain's `mixing_profile` at horizon n.
+
+    First come "S<S>-n800", one per slow lazy ring of RING_STATES states at
+    n = RING_N: directed rings that stay put with probabilities drawn
+    uniformly from [0.5, 0.8], started at state 0, with state-revealing
+    emissions. No marginal fixed point falls inside 2n there, so these
+    lines cover the reduction over conditioning times that the shipped
+    configs skip. The 20- and 21-state rings sit on either side of the rule
+    by which `_phi_lags` lays a block of L lags out lags innermost, L >= S:
+    L = 20 at S = 20 and L = 18 at S = 21. Two lines cover mu where no
+    shipped config does: "validators-n1500", the driftless 2-state discrete
+    chain of configs/validators.json at n = FIXED_POINT_N, whose marginals
+    repeat from T = 158 on, inside n; and "S64-drift-n800", the 64-state
+    ring with a table drifting toward the next state's point (amplitude
+    0.5, exponent 0.5), whose law spans many of mu's time blocks. Two more
+    cover Gaussian mu: "long-n4000", the drifting 2-state chain of
+    configs/default.json at n = LONG_N, whose marginals repeat inside n
+    while its emission term moves at every time; and "gauss-d9-n800", a
+    random drifting 3-state spec in GAUSS_DIM dimensions, the first d whose
+    sum of squared mean gaps numpy adds in pairwise order, not in sequence.
+    Its standard normal mean gaps give sums of squares that the order of
+    the sum moves in their last bits at about one time in six."""
     import numpy as np
     from mixcert import (EmissionSpec, ExperimentConfig, MarkovSpec, ProcessSpec,
                          mixing_profile)
@@ -135,13 +111,21 @@ def ring_digests() -> int:
         digest = hashlib.sha256(prof.phi.tobytes() + prof.mu.tobytes()
                                 + repr(prof.delta_inf).encode("ascii"))
         print(f"{digest.hexdigest()}  rings/{name}")
-    return 0
 
 
-def sign_digests() -> int:
-    """Print the "sha256  signs/<call>" lines: SIGN_MEMBERS value tables
-    drawn uniformly from [0, 1), whose signed sums round differently when
-    summed in another order."""
+def sign_digests() -> None:
+    """Print the "sha256  signs/<call>" lines: the repr of
+    `validate_symmetrization` (exact and Monte Carlo signs) and of exact and
+    Monte Carlo `empirical_rademacher_*` for a class of SIGN_MEMBERS value
+    tables drawn uniformly from [0, 1) on the chain of
+    configs/validators.json. Their signed sums round differently when
+    summed in another order. The shipped configs only run the sign kernel
+    on the built-in class, whose values 0, 0.5 and 1 sum exactly in any
+    order, so only these lines see a last-bit change in it. The last line,
+    "signs/table-lookup-n20000", is the digest of `table_class(...).evaluate`
+    on LOOKUP_POINTS points over that alphabet with its first point
+    repeated, the one line that covers a lookup of a repeated alphabet
+    point."""
     import numpy as np
     from mixcert import (ExperimentConfig, empirical_rademacher_exact,
                          empirical_rademacher_mc, sample_sequence, table_class,
@@ -166,15 +150,16 @@ def sign_digests() -> int:
     values = table_class(repeated, [np.concatenate([t, t[:1]]) for t in tables]).evaluate(
         repeated[pick], rng.integers(1, spec.num_classes + 1, size=LOOKUP_POINTS))
     print(f"{hashlib.sha256(values.tobytes()).hexdigest()}  signs/table-lookup-n{LOOKUP_POINTS}")
-    return 0
 
 
-def capacity_digest() -> int:
-    """Print the "sha256  capacity/covering-and-zero-layer" line: the
-    covering terms of CAPACITY_NETWORKS random networks at random B, gamma,
-    W and n, then each report of a two-layer network whose second layer is
-    zero and whose first is random, certified on configs/small.json's first
-    seed."""
+def capacity_digest() -> None:
+    """Print the "sha256  capacity/covering-and-zero-layer" line: the repr
+    of `covering_bound_terms` on CAPACITY_NETWORKS random networks of depth
+    1 to 3 and weight scales 1e-3 to 1e3 at random B, gamma, W and n, then
+    of each report of a two-layer network whose second layer is zero and
+    whose first is random, certified on configs/small.json's first seed.
+    The shipped configs reach the capacity term only on trained networks
+    and never reach a zero layer."""
     import numpy as np
     from mixcert import (ExperimentConfig, LayerNorms, NetworkParams, covering_bound_terms,
                          mixing_profile, network_certificate, sample_sequence,
@@ -202,13 +187,19 @@ def capacity_digest() -> int:
     parts.extend(report.to_json_dict() for report in reports)
     digest = hashlib.sha256(repr(parts).encode("ascii")).hexdigest()
     print(f"{digest}  capacity/covering-and-zero-layer")
-    return 0
 
 
-def forward_digests() -> int:
-    """Print the "sha256  forward/<activation>-n<rows>" lines: per
-    activation, networks of depth 1, 2 and 3 with standard normal weights
-    and layer sizes drawn uniformly from 1..64, on standard normal rows."""
+def forward_digests() -> None:
+    """Print the "sha256  forward/<activation>-n<rows>" lines, one per
+    activation: the digest of `forward_batch` on FORWARD_ROWS standard
+    normal rows for networks of depth 1, 2 and 3 with standard normal
+    weights and layer sizes drawn uniformly from 1..64. The shipped configs
+    run only relu and identity at width 16, and FORWARD_ROWS, three row
+    blocks and five rows, ends in a cut block. The relu line's first
+    network has a one-unit layer of 41 inputs: a matrix-vector product,
+    which OpenBLAS splits among its threads when it spans all 12,293 rows,
+    so a tree that runs the layers over all rows at once reads the same
+    there only on one BLAS thread (OPENBLAS_NUM_THREADS=1)."""
     import numpy as np
     from mixcert import NetworkParams, forward_batch
 
@@ -222,12 +213,19 @@ def forward_digests() -> int:
             digest.update(forward_batch(params, rng.standard_normal((FORWARD_ROWS, dims[0])))
                           .tobytes())
         print(f"{digest.hexdigest()}  forward/{act}-n{FORWARD_ROWS}")
-    return 0
 
 
-def draw_digest() -> int:
-    """Print the "sha256  draws/certain-n<DRAW_N>" line: each sampler's
-    outputs on the two specs, at DRAW_N times and 300 trials."""
+def draw_digest() -> None:
+    """Print the "sha256  draws/certain-n<DRAW_N>" line: the digest of every
+    sampler (`sample_sequence`, `sample_target`, `sample_sequences_batch`
+    and `sequence_value_means` with a value table and with a callable), at
+    DRAW_N times and 300 trials, on two discrete specs whose draws are
+    certain in places: a 3-state chain with a point-mass start law, a
+    kernel row that is a point mass and an emission table that is certain
+    only once its drift has underflowed to 0 (from t = 7 on), and a 1-state
+    chain. Where a draw is certain, its uniforms are skipped, not
+    generated; the shipped configs skip only at rows and tables that are
+    certain throughout."""
     import numpy as np
     from mixcert import (EmissionSpec, MarkovSpec, ProcessSpec, sample_sequence,
                          sample_sequences_batch, sample_target, sequence_value_means)
@@ -256,20 +254,26 @@ def draw_digest() -> int:
                       sequence_value_means(spec, f, DRAW_N, 300, 3)):
             digest.update(array.tobytes())
     print(f"{digest.hexdigest()}  draws/certain-n{DRAW_N}")
-    return 0
+
+
+SECTIONS = {"--rings": ring_digests, "--signs": sign_digests, "--capacity": capacity_digest,
+            "--forward": forward_digests, "--draws": draw_digest}
+
+
+def cli_runs(out: str):
+    """The argv, after `mixcert`, of each run of RUNS on each of CONFIGS,
+    writing its outputs under out/<config>/<run>."""
+    for config in CONFIGS:
+        for run, flags in RUNS.items():
+            yield [run.split("-")[0], "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                   "--out", os.path.join(out, config, run), *flags]
 
 
 def main(argv) -> int:
-    if argv == ["--rings"]:
-        return ring_digests()
-    if argv == ["--signs"]:
-        return sign_digests()
-    if argv == ["--capacity"]:
-        return capacity_digest()
-    if argv == ["--forward"]:
-        return forward_digests()
-    if argv == ["--draws"]:
-        return draw_digest()
+    if argv and all(arg in SECTIONS for arg in argv):
+        for arg in argv:
+            SECTIONS[arg]()
+        return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -278,12 +282,9 @@ def main(argv) -> int:
         print(f"output directory {out} is not empty", file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    for config in ("default", "small", "validators"):
-        for run, flags in RUNS.items():
-            subprocess.run([sys.executable, "-m", "mixcert", run.split("-")[0],
-                            "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
-                            "--out", os.path.join(out, config, run), *flags],
-                           env=env, check=True, stdout=subprocess.DEVNULL)
+    for args in cli_runs(out):
+        subprocess.run([sys.executable, "-m", "mixcert", *args], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
     paths = sorted(os.path.relpath(os.path.join(root, name), out)
                    for root, _, names in os.walk(out) for name in names)
     for path in paths:
@@ -294,9 +295,7 @@ def main(argv) -> int:
                                 check=True, stdout=subprocess.PIPE).stdout
         print(f"{hashlib.sha256(stdout).hexdigest()}  demos/{name}")
     sys.stdout.flush()
-    for section in ("--rings", "--signs", "--capacity", "--forward", "--draws"):
-        subprocess.run([sys.executable, os.path.abspath(__file__), section], env=env,
-                       check=True)
+    subprocess.run([sys.executable, os.path.abspath(__file__), *SECTIONS], env=env, check=True)
     return 0
 
 

@@ -4,13 +4,10 @@
 
 imports mixcert from PYTHONPATH and runs, in this process and under
 `sys.settrace`, the traffic that ships with this checkout:
-- `mixcert generate`, `train`, `certify`, `validate` and `rademacher` on
-  configs/default.json, small.json, validators.json and
-  perfbench/validate_discrete.json, plus `certify --jobs 2` on small.json
-  (only the parent process is traced);
-- perfbench's mixing-long and mixing-ring workloads at the reference seed,
-  each pass followed by its `check`, read from perfbench/workloads.py as it
-  stands;
+- every `mixcert` run of the byte gate (`output_digests.cli_runs`), through
+  `harness.main`; at --jobs 2 only the parent process is traced;
+- every workload of perfbench/workloads.py (`WORKLOADS`) at the reference
+  seed, one pass each followed by its `check`, as it stands;
 - every script in demos/.
 Outputs go to a temporary directory and printed text is discarded. Then it
 prints one line per function of the mixcert package that has a statement no
@@ -19,7 +16,7 @@ or "never called" in place of the lines. A statement is reached when a line
 event fires on any of its own lines (a compound statement's own lines are
 its header, up to its first inner statement). Docstrings and `try:`,
 `global` and `nonlocal` lines carry no code and are not listed. It takes no
-flags and is not part of the test suite.
+flags.
 """
 import ast
 import contextlib
@@ -29,39 +26,30 @@ import runpy
 import sys
 import tempfile
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+from output_digests import DEMO_DIR, ROOT, cli_runs
+
 BENCH_DIR = os.path.join(ROOT, "perfbench")
-CONFIGS = [os.path.join(ROOT, "configs", name)
-           for name in ("default.json", "small.json", "validators.json")]
-CONFIGS.append(os.path.join(BENCH_DIR, "validate_discrete.json"))
-COMMANDS = ("generate", "train", "certify", "validate", "rademacher")
 NO_CODE = (ast.Try, ast.Global, ast.Nonlocal)
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def run_traffic(out_dir: str) -> None:
     """The shipped traffic, with every printed line discarded."""
-    from mixcert.harness import main
+    from mixcert import harness
 
-    for config in CONFIGS:
-        for command in COMMANDS:
-            out = os.path.join(out_dir, os.path.basename(config), command)
-            if main([command, "--config", config, "--out", out]) != 0:
-                raise RuntimeError(f"mixcert {command} failed on {config}")
-    out = os.path.join(out_dir, "small-jobs2")
-    if main(["certify", "--config", CONFIGS[1], "--out", out, "--jobs", "2"]) != 0:
-        raise RuntimeError("mixcert certify --jobs 2 failed")
+    for argv in cli_runs(out_dir):
+        if harness.main(argv) != 0:
+            raise RuntimeError(f"mixcert {' '.join(argv)} failed")
     sys.path.insert(0, BENCH_DIR)
     import workloads
 
-    for name in ("mixing-long", "mixing-ring"):
-        work = workloads.WORKLOADS[name](workloads.REFERENCE_SEED, out_dir)
+    for name, workload in workloads.WORKLOADS.items():
+        work = workload(workloads.REFERENCE_SEED, out_dir)
         if work.check(work.run()) != 0:
             raise RuntimeError(f"perfbench {name} failed its check")
-    demo_dir = os.path.join(ROOT, "demos")
-    for name in sorted(os.listdir(demo_dir)):
+    for name in sorted(os.listdir(DEMO_DIR)):
         if name.endswith(".py"):
-            runpy.run_path(os.path.join(demo_dir, name), run_name="__main__")
+            runpy.run_path(os.path.join(DEMO_DIR, name), run_name="__main__")
 
 
 def trace(package_dir: str) -> dict:
