@@ -2,13 +2,16 @@
 
 spectral_norm runs power iteration on the Gram operator with a Rayleigh
 estimate, which converges to the top singular value from below, so the
-reported value never exceeds the truth. norm_2_1_of_transpose sums the
+reported value is a lower estimate of it. norm_2_1_of_transpose sums the
 Euclidean row norms of the matrix (the (2,1) norm of its transpose).
 LayerNorms holds both per layer; the capacity term built from them,
 
     T = prod_i s_i * (sum_i (b_i / s_i)**(2/3)) ** (3/2),
 
-lives in `rademacher.covering_bound_terms`. Its activation Lipschitz
+lives in `rademacher.covering_bound_terms`. T never decreases as any s_i
+grows (d log T / d log s_j = 1 - w_j >= 0, w_j the share of term j in the
+sum), so a spectral norm below the truth makes T too small: a lower
+estimate is not the safe side here. Its activation Lipschitz
 constants p_i are all 1, since every activation the package accepts is
 1-Lipschitz, so T carries no p_i.
 """
@@ -30,7 +33,11 @@ _TOL = 1e-10  # relative change of successive estimates at which the iteration s
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """Largest singular value by seeded power iteration.
+    """Largest singular value by seeded power iteration: a lower estimate,
+    not a bound. It stops on a small change of the estimate, not on its
+    distance to the truth, which can be far larger than _TOL when the top
+    two singular values are close (4.7e-7 below 1.0 on a 16 x 16 matrix
+    whose top two differ by 1e-6).
 
     Stops when successive Rayleigh estimates differ by at most _TOL
     relative; restarts once from a fresh seeded vector if the iterate lands

@@ -210,18 +210,29 @@ class EmissionSpec:
         np.add(stack, w * self.drift_rows, out=stack, where=w != 0.0)
         return stack
 
-    def emit(self, rows: np.ndarray, states: np.ndarray,
-             rng: np.random.Generator) -> np.ndarray:
-        """One point per entry of `states`, drawn from row states[i] of
-        `rows`, an (R, C) array of rows of this law (such as `rows`, one time
-        of rows_at, or one gathered row per draw): an alphabet point by
-        inverse CDF on one uniform each, or the row's mean plus `sigma` times
-        d standard normals each. Where every row of `rows` draws one point
-        whatever its uniform, the uniforms are consumed without being
-        generated (`_cdf_draw`)."""
+    def law(self, rows: np.ndarray):
+        """What the (R, C) rows `rows` of this law (`rows`, one time of
+        rows_at, one gathered row per draw) draw with in `emit`: their
+        `_cdf_draw`, built once, or the mean rows themselves."""
+        return _cdf_draw(rows) if self.mode == "discrete" else rows
+
+    def laws(self, times):
+        """The `law` of each of an array of times >= 1, lazily: one object at
+        every time of a driftless law; a drifting law's laws built from one
+        `_time_blocks` slice of rows_at at a time, so one block is held."""
+        if not self.has_drift():
+            return itertools.repeat(self.law(self.rows), len(times))
+        return (self.law(rows) for block in _time_blocks(self, times)
+                for rows in self.rows_at(block))
+
+    def emit(self, law, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One point per entry of `states`, from row states[i] of a `law`: an
+        alphabet point by inverse CDF on one uniform each (skipped where the
+        draw is certain, `_cdf_draw`), or the mean plus `sigma` times d
+        standard normals."""
         if self.mode == "discrete":
-            return self.alphabet[_draw_points(rows, states, rng)]
-        return rows[states] + self.sigma * rng.standard_normal((len(states), rows.shape[1]))
+            return self.alphabet[law(states, rng)]
+        return law[states] + self.sigma * rng.standard_normal((len(states), law.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -720,7 +731,8 @@ def _time_blocks(em: EmissionSpec, times: np.ndarray):
     discrete law's drifted rows, their products with the marginals and the
     int64 indices they are scattered at, hold at most _LAG_FLOATS values
     together; `rows_at` briefly holds one more while it mixes a drifting
-    law. A Gaussian block holds one: its mean gaps, squared in place."""
+    law. A Gaussian block holds one: its mean gaps, squared in place. The
+    samplers and step_expectations read a law one such block at a time."""
     step = max(1, _LAG_FLOATS // (3 * em.rows.size))
     return (times[lo:lo + step] for lo in range(0, len(times), step))
 
@@ -926,14 +938,15 @@ def _inverse_cdf(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarr
     return idx
 
 
-def _cdf_draw(cum: np.ndarray):
-    """The draw `_inverse_cdf` makes on the cumulative table `cum`, as a
-    function of (states, rng) that consumes one uniform of `rng` per state.
-    When every entry of `cum` before its last column is <= 0.0 or >= 1.0,
-    every u in [0, 1) draws what u = 0.0 draws, the row's count of entries
-    <= 0.0. Such a certain draw reads that count per state and moves `rng`
-    past its uniforms with `_skip`, without generating them, so every later
-    draw keeps its bits. The test runs once per table, here."""
+def _cdf_draw(law: np.ndarray):
+    """The draw `_inverse_cdf` makes on the cumulative table `cum` of the
+    rows `law`, as a function of (states, rng) that consumes one uniform of
+    `rng` per state. When every entry of `cum` before its last column is
+    <= 0.0 or >= 1.0, every u in [0, 1) draws what u = 0.0 draws, the row's
+    count of entries <= 0.0. Such a certain draw reads that count per state
+    and skips its uniforms (`_skip`), so every later draw keeps its bits.
+    The rows are accumulated and tested once per law, here."""
+    cum = np.cumsum(law, axis=1)
     head = cum[:, :-1]
     if np.all((head <= 0.0) | (head >= 1.0)):
         certain = np.count_nonzero(head <= 0.0, axis=1).astype(np.int64)
@@ -947,23 +960,14 @@ def _cdf_draw(cum: np.ndarray):
     return draw
 
 
-def _draw_points(table: np.ndarray, states: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Alphabet indices drawn from the table rows of `states`, one uniform
-    each, by the column rule of `_inverse_cdf` on the accumulated table. On
-    a table whose every row draws one index whatever the uniform, the
-    uniforms are consumed without being generated (`_cdf_draw`)."""
-    return _cdf_draw(np.cumsum(table, axis=1))(states, rng)
-
-
 def _walk(markov: MarkovSpec, trials: int, rng: np.random.Generator):
     """Hidden states of `trials` independent chains, lazily: the start state
     H_0 from the initial law, then H_1, H_2, ... one kernel step per next().
     Each state costs one uniform per chain, drawn when it is produced, so a
     caller can interleave its own draws between steps. A step is the
-    `_cdf_draw` of the accumulated kernel, indexed by the current states."""
-    step = _cdf_draw(np.cumsum(markov.transition, axis=1))
-    cur = _draw_points(markov.initial[None, :], np.zeros(trials, dtype=np.int64), rng)
+    `_cdf_draw` of the kernel, indexed by the current states."""
+    step = _cdf_draw(markov.transition)
+    cur = _cdf_draw(markov.initial[None, :])(np.zeros(trials, dtype=np.int64), rng)
     while True:
         yield cur
         cur = step(cur, rng)
@@ -991,7 +995,8 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
     """Draw one length-n observed path (X_1..X_n, Y_1..Y_n).
 
     The hidden state starts at the initial law and takes n kernel steps;
-    X_i is emitted from the time-i law of state H_i. Deterministic in seed.
+    X_i is emitted from the time-i law of state H_i, one row gathered per
+    draw, one `_time_blocks` slice of times at a time. Deterministic in seed.
     """
     spec = _instance(spec, "spec", ProcessSpec)
     _as_int(n, "n", 1, EmptyDataset)
@@ -999,7 +1004,10 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
     em = spec.emission
     emitted = _walk_path(spec.markov, n, rng)[1:]
     labels = np.asarray(spec.label_map, dtype=np.int64)[emitted]
-    X = em.emit(em.rows_at(range(1, n + 1))[np.arange(n), emitted], np.arange(n), rng)
+    X = np.empty((n, spec.input_dim))
+    for times in _time_blocks(em, np.arange(1, n + 1)):
+        draws = np.arange(len(times))
+        X[times - 1] = em.emit(em.law(em.rows_at(times)[draws, emitted[times - 1]]), draws, rng)
     return LabeledDataset(inputs=X, labels=labels, num_classes=spec.num_classes,
                           kind=KIND_SEQUENCE, seed=seed)
 
@@ -1010,9 +1018,9 @@ def sample_target(spec: ProcessSpec, m: int, seed: int) -> LabeledDataset:
     pistar = stationary_distribution(spec.markov)
     rng = substream(seed, _STREAM_TARGET)
     em = spec.emission
-    states = _draw_points(pistar[None, :], np.zeros(m, dtype=np.int64), rng)
+    states = _cdf_draw(pistar[None, :])(np.zeros(m, dtype=np.int64), rng)
     labels = np.asarray(spec.label_map, dtype=np.int64)[states]
-    X = em.emit(em.rows, states, rng)
+    X = em.emit(em.law(em.rows), states, rng)
     return LabeledDataset(inputs=X, labels=labels, num_classes=spec.num_classes,
                           kind=KIND_TARGET, seed=seed)
 
@@ -1026,7 +1034,8 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     hidden states H_1..H_n of every chain first, then the emissions time by
     time. The states are walked into the (trials, n) label array, and each
     time's column is mapped to labels in place once its points are drawn,
-    so besides the two results only one column's temporaries are held. A
+    so besides the two results only one column's temporaries and one time
+    block of the law (`EmissionSpec.laws`) are held. A
     certain draw (a start law, kernel or time's emission table whose every
     row draws one index whatever the uniform) consumes its uniforms without
     generating them, with the bits of drawing them.
@@ -1041,10 +1050,9 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     for t in range(n):
         labels[:, t] = next(walk)
     label_arr = np.asarray(spec.label_map, dtype=np.int64)
-    stack = em.rows_at(range(1, n + 1))
     X = np.empty((trials, n, spec.input_dim))
-    for t in range(n):
-        X[:, t] = em.emit(stack[t], labels[:, t], rng)
+    for t, law in enumerate(em.laws(np.arange(1, n + 1))):
+        X[:, t] = em.emit(law, labels[:, t], rng)
         labels[:, t] = label_arr[labels[:, t]]
     return X, labels
 
@@ -1076,8 +1084,10 @@ def step_expectations(spec: ProcessSpec, f_table, n: int) -> np.ndarray:
     """Exact E[f(X_i, Y_i)] for i = 1..n on a discrete-emission process."""
     _as_int(n, "n", 0)
     f = _check_f_table(spec, f_table)
-    return _expectations(spec, f, _marginals(spec.markov, n)[0][1:],
-                         spec.emission.rows_at(range(1, n + 1)))
+    em, H, out = spec.emission, _marginals(spec.markov, n)[0], np.empty(n)
+    for times in _time_blocks(em, np.arange(1, n + 1)):
+        out[times - 1] = _expectations(spec, f, H[times], em.rows_at(times))
+    return out
 
 
 def stationary_expectation(spec: ProcessSpec, f_table) -> float:
@@ -1108,32 +1118,25 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
 
     One walk of the chains, one step at a time: per step, each chain's state
     draw and then that step's emission, whose values are added to a running
-    total. So memory is O(k * trials) besides the (n, S, C) law stack of
-    `rows_at`, whatever n is, and every function is averaged over the same
-    paths. A callable is applied to the step's emitted points and labels,
-    `trials` of each; a value table reads the values of the drawn alphabet
-    indices. On discrete emissions both consume the same uniforms, so a
-    callable and its equal value table give the same bits, and each row of
-    a class's result has the bits of that row's function alone. A certain
-    draw, such as the emission of a state-revealing table, consumes its
-    uniforms without generating them (`_cdf_draw`): the stream moves past
-    them in O(1) time, and the result keeps the bits of drawing them. A
-    discrete law's draw is built once per time, and once per walk when the
-    law does not drift.
+    total. So memory is O(k * trials) besides one time block of the law
+    (`EmissionSpec.laws`), whatever n is, and every function is averaged
+    over the same paths. A callable is applied to the step's emitted points
+    and labels, `trials` of each; a value table reads the values of the
+    drawn alphabet indices. On discrete emissions both consume the same
+    uniforms, so a callable and its equal value table give the same bits,
+    and each row of a class's result has the bits of that row's function
+    alone. A certain draw, such as the emission of a state-revealing table,
+    consumes its uniforms without generating them (`_cdf_draw`): the stream
+    moves past them in O(1) time, and the result keeps the bits of drawing
+    them.
     """
     _as_int(n, "n", 1)
     _as_int(trials, "trials", 1)
     em = spec.emission
     label_arr = np.asarray(spec.label_map, dtype=np.int64)
-    laws = stack = em.rows_at(range(1, n + 1))
-    if em.mode == "discrete":
-        # a draw of alphabet indices per time; a driftless law has one table, so one draw
-        laws = ([_cdf_draw(np.cumsum(em.table, axis=1))] * n if not em.has_drift()
-                else (_cdf_draw(np.cumsum(rows, axis=1)) for rows in stack))
     if callable(f):
         def step_values(law, cur, rng):
-            X = em.alphabet[law(cur, rng)] if em.mode == "discrete" else em.emit(law, cur, rng)
-            return _unit_values(f(X, label_arr[cur]), "f", trials)
+            return _unit_values(f(em.emit(law, cur, rng), label_arr[cur]), "f", trials)
     else:
         # values[s, p] = f(point p, label of state s), read by one flat take per step
         values = _check_f_table(spec, f).T[label_arr - 1]
@@ -1145,7 +1148,7 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
     walk = _walk(spec.markov, trials, rng)
     next(walk)
     total = 0.0  # the first step's sum is a new array of that step's shape
-    for t, law in enumerate(laws):
+    for t, law in enumerate(em.laws(np.arange(1, n + 1))):
         step = step_values(law, next(walk), rng)
         if t and step.shape != total.shape:
             raise ValueError(f"f returned shape {step.shape} at step {t + 1}, "

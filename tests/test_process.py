@@ -50,7 +50,7 @@ from mixcert.process import (
     _STREAM_SEQUENCE,
     _STREAM_TARGET,
     _bit_groups,
-    _draw_points,
+    _cdf_draw,
     _futures,
     _gaussian_emission_tv,
     _inverse_cdf,
@@ -612,18 +612,6 @@ class TestMixingProfile:
         assert prof.horizon == 17
         assert len(prof.phi) == 17 and len(prof.mu) == 17
 
-    @pytest.mark.parametrize("chain, n, t_lo, t_hi", [
-        ("default", 4000, 1, 3999),  # marginals and k-step rows repeat before n
-        ("ring", 1000, 1001, 2000),  # marginals repeat between n and 2n
-        ("ring", 800, 1601, 1601),   # no fixed point up to 2n: T = 2n + 1
-    ])
-    def test_fixed_point_shortcut_is_exact(self, chain, n, t_lo, t_hi):
-        """The shortcut's three regimes, each equal bit for bit to the loop
-        over every lag and time."""
-        spec = default_chain() if chain == "default" else lazy_ring(0.65)
-        assert t_lo <= _marginals(spec.markov, 2 * n)[1] <= t_hi
-        assert_matches_reference(spec, n)
-
     @pytest.mark.parametrize("field, value", [
         ("phi", [math.nan, 0.1]), ("mu", [0.0, math.nan]), ("delta_inf", math.nan)])
     def test_rejects_nan(self, field, value):
@@ -888,10 +876,13 @@ class TestLagBlocks:
 
     @pytest.mark.parametrize("chain, n", [("default", 4000), ("ring", 1000), ("ring", 800)])
     def test_fixed_point_regimes(self, monkeypatch, chain, n):
-        """The three regimes of test_fixed_point_shortcut_is_exact: the
-        k-step rows repeat before n, the marginals repeat between n and 2n,
-        and no fixed point up to 2n."""
+        """The fixed-point shortcut's three regimes, each equal bit for bit
+        to the loop over every lag and time."""
         spec = default_chain() if chain == "default" else lazy_ring(0.65)
+        t_lo, t_hi = {("default", 4000): (1, 3999),  # marginals and k-step rows repeat before n
+                      ("ring", 1000): (1001, 2000),  # marginals repeat between n and 2n
+                      ("ring", 800): (1601, 1601)}[chain, n]  # no fixed point up to 2n: T = 2n + 1
+        assert t_lo <= _marginals(spec.markov, 2 * n)[1] <= t_hi
         reference = reference_profile(spec, n)
         for lags in self.BLOCKS:
             self.set_lags(monkeypatch, spec, lags)
@@ -901,8 +892,9 @@ class TestLagBlocks:
     def test_random_chains(self, monkeypatch, block):
         """Chains of 1-6 states, both emission modes, with and without drift,
         at n from 1 to 40, the bound read from the first time on; the
-        one-lag view phi_coefficient reads the profile's floats at k = 1,
-        n // 2 and n."""
+        one-lag view phi_coefficient, which reads no _LAG_FLOATS, returns the
+        reference's floats at k = 1, n // 2 and n, checked once per chain
+        and n."""
         monkeypatch.setattr("mixcert.process._PHI_BLOCK", block)
         monkeypatch.setattr("mixcert.process._PHI_FIRST", 0)
         rng = np.random.default_rng(300 + block)
@@ -911,11 +903,11 @@ class TestLagBlocks:
             spec = TestOneKernel.sparse_spec(rng, S, mode, drift)
             for n in (1, 2, int(rng.integers(3, 41)), 40):
                 reference = reference_profile(spec, n)
+                for k in sorted({1, max(1, n // 2), n}):
+                    assert phi_coefficient(spec, k, n) == reference[0][k - 1], (S, n, k)
                 for lags in self.BLOCKS:
                     self.set_lags(monkeypatch, spec, lags)
-                    prof = assert_matches_reference(spec, n, reference)
-                    for k in sorted({1, max(1, n // 2), n}):
-                        assert phi_coefficient(spec, k, n) == prof.phi[k - 1], (S, n, lags, k)
+                    assert_matches_reference(spec, n, reference)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 8, 32])
     def test_shared_column_in_a_later_block(self, monkeypatch, block):
@@ -940,10 +932,10 @@ class TestLagBlocks:
         monkeypatch.setattr("mixcert.process._PHI_BLOCK", block)
         reference = reference_profile(spec, n)
         assert reference[0][k - 1] > distinct
+        assert phi_coefficient(spec, k, n) == reference[0][k - 1]
         for lags in self.BLOCKS:
             self.set_lags(monkeypatch, spec, lags)
-            prof = assert_matches_reference(spec, n, reference)
-            assert phi_coefficient(spec, k, n) == prof.phi[k - 1]
+            assert_matches_reference(spec, n, reference)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 8, 32])
     def test_shared_column_only_inside_the_horizon(self, monkeypatch, block):
@@ -958,10 +950,10 @@ class TestLagBlocks:
         monkeypatch.setattr("mixcert.process._PHI_BLOCK", block)
         reference = reference_profile(spec, 2)
         assert _tv(spec.markov.transition, M[4])[tail[:, 2]].max() > reference[0][0]
+        assert phi_coefficient(spec, 1, 2) == reference[0][0]
         for lags in self.BLOCKS:
             self.set_lags(monkeypatch, spec, lags)
-            prof = assert_matches_reference(spec, 2, reference)
-            assert phi_coefficient(spec, 1, 2) == prof.phi[0]
+            assert_matches_reference(spec, 2, reference)
 
     def test_a_row_repeat_before_t_does_not_end_the_lags(self, monkeypatch):
         """The k-step rows of this chain repeat from lag 16 (P**17 == P**16),
@@ -1557,7 +1549,7 @@ class TestChainStepping:
         walk = _walk(markov, 3, Zeros())
         assert [next(walk).tolist() for _ in range(3)] == [[1, 1, 1], [0, 0, 0], [1, 1, 1]]
         em = EmissionSpec.discrete(np.array([[0.0], [1.0]]), [[0.0, 1.0], [0.0, 1.0]])
-        assert em.emit(em.table, np.array([0, 1]), Zeros()).tolist() == [[1.0], [1.0]]
+        assert em.emit(em.law(em.table), np.array([0, 1]), Zeros()).tolist() == [[1.0], [1.0]]
 
     @pytest.mark.parametrize("row, bad, u", [
         ([0.5, 0.5, -1e-13], 2, 0.99999999999995),
@@ -1691,8 +1683,9 @@ class TestOneDraw:
                              sequence_value_means(spec, f_table, n, trials, seed))
 
     def test_callable_memory_is_bounded_in_n(self):
-        """The callable path holds a few arrays of `trials` values and the
-        (n, S, d) law stack, never the (trials, n, d) inputs of all steps."""
+        """The callable path holds a few arrays of `trials` values and one
+        time block of the law, here all n times of it, never the (trials, n,
+        d) inputs of all steps."""
         spec = ProcessSpec(
             markov=MarkovSpec(num_states=3, transition=np.array(
                 [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]),
@@ -1773,7 +1766,7 @@ class TestCertainDraws:
             states = rng.integers(0, R, size=int(rng.integers(0, 40)))
             seed = int(rng.integers(0, 2 ** 31))
             a, b = substream(seed, 1), substream(seed, 1)
-            got, want = _draw_points(table, states, a), reference_draw(table, states, b)
+            got, want = _cdf_draw(table)(states, a), reference_draw(table, states, b)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert np.array_equal(a.random(5), b.random(5))
 
@@ -1794,11 +1787,11 @@ class TestCertainDraws:
         uncertain = [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
         for table, calls in ((certain, 0), (uncertain, 1), ([[1.0]] * 3, 0)):
             counting = Counting(3)
-            got = _draw_points(np.array(table), states, counting)
+            got = _cdf_draw(np.array(table))(states, counting)
             assert counting.calls == calls
             want = reference_draw(np.array(table), states, substream(3, 2))
             assert np.array_equal(got, want)
-        assert _draw_points(np.array(certain), states, Counting(3)).tolist() == [1, 0, 2, 0, 1]
+        assert _cdf_draw(np.array(certain))(states, Counting(3)).tolist() == [1, 0, 2, 0, 1]
         # a certain kernel and start law: no uniform is generated
         markov = MarkovSpec(num_states=3, transition=np.roll(np.eye(3), 1, axis=1),
                             initial=[0.0, 0.0, 1.0])
@@ -1809,6 +1802,110 @@ class TestCertainDraws:
         reference = substream(4, 2)
         reference.random(5 * 4)
         assert counting.rng.random() == reference.random()
+
+
+class TestSamplerTimeBlocks:
+    """A drifting law is read one `_time_blocks` slice at a time, of max(1,
+    _LAG_FLOATS // (3 S C)) times: `EmissionSpec.laws` builds the batch
+    samplers' per-time draws from one block of rows_at, sample_sequence
+    gathers its per-draw rows one block at a time, and step_expectations
+    contracts one block at a time. Blocks of 1, 2 and 3 times and the
+    default keep the bits of the oracles, which build each time's law alone;
+    a driftless law's draw is built once per walk."""
+
+    BLOCKS = (1, 2, 3, None)  # times per block; None keeps the default _LAG_FLOATS
+    DEFAULT_FLOATS = process._LAG_FLOATS
+
+    @staticmethod
+    def with_certain_rows(spec, rng):
+        """The discrete spec with `mixed_law` tables, so its rows draw at the
+        times they drift and are certain in places once the weight has
+        underflowed to 0 (exponent 400, t >= 7)."""
+        em = spec.emission
+        S, M = em.table.shape
+        emission = EmissionSpec.discrete(em.alphabet, mixed_law(rng, S, M), mixed_law(rng, S, M),
+                                         em.drift_amplitude, em.drift_exponent)
+        return ProcessSpec(markov=spec.markov, emission=emission, label_map=spec.label_map,
+                           num_classes=spec.num_classes, input_dim=spec.input_dim)
+
+    @pytest.mark.parametrize("mode", ["discrete", "gaussian"])
+    def test_blocks_match_the_oracles(self, monkeypatch, mode):
+        rng = np.random.default_rng({"discrete": 40, "gaussian": 41}[mode])
+        for S, drift, certain in itertools.product((1, 2, 3, 5), ("normal", "underflow"),
+                                                   (False, True)):
+            spec = random_spec(rng, S, mode, drift)
+            if certain and mode == "discrete":
+                spec = self.with_certain_rows(spec, rng)
+            n, trials = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+            seed = int(rng.integers(0, 2 ** 31))
+            f_table = steps = None
+            if mode == "discrete":
+                f_table = rng.random((spec.emission.alphabet.shape[0], spec.num_classes))
+                steps = reference_expectations(spec, f_table, n)[0]
+            for times in self.BLOCKS:
+                floats = (self.DEFAULT_FLOATS if times is None
+                          else times * 3 * spec.emission.rows.size)
+                monkeypatch.setattr("mixcert.process._LAG_FLOATS", floats)
+                got, want = sampler_outputs(spec, n, trials, seed, value_of_inputs, f_table)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (S, drift, times)
+                if steps is not None:
+                    assert np.array_equal(step_expectations(spec, f_table, n), steps)
+
+    @pytest.mark.parametrize("drift", [False, True], ids=["driftless", "drifting"])
+    def test_a_driftless_law_is_built_once_per_walk(self, monkeypatch, drift):
+        """With 2 states and 3 alphabet points, the batch samplers build the
+        start law's and the kernel's draws once and the (2, 3) emission
+        table's once per walk, or once per time when the table drifts."""
+        em = EmissionSpec.discrete(np.array([[0.0], [1.0], [2.0]]),
+                                   [[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]],
+                                   [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]] if drift else None, 0.5)
+        spec = ProcessSpec(markov=MarkovSpec(num_states=2, transition=[[0.9, 0.1], [0.2, 0.8]],
+                                             initial=[1.0, 0.0]),
+                           emission=em, label_map=(1, 2), num_classes=2, input_dim=1)
+        n, shapes = 12, []
+
+        def counting(law):
+            shapes.append(np.shape(law))
+            return _cdf_draw(law)
+        monkeypatch.setattr("mixcert.process._cdf_draw", counting)
+        for call in (lambda: sample_sequences_batch(spec, n, 50, 3),
+                     lambda: sequence_value_means(spec, np.eye(3, 2), n, 50, 3),
+                     lambda: sequence_value_means(spec, value_of_inputs, n, 50, 3)):
+            shapes.clear()
+            call()
+            assert sorted(shapes) == [(1, 2), (2, 2)] + [(2, 3)] * (n if drift else 1)
+
+    def test_memory_is_one_time_block(self):
+        """On the drifting 64-state ring at n = 800, a block is 5 times of
+        (S, C) = (64, 64) rows. Every sampler and step_expectations holds
+        its outputs, one block of the law with its drift mixture temporary,
+        O(trials) floats and, for step_expectations, the (n + 1, S)
+        marginals; not the (n, S, C) stack of every time, 26 MB."""
+        spec, n, trials = drifting_ring(), 800, 200
+        S = spec.markov.num_states
+        f_table = (np.arange(S)[:, None] * [0.37, 0.61]) % 1.0
+
+        def calls(n, trials):
+            return [lambda: sample_sequence(spec, n, 1),
+                    lambda: sample_target(spec, trials, 1),
+                    lambda: sample_sequences_batch(spec, n, trials, 1),
+                    lambda: sequence_value_means(spec, f_table, n, trials, 1),
+                    lambda: sequence_value_means(spec, value_of_inputs, n, trials, 1),
+                    lambda: (step_expectations(spec, f_table, n), np.empty((n + 1, S)))]
+        for i, (first, call) in enumerate(zip(calls(2, 2), calls(n, trials))):
+            first()  # a first call imports modules lazily
+            tracemalloc.start()
+            try:
+                out = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if isinstance(out, LabeledDataset):
+                out = (out.inputs, out.labels)
+            outputs = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+            assert peak < outputs + 8 * (4 * process._LAG_FLOATS + 32 * trials), i
 
 
 class TestStepExpectations:

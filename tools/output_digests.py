@@ -49,16 +49,33 @@ CAPACITY_NETWORKS = 300
 FORWARD_ACTIVATIONS = ("relu", "leaky_relu", "leaky_relu:0.3", "tanh", "identity")
 FORWARD_ROWS = 3 * 4096 + 5
 DRAW_N = 40
+DRAW_TRIALS = 300
+RING_TRIALS = 200
+
+
+def lazy_ring(S, drift_table=None):
+    """The directed S-state ring that stays put with probabilities drawn
+    uniformly from [0.5, 0.8], started at state 0, with state-revealing
+    emissions; with `drift_table`, the table drifts toward it at amplitude
+    0.5, exponent 0.5."""
+    import numpy as np
+    from mixcert import EmissionSpec, MarkovSpec, ProcessSpec
+
+    stay = np.random.default_rng(S).uniform(0.5, 0.8, size=S)
+    return ProcessSpec(
+        markov=MarkovSpec(S, np.diag(stay) + np.roll(np.diag(1.0 - stay), 1, axis=1),
+                          np.eye(S)[0]),
+        emission=EmissionSpec.discrete(np.arange(S, dtype=np.float64)[:, None], np.eye(S),
+                                       drift_table, 0.0 if drift_table is None else 0.5),
+        label_map=tuple(1 + s % 2 for s in range(S)), num_classes=2, input_dim=1)
 
 
 def ring_digests() -> None:
     """Print the "sha256  rings/<chain>-n<n>" lines: the digest of phi, mu
     and repr(delta_inf) of each chain's `mixing_profile` at horizon n.
 
-    First come "S<S>-n800", one per slow lazy ring of RING_STATES states at
-    n = RING_N: directed rings that stay put with probabilities drawn
-    uniformly from [0.5, 0.8], started at state 0, with state-revealing
-    emissions. No marginal fixed point falls inside 2n there, so these
+    First come "S<S>-n800", one per slow `lazy_ring` of RING_STATES states
+    at n = RING_N. No marginal fixed point falls inside 2n there, so these
     lines cover the reduction over conditioning times that the shipped
     configs skip. The 20- and 21-state rings sit on either side of the rule
     by which `_phi_lags` lays a block of L lags out lags innermost, L >= S:
@@ -90,20 +107,11 @@ def ring_digests() -> None:
                                            0.5, 0.5),
             label_map=tuple(1 + s % 2 for s in range(S)), num_classes=2, input_dim=d)
 
-    def ring(S, drift_table=None):
-        stay = np.random.default_rng(S).uniform(0.5, 0.8, size=S)
-        return ProcessSpec(
-            markov=MarkovSpec(S, np.diag(stay) + np.roll(np.diag(1.0 - stay), 1, axis=1),
-                              np.eye(S)[0]),
-            emission=EmissionSpec.discrete(np.arange(S, dtype=np.float64)[:, None], np.eye(S),
-                                           drift_table, 0.0 if drift_table is None else 0.5),
-            label_map=tuple(1 + s % 2 for s in range(S)), num_classes=2, input_dim=1)
-
     validators = ExperimentConfig.load(os.path.join(CONFIG_DIR, "validators.json")).process
     default = ExperimentConfig.load(os.path.join(CONFIG_DIR, "default.json")).process
-    chains = [(f"S{S}-n{RING_N}", ring(S), RING_N) for S in RING_STATES]
+    chains = [(f"S{S}-n{RING_N}", lazy_ring(S), RING_N) for S in RING_STATES]
     chains += [(f"validators-n{FIXED_POINT_N}", validators, FIXED_POINT_N),
-               (f"S64-drift-n{RING_N}", ring(64, np.roll(np.eye(64), 1, axis=1)), RING_N),
+               (f"S64-drift-n{RING_N}", lazy_ring(64, np.roll(np.eye(64), 1, axis=1)), RING_N),
                (f"long-n{LONG_N}", default, LONG_N),
                (f"gauss-d{GAUSS_DIM}-n{RING_N}", gaussian(3, GAUSS_DIM), RING_N)]
     for name, spec, n in chains:
@@ -216,19 +224,36 @@ def forward_digests() -> None:
 
 
 def draw_digest() -> None:
-    """Print the "sha256  draws/certain-n<DRAW_N>" line: the digest of every
+    """Print the two "sha256  draws/<specs>-n<n>" lines: the digest of every
     sampler (`sample_sequence`, `sample_target`, `sample_sequences_batch`
-    and `sequence_value_means` with a value table and with a callable), at
-    DRAW_N times and 300 trials, on two discrete specs whose draws are
-    certain in places: a 3-state chain with a point-mass start law, a
-    kernel row that is a point mass and an emission table that is certain
-    only once its drift has underflowed to 0 (from t = 7 on), and a 1-state
-    chain. Where a draw is certain, its uniforms are skipped, not
-    generated; the shipped configs skip only at rows and tables that are
-    certain throughout."""
+    and `sequence_value_means` with a value table and with a callable).
+
+    "certain-n40" runs them at DRAW_N times and DRAW_TRIALS trials on two
+    discrete specs whose draws are certain in places: a 3-state chain with
+    a point-mass start law, a kernel row that is a point mass and an
+    emission table that is certain only once its drift has underflowed to 0
+    (from t = 7 on), and a 1-state chain. Where a draw is certain, its
+    uniforms are skipped, not generated; the shipped configs skip only at
+    rows and tables that are certain throughout. "S64-drift-n800" runs them,
+    and `step_expectations`, on the 64-state `lazy_ring` whose table drifts
+    toward the next state's point, at RING_N times and RING_TRIALS trials:
+    its law spans 160 time blocks of 5 times, which the samplers read one
+    block at a time."""
     import numpy as np
     from mixcert import (EmissionSpec, MarkovSpec, ProcessSpec, sample_sequence,
-                         sample_sequences_batch, sample_target, sequence_value_means)
+                         sample_sequences_batch, sample_target, sequence_value_means,
+                         step_expectations)
+
+    def sampled(spec, n, trials, f_table, f):
+        """The bytes of every sampler's outputs on `spec`."""
+        parts = []
+        for data in (sample_sequence(spec, n, 3), sample_target(spec, trials, 3)):
+            parts += [data.inputs.tobytes(), data.labels.tobytes()]
+        for array in (*sample_sequences_batch(spec, n, trials, 3),
+                      sequence_value_means(spec, f_table, n, trials, 3),
+                      sequence_value_means(spec, f, n, trials, 3)):
+            parts.append(array.tobytes())
+        return b"".join(parts)
 
     alphabet = np.array([[0.0], [1.0], [2.5]])
     three = ProcessSpec(
@@ -245,15 +270,15 @@ def draw_digest() -> None:
     def f(inputs, labels):
         return (inputs[:, 0] * labels) % 1.0
 
-    digest = hashlib.sha256()
-    for spec in (three, one):
-        for data in (sample_sequence(spec, DRAW_N, 3), sample_target(spec, 300, 3)):
-            digest.update(data.inputs.tobytes() + data.labels.tobytes())
-        for array in (*sample_sequences_batch(spec, DRAW_N, 300, 3),
-                      sequence_value_means(spec, f_table, DRAW_N, 300, 3),
-                      sequence_value_means(spec, f, DRAW_N, 300, 3)):
-            digest.update(array.tobytes())
+    digest = hashlib.sha256(b"".join(sampled(spec, DRAW_N, DRAW_TRIALS, f_table, f)
+                                     for spec in (three, one)))
     print(f"{digest.hexdigest()}  draws/certain-n{DRAW_N}")
+    ring = lazy_ring(64, np.roll(np.eye(64), 1, axis=1))
+    f_table = (np.arange(64)[:, None] * [0.37, 0.61]) % 1.0
+    digest = hashlib.sha256(sampled(ring, RING_N, RING_TRIALS, f_table,
+                                    lambda inputs, labels: (0.37 * inputs[:, 0] * labels) % 1.0)
+                            + step_expectations(ring, f_table, RING_N).tobytes())
+    print(f"{digest.hexdigest()}  draws/S64-drift-n{RING_N}")
 
 
 SECTIONS = {"--rings": ring_digests, "--signs": sign_digests, "--capacity": capacity_digest,
