@@ -66,7 +66,7 @@ from .rademacher import (
     _sign_sups,
     covering_bound_terms,
 )
-from .seeding import combine_seeds, substream
+from .seeding import _CENTERS, _RAMP, _SYMMETRIZATION, combine_seeds, substream
 
 SOURCE_COVERING = "covering_bound"
 
@@ -388,7 +388,7 @@ def _class_step_means(fclass: FunctionClass, spec: ProcessSpec, n: int,
         tables = np.stack([fclass.evaluate(alphabet, np.full(alphabet.shape[0], y))
                            for y in range(1, spec.num_classes + 1)], axis=2)
         return np.array([float(step_expectations(spec, tab, n).mean()) for tab in tables])
-    means = sequence_value_means(spec, fclass.evaluate, n, trials, combine_seeds(seed, 1))
+    means = sequence_value_means(spec, fclass.evaluate, n, trials, combine_seeds(seed, _CENTERS))
     return means.reshape(fclass.size, trials).mean(axis=1)  # a one-member class comes flat
 
 
@@ -422,7 +422,7 @@ def validate_symmetrization(fclass: FunctionClass, spec: ProcessSpec, n: int,
     X, Y = sample_sequences_batch(spec, n, trials, seed)
     centers = _class_step_means(fclass, spec, n, seed, trials)
     exact = n <= _EXACT_SIGN_LIMIT
-    rng = substream(seed, 3)
+    rng = substream(seed, _SYMMETRIZATION)
     lhs_vals = np.empty(trials)
     rhat = np.empty(trials)  # filled per path with Monte Carlo signs
     column = np.empty(trials, dtype=np.int64)  # each path's place among the kept paths
@@ -472,7 +472,7 @@ def validate_ramp_dominance(trials: int, seed: int) -> RampDominanceReport:
     (argmax error, ties counted as errors) never exceeds the ramp loss of
     the negated margin, for any score vector, label, and gamma."""
     _as_int(trials, "trials", 1)
-    rng = substream(seed, 0)
+    rng = substream(seed, _RAMP)
     failures = 0
     done = 0
     while done < trials:

@@ -23,7 +23,7 @@ from .errors import (
     NonpositiveGamma,
 )
 from .process import LabeledDataset
-from .seeding import substream
+from .seeding import _TRAIN, substream
 
 _ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "identity")
 _ROW_BLOCK = 4096  # rows forward_batch runs through the layers at a time
@@ -388,7 +388,7 @@ def train_sgd(train_data: LabeledDataset, arch: Architecture,
     size = sum(r * c for r, c in shapes)
     weights, step = np.empty(size), np.empty(size)
     layers, grads = _layer_views(weights, shapes), _layer_views(step, shapes)
-    rng = substream(config.seed, 0)
+    rng = substream(config.seed, _TRAIN)
     for W, d_in in zip(layers, dims):
         a = config.init_scale if config.init_scale is not None else 1.0 / math.sqrt(d_in)
         W[...] = rng.uniform(-a, a, size=W.shape)

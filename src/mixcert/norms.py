@@ -25,9 +25,8 @@ import numpy as np
 from ._checks import _as_array, _as_float, _instance
 from .errors import DimensionMismatch, NoConvergenceWarning
 from .network import NetworkParams
-from .seeding import substream
+from .seeding import _NORM_SEEDS, substream
 
-_RESTART_TAGS = (101, 211)
 _MAX_ITER = 10000  # power-iteration steps per start before NoConvergenceWarning
 _TOL = 1e-10  # relative change of successive estimates at which the iteration stops
 
@@ -47,8 +46,8 @@ def spectral_norm(A: np.ndarray) -> float:
     A = _as_array(A, "A", 2)
     if A.size == 0 or not np.any(A):
         return 0.0
-    for tag in _RESTART_TAGS:
-        rng = substream(tag, A.shape[0], A.shape[1])
+    for seed in _NORM_SEEDS:
+        rng = substream(seed, A.shape[0], A.shape[1])
         v = rng.standard_normal(A.shape[1])
         v /= np.linalg.norm(v)
         prev = -np.inf

@@ -36,7 +36,7 @@ from ._checks import (_ATOL, _as_array, _as_float, _as_int, _as_labels, _as_time
                       _length, _reject_trailing, _unit_values)
 from .errors import (BadLabel, DimensionMismatch, EmptyDataset, NonUniqueStationary, NotDiscrete,
                      TooLarge)
-from .seeding import _skip, substream
+from .seeding import _BATCH, _SEQUENCE, _TARGET, _skip, substream
 
 _MAX_SUBSETS = 1 << 20  # future-event subsets brute_force_phi may enumerate
 _SORT_KEYS = 16  # key columns _bit_groups sorts by in one np.lexsort
@@ -47,10 +47,6 @@ _PHI_FIRST = 24  # times every lag reduces before _phi_lags reads its bound
 _LAG_FLOATS = 1 << 16  # floats of a lag block's (lags, S, _PHI_BLOCK, S) difference, so
 # L = max(1, 2**16 // (8 S**2)) lags: 2048 at S = 2, 32 at S = 16, 1 from S = 91 on; and of a
 # time block's three (times, S, C) arrays in mu, so max(1, 2**16 // (3 S C)) times
-
-_STREAM_SEQUENCE = 0
-_STREAM_TARGET = 1
-_STREAM_BATCH = 2
 
 KIND_SEQUENCE = "sequence"
 KIND_TARGET = "target_iid"
@@ -961,30 +957,30 @@ def _cdf_draw(law: np.ndarray):
 
 
 def _walk(markov: MarkovSpec, trials: int, rng: np.random.Generator):
-    """Hidden states of `trials` independent chains, lazily: the start state
-    H_0 from the initial law, then H_1, H_2, ... one kernel step per next().
-    Each state costs one uniform per chain, drawn when it is produced, so a
-    caller can interleave its own draws between steps. A step is the
+    """Hidden states H_1, H_2, ... of `trials` independent chains, lazily, one
+    kernel step per next(), the first from H_0 drawn from the initial law.
+    Each state, H_0 too, costs one uniform per chain, drawn when it is needed,
+    so a caller can interleave its own draws between steps. A step is the
     `_cdf_draw` of the kernel, indexed by the current states."""
     step = _cdf_draw(markov.transition)
     cur = _cdf_draw(markov.initial[None, :])(np.zeros(trials, dtype=np.int64), rng)
     while True:
-        yield cur
         cur = step(cur, rng)
+        yield cur
 
 
 def _walk_path(markov: MarkovSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """H_0..H_n of one chain: the states _walk(markov, 1, rng) yields, from
-    the same n + 1 uniforms drawn as one block. Each step is `bisect_right`
-    over the first C - 1 entries of a cumulative row, the count of entries
-    at or below u that `_inverse_cdf` takes, in Python floats, without a
-    numpy call per step."""
+    """H_1..H_n of one chain: the states _walk(markov, 1, rng) yields, from
+    the same n + 1 uniforms, H_0's first, drawn as one block. Each step is
+    `bisect_right` over the first C - 1 entries of a cumulative row, the
+    count of entries at or below u that `_inverse_cdf` takes, in Python
+    floats, without a numpy call per step."""
     last = markov.num_states - 1
     start = np.cumsum(markov.initial)[:last].tolist()
     rows = [row[:last] for row in np.cumsum(markov.transition, axis=1).tolist()]
     u = rng.random(n + 1).tolist()
     cur = bisect_right(start, u[0])
-    states = [cur]
+    states = []
     for x in u[1:]:
         cur = bisect_right(rows[cur], x)
         states.append(cur)
@@ -1000,9 +996,9 @@ def sample_sequence(spec: ProcessSpec, n: int, seed: int) -> LabeledDataset:
     """
     spec = _instance(spec, "spec", ProcessSpec)
     _as_int(n, "n", 1, EmptyDataset)
-    rng = substream(seed, _STREAM_SEQUENCE)
+    rng = substream(seed, _SEQUENCE)
     em = spec.emission
-    emitted = _walk_path(spec.markov, n, rng)[1:]
+    emitted = _walk_path(spec.markov, n, rng)
     labels = np.asarray(spec.label_map, dtype=np.int64)[emitted]
     X = np.empty((n, spec.input_dim))
     for times in _time_blocks(em, np.arange(1, n + 1)):
@@ -1016,7 +1012,7 @@ def sample_target(spec: ProcessSpec, m: int, seed: int) -> LabeledDataset:
     """Draw m iid samples of the stationary limit (pi*, limit emission)."""
     _as_int(m, "m", 0)
     pistar = stationary_distribution(spec.markov)
-    rng = substream(seed, _STREAM_TARGET)
+    rng = substream(seed, _TARGET)
     em = spec.emission
     states = _cdf_draw(pistar[None, :])(np.zeros(m, dtype=np.int64), rng)
     labels = np.asarray(spec.label_map, dtype=np.int64)[states]
@@ -1042,10 +1038,9 @@ def sample_sequences_batch(spec: ProcessSpec, n: int, trials: int,
     """
     _as_int(n, "n", 1)
     _as_int(trials, "trials", 1)
-    rng = substream(seed, _STREAM_BATCH)
+    rng = substream(seed, _BATCH)
     em = spec.emission
     walk = _walk(spec.markov, trials, rng)
-    next(walk)
     labels = np.empty((trials, n), dtype=np.int64)  # H_1..H_n, mapped to labels once emitted
     for t in range(n):
         labels[:, t] = next(walk)
@@ -1144,9 +1139,8 @@ def sequence_value_means(spec: ProcessSpec, f, n: int, trials: int,
 
         def step_values(draw, cur, rng):
             return values.take(cur * M + draw(cur, rng))
-    rng = substream(seed, _STREAM_BATCH)
+    rng = substream(seed, _BATCH)
     walk = _walk(spec.markov, trials, rng)
-    next(walk)
     total = 0.0  # the first step's sum is a new array of that step's shape
     for t, law in enumerate(em.laws(np.arange(1, n + 1))):
         step = step_values(law, next(walk), rng)

@@ -35,7 +35,7 @@ from .errors import DimensionMismatch, EmptyDataset, NonpositiveGamma, TooLarge
 from .network import NetworkParams, forward_batch, margins_batch, ramp_loss
 from .norms import LayerNorms
 from .process import LabeledDataset, _bit_groups, _value_table
-from .seeding import substream
+from .seeding import _RADEMACHER, substream
 
 _EXACT_MAX_N = 20
 _SIGN_CHUNK = 65536  # sign vectors per block of the exact enumeration
@@ -233,7 +233,7 @@ def empirical_rademacher_mc(fclass: FunctionClass, data: LabeledDataset,
     _as_int(trials, "trials", 100)  # fewer give no meaningful stderr
     n = _as_int(data.n, "n", 1, EmptyDataset)
     F = fclass.evaluate(data.inputs, data.labels)
-    signs = _draw_signs(substream(seed, 0), trials, n)
+    signs = _draw_signs(substream(seed, _RADEMACHER), trials, n)
     sups = _sign_sups(F[:, None, :], signs)[0] / n
     return RademacherEstimate(value=float(sups.mean()),
                               stderr=float(sups.std(ddof=1) / math.sqrt(trials)),

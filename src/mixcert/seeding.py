@@ -1,15 +1,8 @@
-"""Counter-based RNG substreams.
+"""Counter-based RNG substreams, and the table of their tags.
 
-Every stochastic routine in the package draws from a Philox generator keyed
-by (seed, stream tags...). Streams are independent of execution schedule, so
-results do not depend on thread count or call order.
-
-Because Philox is counter-based, a draw whose value is known in advance can
-move the stream past its uniforms in O(1) time (`_skip`). The skip sets the
-counter and the buffer position in `bit_generator.state` directly rather
-than calling `Philox.advance`: advance also empties the output buffer and
-drops a pending 32-bit half (`has_uint32`, left by bounded integer draws),
-so the draws after it would differ from the draws after the uniforms.
+Every stochastic routine draws from a Philox generator keyed by (seed, its
+tag in the table below), so results do not depend on thread count or call
+order, and a draw known in advance skips its uniforms in O(1) (`_skip`).
 """
 from __future__ import annotations
 
@@ -18,6 +11,20 @@ import numpy as np
 from ._checks import _as_int
 
 _PHILOX_WORDS = 4  # 64-bit outputs of one Philox4x64 block, one counter value each
+
+# The stream table, the one place tags are chosen. Each (seed, tags) pair a CLI
+# run opens is one routine's, but for the last entry's (tests/test_seeding.py).
+_SEQUENCE = 0  # sample_sequence
+_TARGET = 1  # sample_target
+_BATCH = 2  # sample_sequences_batch and sequence_value_means
+_SYMMETRIZATION = 3  # validate_symmetrization's Monte Carlo signs
+_RAMP = 0  # validate_ramp_dominance
+_TRAIN = 0  # train_sgd, under the training seed folded with the path's
+_CENTERS = 1  # folded into _class_step_means' seed: its walk is not the batch's
+_NORM_SEEDS = (101, 211)  # spectral_norm's two starts, tagged by the matrix shape
+# empirical_rademacher_mc: shared, as `mixcert rademacher` draws path and signs
+# under seeds[0], so sign 2j+1 is the path's uniform j >= 0.5 (ROADMAP item 11b)
+_RADEMACHER = _SEQUENCE
 
 
 def substream(seed: int, *tags: int) -> np.random.Generator:

@@ -54,7 +54,7 @@ from mixcert.bounds import (_EXACT_SIGN_LIMIT, _MC_SIGNS, SymmetrizationReport,
 from mixcert.harness import builtin_class
 from mixcert.network import dataset_margins, mean_ramp_loss
 from mixcert.rademacher import _draw_signs, _exact_rademacher, _sign_sups
-from mixcert.seeding import substream
+from mixcert.seeding import _SYMMETRIZATION, substream
 from oracles import discrete_spec, flat_profile, random_spec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -604,7 +604,7 @@ def whole_array_symmetrization(fclass, spec, n, trials, seed):
     if n <= _EXACT_SIGN_LIMIT:
         method, rhat = "exact", _exact_rademacher(F)
     else:
-        rng = substream(seed, 3)
+        rng = substream(seed, _SYMMETRIZATION)
         method, rhat = "monte_carlo", np.array([
             float(_sign_sups(F[:, t:t + 1], _draw_signs(rng, _MC_SIGNS, n))[0].mean()) / n
             for t in range(trials)])

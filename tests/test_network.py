@@ -40,6 +40,7 @@ from mixcert.network import (
     error_rate,
     mean_ramp_loss,
 )
+from mixcert.seeding import _TRAIN
 from oracles import flat_profile, reference_forward, reference_margin
 
 
@@ -674,7 +675,7 @@ class TestTrainSGD:
         res = train_sgd(data, arch, cfg)
 
         acts = tuple(Activation.parse(a) for a in arch.activations)
-        rng = substream(cfg.seed, 0)
+        rng = substream(cfg.seed, _TRAIN)
         layers = [rng.uniform(-1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in), size=(d_out, d_in))
                   for d_in, d_out in zip(arch.dims, arch.dims[1:])]
         losses = []

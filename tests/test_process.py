@@ -46,9 +46,6 @@ from mixcert import (
     stationary_expectation,
 )
 from mixcert.process import (
-    _STREAM_BATCH,
-    _STREAM_SEQUENCE,
-    _STREAM_TARGET,
     _bit_groups,
     _cdf_draw,
     _futures,
@@ -64,7 +61,7 @@ from mixcert.process import (
     _walk_path,
 )
 from mixcert import process
-from mixcert.seeding import _skip, substream
+from mixcert.seeding import _BATCH, _SEQUENCE, _TARGET, _skip, substream
 from oracles import (discrete_spec, drift_weight, kstep_rows, law_at, lazy_ring, mixed_law,
                      random_law, random_spec, reference_batch, reference_draw,
                      reference_expectations, reference_fixed_point, reference_gaussian_tv,
@@ -1449,7 +1446,8 @@ class TestSampling:
 
 class TestChainStepping:
     """The column rule of `_inverse_cdf` and the single-chain `_walk_path`
-    against the gathered-row formula and the lazy `_walk`."""
+    against the gathered-row formula and the lazy `_walk`. Both walks give
+    H_1..H_n; the oracle `reference_walk` gives H_0 first."""
 
     @pytest.mark.parametrize("S", [1, 2, 3, 16])
     def test_inverse_cdf_matches_gathered_rows(self, S):
@@ -1481,11 +1479,16 @@ class TestChainStepping:
             n, seed = int(rng.integers(0, 300)), int(rng.integers(0, 2 ** 31))
             a, b, c = (substream(seed, 0) for _ in range(3))
             got = _walk_path(markov, n, a)
-            for walk in (_walk(markov, 1, b), reference_walk(markov, 1, c)):
-                want = np.concatenate([next(walk) for _ in range(n + 1)])
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-            # the same uniforms were consumed
-            assert a.random() == b.random() == c.random()
+            walk, oracle = _walk(markov, 1, b), reference_walk(markov, 1, c)
+            want = np.concatenate([next(oracle) for _ in range(n + 1)])[1:]
+            lazy = np.array([next(walk)[0] for _ in range(n)], dtype=np.int64)
+            for states in (got, lazy):
+                assert states.dtype == want.dtype and np.array_equal(states, want)
+            # the same n + 1 uniforms were consumed; a walk asked for no
+            # state has not drawn H_0
+            after = c.random()
+            assert a.random() == after
+            assert b.random() == (after if n else substream(seed, 0).random())
 
     def test_walk_path_on_boundary_uniforms(self):
         """Uniforms that random draws almost never give: 0, exact cumulative
@@ -1517,19 +1520,22 @@ class TestChainStepping:
             pool = np.concatenate([[0.0], cum.ravel(), np.nextafter(cum[:, -1], 2.0)])
             n = int(rng.integers(0, 60))
             u = rng.choice(pool, size=n + 1)
-            got = _walk_path(markov, n, Scripted(u))
-            for walker in (_walk, reference_walk):
-                scripted = Scripted(u)
-                walk = walker(markov, 1, scripted)
-                want = np.concatenate([next(walk) for _ in range(n + 1)])
-                assert np.array_equal(got, want)
-                # one uniform per state, drawn or skipped
-                assert scripted.consumed() == n + 1
+            scripted = Scripted(u)
+            got = _walk_path(markov, n, scripted)
+            # one uniform per state, drawn or skipped, H_0's included
+            assert scripted.consumed() == n + 1
+            oracle = reference_walk(markov, 1, Scripted(u))
+            path = np.concatenate([next(oracle) for _ in range(n + 1)])  # H_0..H_n
+            assert np.array_equal(got, path[1:])
+            scripted = Scripted(u)
+            walk = _walk(markov, 1, scripted)
+            assert np.array_equal([next(walk)[0] for _ in range(n)], path[1:])
+            assert scripted.consumed() == (n + 1 if n else 0)
             # each u in [0, row total) moves to a state of positive mass
-            laws = np.vstack([markov.initial[None], markov.transition[got[:-1]]])
-            rows = np.concatenate([[0], 1 + got[:-1]])
+            laws = np.vstack([markov.initial[None], markov.transition[path[:-1]]])
+            rows = np.concatenate([[0], 1 + path[:-1]])
             below = u < cum[rows, -1]
-            assert (laws[np.arange(n + 1), got][below] > 0.0).all()
+            assert (laws[np.arange(n + 1), path][below] > 0.0).all()
 
     def test_a_zero_uniform_draws_no_zero_mass(self):
         """random() may return exactly 0.0. With row [0, 1] that draws index
@@ -1545,9 +1551,10 @@ class TestChainStepping:
 
         markov = MarkovSpec(num_states=2, transition=[[0.0, 1.0], [0.5, 0.5]],
                             initial=[0.0, 1.0])
-        assert _walk_path(markov, 5, Zeros()).tolist() == [1, 0, 1, 0, 1, 0]
+        # H_1 = 0 is the step from H_0 = 1: from state 0 it would be 1
+        assert _walk_path(markov, 5, Zeros()).tolist() == [0, 1, 0, 1, 0]
         walk = _walk(markov, 3, Zeros())
-        assert [next(walk).tolist() for _ in range(3)] == [[1, 1, 1], [0, 0, 0], [1, 1, 1]]
+        assert [next(walk).tolist() for _ in range(3)] == [[0, 0, 0], [1, 1, 1], [0, 0, 0]]
         em = EmissionSpec.discrete(np.array([[0.0], [1.0]]), [[0.0, 1.0], [0.0, 1.0]])
         assert em.emit(em.law(em.table), np.array([0, 1]), Zeros()).tolist() == [[1.0], [1.0]]
 
@@ -1573,12 +1580,20 @@ class TestChainStepping:
         assert bad not in _inverse_cdf(cum, np.array([0, 1]), np.array([u, u]))
 
         class Constant:
+            """Returns u; a certain draw skips it through a Philox."""
+            def __init__(self):
+                self.bit_generator = np.random.Philox(0)
+
             def random(self, size):
                 return np.full(size, u)
 
         assert bad not in _walk_path(markov, 20, Constant())
         walk = _walk(markov, 4, Constant())
         assert not any(bad in next(walk) for _ in range(21))
+        # H_0 from the start law `row`, kept as H_1 by an identity kernel
+        still = MarkovSpec(num_states=3, transition=np.eye(3), initial=row)
+        assert bad not in _walk_path(still, 1, Constant())
+        assert bad not in next(_walk(still, 4, Constant()))
 
 
 def value_of_inputs(inputs, labels):
@@ -1595,17 +1610,17 @@ def sampler_outputs(spec, n, trials, seed, f, f_table=None):
     one."""
     calls = [
         (lambda: sample_sequence(spec, n, seed),
-         lambda: reference_sequence(spec, n, substream(seed, _STREAM_SEQUENCE))),
+         lambda: reference_sequence(spec, n, substream(seed, _SEQUENCE))),
         (lambda: sample_target(spec, 37, seed),
-         lambda: reference_target(spec, 37, substream(seed, _STREAM_TARGET))),
+         lambda: reference_target(spec, 37, substream(seed, _TARGET))),
         (lambda: sample_sequences_batch(spec, n, trials, seed),
-         lambda: reference_batch(spec, n, trials, substream(seed, _STREAM_BATCH))),
+         lambda: reference_batch(spec, n, trials, substream(seed, _BATCH))),
         (lambda: sequence_value_means(spec, f, n, trials, seed),
-         lambda: reference_means(spec, f, n, trials, substream(seed, _STREAM_BATCH)))]
+         lambda: reference_means(spec, f, n, trials, substream(seed, _BATCH)))]
     if f_table is not None:
         calls.append((lambda: sequence_value_means(spec, f_table, n, trials, seed),
                       lambda: reference_means(spec, f_table, n, trials,
-                                              substream(seed, _STREAM_BATCH))))
+                                              substream(seed, _BATCH))))
     library, oracle = [], []
     for pair in calls:
         for call, out in zip(pair, (library, oracle)):
@@ -1653,7 +1668,7 @@ class TestOneDraw:
                 self.assert_same(a, b)
             data = sample_target(spec, 0, seed)
             for a, b in zip((data.inputs, data.labels),
-                            reference_target(spec, 0, substream(seed, _STREAM_TARGET))):
+                            reference_target(spec, 0, substream(seed, _TARGET))):
                 self.assert_same(a, b)
             # one walk for a class: row m has the bits of member m's walk alone
             f = value_of_inputs
@@ -1797,10 +1812,10 @@ class TestCertainDraws:
                             initial=[0.0, 0.0, 1.0])
         counting = Counting(4)
         walk = _walk(markov, 4, counting)
-        assert [next(walk)[0] for _ in range(5)] == [2, 0, 1, 2, 0]
+        assert [next(walk)[0] for _ in range(4)] == [0, 1, 2, 0]  # H_1..H_4, after H_0 = 2
         assert counting.calls == 0
         reference = substream(4, 2)
-        reference.random(5 * 4)
+        reference.random(5 * 4)  # H_0..H_4 of the four chains
         assert counting.rng.random() == reference.random()
 
 

@@ -1,10 +1,22 @@
-"""Seed derivation tests: reproducibility, stream separation and the skip."""
+"""Seed derivation tests: reproducibility, stream separation, the skip and
+the stream table."""
+
+import os
+import sys
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from mixcert import combine_seeds
-from mixcert.seeding import _skip, substream
+from mixcert import combine_seeds, harness, seeding
+from mixcert.harness import ExperimentConfig
+from mixcert.seeding import _SEQUENCE, _skip, substream
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# (config, command) of every CLI run the stream guard traces
+TRACED_RUNS = (*((config, command) for config in ("small", "validators")
+                 for command in ("generate", "train", "certify", "validate", "rademacher")),
+               ("default", "validate"), ("default", "rademacher"))
 
 
 class TestSubstream:
@@ -108,3 +120,36 @@ class TestSkip:
             assert np.array_equal(skipped.bit_generator.state["state"]["counter"],
                                   drew.bit_generator.state["state"]["counter"])
             assert np.array_equal(skipped.random(9), drew.random(9))
+
+
+class TestStreamTable:
+    def test_each_stream_is_opened_by_one_routine(self, monkeypatch, tmp_path):
+        """Every substream the traced CLI runs open, keyed by (seed, tags), is
+        opened by one function, which may reopen it (spectral_norm's starts,
+        per matrix shape). The one exception, listed exactly, is `mixcert
+        rademacher`'s (seeds[0], _SEQUENCE): its path and its signs."""
+        opened = defaultdict(set)
+
+        def traced(seed, *tags):
+            opened[seed, tags].add(sys._getframe(1).f_code.co_name)
+            return substream(seed, *tags)
+
+        # every module of the package that draws, found by its `substream` name
+        drawing = [module for name, module in sys.modules.items()
+                   if name.startswith("mixcert.") and module is not seeding
+                   and getattr(module, "substream", None) is substream]
+        for module in drawing:
+            monkeypatch.setattr(module, "substream", traced)
+        for config, command in TRACED_RUNS:
+            argv = [command, "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                    "--out", str(tmp_path / config / command)]
+            assert harness.main(argv + ["--jobs", "1"] * (command == "certify")) == 0
+        assert {name for names in opened.values() for name in names} == {
+            "sample_sequence", "sample_target", "sample_sequences_batch",
+            "sequence_value_means", "validate_symmetrization", "validate_ramp_dominance",
+            "train_sgd", "spectral_norm", "empirical_rademacher_mc"}
+        first = {ExperimentConfig.load(os.path.join(CONFIG_DIR, f"{config}.json")).seeds[0]
+                 for config, command in TRACED_RUNS if command == "rademacher"}
+        assert {key: names for key, names in opened.items() if len(names) > 1} == {
+            (seed, (_SEQUENCE,)): {"sample_sequence", "empirical_rademacher_mc"}
+            for seed in first}
